@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .ledger import EnergyLedger
+from .diagnostics import fit_decay_rate
 from .runio import write_metadata, write_snapshot
 from .solver import SimulationState, existence_time_bound, run
 from .verify import SUITE_NAMES, run_suite
@@ -101,7 +101,6 @@ def _execute(cfg: RunConfig, out_dir: Path):
         cfg.solver,
         forcing=forcing,
         snapshot_sink=snapshot_sink,
-        record_trajectory=False,
     )
     wall = time.perf_counter() - wall_start
 
@@ -168,19 +167,6 @@ def _apply_param(raw: dict, param: str, value: float) -> dict:
     return out
 
 
-def _fit_decay_rate(ledger: EnergyLedger, area: float) -> float:
-    """Least-squares e-folding rate of the squared deviation from the mean."""
-    ts, logs = [], []
-    for r in ledger.rows:
-        dev = r.l2_C - r.mass**2 / area
-        if dev > 1e-300:
-            ts.append(r.t)
-            logs.append(math.log(dev))
-    if len(ts) < 2:
-        return math.nan
-    return -float(np.polyfit(ts, logs, 1)[0])
-
-
 def _cmd_sweep(args) -> int:
     if len(args.vary) != 1:
         raise ValueError("sweep varies exactly one parameter per invocation; "
@@ -202,11 +188,10 @@ def _cmd_sweep(args) -> int:
                 run_cfg.params,
                 run_cfg.solver,
                 forcing=run_cfg.build_forcing(),
-                record_trajectory=False,
             )
             outcome = "BlowUp" if result.outcome == "blowup" else "Completed"
             blow = result.blowup_time if result.blowup_time is not None else math.nan
-            rate = _fit_decay_rate(result.ledger, run_cfg.domain.Lx * run_cfg.domain.Ly)
+            rate = fit_decay_rate(result.ledger, run_cfg.domain.Lx * run_cfg.domain.Ly)
             fh.write(f"{param},{value:.17g},{outcome},{blow:.17g},{rate:.17g}\n")
     print(f"sweep report: {report_path}")
     return 0

@@ -23,6 +23,7 @@ __all__ = [
     "positivity_check",
     "DecayReport",
     "decay_to_mean_check",
+    "fit_decay_rate",
     "PerturbationReport",
     "perturbation_stability",
     "AprioriReport",
@@ -116,6 +117,30 @@ class DecayReport:
     slack: float
 
 
+def _mean_deviations(rows, area: float) -> list:
+    """(t - t0, ||C - mean||^2) for the ledger rows above the noise floor.
+
+    The deviation is a difference of near-equal quadratics; below
+    1e-13 max(l2_C, 1) it is indistinguishable from the mean itself.
+    """
+    t0 = rows[0].t
+    samples = ((r.t - t0, r.l2_C - r.mass**2 / area, r.l2_C) for r in rows)
+    return [(t, dev) for t, dev, l2_C in samples if dev > 1e-13 * max(l2_C, 1.0)]
+
+
+def fit_decay_rate(ledger, area: float) -> float:
+    """Least-squares e-folding rate of ||C - mean||^2 along the ledger.
+
+    Uses the rows above the noise floor; nan when fewer than two remain.
+    """
+    samples = _mean_deviations(ledger.rows, area)
+    if len(samples) < 2:
+        return math.nan
+    ts = [t for t, _ in samples]
+    logs = [math.log(dev) for _, dev in samples]
+    return -float(np.polyfit(ts, logs, 1)[0])
+
+
 def decay_to_mean_check(
     result: SimulationResult, params: PhysicalParams, slack: float = 1e-8
 ) -> DecayReport:
@@ -132,31 +157,16 @@ def decay_to_mean_check(
     rate = 2.0 * params.d * lam1
     area = spec.Lx * spec.Ly
     rows = result.ledger.rows
-    t0 = rows[0].t
     dev0 = max(rows[0].l2_C - rows[0].mass**2 / area, 0.0)
     worst = 0.0
-    ts, logs = [], []
-    for r in rows:
-        dev = r.l2_C - r.mass**2 / area
-        # The deviation is a difference of near-equal quadratics; below this
-        # floor it is indistinguishable from the mean itself.
-        floor = 1e-13 * max(r.l2_C, 1.0)
-        if dev <= floor:
-            continue
-        bound = dev0 * math.exp(-rate * (r.t - t0))
+    for t, dev in _mean_deviations(rows, area):
+        bound = dev0 * math.exp(-rate * t)
         worst = max(worst, dev / bound - 1.0 if bound > 0 else math.inf)
-        ts.append(r.t - t0)
-        logs.append(math.log(dev))
-    if len(ts) >= 2:
-        slope = np.polyfit(ts, logs, 1)[0]
-        fitted = -float(slope)
-    else:
-        fitted = math.nan
     passed = worst <= slack
     return DecayReport(
         passed=bool(passed),
         rate_bound=rate,
-        fitted_rate=fitted,
+        fitted_rate=fit_decay_rate(result.ledger, area),
         max_violation=float(worst),
         slack=slack,
     )
@@ -219,7 +229,6 @@ def perturbation_stability(
             config,
             forcing=forcing,
             checkpoint_times=checkpoint_times,
-            record_trajectory=False,
         )
         if res.outcome != "completed":
             return PerturbationReport(

@@ -27,7 +27,11 @@ _EXP_ARG_LIMIT = 700.0
 
 
 class MobilityOverflowError(FloatingPointError):
-    """Exponential mobility overflowed; the run must abort, not clamp."""
+    """Exponential mobility overflowed; the solver never clamps it.
+
+    Inside a trial step the controller rejects the trial and retries with
+    a smaller dt; at an accepted (or the initial) state it aborts the run.
+    """
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class MobilitySpec:
 def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
     """Pointwise mobility values on the grid.
 
-    Exponential overflow aborts the run with a diagnostic rather than
+    Exponential overflow raises MobilityOverflowError rather than
     silently clamping.
     """
     c = np.asarray(c_grid, dtype=float)

@@ -20,10 +20,12 @@ make the energy identities checkable per accepted step without any extra
 quadrature in time: the residuals are pure time-integration error.
 
 Time stepping is an embedded Dormand-Prince 5(4) pair with a
-proportional-integral step controller.  Optionally the diagonal diffusion
-of the concentration block is handled by an exponential integrating
-factor (a Lawson transform around each step), which integrates the stiff
-linear part exactly.
+proportional-integral step controller.  There is one stage loop, written
+in Lawson form around a diagonal linear rate lam (Lawson, SIAM J. Numer.
+Anal. 4, 1967).  With the integrating factor on, lam is the modal
+diffusion of the concentration block, which is then integrated exactly;
+with it off, lam = 0 and the step is the plain DP54 step bit for bit.
+`run` and `step` share one reject/shrink loop, `_advance`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .fields import ScalarField, VelocityField
 from .forcing import ForcingSpec
 from .korteweg import KortewegParams
 from .ledger import EnergyLedger, LedgerRow
-from .mobility import MobilitySpec, evaluate as mobility_values
+from .mobility import MobilityOverflowError, MobilitySpec, evaluate as mobility_values
 
 __all__ = [
     "PhysicalParams",
@@ -157,7 +159,6 @@ class SimulationResult:
     final_state: SimulationState
     ledger: EnergyLedger
     blowup_time: float | None = None
-    states: tuple = ()
     checkpoints: dict = field(default_factory=dict)
     steps_accepted: int = 0
     steps_rejected: int = 0
@@ -236,14 +237,14 @@ class GalerkinSystem:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray, include_diffusion: bool = True) -> np.ndarray:
-        ydot, _ = self._eval(t, y, include_diffusion, want_diag=False)
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        ydot, _ = self._eval(t, y, want_diag=False)
         return ydot
 
     def evaluate_with_diagnostics(self, t, y):
-        return self._eval(t, y, True, want_diag=True)
+        return self._eval(t, y, want_diag=True)
 
-    def _eval(self, t, y, include_diffusion, want_diag):
+    def _eval(self, t, y, want_diag):
         dom = self.domain
         p = self.params
         dh = p.korteweg.delta_hat
@@ -259,9 +260,9 @@ class GalerkinSystem:
         p_adv = dom.scalar_project(ux * cx + uy * cy)
         cc_grid = cg * (1.0 - cg)
         p_cc = dom.scalar_project(cc_grid)
-        bdot_full = -p.d * self.lam * B - p_adv - p.kappa * p_cc
+        bdot = -p.d * self.lam * B - p_adv - p.kappa * p_cc
         if self.transport_source is not None:
-            bdot_full = bdot_full + dom.scalar_project(self.transport_source(dom, t))
+            bdot = bdot + dom.scalar_project(self.transport_source(dom, t))
 
         # Momentum: drag, Korteweg coupling, body force.
         f_grid = mobility_values(p.mobility, cg)
@@ -292,11 +293,10 @@ class GalerkinSystem:
         f_dot_u = float(a_flat @ pair_f)
         ex[_I_FDOTU] = f_dot_u
         ex[_I_CC] = dom.grid.integrate(cc_grid * cc_grid)
-        ex[_I_DCDT] = float(np.sum(bdot_full * bdot_full))
+        ex[_I_DCDT] = float(np.sum(bdot * bdot))
         ex[_IW_C] = p.d * grad_c_sq + float(np.sum(B * p_adv)) + p.kappa * float(np.sum(B * p_cc))
         ex[_IW_U] = p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u
 
-        bdot = bdot_full if include_diffusion else bdot_full + p.d * self.lam * B
         ydot = np.concatenate([bdot.reshape(-1), adot, ex])
         if not np.all(np.isfinite(ydot)):
             raise NonFiniteStateError(t)
@@ -309,7 +309,7 @@ class GalerkinSystem:
                 "fq_u": float(dom.grid.integrate(f_grid * (ux * ux + uy * uy)))
                 if float(np.min(f_grid)) >= 0.0
                 else math.nan,
-                "dCdt_l2": float(np.sum(bdot_full * bdot_full)),
+                "dCdt_l2": float(np.sum(bdot * bdot)),
                 # Dual-norm majorants of the velocity rate: the mobility's
                 # H1 norm and the instantaneous forcing norm.
                 "h1_F_sq": float(
@@ -364,36 +364,60 @@ class GalerkinSystem:
 
 
 def _attempt_step(system, t, y, dt, k1, lam):
-    """One embedded DP54 step; returns (y5, error_estimate, k_last).
+    """One embedded DP54 step in Lawson form; returns (y5, error_estimate).
 
-    With `lam` set, the step applies a Lawson exponential transform around
-    the diagonal linear part so the modal diffusion is integrated exactly;
-    stage evaluations then use the non-stiff right-hand side.
+    The stages advance exp(-lam (s - t)) y(s), so the diagonal linear rate
+    `lam` is integrated exactly and `k1` is the transformed slope
+    rhs(t, y) - lam y.  With lam = 0 every factor is 1 and this is the
+    plain DP54 step.
     """
     k = np.empty((_N_STAGES, y.size))
-    if lam is None:
-        k[0] = k1
-        for i in range(1, _N_STAGES):
-            yi = y + dt * (_A[i] @ k[:i])
-            k[i] = system.rhs(t + _C[i] * dt, yi)
-        y5 = y + dt * (_B @ k)
-        err = dt * (_E @ k)
-    else:
-        k[0] = k1  # non-stiff rhs at (t, y); exp(0) transform is identity
-        for i in range(1, _N_STAGES):
-            zi = y + dt * (_A[i] @ k[:i])
-            grow = np.exp(lam * (_C[i] * dt))
-            yi = grow * zi
-            k[i] = system.rhs(t + _C[i] * dt, yi, include_diffusion=False) / grow
-        grow_full = np.exp(lam * dt)
-        y5 = grow_full * (y + dt * (_B @ k))
-        err = grow_full * (dt * (_E @ k))
-    return y5, err, k[-1]
+    k[0] = k1
+    for i in range(1, _N_STAGES):
+        grow = np.exp(lam * (_C[i] * dt))
+        yi = grow * (y + dt * (_A[i] @ k[:i]))
+        k[i] = (system.rhs(t + _C[i] * dt, yi) - lam * yi) / grow
+    grow = np.exp(lam * dt)
+    return grow * (y + dt * (_B @ k)), grow * (dt * (_E @ k))
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
+
+
+def _advance(system, t, y, dt, k1, lam, config):
+    """Try steps from (t, y), shrinking dt until one passes the error test.
+
+    A trial whose stages raise NonFiniteStateError or MobilityOverflowError,
+    or whose result is non-finite, halves dt; an error norm above 1 scales
+    it by max(0.2, 0.9 err^(-1/5)).  Returns (dt, y_new, err_norm, rejected)
+    for the accepted trial, `rejected` counting the trials before it.
+    """
+    rejected = 0
+    while True:
+        if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+            raise StepSizeUnderflowError(t, dt)
+        try:
+            y_new, err = _attempt_step(system, t, y, dt, k1, lam)
+            finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
+        except (NonFiniteStateError, MobilityOverflowError):
+            finite = False
+        if finite:
+            err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
+            if err_norm <= 1.0:
+                return dt, y_new, err_norm, rejected
+            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / _ORDER))
+        else:
+            dt *= 0.5
+        rejected += 1
+
+
+def _lawson_rate(system, config):
+    return system.lin_diag if config.integrating_factor else np.zeros(system.n_state)
 
 
 def run(
@@ -405,15 +429,17 @@ def run(
     ledger_sink=None,
     snapshot_sink=None,
     checkpoint_times=(),
-    record_trajectory: bool = True,
     transport_source=None,
 ) -> SimulationResult:
     """Integrate from the initial state to T_run or blow-up.
 
     Emits a ledger row per accepted step (also to `ledger_sink` if given),
     calls `snapshot_sink(state)` per accepted step, lands exactly on every
-    requested checkpoint time, and halts with outcome "blowup" as soon as
-    the concentration L2 norm exceeds the configured cap.
+    requested checkpoint time (kept in `checkpoints`), and halts with
+    outcome "blowup" as soon as the concentration L2 norm exceeds the
+    configured cap.  A trial step that fails (non-finite values, mobility
+    overflow) is rejected and retried with a smaller dt; the same failure
+    at an accepted state aborts the run.
     """
     errs = config.validation_errors()
     if errs:
@@ -436,7 +462,6 @@ def run(
     checkpoint_set = {float(s) for s in checkpoint_times}
 
     ledger = EnergyLedger()
-    states = []
     checkpoints = {}
 
     ydot, diag = system.evaluate_with_diagnostics(t, y)
@@ -445,23 +470,16 @@ def run(
     if ledger_sink is not None:
         ledger_sink(row)
     state0 = system.unpack(t, y)
-    if record_trajectory:
-        states.append(state0)
     if snapshot_sink is not None:
         snapshot_sink(state0)
     if t in checkpoint_set:
         checkpoints[t] = state0
 
-    lam = system.lin_diag if config.integrating_factor else None
-    if lam is not None:
-        # Lawson stages advance the non-stiff part only.
-        k1 = ydot - lam * y
-    else:
-        k1 = ydot
+    lam = _lawson_rate(system, config)
+    k1 = ydot - lam * y
 
     dt = min(config.dt_init, config.dt_max, stops[0] - t)
     err_prev = 1.0
-    safety, fac_min, fac_max = 0.9, 0.2, 5.0
     alpha, beta_pi = 0.7 / _ORDER, 0.4 / _ORDER
     accepted = 0
     rejected = 0
@@ -473,35 +491,18 @@ def run(
         while stop_idx < len(stops) and stops[stop_idx] <= t + 1e-14 * max(1.0, abs(t)):
             stop_idx += 1
         next_stop = stops[stop_idx] if stop_idx < len(stops) else t_end
-        hit_stop = False
-        if t + dt >= next_stop - 1e-12 * max(1.0, abs(next_stop)):
+        hit_stop = t + dt >= next_stop - 1e-12 * max(1.0, abs(next_stop))
+        if hit_stop:
             dt = next_stop - t
-            hit_stop = True
-        if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(t, dt)
 
-        try:
-            y_new, err, _ = _attempt_step(system, t, y, dt, k1, lam)
-            finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
-            err_norm = (
-                _error_norm(err, y, y_new, config.rtol, config.atol) if finite else math.inf
-            )
-        except NonFiniteStateError:
-            err_norm = math.inf
-            finite = False
-
-        if err_norm > 1.0:
-            rejected += 1
-            shrink = max(fac_min, safety * err_norm ** (-1.0 / _ORDER)) if finite else 0.5
-            dt = dt * min(1.0, shrink)
-            continue
-
+        dt, y, err_norm, n_rejected = _advance(system, t, y, dt, k1, lam, config)
+        rejected += n_rejected
+        hit_stop = hit_stop and n_rejected == 0  # a shrunk step stops short
         t = next_stop if hit_stop else t + dt
-        y = y_new
         accepted += 1
 
         ydot, diag = system.evaluate_with_diagnostics(t, y)
-        k1 = ydot - lam * y if lam is not None else ydot
+        k1 = ydot - lam * y
 
         l2_C = float(np.sum(y[: system.ns2] ** 2))
         blowup = math.sqrt(l2_C) > config.blowup_cap
@@ -510,8 +511,6 @@ def run(
         if ledger_sink is not None:
             ledger_sink(row)
         state = system.unpack(t, y)
-        if record_trajectory:
-            states.append(state)
         if snapshot_sink is not None:
             snapshot_sink(state)
         if hit_stop and next_stop in checkpoint_set:
@@ -523,10 +522,10 @@ def run(
             break
 
         if err_norm == 0.0:
-            fac = fac_max
+            fac = _FAC_MAX
         else:
-            fac = safety * err_norm ** (-alpha) * err_prev**beta_pi
-        dt = dt * min(fac_max, max(fac_min, fac))
+            fac = _SAFETY * err_norm ** (-alpha) * err_prev**beta_pi
+        dt = dt * min(_FAC_MAX, max(_FAC_MIN, fac))
         dt = min(dt, config.dt_max)
         err_prev = max(err_norm, 1e-10)
 
@@ -535,7 +534,6 @@ def run(
         final_state=system.unpack(t, y),
         ledger=ledger,
         blowup_time=blowup_time,
-        states=tuple(states),
         checkpoints=checkpoints,
         steps_accepted=accepted,
         steps_rejected=rejected,
@@ -552,8 +550,8 @@ def step(
 ) -> SimulationState:
     """Advance one accepted adaptive step from `state`.
 
-    Starts from config.dt_init and halves on rejection; the run loop is the
-    right tool for whole trajectories, this exposes a single transition.
+    Tries min(dt_init, dt_max) and shrinks it by the same rule as `run`
+    until a trial passes; `run` is the tool for whole trajectories.
     """
     errs = config.validation_errors()
     if errs:
@@ -561,25 +559,10 @@ def step(
     system = GalerkinSystem(state.domain, params, forcing)
     y = system.pack(state.C, state.u)
     t = float(state.t)
-    lam = system.lin_diag if config.integrating_factor else None
-    ydot = system.rhs(t, y)
-    k1 = ydot - lam * y if lam is not None else ydot
-    dt = min(config.dt_init, config.dt_max)
-    while True:
-        if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(t, dt)
-        try:
-            y_new, err, _ = _attempt_step(system, t, y, dt, k1, lam)
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))):
-                dt *= 0.5
-                continue
-            err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
-        except NonFiniteStateError:
-            dt *= 0.5
-            continue
-        if err_norm <= 1.0:
-            return system.unpack(t + dt, y_new)
-        dt *= max(0.2, 0.9 * err_norm ** (-1.0 / _ORDER))
+    lam = _lawson_rate(system, config)
+    k1 = system.rhs(t, y) - lam * y
+    dt, y_new, _, _ = _advance(system, t, y, min(config.dt_init, config.dt_max), k1, lam, config)
+    return system.unpack(t + dt, y_new)
 
 
 def rhs_concentration(state: SimulationState, params: PhysicalParams) -> ScalarField:

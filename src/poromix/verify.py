@@ -91,8 +91,7 @@ def suite_diffusion():
     params = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.0)
     C0 = _cosine_C(domain, [(1, 0, 1.0)])
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config,
-              record_trajectory=False)
+    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
     ratio = math.sqrt(res.ledger.final.l2_C / res.ledger[0].l2_C)
     expected = math.exp(-0.1)
     err = abs(ratio - expected) / expected
@@ -107,8 +106,7 @@ def suite_logistic():
 
     C0 = _uniform_C(domain, 0.5)
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config,
-              record_trajectory=False)
+    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
     measured = res.final_state.C.mean_value
     expected = 1.0 / (1.0 + math.e)
     out.append(CheckResult("logistic", "uniform_value_at_t1",
@@ -116,8 +114,7 @@ def suite_logistic():
 
     C0 = _uniform_C(domain, 2.0)
     config = SolverConfig(T_run=2.0, rtol=1e-10, atol=1e-13, blowup_cap=1e6)
-    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config,
-              record_trajectory=False)
+    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
     t_star = logistic_blowup_time(2.0, 1.0)
     detected = res.outcome == "blowup" and res.blowup_time is not None
     rel = abs(res.blowup_time - t_star) / t_star if detected else math.inf
@@ -138,7 +135,7 @@ def _generic_nonlinear_run():
     u0 = _stream_u(domain, [(1, 1, 0.4), (2, 1, 0.2)])
     config = SolverConfig(T_run=0.4, rtol=1e-8, atol=1e-11)
     res = run(SimulationState(0.0, C0, u0), params, config,
-              forcing=ForcingSpec.preset("pulsed_stream"), record_trajectory=False)
+              forcing=ForcingSpec.preset("pulsed_stream"))
     return res, config
 
 
@@ -167,7 +164,7 @@ def suite_mass():
     u0 = _stream_u(domain, [(1, 1, 0.5), (2, 2, 0.2)])
     config = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
     res = run(SimulationState(0.0, C0, u0), params, config,
-              forcing=ForcingSpec.preset("steady_stream"), record_trajectory=False)
+              forcing=ForcingSpec.preset("steady_stream"))
     m0 = res.ledger[0].mass
     drift = abs(res.ledger.final.mass - m0)
     tol = 1e-9 * (1.0 + abs(m0))
@@ -184,8 +181,7 @@ def suite_positivity():
         )
         C0 = _cosine_C(domain, [(1, 1, 1.0)], offset=1.5)
         config = SolverConfig(T_run=0.3, rtol=1e-8, atol=1e-11)
-        return run(SimulationState(0.0, C0, _zero_u(domain)), params, config,
-                   record_trajectory=False)
+        return run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
 
     base = one(16)
     refined = one(32)
@@ -214,15 +210,14 @@ def suite_decay():
     C0 = _cosine_C(domain, [(1, 0, 0.3), (1, 1, 0.2), (2, 1, 0.1)], offset=0.6)
     u0 = _stream_u(domain, [(1, 1, 0.5)])
     config = SolverConfig(T_run=1.5, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, u0), params, config, record_trajectory=False)
+    res = run(SimulationState(0.0, C0, u0), params, config)
     report = decay_to_mean_check(res, params)
     out.append(CheckResult("decay", "envelope_bound_all_times",
                            report.passed, report.max_violation, 0.0, report.slack))
 
     params2 = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.0)
     C0 = _cosine_C(domain, [(1, 0, 1.0)], offset=0.5)
-    res2 = run(SimulationState(0.0, C0, _zero_u(domain)), params2, config,
-               record_trajectory=False)
+    res2 = run(SimulationState(0.0, C0, _zero_u(domain)), params2, config)
     area = domain.spec.Lx * domain.spec.Ly
     dev0 = res2.ledger[0].l2_C - res2.ledger[0].mass ** 2 / area
     devT = res2.ledger.final.l2_C - res2.ledger.final.mass ** 2 / area
@@ -241,7 +236,7 @@ def suite_velocity_decay():
     C0 = _uniform_C(domain, 0.5)
     u0 = _stream_u(domain, [(1, 1, 0.5), (2, 1, 0.3), (3, 2, 0.2)])
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, u0), params, config, record_trajectory=False)
+    res = run(SimulationState(0.0, C0, u0), params, config)
     n0 = math.sqrt(res.ledger[0].l2_u)
     worst = max(
         math.sqrt(r.l2_u) / (n0 * math.exp(-0.7 * r.t)) - 1.0 for r in res.ledger.rows
@@ -252,7 +247,7 @@ def suite_velocity_decay():
     params2 = PhysicalParams(mu_e=0.05, d=0.1, kappa=0.0,
                              mobility=MobilitySpec.polynomial(0.5, 1.0))
     C0 = _cosine_C(domain, [(1, 1, 0.2)], offset=0.8)
-    res2 = run(SimulationState(0.0, C0, u0), params2, config, record_trajectory=False)
+    res2 = run(SimulationState(0.0, C0, u0), params2, config)
     rows = res2.ledger.rows
     fq_defined = all(np.isfinite(r.fq_u) for r in rows)
     mono = all(
@@ -301,7 +296,6 @@ def suite_mms():
         params, config,
         forcing=rest.momentum_forcing(params),
         transport_source=rest.transport_source(params),
-        record_trajectory=False,
     )
     err_c, _ = rest.error_norms(domain, config.T_run, res.final_state.C, res.final_state.u)
     out.append(CheckResult("mms", "rest_stationary", err_c <= 1e-8, err_c, 0.0, 1e-8))
@@ -317,7 +311,6 @@ def suite_mms():
             params, cfg,
             forcing=swirl.momentum_forcing(params),
             transport_source=swirl.transport_source(params),
-            record_trajectory=False,
         )
         errs[Ns] = swirl.error_norms(dom, cfg.T_run, res.final_state.C, res.final_state.u)
     floor = 1e-9
@@ -371,7 +364,7 @@ def suite_lipschitz():
                                 korteweg=KortewegParams(delta_hat=0.1, gamma=0.0),
                                 mobility=F)
         res = run(SimulationState(0.0, C0, u0), params, config,
-                  forcing=ForcingSpec.preset("pulsed_stream"), record_trajectory=False)
+                  forcing=ForcingSpec.preset("pulsed_stream"))
         finals.append(res.final_state)
     dc = float(np.max(np.abs(finals[0].C.coeffs - finals[1].C.coeffs)))
     du = float(np.max(np.abs(finals[0].u.coeffs - finals[1].u.coeffs)))

@@ -140,8 +140,7 @@ def _small_run(pi_domain):
         0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
         make_velocity(pi_domain, [(1, 1, 0.3)])
     )
-    return run(state, params, SolverConfig(T_run=0.1, rtol=1e-8, atol=1e-12),
-               record_trajectory=False)
+    return run(state, params, SolverConfig(T_run=0.1, rtol=1e-8, atol=1e-12))
 
 
 def test_ledger_csv_format_and_roundtrip(tmp_path, pi_domain):

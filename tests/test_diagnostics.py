@@ -33,8 +33,7 @@ def _still(domain, offset, modes=()):
 
 
 def test_positivity_steady_state(pi_domain):
-    res = run(_still(pi_domain, 1.0), _params(), SolverConfig(T_run=0.5, rtol=1e-9, atol=1e-12),
-              record_trajectory=False)
+    res = run(_still(pi_domain, 1.0), _params(), SolverConfig(T_run=0.5, rtol=1e-9, atol=1e-12))
     report = positivity_check(res)
     assert report.passed
     assert report.min_over_time == pytest.approx(1.0, abs=1e-9)
@@ -44,7 +43,7 @@ def test_positivity_tracks_logistic_minimum(pi_domain):
     # Uniform 0.5 under kappa = 1 follows the logistic curve exactly.
     T = 0.8
     res = run(_still(pi_domain, 0.5), _params(kappa=1.0),
-              SolverConfig(T_run=T, rtol=1e-10, atol=1e-13), record_trajectory=False)
+              SolverConfig(T_run=T, rtol=1e-10, atol=1e-13))
     report = positivity_check(res)
     expected = logistic_solution(0.5, 1.0, T)
     assert report.min_over_time == pytest.approx(expected, abs=1e-8)
@@ -52,22 +51,20 @@ def test_positivity_tracks_logistic_minimum(pi_domain):
 
 
 def test_positivity_requires_positive_start(pi_domain):
-    res = run(_still(pi_domain, 0.0), _params(), SolverConfig(T_run=0.1), record_trajectory=False)
+    res = run(_still(pi_domain, 0.0), _params(), SolverConfig(T_run=0.1))
     with pytest.raises(ValueError, match="positive"):
         positivity_check(res)
 
 
 def test_positivity_refinement_trend(pi_domain):
     cfg = SolverConfig(T_run=0.2, rtol=1e-9, atol=1e-12)
-    res = run(_still(pi_domain, 1.5, [(1, 1, 1.0)]), _params(kappa=1.0), cfg,
-              record_trajectory=False)
+    res = run(_still(pi_domain, 1.5, [(1, 1, 1.0)]), _params(kappa=1.0), cfg)
     report = positivity_check(res, refined=res)
     assert report.undershoot_grew is False
 
 
 def test_decay_check_rejects_reactive_runs(pi_domain):
-    res = run(_still(pi_domain, 0.5), _params(kappa=1.0), SolverConfig(T_run=0.1),
-              record_trajectory=False)
+    res = run(_still(pi_domain, 0.5), _params(kappa=1.0), SolverConfig(T_run=0.1))
     with pytest.raises(ValueError, match="kappa"):
         decay_to_mean_check(res, _params(kappa=1.0))
 
@@ -77,7 +74,7 @@ def test_decay_single_mode_rate(pi_domain):
     # exactly 2 d lam_1 = 0.2.
     params = _params(d=0.1)
     res = run(_still(pi_domain, 0.5, [(1, 0, 1.0)]), params,
-              SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13), record_trajectory=False)
+              SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13))
     report = decay_to_mean_check(res, params)
     assert report.passed
     assert report.rate_bound == pytest.approx(0.2)
@@ -87,8 +84,7 @@ def test_decay_single_mode_rate(pi_domain):
 
 def test_decay_already_at_mean(pi_domain):
     params = _params()
-    res = run(_still(pi_domain, 0.7), params, SolverConfig(T_run=0.3, rtol=1e-9, atol=1e-12),
-              record_trajectory=False)
+    res = run(_still(pi_domain, 0.7), params, SolverConfig(T_run=0.3, rtol=1e-9, atol=1e-12))
     report = decay_to_mean_check(res, params)
     assert report.passed
 
@@ -137,8 +133,7 @@ def test_perturbation_inconclusive_on_blowup(pi_domain):
 
 
 def test_apriori_zero_solution(pi_domain):
-    res = run(_still(pi_domain, 0.0), _params(kappa=1.0), SolverConfig(T_run=0.3),
-              record_trajectory=False)
+    res = run(_still(pi_domain, 0.0), _params(kappa=1.0), SolverConfig(T_run=0.3))
     report = apriori_flags(res.ledger, _params(kappa=1.0))
     assert report.all_finite
     assert report.dissipation_holds
@@ -155,7 +150,7 @@ def test_apriori_pure_diffusion_identity(pi_domain):
     # kappa = 0, u = 0: int ||grad C||^2 dt = (||C0||^2 - ||C(T)||^2) / (2 d).
     params = _params(d=0.25)
     res = run(_still(pi_domain, 0.4, [(1, 1, 0.5), (2, 0, 0.3)]), params,
-              SolverConfig(T_run=0.6, rtol=1e-10, atol=1e-13), record_trajectory=False)
+              SolverConfig(T_run=0.6, rtol=1e-10, atol=1e-13))
     report = apriori_flags(res.ledger, params)
     assert report.all_finite
     first, last = res.ledger[0], res.ledger.final
@@ -172,8 +167,7 @@ def test_apriori_forced_brinkman_momentum_identity(pi_domain):
         0.0, make_scalar(pi_domain, [], offset=1.0), make_velocity(pi_domain, [(1, 1, 0.5)])
     )
     cfg = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
-    res = run(state, params, cfg, forcing=ForcingSpec.preset("pulsed_stream"),
-              record_trajectory=False)
+    res = run(state, params, cfg, forcing=ForcingSpec.preset("pulsed_stream"))
     first, last = res.ledger[0], res.ledger.final
     lhs = 0.5 * (last.l2_u - first.l2_u)
     rhs = -(params.mu_e * last.i_grad_u + last.i_fu - last.i_fdotu)
@@ -185,7 +179,7 @@ def test_apriori_forced_brinkman_momentum_identity(pi_domain):
 
 def test_segment_bounds_positive(pi_domain):
     res = run(_still(pi_domain, 0.5, [(1, 1, 0.2)]), _params(kappa=0.5),
-              SolverConfig(T_run=0.2), record_trajectory=False)
+              SolverConfig(T_run=0.2))
     bounds = segment_residual_bounds(res.ledger, SolverConfig(T_run=0.2), "C")
     assert len(bounds) == len(res.ledger.rows) - 1
     assert all(b > 0 for b in bounds)

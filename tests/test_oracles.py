@@ -87,7 +87,6 @@ def test_rest_preset_is_stationary(mms_params):
         SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13),
         forcing=case.momentum_forcing(mms_params),
         transport_source=case.transport_source(mms_params),
-        record_trajectory=False,
     )
     err_c, err_u = case.error_norms(domain, 0.5, res.final_state.C, res.final_state.u)
     assert err_c <= 1e-8
@@ -107,7 +106,6 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
         SolverConfig(T_run=T, rtol=1e-10, atol=1e-13),
         forcing=case.momentum_forcing(mms_params),
         transport_source=case.transport_source(mms_params),
-        record_trajectory=False,
     )
     err_c, err_u = case.error_norms(domain, T, res.final_state.C, res.final_state.u)
     assert err_c <= 1e-8

@@ -65,7 +65,7 @@ def test_generic_run_gradient_residual_small(pi_domain):
     )
     forcing = ForcingSpec.preset("steady_stream")
     res = run(state0, params, SolverConfig(T_run=0.2, rtol=1e-9, atol=1e-12),
-              forcing=forcing, record_trajectory=False)
+              forcing=forcing)
     state = res.final_state
     u_dot = rhs_velocity(state, params, forcing)
     p = recover_pressure(state, u_dot, forcing, params)
@@ -85,7 +85,7 @@ def test_gamma_shifts_pressure_only(pi_domain):
     finals = []
     pressures = []
     for params in (base, bumped):
-        res = run(SimulationState(0.0, C0, u0), params, cfg, record_trajectory=False)
+        res = run(SimulationState(0.0, C0, u0), params, cfg)
         state = res.final_state
         finals.append(state)
         u_dot = rhs_velocity(state, params)

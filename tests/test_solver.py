@@ -7,6 +7,7 @@ from poromix import (
     DomainSpec,
     ForcingSpec,
     KortewegParams,
+    MobilityOverflowError,
     MobilitySpec,
     PhysicalParams,
     ScalarField,
@@ -18,6 +19,7 @@ from poromix import (
     rhs_concentration,
     rhs_velocity,
     run,
+    step,
 )
 
 from conftest import make_scalar, make_velocity, random_scalar
@@ -115,7 +117,6 @@ def test_logistic_value_and_blowup(pi_domain):
         SimulationState(0.0, make_scalar(pi_domain, [], offset=0.5), u0),
         params,
         SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13),
-        record_trajectory=False,
     )
     assert res.final_state.C.mean_value == pytest.approx(1.0 / (1.0 + math.e), abs=1e-6)
 
@@ -123,7 +124,6 @@ def test_logistic_value_and_blowup(pi_domain):
         SimulationState(0.0, make_scalar(pi_domain, [], offset=2.0), u0),
         params,
         SolverConfig(T_run=2.0, rtol=1e-10, atol=1e-13, blowup_cap=1e6),
-        record_trajectory=False,
     )
     assert res2.outcome == "blowup"
     assert res2.ledger.final.blowup == 1
@@ -147,7 +147,7 @@ def test_integrating_factor_matches_plain(pi_domain):
     finals = []
     for iff in (False, True):
         cfg = SolverConfig(T_run=0.3, rtol=1e-10, atol=1e-13, integrating_factor=iff)
-        res = run(SimulationState(0.0, C0, u0), params, cfg, record_trajectory=False)
+        res = run(SimulationState(0.0, C0, u0), params, cfg)
         finals.append(res.final_state)
     assert np.abs(finals[0].C.coeffs - finals[1].C.coeffs).max() <= 1e-9
     assert np.abs(finals[0].u.coeffs - finals[1].u.coeffs).max() <= 1e-9
@@ -159,8 +159,7 @@ def test_integrating_factor_exact_for_pure_diffusion(pi_domain):
     params = _params(d=0.37)
     C0 = make_scalar(pi_domain, [(2, 1, 1.0)])
     cfg = SolverConfig(T_run=1.0, rtol=1e-4, atol=1e-8, dt_init=0.25, integrating_factor=True)
-    res = run(SimulationState(0.0, C0, make_velocity(pi_domain, [])), params, cfg,
-              record_trajectory=False)
+    res = run(SimulationState(0.0, C0, make_velocity(pi_domain, [])), params, cfg)
     lam = pi_domain.scalar.eigenvalues[2, 1]
     expected = C0.coeffs[2, 1] * math.exp(-params.d * lam)
     assert res.final_state.C.coeffs[2, 1] == pytest.approx(expected, rel=1e-12)
@@ -173,7 +172,7 @@ def test_energy_residuals_bounded_in_if_mode(pi_domain):
     C0 = make_scalar(pi_domain, [(1, 1, 0.3), (3, 2, 0.15)], offset=0.5)
     u0 = make_velocity(pi_domain, [(1, 1, 0.4)])
     cfg = SolverConfig(T_run=0.3, rtol=1e-8, atol=1e-11, integrating_factor=True)
-    res = run(SimulationState(0.0, C0, u0), params, cfg, record_trajectory=False)
+    res = run(SimulationState(0.0, C0, u0), params, cfg)
     for which, col in (("C", "res_C"), ("u", "res_u")):
         bounds = segment_residual_bounds(res.ledger, cfg, which)
         residuals = [abs(getattr(r, col)) for r in res.ledger.rows[1:]]
@@ -189,15 +188,13 @@ def test_zero_advection_mobility_decoupling(pi_domain):
     finals = []
     for mob in (MobilitySpec.constant(5.0), MobilitySpec.exponential(2.0)):
         params = _params(kappa=0.8, mobility=mob)
-        res = run(SimulationState(0.0, C0, u0), params, cfg, record_trajectory=False)
+        res = run(SimulationState(0.0, C0, u0), params, cfg)
         assert res.ledger.final.l2_u == 0.0
         finals.append(res.final_state.C.coeffs)
     assert np.array_equal(finals[0], finals[1])
 
 
 def test_single_step_advances_and_controls_error(pi_domain):
-    from poromix import step
-
     C0 = make_scalar(pi_domain, [(1, 0, 1.0)])
     state = SimulationState(0.0, C0, make_velocity(pi_domain, []))
     cfg = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13, dt_init=0.01)
@@ -216,7 +213,7 @@ def test_gradient_stress_drives_flow_from_rest(pi_domain):
     peaks = {}
     for dh in (0.0, 0.5):
         params = _params(korteweg=KortewegParams(delta_hat=dh, gamma=0.0))
-        res = run(SimulationState(0.0, C0, u0), params, cfg, record_trajectory=False)
+        res = run(SimulationState(0.0, C0, u0), params, cfg)
         peaks[dh] = max(r.l2_u for r in res.ledger.rows)
     assert peaks[0.0] == 0.0
     assert peaks[0.5] > 1e-8
@@ -233,7 +230,7 @@ def test_checkpoints_land_exactly(pi_domain):
     )
     assert set(res.checkpoints) == {0.2, 0.35}
     assert res.checkpoints[0.2].t == 0.2
-    assert any(s.t == 0.35 for s in res.states)
+    assert res.checkpoints[0.35].t == 0.35
 
 
 def test_run_from_nonzero_initial_time(pi_domain):
@@ -287,7 +284,7 @@ def test_ledger_csv_values_and_monotone_time(pi_domain):
     C0 = make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5)
     u0 = make_velocity(pi_domain, [(1, 1, 0.3)])
     res = run(SimulationState(0.0, C0, u0), _params(kappa=0.3),
-              SolverConfig(T_run=0.2, rtol=1e-8, atol=1e-12), record_trajectory=False)
+              SolverConfig(T_run=0.2, rtol=1e-8, atol=1e-12))
     ts = res.ledger.column("t")
     assert all(b > a for a, b in zip(ts, ts[1:]))
     for name in ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "dCdt_l2"):
@@ -299,7 +296,7 @@ def test_ledger_norms_match_grid_quadrature(pi_domain):
     C0 = make_scalar(pi_domain, [(1, 1, 0.2), (2, 1, 0.1)], offset=0.6)
     u0 = make_velocity(pi_domain, [(1, 1, 0.4), (2, 2, 0.2)])
     res = run(SimulationState(0.0, C0, u0), params,
-              SolverConfig(T_run=0.1, rtol=1e-9, atol=1e-12), record_trajectory=False)
+              SolverConfig(T_run=0.1, rtol=1e-9, atol=1e-12))
     row = res.ledger.final
     state = res.final_state
     dom = pi_domain
@@ -325,6 +322,50 @@ def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
     C0 = make_scalar(pi_domain, [(1, 0, 1.0)])  # cos x changes sign
     u0 = make_velocity(pi_domain, [(1, 1, 0.2)])
     res = run(SimulationState(0.0, C0, u0), params,
-              SolverConfig(T_run=0.05, rtol=1e-8, atol=1e-12), record_trajectory=False)
+              SolverConfig(T_run=0.05, rtol=1e-8, atol=1e-12))
     assert math.isnan(res.ledger.final.fq_u)
     assert math.isnan(res.ledger[0].fq_u)
+
+
+def _overshoot_case(integrating_factor=False, T_run=0.5):
+    # dt_init = 1 overshoots the (3, 3) mode (d lam = 18): a trial stage
+    # reaches |R C| ~ 4.2e3, past the exponential-mobility limit, although
+    # every accepted state stays near R C = 300.
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
+    state = SimulationState(0.0, make_scalar(domain, [(3, 3, 0.4)], offset=3.0),
+                            make_velocity(domain, []))
+    params = PhysicalParams(mu_e=1.0, d=1.0, kappa=0.0, mobility=MobilitySpec.exponential(100.0))
+    cfg = SolverConfig(T_run=T_run, rtol=1e-6, atol=1e-9, dt_init=1.0,
+                       integrating_factor=integrating_factor)
+    return state, params, cfg
+
+
+def test_trial_stage_mobility_overflow_rejects_step():
+    state, params, cfg = _overshoot_case()
+    res = run(state, params, cfg)
+    assert res.outcome == "completed"
+    assert res.final_state.t == 0.5
+    assert res.steps_rejected >= 1
+    new = step(state, params, cfg)
+    assert 0.0 < new.t < 1.0
+
+
+def test_mobility_overflow_at_accepted_state_aborts_run(pi_domain):
+    state = SimulationState(0.0, make_scalar(pi_domain, [], offset=8.0),
+                            make_velocity(pi_domain, []))
+    params = _params(mobility=MobilitySpec.exponential(100.0))
+    with pytest.raises(MobilityOverflowError):
+        run(state, params, SolverConfig(T_run=0.1))
+
+
+@pytest.mark.parametrize("integrating_factor", [False, True])
+def test_step_matches_first_accepted_step_of_run(integrating_factor):
+    # T_run > dt_init, so run's first trial is not clipped to the horizon.
+    state, params, cfg = _overshoot_case(integrating_factor, T_run=2.0)
+    first = []
+    res = run(state, params, cfg, snapshot_sink=first.append)
+    assert res.steps_rejected >= 1
+    new = step(state, params, cfg)
+    assert new.t == first[1].t
+    assert np.array_equal(new.C.coeffs, first[1].C.coeffs)
+    assert np.array_equal(new.u.coeffs, first[1].u.coeffs)
