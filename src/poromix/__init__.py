@@ -20,15 +20,13 @@ from .fields import (
     ResolutionMismatchError,
     ScalarField,
     VelocityField,
-    advect,
     gradient,
     grid_to_scalar,
     laplacian,
-    reaction,
     scalar_to_grid,
 )
 from .forcing import ForcingSpec
-from .korteweg import KortewegParams, korteweg_full_tensor, korteweg_momentum_term
+from .korteweg import KortewegParams, korteweg_full_tensor
 from .ledger import EnergyLedger, LedgerRow
 from .mobility import MobilityOverflowError, MobilitySpec, lipschitz_check
 from .mobility import evaluate as mobility_evaluate

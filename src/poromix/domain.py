@@ -243,12 +243,6 @@ class Domain:
         g = self.grid
         return g.phx.T @ (g.weights * vx) @ g.phyd - g.phxd.T @ (g.weights * vy) @ g.phy
 
-    def velocity_project(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Gram-solve projection of a nodal vector field, (Nv, Nv)."""
-        pair = self.velocity_pairing(vx, vy)
-        flat = self.velocity.solve_gram(pair.reshape(-1))
-        return flat.reshape(self.spec.Nv, self.spec.Nv)
-
 
 def _scalar_factors(s: np.ndarray, L: float, Ns: int):
     """Normalized cosine factors and first two derivatives, (len(s), Ns)."""

@@ -1,11 +1,10 @@
 """
-Field value types over the spectral bases and the differential/product
-operators used by the physics terms.
+Field value types over the spectral bases, their grid transforms, and the
+gradient and Laplacian of a scalar field.
 
-Fields are immutable: every operator returns a fresh field.  Nonlinear
-terms are evaluated pseudo-spectrally (transform to the grid, multiply
-pointwise, project back by quadrature), which is alias-free because the
-quadrature rule is sized for the largest product degree.
+Fields are immutable: every operator returns a fresh field.  The physics
+terms themselves (advection, reaction, drag, Korteweg coupling) are
+assembled only by `solver.GalerkinSystem`.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "grid_to_scalar",
     "gradient",
     "laplacian",
-    "advect",
-    "reaction",
 ]
 
 
@@ -181,21 +178,3 @@ def gradient(field: ScalarField):
 def laplacian(field: ScalarField) -> ScalarField:
     """Coefficient-space Laplacian: -lam[j,k] beta[j,k]."""
     return ScalarField(field.domain, -field.domain.scalar.eigenvalues * field.coeffs)
-
-
-def advect(u: VelocityField, C: ScalarField) -> ScalarField:
-    """Projection of u . grad C onto the scalar basis."""
-    _check_same_domain(u, C)
-    dom = C.domain
-    ux, uy = dom.velocity_values(u.coeffs)
-    cx, cy = dom.scalar_gradient_values(C.coeffs)
-    return ScalarField(dom, dom.scalar_project(ux * cx + uy * cy))
-
-
-def reaction(C: ScalarField, kappa: float) -> ScalarField:
-    """Projection of kappa * C (1 - C) onto the scalar basis; kappa >= 0."""
-    if kappa < 0:
-        raise ValueError(f"reaction rate must be nonnegative, got {kappa}")
-    dom = C.domain
-    cg = dom.scalar_values(C.coeffs)
-    return ScalarField(dom, dom.scalar_project(kappa * cg * (1.0 - cg)))

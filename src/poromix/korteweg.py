@@ -6,10 +6,11 @@ no-slip test velocities,
 
     <div T(C), w> = -delta_hat (lap C grad C, w),
 
-because the isotropic part Q(C) I of the stress is a pure gradient there.
-The full tensor is kept for pressure recovery and for the consistency test
-between the two routes.  Consistency with the reduced form fixes the dyadic
-part's sign:
+because the isotropic part Q(C) I of the stress is a pure gradient there;
+`solver.GalerkinSystem` assembles that pairing and nothing else does.  The
+full tensor here is used for pressure recovery and as the independent
+oracle for the solver's pairing (the korteweg-reduction verify suite).
+Consistency with the reduced form fixes the dyadic part's sign:
 
     T(C) = Q(C) I - delta_hat grad C (x) grad C,
     Q(C) = -(delta_hat / 3) |grad C|^2 + (2 gamma / 3) lap C,
@@ -26,7 +27,7 @@ import numpy as np
 
 from .fields import ScalarField, gradient, laplacian, scalar_to_grid
 
-__all__ = ["KortewegParams", "korteweg_momentum_term", "korteweg_full_tensor"]
+__all__ = ["KortewegParams", "korteweg_full_tensor"]
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,6 @@ class KortewegParams:
             elif val < 0:
                 errs.append(f"{name} must be >= 0, got {val!r}")
         return errs
-
-
-def korteweg_momentum_term(C: ScalarField, delta_hat: float):
-    """Nodal values of -delta_hat * lap C * grad C, ready for projection."""
-    dom = C.domain
-    if delta_hat == 0.0:
-        zero = np.zeros((dom.grid.M, dom.grid.M))
-        return zero, zero.copy()
-    cx, cy = gradient(C)
-    lap = scalar_to_grid(laplacian(C))
-    return -delta_hat * lap * cx, -delta_hat * lap * cy
 
 
 def korteweg_full_tensor(C: ScalarField, params: KortewegParams):

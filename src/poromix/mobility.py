@@ -133,7 +133,6 @@ class LipschitzReport:
     max_ratio: float
     ratios: tuple  # (pair distance, ratio) sorted by decreasing distance
     diverging: bool
-    h1_norms_F: tuple  # H1(Omega) norm of F(C1) per pair, for the record
     skipped_pairs: int
 
 
@@ -147,7 +146,6 @@ def lipschitz_check(F: MobilitySpec, sample_pairs, amplitude_box: float | None =
     Lipschitz-type bound on the sampled amplitude box.
     """
     entries = []
-    h1_norms = []
     skipped = 0
     for c1, c2 in sample_pairs:
         dom = c1.domain
@@ -166,16 +164,10 @@ def lipschitz_check(F: MobilitySpec, sample_pairs, amplitude_box: float | None =
         diff = np.sqrt(dom.grid.integrate((evaluate(F, g1) - evaluate(F, g2)) ** 2))
         entries.append((float(dist), float(diff / dist)))
 
-        f1 = evaluate(F, g1)
-        c1x, c1y = dom.scalar_gradient_values(c1.coeffs)
-        fp = F.derivative_values(g1)
-        grad_sq = (fp * c1x) ** 2 + (fp * c1y) ** 2
-        h1_norms.append(float(np.sqrt(dom.grid.integrate(f1**2 + grad_sq))))
-
     entries.sort(key=lambda e: -e[0])
     ratios = tuple(entries)
     if not entries:
-        return LipschitzReport(0.0, (), False, tuple(h1_norms), skipped)
+        return LipschitzReport(0.0, (), False, skipped)
 
     max_ratio = max(r for _, r in entries)
     # Divergence heuristic: the closest quarter of the pairs should not sit
@@ -188,4 +180,4 @@ def lipschitz_check(F: MobilitySpec, sample_pairs, amplitude_box: float | None =
         diverging = bool(far > 0 and close > 5.0 * far)
     else:
         diverging = False
-    return LipschitzReport(float(max_ratio), ratios, diverging, tuple(h1_norms), skipped)
+    return LipschitzReport(float(max_ratio), ratios, diverging, skipped)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain
-from .fields import ScalarField, VelocityField
+from .fields import ScalarField, VelocityField, _check_same_domain
 from .forcing import ForcingSpec
 from .korteweg import KortewegParams
 from .ledger import EnergyLedger, LedgerRow
@@ -118,8 +118,7 @@ class SimulationState:
     def __post_init__(self):
         if not np.isfinite(self.t):
             raise ValueError(f"state time must be finite, got {self.t!r}")
-        if self.C.domain is not self.u.domain and self.C.domain.spec != self.u.domain.spec:
-            raise ValueError("state fields live on different domains")
+        _check_same_domain(self.C, self.u)
 
     @property
     def domain(self) -> Domain:
@@ -309,7 +308,7 @@ class GalerkinSystem:
                 "fq_u": float(dom.grid.integrate(f_grid * (ux * ux + uy * uy)))
                 if float(np.min(f_grid)) >= 0.0
                 else math.nan,
-                "dCdt_l2": float(np.sum(bdot * bdot)),
+                "dCdt_l2": float(ex[_I_DCDT]),
                 # Dual-norm majorants of the velocity rate: the mobility's
                 # H1 norm and the instantaneous forcing norm.
                 "h1_F_sq": float(
@@ -368,8 +367,8 @@ def _attempt_step(system, t, y, dt, k1, lam):
 
     The stages advance exp(-lam (s - t)) y(s), so the diagonal linear rate
     `lam` is integrated exactly and `k1` is the transformed slope
-    rhs(t, y) - lam y.  With lam = 0 every factor is 1 and this is the
-    plain DP54 step.
+    rhs(t, y) - lam y.  `lam` is a per-component array or the scalar 0.0;
+    with a zero rate every factor is 1 and this is the plain DP54 step.
     """
     k = np.empty((_N_STAGES, y.size))
     k[0] = k1
@@ -417,7 +416,7 @@ def _advance(system, t, y, dt, k1, lam, config):
 
 
 def _lawson_rate(system, config):
-    return system.lin_diag if config.integrating_factor else np.zeros(system.n_state)
+    return system.lin_diag if config.integrating_factor else 0.0
 
 
 def run(

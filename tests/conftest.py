@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from poromix import DomainSpec, ScalarField, VelocityField, build_domain
+from poromix import (
+    DomainSpec,
+    KortewegParams,
+    PhysicalParams,
+    ScalarField,
+    SimulationState,
+    VelocityField,
+    build_domain,
+    rhs_velocity,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +50,17 @@ def random_scalar(domain, seed, scale=1.0, decay=True):
     if decay:
         B = B / (1.0 + domain.scalar.eigenvalues)
     return ScalarField(domain, B)
+
+
+def solver_korteweg_pairing(C, delta_hat):
+    """The solver's pairing -delta_hat (lap C grad C, w[j,k]), shape (Nv, Nv).
+
+    At rest with zero forcing the viscous and drag pairings vanish exactly,
+    so G times the velocity rate from rhs_velocity is the Korteweg pairing
+    that GalerkinSystem assembles.
+    """
+    dom = C.domain
+    Nv = dom.spec.Nv
+    params = PhysicalParams(mu_e=1.0, d=1.0, korteweg=KortewegParams(delta_hat=delta_hat))
+    rate = rhs_velocity(SimulationState(0.0, C, make_velocity(dom, [])), params)
+    return (dom.velocity.gram @ rate.coeffs.reshape(-1)).reshape(Nv, Nv)

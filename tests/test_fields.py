@@ -4,19 +4,27 @@ import numpy as np
 import pytest
 
 from poromix import (
-    DomainSpec,
+    PhysicalParams,
     ResolutionMismatchError,
     ScalarField,
-    advect,
-    build_domain,
+    SimulationState,
     gradient,
     grid_to_scalar,
     laplacian,
-    reaction,
+    rhs_concentration,
     scalar_to_grid,
 )
 
 from conftest import make_scalar, make_velocity, random_scalar
+
+
+def _transport_terms(u, C, kappa=0.0):
+    """P_z[u . grad C] + kappa P_z[C (1 - C)] as the solver assembles them:
+    its concentration rate is -d lam beta minus these terms."""
+    d = 1.0
+    params = PhysicalParams(mu_e=1.0, d=d, kappa=kappa)
+    rate = rhs_concentration(SimulationState(0.0, C, u), params)
+    return -(rate.coeffs + d * C.domain.scalar.eigenvalues * C.coeffs)
 
 
 def test_laplacian_eigenfunction(pi_domain):
@@ -47,73 +55,53 @@ def test_gradient_matches_analytic(pi_domain):
 
 
 def test_advect_zero_velocity_and_constant_scalar(pi_domain):
+    # No oracle: the solver's projection must vanish exactly when u or grad C does.
     u0 = make_velocity(pi_domain, [])
     C = random_scalar(pi_domain, seed=1)
-    assert np.abs(advect(u0, C).coeffs).max() == 0.0
+    assert np.abs(_transport_terms(u0, C)).max() == 0.0
     u = make_velocity(pi_domain, [(1, 1, 0.7)])
     const = make_scalar(pi_domain, [], offset=2.0)
-    assert np.abs(advect(u, const).coeffs).max() <= 1e-13
-
-
-def test_advect_matches_oversampled_quadrature(pi_domain):
-    spec = pi_domain.spec
-    fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * pi_domain.grid.M))
-    u_modes = [(1, 1, 1.0)]
-    c_modes = [(1, 0, 1.0)]
-    coarse_res = advect(make_velocity(pi_domain, u_modes), make_scalar(pi_domain, c_modes))
-    fine_res = advect(make_velocity(fine, u_modes), make_scalar(fine, c_modes))
-    assert np.abs(coarse_res.coeffs - fine_res.coeffs).max() <= 1e-10
+    assert np.abs(_transport_terms(u, const)).max() <= 1e-13
 
 
 def test_advect_linearity(pi_domain):
+    # No oracle: linearity of the solver's projection in C.
     u = make_velocity(pi_domain, [(1, 2, 0.4), (2, 1, -0.3)])
     C1 = random_scalar(pi_domain, seed=11)
     C2 = random_scalar(pi_domain, seed=12)
     a, b = 1.7, -0.6
-    lhs = advect(u, ScalarField(pi_domain, a * C1.coeffs + b * C2.coeffs))
-    rhs = a * advect(u, C1).coeffs + b * advect(u, C2).coeffs
-    assert np.abs(lhs.coeffs - rhs).max() <= 1e-12
+    lhs = _transport_terms(u, ScalarField(pi_domain, a * C1.coeffs + b * C2.coeffs))
+    rhs = a * _transport_terms(u, C1) + b * _transport_terms(u, C2)
+    assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_advect_skew_symmetry_and_mean_annihilation(pi_domain):
+    # No oracle: identities of the solver's projection that follow from
+    # div u = 0 and u . n = 0.
     for seed in range(4):
         u = make_velocity(pi_domain, [(1, 1, 0.8), (2, 2, -0.5), (1, 2, 0.3)])
         C = random_scalar(pi_domain, seed=seed, decay=False)
-        adv = advect(u, C)
+        adv = _transport_terms(u, C)
         scale = max(1.0, float(np.abs(C.coeffs).max()))
         # (u . grad C, C) = 0 by the divergence theorem with no-penetration.
-        assert abs(float(np.sum(adv.coeffs * C.coeffs))) <= 1e-10 * scale**2
-        assert abs(adv.coeffs[0, 0]) <= 1e-12 * scale
-
-
-def test_reaction_roots_and_uniform_algebra(pi_domain):
-    zero = make_scalar(pi_domain, [])
-    one = make_scalar(pi_domain, [], offset=1.0)
-    assert np.abs(reaction(zero, 1.0).coeffs).max() == 0.0
-    assert np.abs(reaction(one, 1.0).coeffs).max() <= 1e-13
-    two = make_scalar(pi_domain, [], offset=2.0)
-    r = reaction(two, 1.0)
-    assert abs(r.mean_value - (-2.0)) <= 1e-13  # C(1-C) = -2 uniformly
+        assert abs(float(np.sum(adv * C.coeffs))) <= 1e-10 * scale**2
+        assert abs(adv[0, 0]) <= 1e-12 * scale
 
 
 def test_reaction_cosine_expansion(pi_domain):
-    # C = cos x: C(1 - C) = cos x - 1/2 - cos(2x)/2.
+    # Oracle: the hand expansion C(1 - C) = cos x - 1/2 - cos(2x)/2 for
+    # C = cos x, against the solver's reaction projection at rest.
     C = make_scalar(pi_domain, [(1, 0, 1.0)])
     expected = make_scalar(pi_domain, [(1, 0, 1.0), (2, 0, -0.5)], offset=-0.5)
-    r = reaction(C, 1.0)
-    assert np.abs(r.coeffs - expected.coeffs).max() <= 1e-12
-
-
-def test_reaction_rejects_negative_rate(pi_domain):
-    with pytest.raises(ValueError, match="nonnegative"):
-        reaction(make_scalar(pi_domain, []), -1.0)
+    r = _transport_terms(make_velocity(pi_domain, []), C, kappa=1.0)
+    assert np.abs(r - expected.coeffs).max() <= 1e-12
 
 
 def test_resolution_mismatch_rejected(pi_domain, rect_domain):
     u = make_velocity(rect_domain, [(1, 1, 1.0)])
     C = random_scalar(pi_domain, seed=5)
     with pytest.raises(ResolutionMismatchError):
-        advect(u, C)
+        SimulationState(0.0, C, u)
     with pytest.raises(ResolutionMismatchError):
         grid_to_scalar(pi_domain, np.zeros((3, 3)))
 

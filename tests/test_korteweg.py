@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from poromix import (
-    KortewegParams,
-    korteweg_full_tensor,
-    korteweg_momentum_term,
-)
+from poromix import KortewegParams, korteweg_full_tensor
 from poromix.korteweg import divergence_of_full_tensor
 
-from conftest import make_scalar, random_scalar
+from conftest import make_scalar, random_scalar, solver_korteweg_pairing
 
 
 def test_params_validation():
@@ -19,25 +15,23 @@ def test_params_validation():
     assert KortewegParams().delta_hat == 0.0
 
 
-def test_momentum_term_disabled_and_uniform(pi_domain):
-    C = random_scalar(pi_domain, seed=1)
-    gx, gy = korteweg_momentum_term(C, 0.0)
-    assert np.abs(gx).max() == 0.0 and np.abs(gy).max() == 0.0
-    uniform = make_scalar(pi_domain, [], offset=2.5)
-    gx, gy = korteweg_momentum_term(uniform, 1.3)
-    assert np.abs(gx).max() <= 1e-12 and np.abs(gy).max() <= 1e-12
-
-
 def test_momentum_term_single_mode_hand_expansion(pi_domain):
-    # C = cos x: lap C = -cos x, grad C = (-sin x, 0), so the term is
-    # -dh (-cos x)(-sin x, 0) = (-dh sin x cos x, 0).
+    # Oracle: the hand-expanded nodal field -dh lap C grad C, paired by
+    # quadrature, against the solver's own pairing.
+    # C = cos x: the term (-dh sin x cos x, 0) is a pure gradient, so no
+    # solenoidal no-slip test field sees it.
     dh = 0.7
     C = make_scalar(pi_domain, [(1, 0, 1.0)])
-    gx, gy = korteweg_momentum_term(C, dh)
-    x = pi_domain.grid.x
-    expected = -dh * np.sin(x) * np.cos(x)
-    assert np.abs(gx - expected[:, None]).max() <= 1e-12
-    assert np.abs(gy).max() <= 1e-12
+    assert np.abs(solver_korteweg_pairing(C, dh)).max() <= 1e-12
+    # C = cos x + cos 2y: lap C = -cos x - 4 cos 2y, grad C = (-sin x, -2 sin 2y),
+    # so the term is -dh (cos x + 4 cos 2y)(sin x, 2 sin 2y); its cross part
+    # (-4 dh sin x cos 2y, -2 dh cos x sin 2y) has curl -6 dh sin x sin 2y.
+    C = make_scalar(pi_domain, [(1, 0, 1.0), (0, 2, 1.0)])
+    x, y = np.meshgrid(pi_domain.grid.x, pi_domain.grid.y, indexing="ij")
+    weight = -dh * (np.cos(x) + 4.0 * np.cos(2 * y))
+    expected = pi_domain.velocity_pairing(weight * np.sin(x), weight * 2.0 * np.sin(2 * y))
+    assert np.abs(expected).max() > 0.1
+    assert np.abs(solver_korteweg_pairing(C, dh) - expected).max() <= 1e-12
 
 
 def test_full_tensor_zero_for_flat_fields(pi_domain):
@@ -81,11 +75,11 @@ def test_full_tensor_trace_identity(pi_domain):
 def test_reduction_consistency_all_basis_elements(pi_domain):
     # -(T, grad w) must equal (-dh lap C grad C, w) for every solenoidal
     # no-slip test velocity; the isotropic part is invisible to them.
+    # Oracle: the full tensor, checked against the solver's reduced pairing.
     params = KortewegParams(delta_hat=0.9, gamma=0.4)
     C = random_scalar(pi_domain, seed=12)
     txx, txy, tyy = korteweg_full_tensor(C, params)
-    ktx, kty = korteweg_momentum_term(C, params.delta_hat)
-    reduced = pi_domain.velocity_pairing(ktx, kty)
+    reduced = solver_korteweg_pairing(C, params.delta_hat)
     Nv = pi_domain.spec.Nv
     for j in range(Nv):
         for k in range(Nv):
@@ -99,9 +93,9 @@ def test_reduction_consistency_all_basis_elements(pi_domain):
 def test_divergence_matches_reduced_term_against_basis(pi_domain):
     # Pairing the full divergence against w also reproduces the reduced form
     # (its gradient parts drop), which is what pressure recovery relies on.
+    # Oracle: the full divergence, checked against the solver's pairing.
     params = KortewegParams(delta_hat=0.8, gamma=0.5)
     C = random_scalar(pi_domain, seed=4)
     div_x, div_y = divergence_of_full_tensor(C, params)
-    ktx, kty = korteweg_momentum_term(C, params.delta_hat)
-    diff = pi_domain.velocity_pairing(div_x - ktx, div_y - kty)
+    diff = pi_domain.velocity_pairing(div_x, div_y) - solver_korteweg_pairing(C, params.delta_hat)
     assert np.abs(diff).max() <= 1e-10

@@ -6,6 +6,7 @@ import pytest
 from poromix import (
     DomainSpec,
     ForcingSpec,
+    GalerkinSystem,
     KortewegParams,
     MobilityOverflowError,
     MobilitySpec,
@@ -21,6 +22,7 @@ from poromix import (
     run,
     step,
 )
+from poromix.solver import _attempt_step
 
 from conftest import make_scalar, make_velocity, random_scalar
 
@@ -51,14 +53,14 @@ def test_rhs_concentration_pure_modal_diffusion(pi_domain):
 
 
 def test_rhs_concentration_uniform_reaction(pi_domain):
-    # C = 2 uniform, kappa = 1: dC/dt = -kappa C (1 - C) = +2.
-    C = make_scalar(pi_domain, [], offset=2.0)
+    # Oracle: the logistic rate -kappa C (1 - C) of a uniform C, kappa = 1:
+    # 0 at the roots C = 0 and C = 1, and +2 at C = 2.
     u = make_velocity(pi_domain, [])
-    rhs = rhs_concentration(SimulationState(0.0, C, u), _params(kappa=1.0))
-    assert rhs.mean_value == pytest.approx(2.0, abs=1e-12)
-    off_mean = rhs.coeffs.copy()
-    off_mean[0, 0] = 0.0
-    assert np.abs(off_mean).max() <= 1e-12
+    for value, rate, tol in ((0.0, 0.0, 0.0), (1.0, 0.0, 1e-13), (2.0, 2.0, 1e-13)):
+        C = make_scalar(pi_domain, [], offset=value)
+        rhs = rhs_concentration(SimulationState(0.0, C, u), _params(kappa=1.0))
+        expected = make_scalar(pi_domain, [], offset=rate)
+        assert np.abs(rhs.coeffs - expected.coeffs).max() <= tol
 
 
 def test_rhs_matches_oversampled_assembly(pi_domain):
@@ -97,10 +99,15 @@ def test_rhs_velocity_constant_mobility_linear_algebra(pi_domain):
 
 
 def test_rhs_velocity_rest_state_is_zero(pi_domain):
-    params = _params()
-    state = SimulationState(0.0, random_scalar(pi_domain, seed=2), make_velocity(pi_domain, []))
-    got = rhs_velocity(state, params)
-    assert np.abs(got.coeffs).max() <= 1e-14
+    # No oracle: at rest the rate vanishes without Korteweg stress, and with
+    # it (delta_hat = 1.3) when C is uniform.
+    rest = make_velocity(pi_domain, [])
+    cases = ((random_scalar(pi_domain, seed=2), _params()),
+             (make_scalar(pi_domain, [], offset=2.5),
+              _params(korteweg=KortewegParams(delta_hat=1.3))))
+    for C, params in cases:
+        got = rhs_velocity(SimulationState(0.0, C, rest), params)
+        assert np.abs(got.coeffs).max() <= 1e-14
 
 
 def test_zero_initial_data_stays_zero(pi_domain):
@@ -369,3 +376,18 @@ def test_step_matches_first_accepted_step_of_run(integrating_factor):
     assert new.t == first[1].t
     assert np.array_equal(new.C.coeffs, first[1].C.coeffs)
     assert np.array_equal(new.u.coeffs, first[1].u.coeffs)
+
+
+def test_attempt_step_scalar_zero_rate_matches_zero_array(pi_domain):
+    # The plain DP54 path passes the rate as the scalar 0.0; it must give
+    # the same bits as an all-zero rate array.
+    system = GalerkinSystem(pi_domain, _params(kappa=0.5,
+                                               korteweg=KortewegParams(delta_hat=0.2),
+                                               mobility=MobilitySpec.exponential(0.5)))
+    y = system.pack(make_scalar(pi_domain, [(1, 1, 0.3), (2, 0, -0.2)], offset=0.5),
+                    make_velocity(pi_domain, [(1, 1, 0.4), (2, 1, -0.1)]))
+    k1 = system.rhs(0.0, y)
+    outs = [_attempt_step(system, 0.0, y, 0.01, k1 - lam * y, lam)
+            for lam in (0.0, np.zeros(system.n_state))]
+    for a, b in zip(*outs):
+        assert a.tobytes() == b.tobytes()
