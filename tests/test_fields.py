@@ -88,6 +88,19 @@ def test_advect_skew_symmetry_and_mean_annihilation(pi_domain):
         assert abs(adv[0, 0]) <= 1e-12 * scale
 
 
+def test_reaction_roots_and_uniform_algebra(pi_domain):
+    # Oracle: C(1 - C) vanishes at the roots C = 0 and C = 1 and is -2 for
+    # a uniform C = 2, read from the solver's reaction projection at rest.
+    rest = make_velocity(pi_domain, [])
+    zero = make_scalar(pi_domain, [])
+    one = make_scalar(pi_domain, [], offset=1.0)
+    assert np.abs(_transport_terms(rest, zero, kappa=1.0)).max() == 0.0
+    assert np.abs(_transport_terms(rest, one, kappa=1.0)).max() <= 1e-13
+    two = make_scalar(pi_domain, [], offset=2.0)
+    r = ScalarField(pi_domain, _transport_terms(rest, two, kappa=1.0))
+    assert abs(r.mean_value - (-2.0)) <= 1e-13  # C(1-C) = -2 uniformly
+
+
 def test_reaction_cosine_expansion(pi_domain):
     # Oracle: the hand expansion C(1 - C) = cos x - 1/2 - cos(2x)/2 for
     # C = cos x, against the solver's reaction projection at rest.

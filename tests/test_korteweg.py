@@ -15,6 +15,15 @@ def test_params_validation():
     assert KortewegParams().delta_hat == 0.0
 
 
+def test_momentum_term_disabled_and_uniform(pi_domain):
+    # The solver's Korteweg pairing is zero with delta_hat = 0, and for a
+    # uniform C whatever delta_hat is.
+    C = random_scalar(pi_domain, seed=1)
+    assert np.abs(solver_korteweg_pairing(C, 0.0)).max() == 0.0
+    uniform = make_scalar(pi_domain, [], offset=2.5)
+    assert np.abs(solver_korteweg_pairing(uniform, 1.3)).max() <= 1e-12
+
+
 def test_momentum_term_single_mode_hand_expansion(pi_domain):
     # Oracle: the hand-expanded nodal field -dh lap C grad C, paired by
     # quadrature, against the solver's own pairing.
