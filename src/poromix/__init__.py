@@ -13,6 +13,7 @@ from .domain import (
     ScalarBasis,
     VelocityBasis,
     build_domain,
+    integrand_degree,
     required_quadrature_points,
 )
 from .fields import (

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .domain import Domain, DomainSpec, build_domain
-from .fields import ScalarField, VelocityField
+from .fields import ScalarField, VelocityField, cosine_field, stream_field
 from .forcing import FORCING_PRESETS, ForcingSpec
 from .korteweg import KortewegParams
 from .mobility import MobilitySpec
@@ -46,8 +46,19 @@ class ConfigError(ValueError):
 
 _SECTIONS = ("domain", "params", "mobility", "forcing", "initial", "solver", "outputs")
 
-_SCALAR_PRESETS = ("zero", "uniform", "cosine", "cosine_mix")
-_VELOCITY_PRESETS = ("zero", "stream", "stream_mix")
+# Initial-field presets and the defaults of their keys; "modes" holds
+# [j, k, amplitude] triples, and integer defaults mark integer keys.
+_SCALAR_PRESETS = {
+    "zero": {},
+    "uniform": {"value": 0.0},
+    "cosine": {"jx": 1, "ky": 0, "offset": 0.0, "amplitude": 1.0},
+    "cosine_mix": {"offset": 0.0, "modes": []},
+}
+_VELOCITY_PRESETS = {
+    "zero": {},
+    "stream": {"jx": 1, "ky": 1, "amplitude": 1.0},
+    "stream_mix": {"modes": []},
+}
 
 
 @dataclass(frozen=True)
@@ -307,7 +318,7 @@ def _parse_forcing(section, base_dir, errors):
         return {}
     if has_preset:
         name = section["preset"]
-        if name not in FORCING_PRESETS:
+        if name not in list(FORCING_PRESETS):  # a list, as YAML may give an unhashable name
             errors.append(
                 f"forcing.preset: unknown preset {name!r}; available: {sorted(FORCING_PRESETS)}"
             )
@@ -329,17 +340,42 @@ def _parse_initial(section, base_dir, errors):
             continue
         if ("preset" in entry) == ("file" in entry):
             errors.append(f"initial.{key}: give exactly one of 'preset' or 'file'")
-        elif "preset" in entry and entry["preset"] not in presets:
+        elif "preset" in entry and entry["preset"] not in list(presets):  # as for forcing
             errors.append(
                 f"initial.{key}.preset: unknown preset {entry['preset']!r}; "
                 f"available: {list(presets)}"
             )
         elif "file" in entry:
-            path = Path(entry["file"])
-            if not (path if path.is_absolute() else Path(base_dir) / path).exists():
+            if not (Path(base_dir) / entry["file"]).exists():  # an absolute path stays as is
                 errors.append(f"initial.{key}.file: {entry['file']} does not exist")
+        else:
+            entry = _parse_preset_keys(entry, f"initial.{key}", presets[entry["preset"]], errors)
         out[key] = dict(entry)
     return InitialSpec(C=out["C"], u=out["u"])
+
+
+def _parse_preset_keys(entry, sec_name, defaults, errors):
+    """The entry with its numeric keys and [j, k, amplitude] mode triples parsed."""
+    out = dict(entry)
+    for key in (k for k in defaults if k in entry):
+        if key != "modes":
+            out[key] = _get_number(entry, sec_name, key, errors,
+                                   integer=isinstance(defaults[key], int))
+        elif isinstance(entry[key], (list, tuple)):
+            out[key] = [_parse_mode(item, f"{sec_name}.modes[{i}]", errors)
+                        for i, item in enumerate(entry[key])]
+        else:
+            errors.append(f"{sec_name}.modes: expected a list of [j, k, amplitude] triples")
+    return out
+
+
+def _parse_mode(item, sec_name, errors):
+    if not (isinstance(item, (list, tuple)) and len(item) == 3):
+        errors.append(f"{sec_name}: expected [j, k, amplitude], got {item!r}")
+        return None
+    triple = dict(zip(("j", "k", "amplitude"), item))
+    return [_get_number(triple, sec_name, key, errors, integer=key != "amplitude")
+            for key in triple]
 
 
 def _parse_solver(section, errors):
@@ -398,75 +434,41 @@ def _resolve_file_entry(entry: dict, resolve) -> dict:
     return entry
 
 
+def _load_coeffs(entry: dict, key: str, array: str, name: str, n: int) -> np.ndarray:
+    """The (n, n) coefficient array of an initial.<key> file entry."""
+    with np.load(entry["file"]) as data:
+        if array not in data.files:
+            raise ConfigError([f"initial.{key}.file: {entry['file']} has no '{array}' array"])
+        coeffs = np.asarray(data[array], dtype=float)
+    if coeffs.shape != (n, n):
+        raise ConfigError(
+            [f"initial.{key}.file: {array} shape {coeffs.shape} does not match {name}={n}"]
+        )
+    return coeffs
+
+
+def _preset_modes(entry: dict, presets: dict):
+    """(offset, [(j, k, amplitude), ...]) of a validated preset entry."""
+    v = {key: entry.get(key, default) for key, default in presets[entry["preset"]].items()}
+    modes = [(v["jx"], v["ky"], v["amplitude"])] if "jx" in v else v.get("modes", [])
+    return v.get("offset", v.get("value", 0.0)), modes
+
+
 def _build_scalar_initial(domain: Domain, entry: dict) -> ScalarField:
-    Ns = domain.spec.Ns
-    s = domain.scalar
     if "file" in entry:
-        with np.load(entry["file"]) as data:
-            if "beta" not in data.files:
-                raise ConfigError([f"initial.C.file: {entry['file']} has no 'beta' array"])
-            B = np.asarray(data["beta"], dtype=float)
-        if B.shape != (Ns, Ns):
-            raise ConfigError(
-                [f"initial.C.file: beta shape {B.shape} does not match Ns={Ns}"]
-            )
-        return ScalarField(domain, B)
-    preset = entry["preset"]
-    B = np.zeros((Ns, Ns))
-    if preset == "zero":
-        pass
-    elif preset == "uniform":
-        value = float(entry.get("value", 0.0))
-        B[0, 0] = value / s.norm_00
-    elif preset == "cosine":
-        j, k = int(entry.get("jx", 1)), int(entry.get("ky", 0))
-        if not (0 <= j < Ns and 0 <= k < Ns):
-            raise ConfigError([f"initial.C: cosine mode ({j}, {k}) out of range for Ns={Ns}"])
-        B[0, 0] = float(entry.get("offset", 0.0)) / s.norm_00
-        B[j, k] += float(entry.get("amplitude", 1.0)) / (s.norm_x[j] * s.norm_y[k])
-    elif preset == "cosine_mix":
-        B[0, 0] = float(entry.get("offset", 0.0)) / s.norm_00
-        for item in entry.get("modes", []):
-            j, k, amp = int(item[0]), int(item[1]), float(item[2])
-            if not (0 <= j < Ns and 0 <= k < Ns):
-                raise ConfigError(
-                    [f"initial.C: cosine mode ({j}, {k}) out of range for Ns={Ns}"]
-                )
-            B[j, k] += amp / (s.norm_x[j] * s.norm_y[k])
-    else:  # pragma: no cover - guarded at parse time
-        raise ConfigError([f"initial.C.preset: unknown preset {preset!r}"])
-    return ScalarField(domain, B)
+        return ScalarField(domain, _load_coeffs(entry, "C", "beta", "Ns", domain.spec.Ns))
+    offset, modes = _preset_modes(entry, _SCALAR_PRESETS)
+    try:
+        return cosine_field(domain, modes, offset)
+    except ValueError as exc:
+        raise ConfigError([f"initial.C: {exc}"])
 
 
 def _build_velocity_initial(domain: Domain, entry: dict) -> VelocityField:
-    Nv = domain.spec.Nv
     if "file" in entry:
-        with np.load(entry["file"]) as data:
-            if "alpha" not in data.files:
-                raise ConfigError([f"initial.u.file: {entry['file']} has no 'alpha' array"])
-            A = np.asarray(data["alpha"], dtype=float)
-        if A.shape != (Nv, Nv):
-            raise ConfigError(
-                [f"initial.u.file: alpha shape {A.shape} does not match Nv={Nv}"]
-            )
-        return VelocityField(domain, A)
-    preset = entry["preset"]
-    A = np.zeros((Nv, Nv))
-    if preset == "zero":
-        pass
-    elif preset == "stream":
-        j, k = int(entry.get("jx", 1)), int(entry.get("ky", 1))
-        if not (1 <= j <= Nv and 1 <= k <= Nv):
-            raise ConfigError([f"initial.u: stream mode ({j}, {k}) out of range for Nv={Nv}"])
-        A[j - 1, k - 1] = float(entry.get("amplitude", 1.0))
-    elif preset == "stream_mix":
-        for item in entry.get("modes", []):
-            j, k, amp = int(item[0]), int(item[1]), float(item[2])
-            if not (1 <= j <= Nv and 1 <= k <= Nv):
-                raise ConfigError(
-                    [f"initial.u: stream mode ({j}, {k}) out of range for Nv={Nv}"]
-                )
-            A[j - 1, k - 1] += amp
-    else:  # pragma: no cover - guarded at parse time
-        raise ConfigError([f"initial.u.preset: unknown preset {preset!r}"])
-    return VelocityField(domain, A)
+        return VelocityField(domain, _load_coeffs(entry, "u", "alpha", "Nv", domain.spec.Nv))
+    _, modes = _preset_modes(entry, _VELOCITY_PRESETS)
+    try:
+        return stream_field(domain, modes)
+    except ValueError as exc:
+        raise ConfigError([f"initial.u: {exc}"])

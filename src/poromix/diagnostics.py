@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, stream_field
 from .solver import PhysicalParams, SimulationResult, SimulationState, SolverConfig, run
 
 __all__ = [
@@ -211,11 +211,9 @@ def perturbation_stability(
     squared distances; continuous dependence predicts ratios near 4.
     Blow-up of any run makes the test inconclusive.
     """
-    from .fields import VelocityField  # local import to keep module edges light
-
     domain = base_C0.domain
     if u0 is None:
-        u0 = VelocityField(domain, np.zeros((domain.spec.Nv, domain.spec.Nv)))
+        u0 = stream_field(domain)
     if eps == 0.0:
         return PerturbationReport(True, {float(t): 0.0 for t in checkpoint_times}, 0.0,
                                   "zero perturbation: distances vanish identically")

@@ -17,15 +17,18 @@ no-slip, since phi = phi' = 0 at both endpoints.
 
 Quadrature is a tensor Gauss-Legendre rule.  Every product of basis
 functions and their derivatives that the solver integrates is a
-trigonometric polynomial per dimension; the rule is sized by
-``required_quadrature_points`` so that all such integrals hold to roughly
-1e-15 relative, and ``build_domain`` certifies this on the actual node set
-before returning.
+trigonometric polynomial per dimension of degree at most
+``integrand_degree``.  ``required_quadrature_points`` picks the smallest
+rule that integrates every trigonometric mode up to that degree to the
+certificate tolerance on both sides of the rectangle, and ``build_domain``
+certifies the node set it returns at that degree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -38,6 +41,7 @@ __all__ = [
     "QuadratureGrid",
     "Domain",
     "build_domain",
+    "integrand_degree",
     "required_quadrature_points",
 ]
 
@@ -50,25 +54,54 @@ class DomainError(ValueError):
     """Raised when a DomainSpec is invalid or quadrature certification fails."""
 
 
-def required_quadrature_points(Ns: int, Nv: int, extra_degree: int = 0) -> int:
-    """Minimum Gauss-Legendre points per dimension for exact integrals.
+def integrand_degree(Ns: int, Nv: int, extra_degree: int = 0) -> int:
+    """Highest trigonometric degree per dimension that must integrate exactly.
 
-    The worst one-dimensional trigonometric degrees produced by the solver
-    are 4(Ns-1) (quartic concentration diagnostics) and
-    2(Ns-1) + 2(Nv+1) (mobility-velocity and advection products).  A
-    Gauss-Legendre rule integrates cos/sin(n pi s / L) below 1e-14 L once
-    its point count exceeds the trigonometric degree n by a modest margin;
-    +16 was calibrated against the closed-form integrals with headroom.
+    4(Ns-1) for the quartic concentration diagnostics, 2(Ns-1) + 2(Nv+1) for
+    the mobility-velocity and advection products, or `extra_degree` for
+    higher-degree integrands such as manufactured sources.
     """
-    degree = max(4 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1), extra_degree)
-    return max(degree + 16, 2 * max(Ns, 2 * Nv + 2), 8)
+    return max(4 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1), extra_degree)
+
+
+@lru_cache(maxsize=None)
+def _rule(M: int, L: float):
+    """Nodes and weights of the M-point Gauss-Legendre rule on (0, L), read-only."""
+    t, w = np.polynomial.legendre.leggauss(M)
+    x, w = 0.5 * L * (t + 1.0), 0.5 * L * w
+    x.flags.writeable = w.flags.writeable = False  # shared by every grid that uses them
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def required_quadrature_points(degree: int, Lx: float, Ly: float) -> int:
+    """Smallest Gauss-Legendre size whose rule passes the certificate on both sides.
+
+    The search starts at ceil(pi D/4 + 5.3 D^(1/3) + 1/2): that size or one
+    below it for every D <= 300 scanned on (0, 2), so it builds two rules.
+    """
+    def certifies(M):
+        try:
+            for L in {Lx, Ly}:
+                _certify_quadrature(*_rule(M, L), L, degree)
+        except DomainError:
+            return False
+        return True
+
+    M = math.ceil(math.pi * degree / 4 + 5.3 * degree ** (1 / 3) + 0.5)
+    while not certifies(M):
+        M += 1
+    while M > 1 and certifies(M - 1):
+        M -= 1
+    return M
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Rectangle geometry plus spectral and quadrature resolutions.
 
-    M may be left as None to pick the smallest certified quadrature size.
+    M may be left as None to pick the smallest Gauss-Legendre rule that
+    passes the quadrature certificate at ``integrand_degree(Ns, Nv)``.
     """
 
     Lx: float
@@ -86,7 +119,8 @@ class DomainSpec:
             if not (isinstance(val, (int, np.integer)) and val >= 1):
                 errs.append(f"{name} must be an integer >= 1, got {val!r}")
         if self.M is not None:
-            need = required_quadrature_points(self.Ns, self.Nv) if not errs else None
+            need = None if errs else required_quadrature_points(
+                integrand_degree(self.Ns, self.Nv), self.Lx, self.Ly)
             if not isinstance(self.M, (int, np.integer)):
                 errs.append(f"M must be an integer, got {self.M!r}")
             elif need is not None and self.M < need:
@@ -95,12 +129,6 @@ class DomainSpec:
                     f"{need} for Ns={self.Ns}, Nv={self.Nv}"
                 )
         return errs
-
-    @property
-    def resolved_M(self) -> int:
-        if self.M is not None:
-            return int(self.M)
-        return required_quadrature_points(self.Ns, self.Nv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,29 +313,23 @@ def _certify_quadrature(x, w, L, degree):
         )
 
 
-def build_domain(spec: DomainSpec) -> Domain:
+def build_domain(spec: DomainSpec, extra_degree: int = 0) -> Domain:
     """Construct scalar basis, velocity basis, and certified quadrature.
 
-    Deterministic for equal specs.  Raises DomainError when the spec is
+    The rule must integrate exactly up to ``integrand_degree(Ns, Nv,
+    extra_degree)``; an unset ``spec.M`` takes the smallest rule that does.
+    Deterministic for equal arguments.  Raises DomainError when the spec is
     invalid or the quadrature rule fails its exactness certification.
     """
     errs = spec.validation_errors()
     if errs:
         raise DomainError("; ".join(errs))
 
-    M = spec.resolved_M
     Ns, Nv, Lx, Ly = spec.Ns, spec.Nv, spec.Lx, spec.Ly
-
-    t, wref = np.polynomial.legendre.leggauss(M)
-    x = 0.5 * Lx * (t + 1.0)
-    wx = 0.5 * Lx * wref
-    y = 0.5 * Ly * (t + 1.0)
-    wy = 0.5 * Ly * wref
-
-    # Certify everything the sizing formula promises for this M, so rules
-    # sized for higher-degree integrands (manufactured sources) are covered.
-    degree = max(4 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1), 1)
-    degree = min(max(degree, M - 16), 4096)
+    degree = integrand_degree(Ns, Nv, extra_degree)
+    M = required_quadrature_points(degree, Lx, Ly) if spec.M is None else int(spec.M)
+    x, wx = _rule(M, Lx)
+    y, wy = _rule(M, Ly)
     _certify_quadrature(x, wx, Lx, degree)
     _certify_quadrature(y, wy, Ly, degree)
 

@@ -1,6 +1,6 @@
 """
-Field value types over the spectral bases, their grid transforms, and the
-gradient and Laplacian of a scalar field.
+Field value types over the spectral bases, their builders from mode lists,
+their grid transforms, and the gradient and Laplacian of a scalar field.
 
 Fields are immutable: every operator returns a fresh field.  The physics
 terms themselves (advection, reaction, drag, Korteweg coupling) are
@@ -20,6 +20,8 @@ __all__ = [
     "ScalarField",
     "VelocityField",
     "PressureField",
+    "cosine_field",
+    "stream_field",
     "scalar_to_grid",
     "grid_to_scalar",
     "gradient",
@@ -151,6 +153,29 @@ class PressureField:
 
     def to_grid(self):
         return self.domain.scalar_values(self.coeffs)
+
+
+def cosine_field(domain: Domain, modes=(), offset: float = 0.0) -> ScalarField:
+    """offset + sum of amp cos(j pi x / Lx) cos(k pi y / Ly) over (j, k, amp)."""
+    s = domain.scalar
+    B = np.zeros((s.Ns, s.Ns))
+    B[0, 0] = offset / s.norm_00
+    for j, k, amp in modes:
+        if not (0 <= j < s.Ns and 0 <= k < s.Ns):
+            raise ValueError(f"cosine mode ({j}, {k}) out of range for Ns={s.Ns}")
+        B[j, k] += amp / (s.norm_x[j] * s.norm_y[k])
+    return ScalarField(domain, B)
+
+
+def stream_field(domain: Domain, modes=()) -> VelocityField:
+    """Velocity of the streamfunction sum of amp psi[j,k] over (j, k, amp)."""
+    Nv = domain.spec.Nv
+    A = np.zeros((Nv, Nv))
+    for j, k, amp in modes:
+        if not (1 <= j <= Nv and 1 <= k <= Nv):
+            raise ValueError(f"stream mode ({j}, {k}) out of range for Nv={Nv}")
+        A[j - 1, k - 1] += amp
+    return VelocityField(domain, A)
 
 
 def scalar_to_grid(field: ScalarField) -> np.ndarray:

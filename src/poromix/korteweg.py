@@ -54,7 +54,6 @@ class KortewegParams:
 
 def korteweg_full_tensor(C: ScalarField, params: KortewegParams):
     """Nodal (Txx, Txy, Tyy) of the full symmetric stress tensor."""
-    dom = C.domain
     cx, cy = gradient(C)
     lap = scalar_to_grid(laplacian(C))
     grad_sq = cx**2 + cy**2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .fields import ScalarField, VelocityField
+from .fields import ScalarField, VelocityField, cosine_field, stream_field
 from .forcing import ForcingSpec
 from .mobility import evaluate as mobility_values
 
@@ -114,22 +114,13 @@ class ManufacturedCase:
 
     def exact_C(self, domain: Domain, t: float) -> ScalarField:
         """Exact concentration projected ONTO the domain's resolved band."""
-        s = domain.scalar
-        B = np.zeros((s.Ns, s.Ns))
-        B[0, 0] = self.scalar_offset / s.norm_00
-        for a, b, amp in self.scalar_modes:
-            if a < s.Ns and b < s.Ns:
-                B[a, b] += amp(t) / (s.norm_x[a] * s.norm_y[b])
-        return ScalarField(domain, B)
+        Ns = domain.spec.Ns
+        modes = [(a, b, amp(t)) for a, b, amp in self.scalar_modes if a < Ns and b < Ns]
+        return cosine_field(domain, modes, self.scalar_offset)
 
     def exact_u(self, domain: Domain, t: float) -> VelocityField:
-        Nv = domain.spec.Nv
         j, k = self.stream_mode
-        if not (1 <= j <= Nv and 1 <= k <= Nv):
-            raise ValueError(f"stream mode {self.stream_mode} not representable at Nv={Nv}")
-        A = np.zeros((Nv, Nv))
-        A[j - 1, k - 1] = self.stream_amplitude(t)
-        return VelocityField(domain, A)
+        return stream_field(domain, [(j, k, self.stream_amplitude(t))])
 
     def exact_C_grids(self, domain: Domain, t: float):
         """Analytic nodal values and derivatives, independent of Ns."""

@@ -303,19 +303,23 @@ class GalerkinSystem:
         diag = None
         if want_diag:
             fp = p.mobility.derivative_values(cg)
-            diag = {
-                "min_C": float(np.min(cg)),
-                "fq_u": float(dom.grid.integrate(f_grid * (ux * ux + uy * uy)))
-                if float(np.min(f_grid)) >= 0.0
-                else math.nan,
-                "dCdt_l2": float(ex[_I_DCDT]),
-                # Dual-norm majorants of the velocity rate: the mobility's
-                # H1 norm and the instantaneous forcing norm.
-                "h1_F_sq": float(
-                    dom.grid.integrate(f_grid**2 + (fp * cx) ** 2 + (fp * cy) ** 2)
-                ),
-                "l2_f": float(ex[_I_F]),
-            }
+            # F is finite below the mobility's overflow limit, but F^2 or
+            # F |u|^2 may not be: such a diagnostic is inf, which
+            # apriori_flags reports, rather than a RuntimeWarning.
+            with np.errstate(over="ignore"):
+                diag = {
+                    "min_C": float(np.min(cg)),
+                    "fq_u": float(dom.grid.integrate(f_grid * (ux * ux + uy * uy)))
+                    if float(np.min(f_grid)) >= 0.0
+                    else math.nan,
+                    "dCdt_l2": float(ex[_I_DCDT]),
+                    # Dual-norm majorants of the velocity rate: the mobility's
+                    # H1 norm and the instantaneous forcing norm.
+                    "h1_F_sq": float(
+                        dom.grid.integrate(f_grid**2 + (fp * cx) ** 2 + (fp * cy) ** 2)
+                    ),
+                    "l2_f": float(ex[_I_F]),
+                }
         return ydot, diag
 
     # -- ledger ---------------------------------------------------------------

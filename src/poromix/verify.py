@@ -21,8 +21,8 @@ from .diagnostics import (
     positivity_check,
     segment_residual_bounds,
 )
-from .domain import DomainSpec, build_domain, required_quadrature_points
-from .fields import ScalarField, VelocityField
+from .domain import DomainSpec, build_domain
+from .fields import ScalarField, cosine_field, stream_field
 from .forcing import ForcingSpec
 from .korteweg import KortewegParams, korteweg_full_tensor
 from .mobility import MobilitySpec, lipschitz_check
@@ -50,34 +50,7 @@ class CheckResult:
 
 
 def _make_domain(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2, extra_degree=0):
-    M = required_quadrature_points(Ns, Nv, extra_degree)
-    return build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=M))
-
-
-def _uniform_C(domain, value):
-    B = np.zeros((domain.spec.Ns, domain.spec.Ns))
-    B[0, 0] = value / domain.scalar.norm_00
-    return ScalarField(domain, B)
-
-
-def _cosine_C(domain, modes, offset=0.0):
-    s = domain.scalar
-    B = np.zeros((s.Ns, s.Ns))
-    B[0, 0] = offset / s.norm_00
-    for j, k, amp in modes:
-        B[j, k] += amp / (s.norm_x[j] * s.norm_y[k])
-    return ScalarField(domain, B)
-
-
-def _stream_u(domain, modes):
-    A = np.zeros((domain.spec.Nv, domain.spec.Nv))
-    for j, k, amp in modes:
-        A[j - 1, k - 1] += amp
-    return VelocityField(domain, A)
-
-
-def _zero_u(domain):
-    return VelocityField(domain, np.zeros((domain.spec.Nv, domain.spec.Nv)))
+    return build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv), extra_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +62,9 @@ def suite_diffusion():
     """Single cosine mode under pure diffusion decays at the exact modal rate."""
     domain = _make_domain(Ns=4, Nv=1)
     params = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.0)
-    C0 = _cosine_C(domain, [(1, 0, 1.0)])
+    C0 = cosine_field(domain, [(1, 0, 1.0)])
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
+    res = run(SimulationState(0.0, C0, stream_field(domain)), params, config)
     ratio = math.sqrt(res.ledger.final.l2_C / res.ledger[0].l2_C)
     expected = math.exp(-0.1)
     err = abs(ratio - expected) / expected
@@ -104,17 +77,17 @@ def suite_logistic():
     domain = _make_domain(Ns=2, Nv=1)
     params = PhysicalParams(mu_e=0.1, d=0.1, kappa=1.0)
 
-    C0 = _uniform_C(domain, 0.5)
+    C0 = cosine_field(domain, offset=0.5)
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
+    res = run(SimulationState(0.0, C0, stream_field(domain)), params, config)
     measured = res.final_state.C.mean_value
     expected = 1.0 / (1.0 + math.e)
     out.append(CheckResult("logistic", "uniform_value_at_t1",
                            abs(measured - expected) <= 1e-6, measured, expected, 1e-6))
 
-    C0 = _uniform_C(domain, 2.0)
+    C0 = cosine_field(domain, offset=2.0)
     config = SolverConfig(T_run=2.0, rtol=1e-10, atol=1e-13, blowup_cap=1e6)
-    res = run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
+    res = run(SimulationState(0.0, C0, stream_field(domain)), params, config)
     t_star = logistic_blowup_time(2.0, 1.0)
     detected = res.outcome == "blowup" and res.blowup_time is not None
     rel = abs(res.blowup_time - t_star) / t_star if detected else math.inf
@@ -131,8 +104,8 @@ def _generic_nonlinear_run():
         korteweg=KortewegParams(delta_hat=0.2, gamma=0.1),
         mobility=MobilitySpec.exponential(0.7),
     )
-    C0 = _cosine_C(domain, [(1, 1, 0.2), (2, 0, 0.1), (0, 3, 0.05)], offset=0.4)
-    u0 = _stream_u(domain, [(1, 1, 0.4), (2, 1, 0.2)])
+    C0 = cosine_field(domain, [(1, 1, 0.2), (2, 0, 0.1), (0, 3, 0.05)], offset=0.4)
+    u0 = stream_field(domain, [(1, 1, 0.4), (2, 1, 0.2)])
     config = SolverConfig(T_run=0.4, rtol=1e-8, atol=1e-11)
     res = run(SimulationState(0.0, C0, u0), params, config,
               forcing=ForcingSpec.preset("pulsed_stream"))
@@ -160,8 +133,8 @@ def suite_mass():
         korteweg=KortewegParams(delta_hat=0.1, gamma=0.0),
         mobility=MobilitySpec.exponential(0.5),
     )
-    C0 = _cosine_C(domain, [(1, 1, 0.2), (2, 1, 0.1)], offset=0.7)
-    u0 = _stream_u(domain, [(1, 1, 0.5), (2, 2, 0.2)])
+    C0 = cosine_field(domain, [(1, 1, 0.2), (2, 1, 0.1)], offset=0.7)
+    u0 = stream_field(domain, [(1, 1, 0.5), (2, 2, 0.2)])
     config = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
     res = run(SimulationState(0.0, C0, u0), params, config,
               forcing=ForcingSpec.preset("steady_stream"))
@@ -179,9 +152,9 @@ def suite_positivity():
             mu_e=0.1, d=0.1, kappa=1.0,
             korteweg=KortewegParams(delta_hat=0.05, gamma=0.0),
         )
-        C0 = _cosine_C(domain, [(1, 1, 1.0)], offset=1.5)
+        C0 = cosine_field(domain, [(1, 1, 1.0)], offset=1.5)
         config = SolverConfig(T_run=0.3, rtol=1e-8, atol=1e-11)
-        return run(SimulationState(0.0, C0, _zero_u(domain)), params, config)
+        return run(SimulationState(0.0, C0, stream_field(domain)), params, config)
 
     base = one(16)
     refined = one(32)
@@ -207,8 +180,8 @@ def suite_decay():
         korteweg=KortewegParams(delta_hat=0.1, gamma=0.0),
         mobility=MobilitySpec.exponential(0.3),
     )
-    C0 = _cosine_C(domain, [(1, 0, 0.3), (1, 1, 0.2), (2, 1, 0.1)], offset=0.6)
-    u0 = _stream_u(domain, [(1, 1, 0.5)])
+    C0 = cosine_field(domain, [(1, 0, 0.3), (1, 1, 0.2), (2, 1, 0.1)], offset=0.6)
+    u0 = stream_field(domain, [(1, 1, 0.5)])
     config = SolverConfig(T_run=1.5, rtol=1e-10, atol=1e-13)
     res = run(SimulationState(0.0, C0, u0), params, config)
     report = decay_to_mean_check(res, params)
@@ -216,8 +189,8 @@ def suite_decay():
                            report.passed, report.max_violation, 0.0, report.slack))
 
     params2 = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.0)
-    C0 = _cosine_C(domain, [(1, 0, 1.0)], offset=0.5)
-    res2 = run(SimulationState(0.0, C0, _zero_u(domain)), params2, config)
+    C0 = cosine_field(domain, [(1, 0, 1.0)], offset=0.5)
+    res2 = run(SimulationState(0.0, C0, stream_field(domain)), params2, config)
     area = domain.spec.Lx * domain.spec.Ly
     dev0 = res2.ledger[0].l2_C - res2.ledger[0].mass ** 2 / area
     devT = res2.ledger.final.l2_C - res2.ledger.final.mass ** 2 / area
@@ -233,8 +206,8 @@ def suite_velocity_decay():
     domain = _make_domain(Ns=4, Nv=3)
     params = PhysicalParams(mu_e=0.05, d=0.1, kappa=0.0,
                             mobility=MobilitySpec.constant(0.7))
-    C0 = _uniform_C(domain, 0.5)
-    u0 = _stream_u(domain, [(1, 1, 0.5), (2, 1, 0.3), (3, 2, 0.2)])
+    C0 = cosine_field(domain, offset=0.5)
+    u0 = stream_field(domain, [(1, 1, 0.5), (2, 1, 0.3), (3, 2, 0.2)])
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
     res = run(SimulationState(0.0, C0, u0), params, config)
     n0 = math.sqrt(res.ledger[0].l2_u)
@@ -246,7 +219,7 @@ def suite_velocity_decay():
 
     params2 = PhysicalParams(mu_e=0.05, d=0.1, kappa=0.0,
                              mobility=MobilitySpec.polynomial(0.5, 1.0))
-    C0 = _cosine_C(domain, [(1, 1, 0.2)], offset=0.8)
+    C0 = cosine_field(domain, [(1, 1, 0.2)], offset=0.8)
     res2 = run(SimulationState(0.0, C0, u0), params2, config)
     rows = res2.ledger.rows
     fq_defined = all(np.isfinite(r.fq_u) for r in rows)
@@ -267,9 +240,9 @@ def suite_perturbation():
         korteweg=KortewegParams(delta_hat=0.05, gamma=0.0),
         mobility=MobilitySpec.exponential(0.5),
     )
-    base = _cosine_C(domain, [(1, 1, 0.25), (2, 0, 0.1)], offset=0.5)
-    direction = _cosine_C(domain, [(2, 1, 1.0)])
-    u0 = _stream_u(domain, [(1, 1, 0.3)])
+    base = cosine_field(domain, [(1, 1, 0.25), (2, 0, 0.1)], offset=0.5)
+    direction = cosine_field(domain, [(2, 1, 1.0)])
+    u0 = stream_field(domain, [(1, 1, 0.3)])
     config = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
     report = perturbation_stability(
         base, direction, 1e-4, params, config, u0=u0, checkpoint_times=(0.5,)
@@ -355,8 +328,8 @@ def suite_lipschitz():
 
     # Exponential with R = 0 must reproduce constant mobility exactly.
     domain2 = _make_domain(Ns=6, Nv=2)
-    C0 = _cosine_C(domain2, [(1, 1, 0.3)], offset=0.5)
-    u0 = _stream_u(domain2, [(1, 1, 0.4)])
+    C0 = cosine_field(domain2, [(1, 1, 0.3)], offset=0.5)
+    u0 = stream_field(domain2, [(1, 1, 0.4)])
     config = SolverConfig(T_run=0.3, rtol=1e-9, atol=1e-12)
     finals = []
     for F in (MobilitySpec.exponential(0.0), MobilitySpec.constant(1.0)):
@@ -388,7 +361,7 @@ def suite_korteweg_reduction():
 
     txx, txy, tyy = korteweg_full_tensor(C, params)
     Nv = domain.spec.Nv
-    rate = rhs_velocity(SimulationState(0.0, C, _zero_u(domain)),
+    rate = rhs_velocity(SimulationState(0.0, C, stream_field(domain)),
                         PhysicalParams(mu_e=1.0, d=1.0, korteweg=params))
     reduced = (domain.velocity.gram @ rate.coeffs.reshape(-1)).reshape(Nv, Nv)
 

@@ -9,10 +9,12 @@ from poromix import (
     PhysicalParams,
     ScalarField,
     SimulationState,
-    VelocityField,
     build_domain,
     rhs_velocity,
 )
+# The tests build their fields with the library's mode-list builders.
+from poromix.fields import cosine_field as make_scalar  # noqa: F401
+from poromix.fields import stream_field as make_velocity
 
 
 @pytest.fixture(scope="session")
@@ -25,23 +27,6 @@ def pi_domain():
 def rect_domain():
     """Non-square rectangle to catch Lx/Ly mixups."""
     return build_domain(DomainSpec(Lx=2.0, Ly=1.0, Ns=5, Nv=2))
-
-
-def make_scalar(domain, modes, offset=0.0):
-    """ScalarField from raw cosine amplitudes: value = offset + sum a cos cos."""
-    s = domain.scalar
-    B = np.zeros((s.Ns, s.Ns))
-    B[0, 0] = offset / s.norm_00
-    for j, k, amp in modes:
-        B[j, k] += amp / (s.norm_x[j] * s.norm_y[k])
-    return ScalarField(domain, B)
-
-
-def make_velocity(domain, modes):
-    A = np.zeros((domain.spec.Nv, domain.spec.Nv))
-    for j, k, amp in modes:
-        A[j - 1, k - 1] += amp
-    return VelocityField(domain, A)
 
 
 def random_scalar(domain, seed, scale=1.0, decay=True):

@@ -54,8 +54,8 @@ params: {mu_e: -0.1, d: 0.1}
 mobility: {kind: polynomial}
 forcing: {preset: nonsense}
 initial:
-  C: {preset: uniform, value: 0.5}
-  u: {preset: zero}
+  C: {preset: cosine_mix, offset: 0.5, modes: [[1, 1], [2, one, 0.1]]}
+  u: {preset: stream, jx: one}
 solver: {T_run: 0.2}
 outputs: {}
 typo_section: {}
@@ -72,7 +72,20 @@ typo_section: {}
     assert any("mu_e" in m for m in msgs)
     assert any("mobility.coefficients" in m for m in msgs)
     assert any("forcing.preset" in m for m in msgs)
-    assert len(msgs) >= 4
+    assert "initial.C.modes[0]: expected [j, k, amplitude], got [1, 1]" in msgs
+    assert "initial.C.modes[1].k: expected a number, got 'one'" in msgs
+    assert "initial.u.jx: expected a number, got 'one'" in msgs
+    assert len(msgs) >= 7
+
+
+def test_list_valued_preset_names_reported():
+    text = VALID_CONFIG.replace("forcing: {preset: zero}", "forcing: {preset: [zero]}")
+    text = text.replace("u: {preset: zero}", "u: {preset: [zero]}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text)
+    msgs = info.value.errors
+    assert any(m.startswith("forcing.preset: unknown preset ['zero']") for m in msgs)
+    assert any(m.startswith("initial.u.preset: unknown preset ['zero']") for m in msgs)
 
 
 def test_missing_section_and_non_yaml():

@@ -177,6 +177,18 @@ def test_apriori_forced_brinkman_momentum_identity(pi_domain):
     assert report.all_finite and report.dissipation_holds
 
 
+def test_apriori_flags_mobility_h1_overflow(pi_domain):
+    # R C = 360 is below the exponential's overflow limit, so the run goes
+    # on, but F^2 = e^720 exceeds the double range: the H1 majorant of F is
+    # inf, flagged by all_finite rather than by a RuntimeWarning.
+    params = _params(mobility=MobilitySpec.exponential(100.0))
+    res = run(_still(pi_domain, 3.6), params, SolverConfig(T_run=0.1))
+    assert res.outcome == "completed"
+    report = apriori_flags(res.ledger, params)
+    assert report.sups["h1_F_sq"] == math.inf
+    assert not report.all_finite
+
+
 def test_segment_bounds_positive(pi_domain):
     res = run(_still(pi_domain, 0.5, [(1, 1, 0.2)]), _params(kappa=0.5),
               SolverConfig(T_run=0.2))

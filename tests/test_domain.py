@@ -6,12 +6,22 @@ import pytest
 from poromix import (
     DomainError,
     DomainSpec,
+    KortewegParams,
+    MobilitySpec,
+    PhysicalParams,
     ScalarField,
+    SimulationState,
+    VelocityField,
     build_domain,
     grid_to_scalar,
+    integrand_degree,
+    manufactured_run,
     required_quadrature_points,
+    rhs_concentration,
+    rhs_velocity,
     scalar_to_grid,
 )
+from poromix.domain import _certify_quadrature
 
 from conftest import random_scalar
 
@@ -108,9 +118,68 @@ def test_build_rejects_bad_specs():
         build_domain(DomainSpec(Lx=1.0, Ly=1.0, Ns=0, Nv=1))
 
 
-def test_required_points_cover_spec_floor():
-    assert required_quadrature_points(8, 2) >= 2 * max(8, 2 * 2 + 2)
-    assert required_quadrature_points(1, 1) >= 8
+def _certifies(M, degree, L):
+    t, w = np.polynomial.legendre.leggauss(M)
+    try:
+        _certify_quadrature(0.5 * L * (t + 1.0), 0.5 * L * w, L, degree)
+    except DomainError:
+        return False
+    return True
+
+
+def test_required_points_are_smallest_certified():
+    rest = manufactured_run("rest").max_scalar_degree
+    swirl = manufactured_run("swirl").max_scalar_degree
+    sizes = [
+        # (Lx, Ly, Ns, Nv, extra_degree): default dynamics grids ...
+        (math.pi, math.pi, 16, 4, 0),
+        (math.pi, math.pi, 32, 8, 0),
+        (2.0, 1.0, 10, 3, 0),
+        # ... the manufactured-solution grids of verify.py and test_oracles.py ...
+        (math.pi, math.pi, 8, 2, 2 * rest + 8),
+        (math.pi, math.pi, 8, 2, 2 * rest + 10),
+        (math.pi, math.pi, 8, 2, 2 * swirl + 8 + 8),
+        (math.pi, math.pi, 16, 2, 2 * swirl + 16 + 8),
+        # ... and a velocity-heavy grid (Nv > Ns + 6).
+        (math.pi, math.pi, 2, 9, 0),
+    ]
+    for Lx, Ly, Ns, Nv, extra in sizes:
+        degree = integrand_degree(Ns, Nv, extra)
+        M = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv), extra).grid.M
+        assert M == required_quadrature_points(degree, Lx, Ly)
+        assert _certifies(M, degree, Lx) and _certifies(M, degree, Ly)
+        assert not (_certifies(M - 1, degree, Lx) and _certifies(M - 1, degree, Ly))
+        if not extra:
+            with pytest.raises(DomainError, match="exactness threshold"):
+                build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=M - 1))
+
+
+def test_velocity_heavy_grid_matches_oversampled_rule():
+    # With Nv > Ns + 6 the old 2(2Nv+2) point floor exceeded the certified
+    # size; the certified rule alone already integrates the Gram and
+    # stiffness matrices and both right-hand sides exactly.
+    spec = DomainSpec(Lx=math.pi, Ly=math.pi, Ns=2, Nv=9)
+    dom = build_domain(spec)
+    fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * dom.grid.M))
+    assert dom.grid.M < 2 * (2 * spec.Nv + 2)
+    for f, c in ((fine.velocity.gram, dom.velocity.gram),
+                 (fine.velocity.stiffness, dom.velocity.stiffness)):
+        assert np.abs(c - f).max() <= 1e-12 * np.abs(f).max()
+    params = PhysicalParams(
+        mu_e=0.1, d=0.1, kappa=1.0,
+        korteweg=KortewegParams(delta_hat=0.1, gamma=0.05),
+        mobility=MobilitySpec.polynomial(1.0, 0.5, 0.25),
+    )
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((spec.Ns, spec.Ns))
+    A = rng.standard_normal((spec.Nv, spec.Nv)) / (1.0 + np.arange(spec.Nv))[:, None]
+
+    def rates(d):
+        state = SimulationState(0.0, ScalarField(d, B), VelocityField(d, A))
+        return rhs_concentration(state, params).coeffs, rhs_velocity(state, params).coeffs
+
+    for c, f in zip(rates(dom), rates(fine)):
+        assert np.abs(c - f).max() <= 1e-12 * np.abs(f).max()
 
 
 def test_build_is_deterministic():

@@ -14,7 +14,7 @@ from poromix import (
     modal_diffusion_factor,
     run,
 )
-from poromix.domain import DomainSpec, build_domain, required_quadrature_points
+from poromix.domain import DomainSpec, build_domain
 from poromix.korteweg import KortewegParams
 from poromix.mobility import MobilitySpec
 
@@ -79,8 +79,8 @@ def mms_params():
 
 def test_rest_preset_is_stationary(mms_params):
     case = manufactured_run("rest")
-    M = required_quadrature_points(8, 2, 2 * case.max_scalar_degree + 10)
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2, M=M))
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2),
+                          extra_degree=2 * case.max_scalar_degree + 10)
     res = run(
         SimulationState(0.0, case.exact_C(domain, 0.0), case.exact_u(domain, 0.0)),
         mms_params,
@@ -97,8 +97,8 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
     # With every manufactured mode inside the band, the Galerkin solution
     # tracks the exact fields to integrator accuracy.
     case = manufactured_run("swirl")
-    M = required_quadrature_points(16, 2, 2 * case.max_scalar_degree + 16 + 8)
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2, M=M))
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2),
+                          extra_degree=2 * case.max_scalar_degree + 16 + 8)
     T = 0.2
     res = run(
         SimulationState(0.0, case.exact_C(domain, 0.0), case.exact_u(domain, 0.0)),
@@ -114,8 +114,8 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
 
 def test_exact_fields_match_grid_forms(mms_params):
     case = manufactured_run("swirl")
-    M = required_quadrature_points(16, 2, 2 * case.max_scalar_degree + 16 + 8)
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2, M=M))
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2),
+                          extra_degree=2 * case.max_scalar_degree + 16 + 8)
     t = 0.37
     C = case.exact_C(domain, t)
     val, ddx, ddy, lap, _ = case.exact_C_grids(domain, t)
