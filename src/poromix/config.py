@@ -8,8 +8,7 @@ Sections and keys:
     mobility: kind, coefficients
     forcing:  preset OR file
     initial:  C: {preset: ..., ...} or {file: ...}; u: likewise
-    solver:   T_run, rtol, atol, dt_init, dt_max, blowup_cap,
-              integrating_factor
+    solver:   T_run, rtol, atol, dt_init, dt_max, blowup_cap
     outputs:  ledger_path, snapshot_cadence, snapshot_dir
 
 Validation collects every problem with its field path before failing, so
@@ -197,7 +196,6 @@ class RunConfig:
                 "dt_init": self.solver.dt_init,
                 "dt_max": self.solver.dt_max,
                 "blowup_cap": self.solver.blowup_cap,
-                "integrating_factor": self.solver.integrating_factor,
             },
             "outputs": {
                 "ledger_path": self.outputs.ledger_path,
@@ -231,7 +229,7 @@ def _get_number(section, sec_name, key, errors, *, required=True, default=None,
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"{sec_name}.{key}: expected a number, got {val!r}")
         return default
-    if math.isinf(val) and not allow_inf:
+    if math.isnan(val) or (math.isinf(val) and not allow_inf):
         errors.append(f"{sec_name}.{key}: must be finite, got {val!r}")
         return default
     if integer and not float(val).is_integer():
@@ -346,7 +344,9 @@ def _parse_initial(section, base_dir, errors):
                 f"available: {list(presets)}"
             )
         elif "file" in entry:
-            if not (Path(base_dir) / entry["file"]).exists():  # an absolute path stays as is
+            if not isinstance(entry["file"], str):
+                errors.append(f"initial.{key}.file: expected a string")
+            elif not (Path(base_dir) / entry["file"]).exists():  # an absolute path stays as is
                 errors.append(f"initial.{key}.file: {entry['file']} does not exist")
         else:
             entry = _parse_preset_keys(entry, f"initial.{key}", presets[entry["preset"]], errors)
@@ -379,7 +379,7 @@ def _parse_mode(item, sec_name, errors):
 
 
 def _parse_solver(section, errors):
-    keys = ("T_run", "rtol", "atol", "dt_init", "dt_max", "blowup_cap", "integrating_factor")
+    keys = ("T_run", "rtol", "atol", "dt_init", "dt_max", "blowup_cap")
     _check_unknown(section, "solver", keys, errors)
     T_run = _get_number(section, "solver", "T_run", errors)
     rtol = _get_number(section, "solver", "rtol", errors, required=False, default=1e-8)
@@ -388,14 +388,10 @@ def _parse_solver(section, errors):
     dt_max = _get_number(section, "solver", "dt_max", errors, required=False,
                          default=math.inf, allow_inf=True)
     cap = _get_number(section, "solver", "blowup_cap", errors, required=False, default=1e6)
-    int_factor = section.get("integrating_factor", False)
-    if not isinstance(int_factor, bool):
-        errors.append("solver.integrating_factor: expected a boolean")
-        int_factor = False
     if T_run is None:
         return None
     cfg = SolverConfig(T_run=T_run, rtol=rtol, atol=atol, dt_init=dt_init,
-                       dt_max=dt_max, blowup_cap=cap, integrating_factor=int_factor)
+                       dt_max=dt_max, blowup_cap=cap)
     for msg in cfg.validation_errors():
         errors.append(f"solver: {msg}")
     return cfg

@@ -54,14 +54,13 @@ class DomainError(ValueError):
     """Raised when a DomainSpec is invalid or quadrature certification fails."""
 
 
-def integrand_degree(Ns: int, Nv: int, extra_degree: int = 0) -> int:
+def integrand_degree(Ns: int, Nv: int) -> int:
     """Highest trigonometric degree per dimension that must integrate exactly.
 
     4(Ns-1) for the quartic concentration diagnostics, 2(Ns-1) + 2(Nv+1) for
-    the mobility-velocity and advection products, or `extra_degree` for
-    higher-degree integrands such as manufactured sources.
+    the mobility-velocity and advection products.
     """
-    return max(4 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1), extra_degree)
+    return max(4 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1))
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +312,11 @@ def _certify_quadrature(x, w, L, degree):
         )
 
 
-def build_domain(spec: DomainSpec, extra_degree: int = 0) -> Domain:
+def build_domain(spec: DomainSpec) -> Domain:
     """Construct scalar basis, velocity basis, and certified quadrature.
 
-    The rule must integrate exactly up to ``integrand_degree(Ns, Nv,
-    extra_degree)``; an unset ``spec.M`` takes the smallest rule that does.
+    The rule must integrate exactly up to ``integrand_degree(Ns, Nv)``; an
+    unset ``spec.M`` takes the smallest rule that does.
     Deterministic for equal arguments.  Raises DomainError when the spec is
     invalid or the quadrature rule fails its exactness certification.
     """
@@ -326,7 +325,7 @@ def build_domain(spec: DomainSpec, extra_degree: int = 0) -> Domain:
         raise DomainError("; ".join(errs))
 
     Ns, Nv, Lx, Ly = spec.Ns, spec.Nv, spec.Lx, spec.Ly
-    degree = integrand_degree(Ns, Nv, extra_degree)
+    degree = integrand_degree(Ns, Nv)
     M = required_quadrature_points(degree, Lx, Ly) if spec.M is None else int(spec.M)
     x, wx = _rule(M, Lx)
     y, wy = _rule(M, Ly)

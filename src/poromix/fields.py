@@ -66,27 +66,9 @@ class ScalarField:
     def mean_value(self) -> float:
         return self.mass / (self.domain.spec.Lx * self.domain.spec.Ly)
 
-    def l2_norm_sq(self) -> float:
-        return float(np.sum(self.coeffs**2))
-
-    def h1_seminorm_sq(self) -> float:
-        return float(np.sum(self.domain.scalar.eigenvalues * self.coeffs**2))
-
-    def h2_seminorm_sq(self) -> float:
-        return float(np.sum(self.domain.scalar.eigenvalues**2 * self.coeffs**2))
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_domain(self, other)
         return ScalarField(self.domain, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_domain(self, other)
-        return ScalarField(self.domain, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.domain, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,30 +86,6 @@ class VelocityField:
         if not np.all(np.isfinite(c)):
             raise ValueError("velocity field has non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
-
-    def to_grid(self):
-        return self.domain.velocity_values(self.coeffs)
-
-    def l2_norm_sq(self) -> float:
-        flat = self.coeffs.reshape(-1)
-        return float(flat @ self.domain.velocity.gram @ flat)
-
-    def h1_seminorm_sq(self) -> float:
-        flat = self.coeffs.reshape(-1)
-        return float(flat @ self.domain.velocity.stiffness @ flat)
-
-    def __add__(self, other: "VelocityField") -> "VelocityField":
-        _check_same_domain(self, other)
-        return VelocityField(self.domain, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "VelocityField") -> "VelocityField":
-        _check_same_domain(self, other)
-        return VelocityField(self.domain, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "VelocityField":
-        return VelocityField(self.domain, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +108,6 @@ class PressureField:
     @property
     def mean_value(self) -> float:
         return 0.0
-
-    def to_grid(self):
-        return self.domain.scalar_values(self.coeffs)
 
 
 def cosine_field(domain: Domain, modes=(), offset: float = 0.0) -> ScalarField:

@@ -110,7 +110,6 @@ class ManufacturedCase:
     scalar_offset: float
     stream_mode: tuple  # (j, k) of the single streamfunction
     stream_amplitude: object  # amplitude_fn(t), and ._dt(t) derivative
-    max_scalar_degree: int
 
     def exact_C(self, domain: Domain, t: float) -> ScalarField:
         """Exact concentration projected ONTO the domain's resolved band."""
@@ -259,7 +258,6 @@ def _build_rest() -> ManufacturedCase:
         scalar_offset=0.5,
         stream_mode=(1, 1),
         stream_amplitude=_Amplitude(lambda t: 0.0, lambda t: 0.0),
-        max_scalar_degree=1,
     )
 
 
@@ -278,7 +276,6 @@ def _build_swirl() -> ManufacturedCase:
         scalar_offset=0.5,
         stream_mode=(1, 1),
         stream_amplitude=amp,
-        max_scalar_degree=11,
     )
 
 

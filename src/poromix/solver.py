@@ -20,12 +20,9 @@ make the energy identities checkable per accepted step without any extra
 quadrature in time: the residuals are pure time-integration error.
 
 Time stepping is an embedded Dormand-Prince 5(4) pair with a
-proportional-integral step controller.  There is one stage loop, written
-in Lawson form around a diagonal linear rate lam (Lawson, SIAM J. Numer.
-Anal. 4, 1967).  With the integrating factor on, lam is the modal
-diffusion of the concentration block, which is then integrated exactly;
-with it off, lam = 0 and the step is the plain DP54 step bit for bit.
-`run` and `step` share one reject/shrink loop, `_advance`.
+proportional-integral step controller.  There is one stage loop,
+`_attempt_step`, and `run` and `step` share one reject/shrink loop,
+`_advance`.
 """
 
 from __future__ import annotations
@@ -127,7 +124,7 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Horizon, tolerances, step bounds, blow-up cap, stiffness option."""
+    """Horizon, tolerances, step bounds and blow-up cap."""
 
     T_run: float
     rtol: float = 1e-8
@@ -135,7 +132,6 @@ class SolverConfig:
     dt_init: float = 1e-4
     dt_max: float = math.inf
     blowup_cap: float = 1e6
-    integrating_factor: bool = False
 
     def validation_errors(self) -> list[str]:
         errs = []
@@ -212,11 +208,6 @@ class GalerkinSystem:
         self.n_state = self.ns2 + self.nv2 + _N_EXTRA
         self.lam = domain.scalar.eigenvalues
         self.stiffness = domain.velocity.stiffness
-        # Diagonal linear part for the integrating-factor transform: pure
-        # modal diffusion on the concentration block, zero elsewhere.
-        lin = np.zeros(self.n_state)
-        lin[: self.ns2] = (-params.d * self.lam).reshape(-1)
-        self.lin_diag = lin
 
     # -- packing ------------------------------------------------------------
 
@@ -366,22 +357,16 @@ class GalerkinSystem:
         )
 
 
-def _attempt_step(system, t, y, dt, k1, lam):
-    """One embedded DP54 step in Lawson form; returns (y5, error_estimate).
+def _attempt_step(system, t, y, dt, k1):
+    """One embedded DP54 step from (t, y) with slope k1 = rhs(t, y).
 
-    The stages advance exp(-lam (s - t)) y(s), so the diagonal linear rate
-    `lam` is integrated exactly and `k1` is the transformed slope
-    rhs(t, y) - lam y.  `lam` is a per-component array or the scalar 0.0;
-    with a zero rate every factor is 1 and this is the plain DP54 step.
+    Returns (y5, error_estimate).
     """
     k = np.empty((_N_STAGES, y.size))
     k[0] = k1
     for i in range(1, _N_STAGES):
-        grow = np.exp(lam * (_C[i] * dt))
-        yi = grow * (y + dt * (_A[i] @ k[:i]))
-        k[i] = (system.rhs(t + _C[i] * dt, yi) - lam * yi) / grow
-    grow = np.exp(lam * dt)
-    return grow * (y + dt * (_B @ k)), grow * (dt * (_E @ k))
+        k[i] = system.rhs(t + _C[i] * dt, y + dt * (_A[i] @ k[:i]))
+    return y + dt * (_B @ k), dt * (_E @ k)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -392,7 +377,7 @@ def _error_norm(err, y_old, y_new, rtol, atol):
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
-def _advance(system, t, y, dt, k1, lam, config):
+def _advance(system, t, y, dt, k1, config):
     """Try steps from (t, y), shrinking dt until one passes the error test.
 
     A trial whose stages raise NonFiniteStateError or MobilityOverflowError,
@@ -405,7 +390,7 @@ def _advance(system, t, y, dt, k1, lam, config):
         if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepSizeUnderflowError(t, dt)
         try:
-            y_new, err = _attempt_step(system, t, y, dt, k1, lam)
+            y_new, err = _attempt_step(system, t, y, dt, k1)
             finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
         except (NonFiniteStateError, MobilityOverflowError):
             finite = False
@@ -419,30 +404,25 @@ def _advance(system, t, y, dt, k1, lam, config):
         rejected += 1
 
 
-def _lawson_rate(system, config):
-    return system.lin_diag if config.integrating_factor else 0.0
-
-
 def run(
     initial: SimulationState,
     params: PhysicalParams,
     config: SolverConfig,
     *,
     forcing: ForcingSpec | None = None,
-    ledger_sink=None,
     snapshot_sink=None,
     checkpoint_times=(),
     transport_source=None,
 ) -> SimulationResult:
     """Integrate from the initial state to T_run or blow-up.
 
-    Emits a ledger row per accepted step (also to `ledger_sink` if given),
-    calls `snapshot_sink(state)` per accepted step, lands exactly on every
-    requested checkpoint time (kept in `checkpoints`), and halts with
-    outcome "blowup" as soon as the concentration L2 norm exceeds the
-    configured cap.  A trial step that fails (non-finite values, mobility
-    overflow) is rejected and retried with a smaller dt; the same failure
-    at an accepted state aborts the run.
+    Emits a ledger row and calls `snapshot_sink(state)` per accepted step,
+    lands exactly on every requested checkpoint time (kept in
+    `checkpoints`), and halts with outcome "blowup" as soon as the
+    concentration L2 norm exceeds the configured cap.  A trial step that
+    fails (non-finite values, mobility overflow) is rejected and retried
+    with a smaller dt; the same failure at an accepted state aborts the
+    run.
     """
     errs = config.validation_errors()
     if errs:
@@ -470,16 +450,11 @@ def run(
     ydot, diag = system.evaluate_with_diagnostics(t, y)
     row = system.ledger_row(t, y, diag, None, False)
     ledger.append(row)
-    if ledger_sink is not None:
-        ledger_sink(row)
     state0 = system.unpack(t, y)
     if snapshot_sink is not None:
         snapshot_sink(state0)
     if t in checkpoint_set:
         checkpoints[t] = state0
-
-    lam = _lawson_rate(system, config)
-    k1 = ydot - lam * y
 
     dt = min(config.dt_init, config.dt_max, stops[0] - t)
     err_prev = 1.0
@@ -498,21 +473,18 @@ def run(
         if hit_stop:
             dt = next_stop - t
 
-        dt, y, err_norm, n_rejected = _advance(system, t, y, dt, k1, lam, config)
+        dt, y, err_norm, n_rejected = _advance(system, t, y, dt, ydot, config)
         rejected += n_rejected
         hit_stop = hit_stop and n_rejected == 0  # a shrunk step stops short
         t = next_stop if hit_stop else t + dt
         accepted += 1
 
         ydot, diag = system.evaluate_with_diagnostics(t, y)
-        k1 = ydot - lam * y
 
         l2_C = float(np.sum(y[: system.ns2] ** 2))
         blowup = math.sqrt(l2_C) > config.blowup_cap
         row = system.ledger_row(t, y, diag, row, blowup)
         ledger.append(row)
-        if ledger_sink is not None:
-            ledger_sink(row)
         state = system.unpack(t, y)
         if snapshot_sink is not None:
             snapshot_sink(state)
@@ -562,9 +534,8 @@ def step(
     system = GalerkinSystem(state.domain, params, forcing)
     y = system.pack(state.C, state.u)
     t = float(state.t)
-    lam = _lawson_rate(system, config)
-    k1 = system.rhs(t, y) - lam * y
-    dt, y_new, _, _ = _advance(system, t, y, min(config.dt_init, config.dt_max), k1, lam, config)
+    dt0 = min(config.dt_init, config.dt_max)
+    dt, y_new, _, _ = _advance(system, t, y, dt0, system.rhs(t, y), config)
     return system.unpack(t + dt, y_new)
 
 

@@ -49,8 +49,8 @@ class CheckResult:
         )
 
 
-def _make_domain(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2, extra_degree=0):
-    return build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv), extra_degree)
+def _make_domain(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2):
+    return build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def suite_mms():
     )
 
     rest = manufactured_run("rest")
-    domain = _make_domain(Ns=8, Nv=2, extra_degree=2 * rest.max_scalar_degree + 8)
+    domain = _make_domain(Ns=8, Nv=2)
     config = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
     res = run(
         SimulationState(0.0, rest.exact_C(domain, 0.0), rest.exact_u(domain, 0.0)),
@@ -276,8 +276,7 @@ def suite_mms():
     swirl = manufactured_run("swirl")
     errs = {}
     for Ns in (8, 16):
-        dom = _make_domain(Ns=Ns, Nv=2,
-                           extra_degree=2 * swirl.max_scalar_degree + Ns + 8)
+        dom = _make_domain(Ns=Ns, Nv=2)
         cfg = SolverConfig(T_run=0.25, rtol=1e-10, atol=1e-13)
         res = run(
             SimulationState(0.0, swirl.exact_C(dom, 0.0), swirl.exact_u(dom, 0.0)),

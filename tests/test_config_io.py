@@ -1,5 +1,7 @@
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +41,47 @@ def test_parse_valid_config(tmp_path):
 
 
 def test_integrating_factor_flag_parsed(tmp_path):
-    text = VALID_CONFIG.replace("blowup_cap: 100.0}", "blowup_cap: 100.0, integrating_factor: true}")
-    cfg = RunConfig.from_text(text, base_dir=tmp_path)
-    assert cfg.solver.integrating_factor is True
-    bad = VALID_CONFIG.replace("blowup_cap: 100.0}", "blowup_cap: 100.0, integrating_factor: 3}")
-    with pytest.raises(ConfigError, match="integrating_factor"):
-        RunConfig.from_text(bad, base_dir=tmp_path)
+    # The solver has one stepping path (plain DP5(4)) and no integrating-factor
+    # option: a config that still sets the key is rejected by name.
+    text = VALID_CONFIG.replace("blowup_cap: 100.0}", "blowup_cap: 100.0, integrating_factor: false}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == ["solver.integrating_factor: unknown key"]
+
+
+def test_nan_rejected_for_every_numeric_key(tmp_path):
+    text = VALID_CONFIG
+    for old, new in (("Lx: 3.141592653589793", "Lx: .nan"),
+                     ("kappa: 1.0", "kappa: .nan"),
+                     ("value: 0.5", "value: .nan"),
+                     ("rtol: 1.0e-8", "rtol: .nan, dt_max: .nan"),
+                     ("snapshot_cadence: 0.0", "snapshot_cadence: .nan")):
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    fields = ("domain.Lx", "params.kappa", "initial.C.value", "solver.rtol", "solver.dt_max",
+              "outputs.snapshot_cadence")
+    for name in fields:
+        assert f"{name}: must be finite, got nan" in info.value.errors
+    # dt_max alone may be infinite: no step bound.
+    text = VALID_CONFIG.replace("rtol: 1.0e-8", "rtol: 1.0e-8, dt_max: .inf")
+    assert RunConfig.from_text(text, base_dir=tmp_path).solver.dt_max == math.inf
+
+
+def test_non_string_initial_file_reported(tmp_path):
+    text = VALID_CONFIG.replace("C: {preset: uniform, value: 0.5}", "C: {file: 3}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == ["initial.C.file: expected a string"]
+
+
+def test_readme_yaml_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        RunConfig.from_text(block, base_dir=tmp_path)
 
 
 def test_all_errors_reported_at_once():

@@ -15,7 +15,6 @@ from poromix import (
     build_domain,
     grid_to_scalar,
     integrand_degree,
-    manufactured_run,
     required_quadrature_points,
     rhs_concentration,
     rhs_velocity,
@@ -128,30 +127,22 @@ def _certifies(M, degree, L):
 
 
 def test_required_points_are_smallest_certified():
-    rest = manufactured_run("rest").max_scalar_degree
-    swirl = manufactured_run("swirl").max_scalar_degree
     sizes = [
-        # (Lx, Ly, Ns, Nv, extra_degree): default dynamics grids ...
-        (math.pi, math.pi, 16, 4, 0),
-        (math.pi, math.pi, 32, 8, 0),
-        (2.0, 1.0, 10, 3, 0),
-        # ... the manufactured-solution grids of verify.py and test_oracles.py ...
-        (math.pi, math.pi, 8, 2, 2 * rest + 8),
-        (math.pi, math.pi, 8, 2, 2 * rest + 10),
-        (math.pi, math.pi, 8, 2, 2 * swirl + 8 + 8),
-        (math.pi, math.pi, 16, 2, 2 * swirl + 16 + 8),
+        # (Lx, Ly, Ns, Nv): default dynamics grids ...
+        (math.pi, math.pi, 16, 4),
+        (math.pi, math.pi, 32, 8),
+        (2.0, 1.0, 10, 3),
         # ... and a velocity-heavy grid (Nv > Ns + 6).
-        (math.pi, math.pi, 2, 9, 0),
+        (math.pi, math.pi, 2, 9),
     ]
-    for Lx, Ly, Ns, Nv, extra in sizes:
-        degree = integrand_degree(Ns, Nv, extra)
-        M = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv), extra).grid.M
+    for Lx, Ly, Ns, Nv in sizes:
+        degree = integrand_degree(Ns, Nv)
+        M = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv)).grid.M
         assert M == required_quadrature_points(degree, Lx, Ly)
         assert _certifies(M, degree, Lx) and _certifies(M, degree, Ly)
         assert not (_certifies(M - 1, degree, Lx) and _certifies(M - 1, degree, Ly))
-        if not extra:
-            with pytest.raises(DomainError, match="exactness threshold"):
-                build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=M - 1))
+        with pytest.raises(DomainError, match="exactness threshold"):
+            build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=M - 1))
 
 
 def test_velocity_heavy_grid_matches_oversampled_rule():

@@ -79,8 +79,7 @@ def mms_params():
 
 def test_rest_preset_is_stationary(mms_params):
     case = manufactured_run("rest")
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2),
-                          extra_degree=2 * case.max_scalar_degree + 10)
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
     res = run(
         SimulationState(0.0, case.exact_C(domain, 0.0), case.exact_u(domain, 0.0)),
         mms_params,
@@ -97,8 +96,7 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
     # With every manufactured mode inside the band, the Galerkin solution
     # tracks the exact fields to integrator accuracy.
     case = manufactured_run("swirl")
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2),
-                          extra_degree=2 * case.max_scalar_degree + 16 + 8)
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2))
     T = 0.2
     res = run(
         SimulationState(0.0, case.exact_C(domain, 0.0), case.exact_u(domain, 0.0)),
@@ -114,8 +112,7 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
 
 def test_exact_fields_match_grid_forms(mms_params):
     case = manufactured_run("swirl")
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2),
-                          extra_degree=2 * case.max_scalar_degree + 16 + 8)
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2))
     t = 0.37
     C = case.exact_C(domain, t)
     val, ddx, ddy, lap, _ = case.exact_C_grids(domain, t)

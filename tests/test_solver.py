@@ -6,7 +6,6 @@ import pytest
 from poromix import (
     DomainSpec,
     ForcingSpec,
-    GalerkinSystem,
     KortewegParams,
     MobilityOverflowError,
     MobilitySpec,
@@ -22,7 +21,6 @@ from poromix import (
     run,
     step,
 )
-from poromix.solver import _attempt_step
 
 from conftest import make_scalar, make_velocity, random_scalar
 
@@ -140,45 +138,6 @@ def test_mass_rate_matches_reaction_integral(pi_domain):
     cg = pi_domain.scalar_values(C.coeffs)
     expected = -params.kappa * pi_domain.grid.integrate(cg * (1.0 - cg))
     assert rhs.mass == pytest.approx(expected, abs=1e-11)
-
-
-def test_integrating_factor_matches_plain(pi_domain):
-    params = _params(kappa=0.5, korteweg=KortewegParams(delta_hat=0.1, gamma=0.0))
-    C0 = make_scalar(pi_domain, [(1, 1, 0.3), (2, 0, 0.2)], offset=0.5)
-    u0 = make_velocity(pi_domain, [(1, 1, 0.4)])
-    finals = []
-    for iff in (False, True):
-        cfg = SolverConfig(T_run=0.3, rtol=1e-10, atol=1e-13, integrating_factor=iff)
-        res = run(SimulationState(0.0, C0, u0), params, cfg)
-        finals.append(res.final_state)
-    assert np.abs(finals[0].C.coeffs - finals[1].C.coeffs).max() <= 1e-9
-    assert np.abs(finals[0].u.coeffs - finals[1].u.coeffs).max() <= 1e-9
-
-
-def test_integrating_factor_exact_for_pure_diffusion(pi_domain):
-    # With only diffusion active, the Lawson transform integrates each mode
-    # exactly; even huge steps land on the analytic decay.
-    params = _params(d=0.37)
-    C0 = make_scalar(pi_domain, [(2, 1, 1.0)])
-    cfg = SolverConfig(T_run=1.0, rtol=1e-4, atol=1e-8, dt_init=0.25, integrating_factor=True)
-    res = run(SimulationState(0.0, C0, make_velocity(pi_domain, [])), params, cfg)
-    lam = pi_domain.scalar.eigenvalues[2, 1]
-    expected = C0.coeffs[2, 1] * math.exp(-params.d * lam)
-    assert res.final_state.C.coeffs[2, 1] == pytest.approx(expected, rel=1e-12)
-
-
-def test_energy_residuals_bounded_in_if_mode(pi_domain):
-    from poromix.diagnostics import segment_residual_bounds
-
-    params = _params(kappa=0.6, korteweg=KortewegParams(delta_hat=0.1, gamma=0.0))
-    C0 = make_scalar(pi_domain, [(1, 1, 0.3), (3, 2, 0.15)], offset=0.5)
-    u0 = make_velocity(pi_domain, [(1, 1, 0.4)])
-    cfg = SolverConfig(T_run=0.3, rtol=1e-8, atol=1e-11, integrating_factor=True)
-    res = run(SimulationState(0.0, C0, u0), params, cfg)
-    for which, col in (("C", "res_C"), ("u", "res_u")):
-        bounds = segment_residual_bounds(res.ledger, cfg, which)
-        residuals = [abs(getattr(r, col)) for r in res.ledger.rows[1:]]
-        assert all(r <= b for r, b in zip(residuals, bounds))
 
 
 def test_zero_advection_mobility_decoupling(pi_domain):
@@ -329,7 +288,7 @@ def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
     assert math.isnan(res.ledger[0].fq_u)
 
 
-def _overshoot_case(integrating_factor=False, T_run=0.5):
+def _overshoot_case(T_run=0.5):
     # dt_init = 1 overshoots the (3, 3) mode (d lam = 18): a trial stage
     # reaches |R C| ~ 4.2e3, past the exponential-mobility limit, although
     # every accepted state stays near R C = 300.
@@ -337,8 +296,7 @@ def _overshoot_case(integrating_factor=False, T_run=0.5):
     state = SimulationState(0.0, make_scalar(domain, [(3, 3, 0.4)], offset=3.0),
                             make_velocity(domain, []))
     params = PhysicalParams(mu_e=1.0, d=1.0, kappa=0.0, mobility=MobilitySpec.exponential(100.0))
-    cfg = SolverConfig(T_run=T_run, rtol=1e-6, atol=1e-9, dt_init=1.0,
-                       integrating_factor=integrating_factor)
+    cfg = SolverConfig(T_run=T_run, rtol=1e-6, atol=1e-9, dt_init=1.0)
     return state, params, cfg
 
 
@@ -360,10 +318,9 @@ def test_mobility_overflow_at_accepted_state_aborts_run(pi_domain):
         run(state, params, SolverConfig(T_run=0.1))
 
 
-@pytest.mark.parametrize("integrating_factor", [False, True])
-def test_step_matches_first_accepted_step_of_run(integrating_factor):
+def test_step_matches_first_accepted_step_of_run():
     # T_run > dt_init, so run's first trial is not clipped to the horizon.
-    state, params, cfg = _overshoot_case(integrating_factor, T_run=2.0)
+    state, params, cfg = _overshoot_case(T_run=2.0)
     first = []
     res = run(state, params, cfg, snapshot_sink=first.append)
     assert res.steps_rejected >= 1
@@ -372,17 +329,3 @@ def test_step_matches_first_accepted_step_of_run(integrating_factor):
     assert np.array_equal(new.C.coeffs, first[1].C.coeffs)
     assert np.array_equal(new.u.coeffs, first[1].u.coeffs)
 
-
-def test_attempt_step_scalar_zero_rate_matches_zero_array(pi_domain):
-    # The plain DP54 path passes the rate as the scalar 0.0; it must give
-    # the same bits as an all-zero rate array.
-    system = GalerkinSystem(pi_domain, _params(kappa=0.5,
-                                               korteweg=KortewegParams(delta_hat=0.2),
-                                               mobility=MobilitySpec.exponential(0.5)))
-    y = system.pack(make_scalar(pi_domain, [(1, 1, 0.3), (2, 0, -0.2)], offset=0.5),
-                    make_velocity(pi_domain, [(1, 1, 0.4), (2, 1, -0.1)]))
-    k1 = system.rhs(0.0, y)
-    outs = [_attempt_step(system, 0.0, y, 0.01, k1 - lam * y, lam)
-            for lam in (0.0, np.zeros(system.n_state))]
-    for a, b in zip(*outs):
-        assert a.tobytes() == b.tobytes()
