@@ -9,11 +9,13 @@ from .domain import (
     Domain,
     DomainError,
     DomainSpec,
+    MidpointRule,
     QuadratureGrid,
     ScalarBasis,
     VelocityBasis,
     build_domain,
     integrand_degree,
+    midpoint_degree,
     required_quadrature_points,
 )
 from .fields import (

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .diagnostics import fit_decay_rate
+from .diagnostics import apriori_flags, fit_decay_rate
 from .runio import write_metadata, write_snapshot
 from .solver import SimulationState, existence_time_bound, run
 from .verify import SUITE_NAMES, run_suite
@@ -27,6 +27,8 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["main"]
 
 _SWEEP_PARAMS = ("kappa", "d", "mu_e", "delta_hat", "gamma", "R")
+# Each sweep value is one full run; a count above this is a typo, not a sweep.
+_MAX_SWEEP_RUNS = 10_000
 
 
 def main(argv=None) -> int:
@@ -103,6 +105,7 @@ def _execute(cfg: RunConfig, out_dir: Path):
 
     result.ledger.write_csv(ledger_path)
     bound = existence_time_bound(C0, cfg.params)
+    apriori = apriori_flags(result.ledger, cfg.params)
     write_metadata(out_dir / "metadata.json", {
         "outcome": result.outcome,
         "blowup_time": result.blowup_time,
@@ -111,6 +114,10 @@ def _execute(cfg: RunConfig, out_dir: Path):
         "steps_rejected": result.steps_rejected,
         "wall_time_seconds": result.wall_time,
         "existence_time_bound": bound,
+        # The paper's energy verdict; dissipation_holds is null where the
+        # inequality does not apply (the drag work went negative).
+        "apriori": {"all_finite": apriori.all_finite,
+                    "dissipation_holds": apriori.dissipation_holds},
         "config": cfg.to_dict(),
     })
     return result
@@ -149,6 +156,9 @@ def _parse_vary(text: str):
         raise ValueError(f"malformed vary spec {text!r}; lo/hi must be numbers, n an integer")
     if n < 1:
         raise ValueError("vary spec needs n >= 1")
+    if n > _MAX_SWEEP_RUNS:
+        raise ValueError(f"vary spec {text!r}: n={n} exceeds the limit of "
+                         f"{_MAX_SWEEP_RUNS} runs per sweep")
     values = [lo] if n == 1 else list(np.linspace(lo, hi, n))
     return param, values
 

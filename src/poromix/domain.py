@@ -16,12 +16,22 @@ which makes every basis velocity pointwise divergence-free with exact
 no-slip, since phi = phi' = 0 at both endpoints.
 
 Quadrature is a tensor Gauss-Legendre rule.  Every product of basis
-functions and their derivatives that the solver integrates is a
+functions and their derivatives that the dynamics integrate is a
 trigonometric polynomial per dimension of degree at most
-``integrand_degree``.  ``required_quadrature_points`` picks the smallest
-rule that integrates every trigonometric mode up to that degree to the
-certificate tolerance on both sides of the rectangle, and ``build_domain``
-certifies the node set it returns at that degree.
+``integrand_degree``: 3(Ns-1) for the reaction projection (C (1-C), z),
+2(Ns-1) + 2(Nv+1) for the drag pairing with a mobility of at most quadratic
+degree.  ``required_quadrature_points`` picks the smallest rule that
+integrates every trigonometric mode up to that degree to the certificate
+tolerance on both sides of the rectangle, and ``build_domain`` certifies
+the node set it returns at that degree.
+
+The quartic integrands are pure cosine polynomials: the reaction work
+(C (1-C))^2, and F^2 + F'^2 |grad C|^2 of a quadratic mobility (squares of
+sines are cosines).  They have cosine degree at most ``midpoint_degree`` =
+4(Ns-1) per dimension and are integrated on a second, uniform midpoint rule
+with P = 2 Ns cells per side, which is exact for cos(n pi s / L) whenever
+0 < n < 2P.  That rule is not exact for sine modes, so it carries only a
+cosine certificate, and no integrand with sine content may use it.
 """
 
 from __future__ import annotations
@@ -39,9 +49,11 @@ __all__ = [
     "ScalarBasis",
     "VelocityBasis",
     "QuadratureGrid",
+    "MidpointRule",
     "Domain",
     "build_domain",
     "integrand_degree",
+    "midpoint_degree",
     "required_quadrature_points",
 ]
 
@@ -55,12 +67,23 @@ class DomainError(ValueError):
 
 
 def integrand_degree(Ns: int, Nv: int) -> int:
-    """Highest trigonometric degree per dimension that must integrate exactly.
+    """Highest trigonometric degree per dimension the Gauss-Legendre grid must integrate.
 
-    4(Ns-1) for the quartic concentration diagnostics, 2(Ns-1) + 2(Nv+1) for
-    the mobility-velocity and advection products.
+    3(Ns-1) for the reaction projection (C (1-C), z), 2(Ns-1) + 2(Nv+1) for
+    the drag pairing (F(C) u, w) with a quadratic mobility; advection,
+    Korteweg and Gram integrands are of lower degree.  The quartic cosine
+    integrands go to the midpoint rule (``midpoint_degree``).
     """
-    return max(4 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1))
+    return max(3 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1))
+
+
+def midpoint_degree(Ns: int) -> int:
+    """Cosine degree per dimension the midpoint rule must integrate.
+
+    4(Ns-1) for the reaction work (C (1-C))^2 and for F^2 + F'^2 |grad C|^2
+    with a quadratic mobility.
+    """
+    return 4 * (Ns - 1)
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +92,15 @@ def _rule(M: int, L: float):
     t, w = np.polynomial.legendre.leggauss(M)
     x, w = 0.5 * L * (t + 1.0), 0.5 * L * w
     x.flags.writeable = w.flags.writeable = False  # shared by every grid that uses them
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def _midpoint_nodes(P: int, L: float):
+    """Cell midpoints and (equal) weights of the P-cell midpoint rule on (0, L), read-only."""
+    x = (np.arange(P) + 0.5) * (L / P)
+    w = np.full(P, L / P)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -207,13 +239,34 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True, eq=False)
+class MidpointRule:
+    """Uniform P x P midpoint rule with cached scalar factors at the cell midpoints.
+
+    Exact for cosine polynomials of degree below 2P per dimension, not for
+    sine modes: only integrands that are pure cosine polynomials may use it.
+    """
+
+    P: int
+    cell: float  # (Lx / P) (Ly / P), the weight of every node
+    zx: np.ndarray  # (P, Ns) cosine factors
+    zxd: np.ndarray  # (P, Ns) their derivatives d/ds
+    zy: np.ndarray
+    zyd: np.ndarray
+
+    def integrate(self, values: np.ndarray) -> float:
+        """Integrate nodal values over the rectangle."""
+        return self.cell * float(np.sum(values))
+
+
+@dataclass(frozen=True, eq=False)
 class Domain:
-    """Bundle of the three discretization products for one DomainSpec."""
+    """Bundle of the discretization products for one DomainSpec."""
 
     spec: DomainSpec
     scalar: ScalarBasis
     velocity: VelocityBasis
     grid: QuadratureGrid
+    midpoint: MidpointRule
 
     # -- scalar transforms -------------------------------------------------
 
@@ -240,6 +293,15 @@ class Domain:
         """Pair a nodal vector field against grad z[j,k] for every mode."""
         g = self.grid
         return g.zxd.T @ (g.weights * vx) @ g.zy + g.zx.T @ (g.weights * vy) @ g.zyd
+
+    def midpoint_values(self, B: np.ndarray) -> np.ndarray:
+        """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
+        m = self.midpoint
+        return m.zx @ B @ m.zy.T
+
+    def midpoint_gradient_values(self, B: np.ndarray):
+        m = self.midpoint
+        return m.zxd @ B @ m.zy.T, m.zx @ B @ m.zyd.T
 
     # -- velocity transforms -----------------------------------------------
 
@@ -312,11 +374,27 @@ def _certify_quadrature(x, w, L, degree):
         )
 
 
-def build_domain(spec: DomainSpec) -> Domain:
-    """Construct scalar basis, velocity basis, and certified quadrature.
+def _certify_midpoint(x, w, L, degree):
+    """Check the 1D midpoint rule against the cosine integrals up to `degree`.
 
-    The rule must integrate exactly up to ``integrand_degree(Ns, Nv)``; an
-    unset ``spec.M`` takes the smallest rule that does.
+    Cosine modes only: the rule is not meant to integrate sines.
+    """
+    n = np.arange(1, degree + 1)
+    worst = float(np.abs(np.cos(np.outer(n, np.pi * x / L)) @ w).max(initial=0.0))
+    if worst > _CERTIFY_TOL * L:
+        raise DomainError(
+            f"midpoint certification failed: worst cosine-mode error {worst:.3e} "
+            f"exceeds {_CERTIFY_TOL * L:.3e} at degree {degree}"
+        )
+
+
+def build_domain(spec: DomainSpec) -> Domain:
+    """Construct scalar basis, velocity basis, and both certified quadratures.
+
+    The Gauss-Legendre rule must integrate exactly up to
+    ``integrand_degree(Ns, Nv)``; an unset ``spec.M`` takes the smallest rule
+    that does.  The midpoint rule has P = 2 Ns cells per side and must
+    integrate every cosine up to ``midpoint_degree(Ns)``.
     Deterministic for equal arguments.  Raises DomainError when the spec is
     invalid or the quadrature rule fails its exactness certification.
     """
@@ -334,6 +412,16 @@ def build_domain(spec: DomainSpec) -> Domain:
 
     norm_x, zx, zxd, zxdd = _scalar_factors(x, Lx, Ns)
     norm_y, zy, zyd, zydd = _scalar_factors(y, Ly, Ns)
+
+    P = 2 * Ns
+    xm, wxm = _midpoint_nodes(P, Lx)
+    ym, wym = _midpoint_nodes(P, Ly)
+    _certify_midpoint(xm, wxm, Lx, midpoint_degree(Ns))
+    _certify_midpoint(ym, wym, Ly, midpoint_degree(Ns))
+    _, mzx, mzxd, _ = _scalar_factors(xm, Lx, Ns)
+    _, mzy, mzyd, _ = _scalar_factors(ym, Ly, Ns)
+    midpoint = MidpointRule(P=P, cell=float(wxm[0] * wym[0]),
+                            zx=mzx, zxd=mzxd, zy=mzy, zyd=mzyd)
     phx, phxd, phxdd, phxddd = _stream_factors(x, Lx, Nv)
     phy, phyd, phydd, phyddd = _stream_factors(y, Ly, Nv)
 
@@ -380,4 +468,4 @@ def build_domain(spec: DomainSpec) -> Domain:
         Nv=Nv, Lx=Lx, Ly=Ly, gram=gram, stiffness=stiffness, gram_cholesky=gram_cholesky
     )
 
-    return Domain(spec=spec, scalar=scalar, velocity=velocity, grid=grid)
+    return Domain(spec=spec, scalar=scalar, velocity=velocity, grid=grid, midpoint=midpoint)

@@ -262,8 +262,13 @@ class GalerkinSystem:
             pair_kt = dom.velocity_pairing(-dh * lap_g * cx, -dh * lap_g * cy).reshape(-1)
         else:
             pair_kt = np.zeros(self.nv2)
-        fx, fy = self.forcing.evaluate(dom, t)
-        pair_f = dom.velocity_pairing(fx, fy).reshape(-1)
+        if self.forcing.is_zero:
+            pair_f = np.zeros(self.nv2)
+            f_sq = 0.0
+        else:
+            fx, fy = self.forcing.evaluate(dom, t)
+            pair_f = dom.velocity_pairing(fx, fy).reshape(-1)
+            f_sq = dom.grid.integrate(fx * fx + fy * fy)
 
         s_alpha = self.stiffness @ a_flat
         rhs_pair = -p.mu_e * s_alpha - pair_F + pair_kt + pair_f
@@ -271,6 +276,8 @@ class GalerkinSystem:
 
         # Work integrals: exact quadrature complements of the energy
         # identities, so the per-step residuals isolate integrator error.
+        # The quartic (C (1-C))^2 is a cosine polynomial: the midpoint rule
+        # integrates it exactly.
         ex = np.empty(_N_EXTRA)
         grad_c_sq = float(np.sum(self.lam * B * B))
         ex[_I_GRAD_C] = grad_c_sq
@@ -279,10 +286,12 @@ class GalerkinSystem:
         ex[_I_GRAD_U] = grad_u_sq
         fu_quad = float(a_flat @ pair_F)
         ex[_I_FU] = fu_quad
-        ex[_I_F] = dom.grid.integrate(fx * fx + fy * fy)
+        ex[_I_F] = f_sq
         f_dot_u = float(a_flat @ pair_f)
         ex[_I_FDOTU] = f_dot_u
-        ex[_I_CC] = dom.grid.integrate(cc_grid * cc_grid)
+        cm = dom.midpoint_values(B)
+        cc_mid = cm * (1.0 - cm)
+        ex[_I_CC] = dom.midpoint.integrate(cc_mid * cc_mid)
         ex[_I_DCDT] = float(np.sum(bdot * bdot))
         ex[_IW_C] = p.d * grad_c_sq + float(np.sum(B * p_adv)) + p.kappa * float(np.sum(B * p_cc))
         ex[_IW_U] = p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u
@@ -293,7 +302,12 @@ class GalerkinSystem:
 
         diag = None
         if want_diag:
-            fp = p.mobility.derivative_values(cg)
+            # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
+            # F (squares of sines are cosines), quartic for a quadratic F:
+            # it goes on the midpoint rule like (C (1-C))^2.
+            cmx, cmy = dom.midpoint_gradient_values(B)
+            f_mid = mobility_values(p.mobility, cm)
+            fp = p.mobility.derivative_values(cm)
             # F is finite below the mobility's overflow limit, but F^2 or
             # F |u|^2 may not be: such a diagnostic is inf, which
             # apriori_flags reports, rather than a RuntimeWarning.
@@ -306,8 +320,8 @@ class GalerkinSystem:
                     "dCdt_l2": float(ex[_I_DCDT]),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
-                    "h1_F_sq": float(
-                        dom.grid.integrate(f_grid**2 + (fp * cx) ** 2 + (fp * cy) ** 2)
+                    "h1_F_sq": dom.midpoint.integrate(
+                        f_mid**2 + (fp * cmx) ** 2 + (fp * cmy) ** 2
                     ),
                     "l2_f": float(ex[_I_F]),
                 }

@@ -32,6 +32,7 @@ def test_run_zero_data_exit_zero(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["outcome"] == "completed"
     assert meta["existence_time_bound"] == "unbounded"  # zero initial data
+    assert meta["apriori"] == {"all_finite": True, "dissipation_holds": True}
     assert meta["config"]["domain"]["Ns"] == 4
 
 
@@ -131,3 +132,15 @@ def test_sweep_malformed_vary_rejected(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--vary", "porosity:0:1:2",
                  "--report", str(tmp_path / "r.csv")]) == 1
     assert "unknown sweep parameter" in capsys.readouterr().err
+
+
+def test_sweep_run_count_capped(tmp_path, capsys):
+    # One above the cap is refused before any run or value grid is made.
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG)
+    report = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0.5:1:10001",
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "vary spec 'kappa:0.5:1:10001': n=10001 exceeds the limit of 10000" in err
+    assert not report.exists()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poromix import ConfigError, RunConfig
+from poromix import ConfigError, DomainSpec, RunConfig, build_domain
 from poromix.forcing import ForcingSpec
 from poromix.ledger import CSV_COLUMNS, EnergyLedger
 from poromix.runio import read_snapshot, write_metadata, write_snapshot
@@ -82,6 +82,16 @@ def test_readme_yaml_example_parses(tmp_path):
     assert blocks
     for block in blocks:
         RunConfig.from_text(block, base_dir=tmp_path)
+
+
+def test_readme_default_grid_sizes_match_build_domain():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    found = re.search(r"The default M is (\d+), (\d+) and (\d+) at Ns/Nv = "
+                      r"(\d+)/(\d+), (\d+)/(\d+) and (\d+)/(\d+) on \(0, pi\)\^2", readme)
+    assert found
+    sizes = [int(v) for v in found.groups()]
+    for M, Ns, Nv in zip(sizes[:3], sizes[3::2], sizes[4::2]):
+        assert build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=Ns, Nv=Nv)).grid.M == M
 
 
 def test_all_errors_reported_at_once():

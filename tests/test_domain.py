@@ -6,6 +6,7 @@ import pytest
 from poromix import (
     DomainError,
     DomainSpec,
+    GalerkinSystem,
     KortewegParams,
     MobilitySpec,
     PhysicalParams,
@@ -15,12 +16,14 @@ from poromix import (
     build_domain,
     grid_to_scalar,
     integrand_degree,
+    midpoint_degree,
     required_quadrature_points,
     rhs_concentration,
     rhs_velocity,
     scalar_to_grid,
 )
-from poromix.domain import _certify_quadrature
+from poromix.domain import _certify_midpoint, _certify_quadrature, _midpoint_nodes
+from poromix.solver import _I_CC
 
 from conftest import random_scalar
 
@@ -171,6 +174,36 @@ def test_velocity_heavy_grid_matches_oversampled_rule():
 
     for c, f in zip(rates(dom), rates(fine)):
         assert np.abs(c - f).max() <= 1e-12 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("Ns", [5, 6])
+@pytest.mark.parametrize("Lx, Ly", [(math.pi, math.pi), (2.0, 1.0)])
+def test_midpoint_reaction_work_matches_fine_gauss_legendre(Lx, Ly, Ns):
+    # The solver's int (C (1-C))^2 on the 2 Ns-cell midpoint rule against a
+    # Gauss-Legendre rule four times the size of the certified one.
+    dom = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=2))
+    fine = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=2, M=4 * dom.grid.M))
+    assert dom.midpoint.P == 2 * Ns
+    B = random_scalar(dom, seed=Ns).coeffs
+    B[0, 0] += 0.5 / dom.scalar.norm_00
+    system = GalerkinSystem(dom, PhysicalParams(mu_e=1.0, d=1.0))
+    y = system.pack(ScalarField(dom, B), VelocityField(dom, np.zeros((2, 2))))
+    got = system.rhs(0.0, y)[system.ns2 + system.nv2 + _I_CC]
+    cg = fine.scalar_values(B)
+    want = fine.grid.integrate((cg * (1.0 - cg)) ** 2)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_midpoint_rule_one_cell_too_coarse_fails_cosine_certificate():
+    for Ns in (5, 6):
+        degree = midpoint_degree(Ns)
+        for L in (math.pi, 1.0):
+            _certify_midpoint(*_midpoint_nodes(2 * Ns, L), L, degree)
+            with pytest.raises(DomainError, match="midpoint certification"):
+                _certify_midpoint(*_midpoint_nodes(2 * (Ns - 1), L), L, degree)
+            # Not a rule for sines: the Gauss-Legendre certificate rejects it.
+            with pytest.raises(DomainError, match="quadrature certification"):
+                _certify_quadrature(*_midpoint_nodes(2 * Ns, L), L, degree)
 
 
 def test_build_is_deterministic():

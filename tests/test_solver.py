@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from poromix import (
     DomainSpec,
     ForcingSpec,
+    GalerkinSystem,
     KortewegParams,
     MobilityOverflowError,
     MobilitySpec,
@@ -14,13 +16,16 @@ from poromix import (
     SimulationState,
     SolverConfig,
     StepSizeUnderflowError,
+    VelocityField,
     build_domain,
     existence_time_bound,
+    integrand_degree,
     rhs_concentration,
     rhs_velocity,
     run,
     step,
 )
+from poromix.forcing import FORCING_PRESETS
 
 from conftest import make_scalar, make_velocity, random_scalar
 
@@ -81,6 +86,67 @@ def test_rhs_matches_oversampled_assembly(pi_domain):
         )
     assert np.abs(results[0][0] - results[1][0]).max() <= 1e-10
     assert np.abs(results[0][1] - results[1][1]).max() <= 1e-10
+
+
+def test_cubic_grid_matches_oversampled_rhs_and_work():
+    # At 16/4 the reaction projection's 3(Ns-1) sizes the grid.  With every
+    # term on, a quadratic mobility and all modes excited, each block of the
+    # right-hand side (concentration, velocity, work integrals) and the
+    # diagnostics other than the nodal min_C match a grid four times the size.
+    spec = DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4)
+    assert integrand_degree(spec.Ns, spec.Nv) == 3 * (spec.Ns - 1)
+    dom = build_domain(spec)
+    fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * dom.grid.M))
+    params = _params(
+        kappa=0.7,
+        korteweg=KortewegParams(delta_hat=0.3, gamma=0.1),
+        mobility=MobilitySpec.polynomial(0.5, 0.4, 0.3),
+    )
+    B = random_scalar(dom, seed=5, scale=0.1, decay=False).coeffs
+    B[0, 0] += 0.5 / dom.scalar.norm_00
+    A = np.random.default_rng(6).standard_normal((spec.Nv, spec.Nv)) / 4.0
+    out = []
+    for d in (dom, fine):
+        system = GalerkinSystem(d, params, ForcingSpec.preset("steady_stream"))
+        y = system.pack(ScalarField(d, B), VelocityField(d, A))
+        out.append(system.evaluate_with_diagnostics(0.3, y))
+    (y_dot, diag), (y_fine, diag_fine) = out
+    n_coeffs = spec.Ns**2 + spec.Nv**2
+    for block in (slice(0, spec.Ns**2), slice(spec.Ns**2, n_coeffs), slice(n_coeffs, None)):
+        ref = y_fine[block]
+        assert np.abs(y_dot[block] - ref).max() <= 1e-12 * np.abs(ref).max()
+    for key in diag.keys() - {"min_C"}:
+        assert diag[key] == pytest.approx(diag_fine[key], rel=1e-12)
+    # h1_F_sq is on the midpoint rule in both: check it on the fine grid.
+    cg = fine.scalar_values(B)
+    cx, cy = fine.scalar_gradient_values(B)
+    F, dF = 0.5 + 0.4 * cg + 0.3 * cg**2, 0.4 + 0.6 * cg
+    h1_F_sq = fine.grid.integrate(F**2 + dF**2 * (cx**2 + cy**2))
+    assert diag["h1_F_sq"] == pytest.approx(h1_F_sq, rel=1e-12)
+
+
+def test_zero_forcing_is_skipped_with_identical_ledger(pi_domain, monkeypatch):
+    # The zero preset is never evaluated; a callable that returns zeros is
+    # evaluated and paired.  Both runs write the same ledger bytes.
+    def fail(domain, t):
+        raise AssertionError("zero forcing evaluated")
+
+    def zeros(domain, t):
+        z = np.zeros((domain.grid.M, domain.grid.M))
+        return z, z
+
+    monkeypatch.setitem(FORCING_PRESETS, "zero", fail)
+    state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.3), (2, 1, -0.1)]))
+    params = _params(kappa=0.5, korteweg=KortewegParams(delta_hat=0.2))
+    csv = []
+    for forcing in (ForcingSpec.zero(), ForcingSpec.from_function(zeros)):
+        res = run(state, params, SolverConfig(T_run=0.2), forcing=forcing)
+        assert res.ledger.final.i_f == 0.0 and res.ledger.final.i_fdotu == 0.0
+        buf = io.StringIO()
+        res.ledger.to_csv(buf)
+        csv.append(buf.getvalue())
+    assert csv[0] == csv[1]
 
 
 def test_rhs_velocity_constant_mobility_linear_algebra(pi_domain):
