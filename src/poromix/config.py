@@ -284,10 +284,14 @@ def _parse_params(section, mobility, errors):
     _check_unknown(section, "params", keys, errors)
     mu_e = _get_number(section, "params", "mu_e", errors)
     d = _get_number(section, "params", "d", errors)
-    kappa = _get_number(section, "params", "kappa", errors, required=False, default=0.0)
-    delta_hat = _get_number(section, "params", "delta_hat", errors, required=False, default=0.0)
-    gamma = _get_number(section, "params", "gamma", errors, required=False, default=0.0)
-    m_gn = _get_number(section, "params", "M_GN", errors, required=False, default=1.0)
+    kappa = _get_number(section, "params", "kappa", errors, required=False,
+                        default=PhysicalParams.kappa)
+    delta_hat = _get_number(section, "params", "delta_hat", errors, required=False,
+                            default=KortewegParams.delta_hat)
+    gamma = _get_number(section, "params", "gamma", errors, required=False,
+                        default=KortewegParams.gamma)
+    m_gn = _get_number(section, "params", "M_GN", errors, required=False,
+                       default=PhysicalParams.m_gn)
     if None in (mu_e, d, kappa, delta_hat, gamma, m_gn):
         return None
     try:
@@ -382,16 +386,12 @@ def _parse_solver(section, errors):
     keys = ("T_run", "rtol", "atol", "dt_init", "dt_max", "blowup_cap")
     _check_unknown(section, "solver", keys, errors)
     T_run = _get_number(section, "solver", "T_run", errors)
-    rtol = _get_number(section, "solver", "rtol", errors, required=False, default=1e-8)
-    atol = _get_number(section, "solver", "atol", errors, required=False, default=1e-11)
-    dt_init = _get_number(section, "solver", "dt_init", errors, required=False, default=1e-4)
-    dt_max = _get_number(section, "solver", "dt_max", errors, required=False,
-                         default=math.inf, allow_inf=True)
-    cap = _get_number(section, "solver", "blowup_cap", errors, required=False, default=1e6)
+    optional = {key: _get_number(section, "solver", key, errors, required=False,
+                                 default=getattr(SolverConfig, key), allow_inf=key == "dt_max")
+                for key in keys[1:]}
     if T_run is None:
         return None
-    cfg = SolverConfig(T_run=T_run, rtol=rtol, atol=atol, dt_init=dt_init,
-                       dt_max=dt_max, blowup_cap=cap)
+    cfg = SolverConfig(T_run=T_run, **optional)
     for msg in cfg.validation_errors():
         errors.append(f"solver: {msg}")
     return cfg
@@ -400,19 +400,16 @@ def _parse_solver(section, errors):
 def _parse_outputs(section, errors):
     keys = ("ledger_path", "snapshot_cadence", "snapshot_dir")
     _check_unknown(section, "outputs", keys, errors)
-    ledger_path = section.get("ledger_path", "ledger.csv")
-    snapshot_dir = section.get("snapshot_dir", "snapshots")
+    ledger_path = section.get("ledger_path", OutputSpec.ledger_path)
+    snapshot_dir = section.get("snapshot_dir", OutputSpec.snapshot_dir)
     cadence = _get_number(section, "outputs", "snapshot_cadence", errors,
-                          required=False, default=0.0)
+                          required=False, default=OutputSpec.snapshot_cadence)
     if not isinstance(ledger_path, str):
         errors.append("outputs.ledger_path: expected a string")
-        ledger_path = "ledger.csv"
     if not isinstance(snapshot_dir, str):
         errors.append("outputs.snapshot_dir: expected a string")
-        snapshot_dir = "snapshots"
     if cadence is None or cadence < 0:
         errors.append("outputs.snapshot_cadence: expected a number >= 0")
-        cadence = 0.0
     return OutputSpec(ledger_path=ledger_path, snapshot_cadence=cadence,
                       snapshot_dir=snapshot_dir)
 

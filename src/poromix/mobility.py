@@ -29,8 +29,10 @@ _EXP_ARG_LIMIT = 700.0
 class MobilityOverflowError(FloatingPointError):
     """Exponential mobility overflowed; the solver never clamps it.
 
-    Inside a trial step the controller rejects the trial and retries with
-    a smaller dt; at an accepted (or the initial) state it aborts the run.
+    Inside a trial step, including the last stage that evaluates the
+    trial's end state and its diagnostics, the controller rejects the
+    trial and retries with a smaller dt.  Every accepted state is such an
+    end state, so only an overflow at the initial state aborts a run.
     """
 
 
@@ -91,17 +93,16 @@ class MobilitySpec:
     def exponential(R: float) -> "MobilitySpec":
         return MobilitySpec("exponential", (R,))
 
-    def derivative_values(self, c_grid: np.ndarray) -> np.ndarray:
-        """Pointwise F'(C), used for H1 norms of F(C)."""
-        if self.kind == "constant":
-            return np.zeros_like(c_grid)
-        if self.kind == "polynomial":
-            dcoef = [i * a for i, a in enumerate(self.coefficients)][1:]
-            if not dcoef:
-                return np.zeros_like(c_grid)
-            return np.polynomial.polynomial.polyval(c_grid, dcoef)
-        R = self.coefficients[0]
-        return R * evaluate(self, c_grid)
+    def derivative_values(self, c_grid: np.ndarray, f_values: np.ndarray) -> np.ndarray:
+        """Pointwise F'(C), used for H1 norms of F(C).
+
+        f_values = evaluate(self, c_grid): the exponential's F' = R F
+        reuses it rather than exponentiating again.
+        """
+        if self.kind == "exponential":
+            return self.coefficients[0] * f_values
+        P = np.polynomial.polynomial
+        return P.polyval(c_grid, P.polyder(self.coefficients))
 
 
 def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:

@@ -79,26 +79,19 @@ def modal_diffusion_factor(mode, d: float, t: float, Lx: float, Ly: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-class _CosMode:
-    """Raw cosine product cos(a pi x/Lx) cos(b pi y/Ly) with derivatives."""
+def _cos_mode(domain: Domain, a: int, b: int):
+    """Factors of the raw cosine product cos(ax x) cos(by y) at the nodes.
 
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-    def grids(self, domain: Domain):
-        g = domain.grid
-        ax = self.a * np.pi / domain.spec.Lx
-        by = self.b * np.pi / domain.spec.Ly
-        cx = np.cos(ax * g.x)[:, None]
-        sx = np.sin(ax * g.x)[:, None]
-        cy = np.cos(by * g.y)[None, :]
-        sy = np.sin(by * g.y)[None, :]
-        val = cx * cy
-        ddx = -ax * sx * cy
-        ddy = -by * cx * sy
-        lap = -(ax**2 + by**2) * val
-        return val, ddx, ddy, lap
+    Returns (ax, by, cos(ax x), sin(ax x), cos(by y), sin(by y)) with
+    ax = a pi/Lx, by = b pi/Ly, the x factors as a column and the y factors
+    as a row.  Each caller forms its own products of them, whose order
+    fixes the rounding the manufactured runs see.
+    """
+    g = domain.grid
+    ax = a * np.pi / domain.spec.Lx
+    by = b * np.pi / domain.spec.Ly
+    return (ax, by, np.cos(ax * g.x)[:, None], np.sin(ax * g.x)[:, None],
+            np.cos(by * g.y)[None, :], np.sin(by * g.y)[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +123,35 @@ class ManufacturedCase:
         lap = np.zeros((M, M))
         dval_dt = np.zeros((M, M))
         for a, b, amp in self.scalar_modes:
-            v, vx, vy, vl = _CosMode(a, b).grids(domain)
+            ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
+            v = cx * cy
             c = amp(t)
             val += c * v
-            ddx += c * vx
-            ddy += c * vy
-            lap += c * vl
+            ddx += c * (-ax * sx * cy)
+            ddy += c * (-by * cx * sy)
+            lap += c * (-(ax**2 + by**2) * v)
             dval_dt += amp._dt(t) * v
         return val, ddx, ddy, lap, dval_dt
 
     def exact_u_grids(self, domain: Domain, t: float):
+        amp = self.stream_amplitude(t)
+        wx, wy, _, _ = self._stream_mode(domain)
+        return amp * wx, amp * wy
+
+    def _stream_mode(self, domain: Domain):
+        """Nodal velocity (wx, wy) of the unit stream mode and its Laplacian."""
         g = domain.grid
         j, k = self.stream_mode
-        amp = self.stream_amplitude(t)
         wx = np.outer(g.phx[:, j - 1], g.phyd[:, k - 1])
         wy = -np.outer(g.phxd[:, j - 1], g.phy[:, k - 1])
-        return amp * wx, amp * wy
+        lap_wx = np.outer(g.phxdd[:, j - 1], g.phyd[:, k - 1]) + np.outer(
+            g.phx[:, j - 1], g.phyddd[:, k - 1]
+        )
+        lap_wy = -(
+            np.outer(g.phxddd[:, j - 1], g.phy[:, k - 1])
+            + np.outer(g.phxd[:, j - 1], g.phydd[:, k - 1])
+        )
+        return wx, wy, lap_wx, lap_wy
 
     def error_norms(self, domain: Domain, t: float, C: ScalarField, u: VelocityField):
         """Quadrature L2 errors against the analytic fields."""
@@ -177,19 +183,9 @@ class ManufacturedCase:
         gamma = params.korteweg.gamma
 
         def force(domain: Domain, t: float):
-            g = domain.grid
-            j, k = self.stream_mode
             amp = self.stream_amplitude(t)
             damp = self.stream_amplitude._dt(t)
-            wx = np.outer(g.phx[:, j - 1], g.phyd[:, k - 1])
-            wy = -np.outer(g.phxd[:, j - 1], g.phy[:, k - 1])
-            lap_wx = np.outer(g.phxdd[:, j - 1], g.phyd[:, k - 1]) + np.outer(
-                g.phx[:, j - 1], g.phyddd[:, k - 1]
-            )
-            lap_wy = -(
-                np.outer(g.phxddd[:, j - 1], g.phy[:, k - 1])
-                + np.outer(g.phxd[:, j - 1], g.phydd[:, k - 1])
-            )
+            wx, wy, lap_wx, lap_wy = self._stream_mode(domain)
             val, ddx, ddy, lap, _ = self.exact_C_grids(domain, t)
             fgrid = mobility_values(params.mobility, val)
             fx = damp * wx + fgrid * amp * wx - params.mu_e * amp * lap_wx
@@ -205,8 +201,7 @@ class ManufacturedCase:
 
 def _div_full_tensor_grids(case: ManufacturedCase, domain: Domain, t, dh, gamma):
     """div T of the effective Korteweg tensor from the analytic modes."""
-    g = domain.grid
-    M = g.M
+    M = domain.grid.M
     ddx = np.zeros((M, M))
     ddy = np.zeros((M, M))
     lap = np.zeros((M, M))
@@ -216,12 +211,7 @@ def _div_full_tensor_grids(case: ManufacturedCase, domain: Domain, t, dh, gamma)
     lap_x = np.zeros((M, M))
     lap_y = np.zeros((M, M))
     for a, b, amp in case.scalar_modes:
-        ax = a * np.pi / domain.spec.Lx
-        by = b * np.pi / domain.spec.Ly
-        cx = np.cos(ax * g.x)[:, None]
-        sx = np.sin(ax * g.x)[:, None]
-        cy = np.cos(by * g.y)[None, :]
-        sy = np.sin(by * g.y)[None, :]
+        ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
         c = amp(t)
         lam = ax**2 + by**2
         ddx += c * (-ax * sx * cy)

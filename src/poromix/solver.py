@@ -22,7 +22,9 @@ quadrature in time: the residuals are pure time-integration error.
 Time stepping is an embedded Dormand-Prince 5(4) pair with a
 proportional-integral step controller.  There is one stage loop,
 `_attempt_step`, and `run` and `step` share one reject/shrink loop,
-`_advance`.
+`_advance`.  The pair is first same as last: the seventh stage, taken
+with diagnostics at the step's result, fills that state's ledger row and
+starts the next step, so each accepted state is evaluated once.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ class SimulationResult:
         return self.final_state.domain
 
 
-# Dormand-Prince 5(4) tableau; the first row of _B is the propagated
-# 5th-order weight vector, _E = b5 - b4 gives the embedded error weights.
+# Dormand-Prince 5(4) tableau: the last row of _A is the propagated 5th-order
+# weight vector (first same as last); _E = b5 - b4 gives the error weights.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
@@ -176,7 +178,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -307,7 +308,7 @@ class GalerkinSystem:
             # it goes on the midpoint rule like (C (1-C))^2.
             cmx, cmy = dom.midpoint_gradient_values(B)
             f_mid = mobility_values(p.mobility, cm)
-            fp = p.mobility.derivative_values(cm)
+            fp = p.mobility.derivative_values(cm, f_mid)
             # F is finite below the mobility's overflow limit, but F^2 or
             # F |u|^2 may not be: such a diagnostic is inf, which
             # apriori_flags reports, rather than a RuntimeWarning.
@@ -371,16 +372,20 @@ class GalerkinSystem:
         )
 
 
-def _attempt_step(system, t, y, dt, k1):
+def _attempt_step(system, t, y, dt, k1, t_new):
     """One embedded DP54 step from (t, y) with slope k1 = rhs(t, y).
 
-    Returns (y5, error_estimate).
+    Returns (y5, k7, diag, error_estimate).  The last stage's input is y5
+    itself (first same as last); it is evaluated with diagnostics at
+    t_new, the time the step records.
     """
     k = np.empty((_N_STAGES, y.size))
     k[0] = k1
-    for i in range(1, _N_STAGES):
+    for i in range(1, _N_STAGES - 1):
         k[i] = system.rhs(t + _C[i] * dt, y + dt * (_A[i] @ k[:i]))
-    return y + dt * (_B @ k), dt * (_E @ k)
+    y5 = y + dt * (_A[-1] @ k[:-1])
+    k[-1], diag = system.evaluate_with_diagnostics(t_new, y5)
+    return y5, k[-1], diag, dt * (_E @ k)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -391,30 +396,33 @@ def _error_norm(err, y_old, y_new, rtol, atol):
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
-def _advance(system, t, y, dt, k1, config):
+def _advance(system, t, y, dt, k1, t_new, config):
     """Try steps from (t, y), shrinking dt until one passes the error test.
 
-    A trial whose stages raise NonFiniteStateError or MobilityOverflowError,
-    or whose result is non-finite, halves dt; an error norm above 1 scales
-    it by max(0.2, 0.9 err^(-1/5)).  Returns (dt, y_new, err_norm, rejected)
-    for the accepted trial, `rejected` counting the trials before it.
+    The first trial lands at t_new, a shrunk one at t + dt.  A trial whose
+    stages raise NonFiniteStateError or MobilityOverflowError, or whose
+    result is non-finite, halves dt; an error norm above 1 scales it by
+    max(0.2, 0.9 err^(-1/5)).  Returns (dt, t_new, y_new, k_new, diag,
+    err_norm, rejected) for the accepted trial, with its last stage's
+    slope and diagnostics, `rejected` counting the trials before it.
     """
     rejected = 0
     while True:
         if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepSizeUnderflowError(t, dt)
         try:
-            y_new, err = _attempt_step(system, t, y, dt, k1)
+            y_new, k_new, diag, err = _attempt_step(system, t, y, dt, k1, t_new)
             finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
         except (NonFiniteStateError, MobilityOverflowError):
             finite = False
         if finite:
             err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
             if err_norm <= 1.0:
-                return dt, y_new, err_norm, rejected
+                return dt, t_new, y_new, k_new, diag, err_norm, rejected
             dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / _ORDER))
         else:
             dt *= 0.5
+        t_new = t + dt
         rejected += 1
 
 
@@ -435,8 +443,10 @@ def run(
     `checkpoints`), and halts with outcome "blowup" as soon as the
     concentration L2 norm exceeds the configured cap.  A trial step that
     fails (non-finite values, mobility overflow) is rejected and retried
-    with a smaller dt; the same failure at an accepted state aborts the
-    run.
+    with a smaller dt.  Each later state is evaluated once, as the last
+    stage of the trial that reaches it, which also gives its ledger
+    diagnostics and the next step's slope; so only a failure at the
+    initial state aborts the run.
     """
     errs = config.validation_errors()
     if errs:
@@ -487,13 +497,11 @@ def run(
         if hit_stop:
             dt = next_stop - t
 
-        dt, y, err_norm, n_rejected = _advance(system, t, y, dt, ydot, config)
+        dt, t, y, ydot, diag, err_norm, n_rejected = _advance(
+            system, t, y, dt, ydot, next_stop if hit_stop else t + dt, config)
         rejected += n_rejected
         hit_stop = hit_stop and n_rejected == 0  # a shrunk step stops short
-        t = next_stop if hit_stop else t + dt
         accepted += 1
-
-        ydot, diag = system.evaluate_with_diagnostics(t, y)
 
         l2_C = float(np.sum(y[: system.ns2] ** 2))
         blowup = math.sqrt(l2_C) > config.blowup_cap
@@ -549,8 +557,8 @@ def step(
     y = system.pack(state.C, state.u)
     t = float(state.t)
     dt0 = min(config.dt_init, config.dt_max)
-    dt, y_new, _, _ = _advance(system, t, y, dt0, system.rhs(t, y), config)
-    return system.unpack(t + dt, y_new)
+    _, t_new, y_new, *_ = _advance(system, t, y, dt0, system.rhs(t, y), t + dt0, config)
+    return system.unpack(t_new, y_new)
 
 
 def rhs_concentration(state: SimulationState, params: PhysicalParams) -> ScalarField:

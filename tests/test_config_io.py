@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from poromix import ConfigError, DomainSpec, RunConfig, build_domain
+from poromix.config import OutputSpec
 from poromix.forcing import ForcingSpec
 from poromix.ledger import CSV_COLUMNS, EnergyLedger
 from poromix.runio import read_snapshot, write_metadata, write_snapshot
@@ -92,6 +93,25 @@ def test_readme_default_grid_sizes_match_build_domain():
     sizes = [int(v) for v in found.groups()]
     for M, Ns, Nv in zip(sizes[:3], sizes[3::2], sizes[4::2]):
         assert build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=Ns, Nv=Nv)).grid.M == M
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    minimal = """
+domain: {Lx: 2.0, Ly: 1.0, Ns: 4, Nv: 1}
+params: {mu_e: 0.3, d: 0.2}
+mobility: {kind: constant, coefficients: [1.0]}
+forcing: {preset: zero}
+initial:
+  C: {preset: zero}
+  u: {preset: zero}
+solver: {T_run: 0.2}
+outputs: {}
+"""
+    cfg = RunConfig.from_text(minimal, base_dir=tmp_path)
+    assert cfg.domain == DomainSpec(Lx=2.0, Ly=1.0, Ns=4, Nv=1)
+    assert cfg.params == PhysicalParams(mu_e=0.3, d=0.2)
+    assert cfg.solver == SolverConfig(T_run=0.2)
+    assert cfg.outputs == OutputSpec()
 
 
 def test_all_errors_reported_at_once():

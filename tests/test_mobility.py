@@ -41,6 +41,22 @@ def test_exponential_overflow_aborts():
         evaluate(F, np.array([2.0]))
 
 
+def test_derivative_values_match_closed_forms():
+    grid = np.linspace(-2.0, 3.0, 41)
+    cases = [
+        (MobilitySpec.constant(3.0), np.zeros_like(grid)),
+        (MobilitySpec.polynomial(0.5, 2.0, 0.3, 0.1), 2.0 + 0.6 * grid + 0.3 * grid**2),
+        (MobilitySpec.polynomial(1.5), np.zeros_like(grid)),
+        (MobilitySpec.exponential(-1.7), -1.7 * np.exp(-1.7 * grid)),
+    ]
+    for F, closed in cases:
+        f = evaluate(F, grid)
+        assert np.allclose(F.derivative_values(grid, f), closed, rtol=1e-14, atol=1e-14)
+    F = MobilitySpec.exponential(1.3)
+    f = evaluate(F, grid)
+    assert np.array_equal(F.derivative_values(grid, f), 1.3 * f)
+
+
 def test_nonnegativity_on_nonnegative_fields(pi_domain):
     C = make_scalar(pi_domain, [(1, 1, 0.4)], offset=0.6)
     grid = pi_domain.scalar_values(C.coeffs)

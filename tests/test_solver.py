@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from poromix import (
     run,
     step,
 )
+from poromix import solver
 from poromix.forcing import FORCING_PRESETS
 
 from conftest import make_scalar, make_velocity, random_scalar
@@ -395,3 +398,127 @@ def test_step_matches_first_accepted_step_of_run():
     assert np.array_equal(new.C.coeffs, first[1].C.coeffs)
     assert np.array_equal(new.u.coeffs, first[1].u.coeffs)
 
+
+# 0.1 + (0.45 - 0.1) rounds to 0.44999999999999996: the loose run's first
+# step starts the next one with rhs(0.45, y) only if its last stage is taken
+# at the stop itself rather than at t + dt.
+@pytest.mark.parametrize("t0, rtol, dt_init, stop", [(0.1, 1e-2, 0.35, 0.45),
+                                                     (0.0, 1e-8, 0.3, 0.35)])
+def test_last_stage_is_the_next_steps_slope(pi_domain, monkeypatch, t0, rtol, dt_init, stop):
+    # First same as last: each accepted state is evaluated once, as the last
+    # stage of the trial that reaches it, and that slope starts the next
+    # step.  Pulsed forcing makes the slope time-dependent, so the stage
+    # must be taken at the recorded time, also at the interior checkpoint.
+    calls = []
+    starts = []
+    for name in ("rhs", "evaluate_with_diagnostics"):
+        orig = getattr(GalerkinSystem, name)
+
+        def counted(self, t, y, _orig=orig):
+            calls.append(t)
+            return _orig(self, t, y)
+
+        monkeypatch.setattr(GalerkinSystem, name, counted)
+    orig_attempt = solver._attempt_step
+
+    def recorded(system, t, y, dt, k1, t_new):
+        out = orig_attempt(system, t, y, dt, k1, t_new)
+        starts.append((system, t, y.copy(), k1.copy()))
+        return out
+
+    monkeypatch.setattr(solver, "_attempt_step", recorded)
+    state = SimulationState(t0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.3)]))
+    params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5),
+                     korteweg=KortewegParams(delta_hat=0.1))
+    res = run(state, params,
+              SolverConfig(T_run=0.6, rtol=rtol, atol=1e-3 * rtol, dt_init=dt_init),
+              forcing=ForcingSpec.preset("pulsed_stream"), checkpoint_times=(stop,))
+    monkeypatch.undo()
+
+    trials = res.steps_accepted + res.steps_rejected
+    assert res.checkpoints[stop].t == stop
+    assert len(starts) == trials  # every trial ran to its last stage
+    assert len(calls) == 1 + 6 * trials
+    assert sorted({t for _, t, _, _ in starts}) == [row.t for row in res.ledger.rows[:-1]]
+    assert stop in {t for _, t, _, _ in starts}
+    for system, t, y, k1 in starts:
+        assert np.array_equal(k1, system.rhs(t, y))
+    if t0 == 0.0:
+        assert res.steps_rejected >= 1
+    else:
+        assert res.ledger.rows[1].t == stop and t0 + (stop - t0) != stop
+
+
+def _dp54_rationals():
+    F = Fraction
+    c = [F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1)]
+    a = [
+        [],
+        [F(1, 5)],
+        [F(3, 40), F(9, 40)],
+        [F(44, 45), F(-56, 15), F(32, 9)],
+        [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+        [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+        [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)],
+    ]
+    b5 = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), F(0)]
+    b4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200),
+          F(187, 2100), F(1, 40)]
+    return c, a, b5, b4
+
+
+def _rooted_trees(order):
+    """Rooted trees with `order` nodes, each a sorted tuple of child subtrees."""
+    if order == 1:
+        return [()]
+    smaller = [(n, t) for n in range(1, order) for t in _rooted_trees(n)]
+    trees = set()
+    for m in range(1, order):
+        for combo in itertools.combinations_with_replacement(smaller, m):
+            if sum(n for n, _ in combo) == order - 1:
+                trees.add(tuple(sorted(t for _, t in combo)))
+    return sorted(trees)
+
+
+def test_dp54_tableau_is_the_published_pair_and_has_its_orders():
+    c, a, b5, b4 = _dp54_rationals()
+    e = [p - q for p, q in zip(b5, b4)]
+
+    def close(x, q):
+        return abs(x - float(q)) <= math.ulp(float(q))
+
+    assert all(close(x, q) for x, q in zip(solver._C, c))
+    assert all(close(x, q) for row, exact in zip(solver._A, a) for x, q in zip(row, exact))
+    assert [len(row) for row in solver._A] == list(range(7))
+    assert all(close(x, q) for x, q in zip(solver._E, e))
+
+    assert all(sum(row) == ci for row, ci in zip(a, c))
+    # FSAL: stage 7 sits at c = 1 with the propagated weights as its row.
+    assert a[6] + [0] == b5 and c[6] == 1
+    assert sum(e) == 0
+
+    A = [row + [Fraction(0)] * (7 - len(row)) for row in a]
+
+    def phi(tree):
+        """Elementary weight of `tree` at each stage."""
+        out = [Fraction(1)] * 7
+        for child in tree:
+            inner = phi(child)
+            out = [o * sum(A[i][j] * inner[j] for j in range(7)) for i, o in enumerate(out)]
+        return out
+
+    def size(tree):
+        return 1 + sum(size(t) for t in tree)
+
+    def gamma(tree):
+        return size(tree) * math.prod(gamma(t) for t in tree)
+
+    assert [len(_rooted_trees(n)) for n in range(1, 6)] == [1, 1, 2, 4, 9]
+    for order, weights in ((5, b5), (4, b4)):
+        for n in range(1, order + 1):
+            for tree in _rooted_trees(n):
+                assert sum(b * p for b, p in zip(weights, phi(tree))) == Fraction(1, gamma(tree))
+    # The embedded weights are exactly 4th order: some 5th-order tree fails.
+    assert any(sum(b * p for b, p in zip(b4, phi(tree))) != Fraction(1, gamma(tree))
+               for tree in _rooted_trees(5))
