@@ -53,7 +53,6 @@ from .solver import (
     rhs_concentration,
     rhs_velocity,
     run,
-    step,
 )
 from .diagnostics import (
     apriori_flags,

@@ -112,6 +112,7 @@ def _execute(cfg: RunConfig, out_dir: Path):
         "t_final": result.final_state.t,
         "steps_accepted": result.steps_accepted,
         "steps_rejected": result.steps_rejected,
+        "steps_implicit": result.steps_implicit,
         "wall_time_seconds": result.wall_time,
         "existence_time_bound": bound,
         # The paper's energy verdict; dissipation_holds is null where the

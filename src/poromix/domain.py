@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -331,6 +331,36 @@ class Domain:
         """Pair a nodal vector field against every w[j,k]; returns (Nv, Nv)."""
         g = self.grid
         return g.phx.T @ (g.weights * vx) @ g.phyd - g.phxd.T @ (g.weights * vy) @ g.phy
+
+    def weighted_gram(self, values: np.ndarray) -> np.ndarray:
+        """(values w_q, w_r) for every pair of velocity modes, (Nv^2, Nv^2).
+
+        Sum-factorised: the weighted nodal values are contracted with the
+        products of the y factors first, then with those of the x factors,
+        at O(M^2 Nv^2 + M Nv^4).  Times the flattened coefficients it is
+        ``velocity_pairing(values ux, values uy)``.
+        """
+        Nv = self.spec.Nv
+        px, pxd, py_pyd = self._stream_pair_factors
+        fy = (self.grid.weights * values) @ py_pyd
+        d = px @ fy[:, Nv * Nv:] + pxd @ fy[:, : Nv * Nv]
+        return d.reshape(Nv, Nv, Nv, Nv).transpose(0, 2, 1, 3).reshape(Nv * Nv, Nv * Nv)
+
+    @cached_property
+    def _stream_pair_factors(self):
+        """Products phi_j phi_l of the streamfunction factors for weighted_gram.
+
+        (phx phx)^T and (phxd phxd)^T, (Nv^2, M), and [phy phy | phyd phyd],
+        (M, 2 Nv^2); pair column j Nv + l holds factor j times factor l.
+        """
+        g = self.grid
+        Nv = self.spec.Nv
+
+        def pairs(p):
+            return (p[:, :, None] * p[:, None, :]).reshape(p.shape[0], Nv * Nv)
+
+        return (np.ascontiguousarray(pairs(g.phx).T), np.ascontiguousarray(pairs(g.phxd).T),
+                np.hstack([pairs(g.phy), pairs(g.phyd)]))
 
 
 def _scalar_factors(s: np.ndarray, L: float, Ns: int):

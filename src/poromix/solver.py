@@ -19,12 +19,23 @@ work integrals (dissipation, forcing power, reaction quadratics).  These
 make the energy identities checkable per accepted step without any extra
 quadrature in time: the residuals are pure time-integration error.
 
-Time stepping is an embedded Dormand-Prince 5(4) pair with a
-proportional-integral step controller.  There is one stage loop,
-`_attempt_step`, and `run` and `step` share one reject/shrink loop,
-`_advance`.  The pair is first same as last: the seventh stage, taken
-with diagnostics at the step's result, fills that state's ledger row and
-starts the next step, so each accepted state is evaluated once.
+Time stepping is adaptive, with one reject/shrink loop, `_advance`, and one
+proportional-integral controller.  Each trial step picks one of two stage
+loops in `_attempt_step`:
+
+* an embedded Dormand-Prince 5(4) pair, explicit in everything;
+* the additive pair ARK4(3)6L[2]SA (Kennedy & Carpenter 2003), explicit in
+  transport, reaction, Korteweg stress and forcing and singly diagonally
+  implicit in the momentum block's linear part -G^-1 (mu_e S + D_F(C)) alpha,
+  with D_F(C) = (F(C) w_q, w_r).  The concentration of every stage is
+  explicit, so each implicit stage is one dense linear solve.
+
+The additive pair is taken when the drag sets the step: when the bound
+rho_u = mu_e ||G^-1 S||_inf + max F(C_n) on the momentum block's spectral
+radius exceeds twice the diffusion's d lambda_max, and dt rho_u > 1.  Both
+loops end in one evaluation, with diagnostics, at the step's result; it
+fills that state's ledger row and gives the next step's slope, so each
+accepted state is evaluated once.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +63,6 @@ __all__ = [
     "StepSizeUnderflowError",
     "NonFiniteStateError",
     "run",
-    "step",
     "rhs_concentration",
     "rhs_velocity",
     "existence_time_bound",
@@ -159,6 +170,7 @@ class SimulationResult:
     checkpoints: dict = field(default_factory=dict)
     steps_accepted: int = 0
     steps_rejected: int = 0
+    steps_implicit: int = 0  # accepted steps taken by the implicit-explicit pair
     wall_time: float = 0.0
 
     @property
@@ -183,6 +195,40 @@ _E = np.array(
 )
 _N_STAGES = 7
 _ORDER = 5
+
+# ARK4(3)6L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003): an
+# explicit and an ESDIRK tableau on shared nodes _ARK_C and weights _ARK_B.
+# _ARK_AE and _ARK_AI hold the rows below the diagonal; the ESDIRK diagonal
+# is _ARK_GAMMA after its explicit first stage.  The ESDIRK half is stiffly
+# accurate (its last row is _ARK_B); the explicit half's is not, so the pair
+# is not first same as last.  _ARK_E = b - b_hat gives the error weights of
+# the embedded third-order solution.
+_ARK_GAMMA = 1 / 4
+_ARK_C = np.array([0.0, 1 / 2, 83 / 250, 31 / 50, 17 / 20, 1.0])
+_ARK_AE = [
+    np.array([]),
+    np.array([1 / 2]),
+    np.array([13861 / 62500, 6889 / 62500]),
+    np.array([-116923316275 / 2393684061468, -2731218467317 / 15368042101831,
+              9408046702089 / 11113171139209]),
+    np.array([-451086348788 / 2902428689909, -2682348792572 / 7519795681897,
+              12662868775082 / 11960479115383, 3355817975965 / 11060851509271]),
+    np.array([647845179188 / 3216320057751, 73281519250 / 8382639484533,
+              552539513391 / 3454668386233, 3354512671639 / 8306763924573, 4040 / 17871]),
+]
+_ARK_AI = [
+    np.array([]),
+    np.array([1 / 4]),
+    np.array([8611 / 62500, -1743 / 31250]),
+    np.array([5012029 / 34652500, -654441 / 2922500, 174375 / 388108]),
+    np.array([15267082809 / 155376265600, -71443401 / 120774400,
+              730878875 / 902184768, 2285395 / 8070912]),
+    np.array([82889 / 524892, 0.0, 15625 / 83664, 69875 / 102672, -2260 / 8211]),
+]
+_ARK_B = np.array([82889 / 524892, 0.0, 15625 / 83664, 69875 / 102672, -2260 / 8211, 1 / 4])
+_ARK_E = _ARK_B - np.array([4586570599 / 29645900160, 0.0, 178811875 / 945068544,
+                            814220225 / 1159782912, -3700637 / 11593932, 61727 / 225920])
+_ARK_ORDER = 4
 
 # Indices of the work-integral block appended to the packed state.
 _N_EXTRA = 10
@@ -209,6 +255,46 @@ class GalerkinSystem:
         self.n_state = self.ns2 + self.nv2 + _N_EXTRA
         self.lam = domain.scalar.eigenvalues
         self.stiffness = domain.velocity.stiffness
+        self.alpha_slice = slice(self.ns2, self.ns2 + self.nv2)
+
+    # -- implicit-explicit stepping ---------------------------------------------
+
+    @cached_property
+    def rho_viscous(self) -> float:
+        """mu_e ||G^-1 S||_inf, the largest absolute row sum of mu_e G^-1 S.
+
+        An induced norm bounds the spectral radius.  This one needs only the
+        Gram solve; an eigenvalue or singular-value solver would load more
+        LAPACK code, about 0.8 MB of resident memory, into every run,
+        including those that never leave DP5(4).
+        """
+        gs = self.domain.velocity.solve_gram(self.stiffness)
+        return self.params.mu_e * float(np.abs(gs).sum(axis=1).max())
+
+    @property
+    def rho_diffusion(self) -> float:
+        """d lambda_max: the spectral radius of the diffusion block."""
+        return self.params.d * float(self.lam[-1, -1])
+
+    def solve_momentum_stage(self, t, z, gh):
+        """Velocity coefficients of an implicit stage with concentration from z.
+
+        Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
+        the stage is linear in alpha: one dense solve, no Newton iteration.
+        A polynomial F can be negative, so the matrix need not be SPD.
+        """
+        dom = self.domain
+        B = z[: self.ns2].reshape(self.Ns, self.Ns)
+        f_grid = mobility_values(self.params.mobility, dom.scalar_values(B))
+        gram = dom.velocity.gram
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = gram + gh * (self.params.mu_e * self.stiffness + dom.weighted_gram(f_grid))
+        if not np.all(np.isfinite(lhs)):
+            raise NonFiniteStateError(t)
+        alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
+        if not np.all(np.isfinite(alpha)):
+            raise NonFiniteStateError(t)
+        return alpha
 
     # -- packing ------------------------------------------------------------
 
@@ -272,7 +358,8 @@ class GalerkinSystem:
             f_sq = dom.grid.integrate(fx * fx + fy * fy)
 
         s_alpha = self.stiffness @ a_flat
-        rhs_pair = -p.mu_e * s_alpha - pair_F + pair_kt + pair_f
+        implicit_pair = -p.mu_e * s_alpha - pair_F
+        rhs_pair = implicit_pair + pair_kt + pair_f
         adot = dom.velocity.solve_gram(rhs_pair)
 
         # Work integrals: exact quadrature complements of the energy
@@ -325,6 +412,10 @@ class GalerkinSystem:
                         f_mid**2 + (fp * cmx) ** 2 + (fp * cmy) ** 2
                     ),
                     "l2_f": float(ex[_I_F]),
+                    # Not ledger columns: the stage-loop choice and the first
+                    # stage's implicit slope G^-1 implicit_pair.
+                    "max_F": float(np.max(f_grid)),
+                    "implicit_pair": implicit_pair,
                 }
         return ydot, diag
 
@@ -372,13 +463,35 @@ class GalerkinSystem:
         )
 
 
-def _attempt_step(system, t, y, dt, k1, t_new):
-    """One embedded DP54 step from (t, y) with slope k1 = rhs(t, y).
+def _takes_imex(system, dt, diag) -> bool:
+    """Whether a trial of size dt from a state with diagnostics `diag` is IMEX.
 
-    Returns (y5, k7, diag, error_estimate).  The last stage's input is y5
-    itself (first same as last); it is evaluated with diagnostics at
-    t_new, the time the step records.
+    rho_u = mu_e ||G^-1 S||_inf + max F bounds the momentum block's
+    spectral radius: ||G^-1 S||_inf bounds the largest eigenvalue of G^-1 S,
+    and (D_F a, a) <= max F (G a, a) on the certified rule.
+    The drag or viscosity must dominate diffusion (rho_u > 2 d lambda_max),
+    and dt must be past the scale where an explicit step resolves them.
     """
+    rho_u = system.rho_viscous + diag["max_F"]
+    return rho_u > 2.0 * system.rho_diffusion and dt * rho_u > 1.0
+
+
+def _attempt_step(system, t, y, dt, k1, t_new, diag):
+    """One trial step from (t, y) with slope k1 = rhs(t, y) and its diagnostics.
+
+    Takes the ARK4(3)6L stage loop when `_takes_imex` says so, DP5(4)
+    otherwise.  Returns (y_new, k_new, diag_new, error_estimate, order):
+    the step's result is evaluated once, with diagnostics at t_new, the
+    time the step records, which gives k_new and diag_new; `order` is that
+    of the propagated solution, 5 or 4.
+    """
+    if _takes_imex(system, dt, diag):
+        return (*_ark_stages(system, t, y, dt, k1, t_new, diag), _ARK_ORDER)
+    return (*_dp54_stages(system, t, y, dt, k1, t_new), _ORDER)
+
+
+def _dp54_stages(system, t, y, dt, k1, t_new):
+    """DP5(4) stages; the last stage's input is y5 itself (first same as last)."""
     k = np.empty((_N_STAGES, y.size))
     k[0] = k1
     for i in range(1, _N_STAGES - 1):
@@ -386,6 +499,34 @@ def _attempt_step(system, t, y, dt, k1, t_new):
     y5 = y + dt * (_A[-1] @ k[:-1])
     k[-1], diag = system.evaluate_with_diagnostics(t_new, y5)
     return y5, k[-1], diag, dt * (_E @ k)
+
+
+def _ark_stages(system, t, y, dt, k1, t_new, diag):
+    """ARK4(3)6L stages, implicit only in the momentum block's linear part.
+
+    k[i] is the full slope at stage i and ki[i] its implicit part in the
+    velocity block; the explicit part is their difference, so the stage
+    input is y + dt (AE k + (AI - AE) ki) and the weights apply to k alone.
+    The work integrals ride in k at each stage's value after its solve.
+    The first stage's implicit part is G^-1 diag["implicit_pair"].
+    """
+    va = system.alpha_slice
+    k = np.empty((_ARK_C.size, y.size))
+    ki = np.empty((_ARK_C.size, system.nv2))
+    k[0] = k1
+    ki[0] = system.domain.velocity.solve_gram(diag["implicit_pair"])
+    gh = _ARK_GAMMA * dt
+    for i in range(1, _ARK_C.size):
+        t_i = t + _ARK_C[i] * dt
+        z = y + dt * (_ARK_AE[i] @ k[:i])
+        z[va] += dt * ((_ARK_AI[i] - _ARK_AE[i]) @ ki[:i])
+        alpha = system.solve_momentum_stage(t_i, z, gh)
+        ki[i] = (alpha - z[va]) / gh
+        z[va] = alpha
+        k[i] = system.rhs(t_i, z)
+    y_new = y + dt * (_ARK_B @ k)
+    k_new, diag_new = system.evaluate_with_diagnostics(t_new, y_new)
+    return y_new, k_new, diag_new, dt * (_ARK_E @ k)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -396,30 +537,32 @@ def _error_norm(err, y_old, y_new, rtol, atol):
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
-def _advance(system, t, y, dt, k1, t_new, config):
+def _advance(system, t, y, dt, k1, diag, t_new, config):
     """Try steps from (t, y), shrinking dt until one passes the error test.
 
-    The first trial lands at t_new, a shrunk one at t + dt.  A trial whose
-    stages raise NonFiniteStateError or MobilityOverflowError, or whose
-    result is non-finite, halves dt; an error norm above 1 scales it by
-    max(0.2, 0.9 err^(-1/5)).  Returns (dt, t_new, y_new, k_new, diag,
-    err_norm, rejected) for the accepted trial, with its last stage's
-    slope and diagnostics, `rejected` counting the trials before it.
+    k1 and diag are the slope and diagnostics at (t, y).  The first trial
+    lands at t_new, a shrunk one at t + dt.  A trial whose stages raise
+    NonFiniteStateError, MobilityOverflowError or a singular implicit
+    stage, or whose result is non-finite, halves dt; an error norm above 1
+    scales it by max(0.2, 0.9 err^(-1/q)), q the trial's order.  Returns
+    (dt, t_new, y_new, k_new, diag, err_norm, order, rejected) for the
+    accepted trial, with its result's slope and diagnostics, `rejected`
+    counting the trials before it.
     """
     rejected = 0
     while True:
         if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepSizeUnderflowError(t, dt)
         try:
-            y_new, k_new, diag, err = _attempt_step(system, t, y, dt, k1, t_new)
+            y_new, k_new, diag_new, err, order = _attempt_step(system, t, y, dt, k1, t_new, diag)
             finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
-        except (NonFiniteStateError, MobilityOverflowError):
+        except (NonFiniteStateError, MobilityOverflowError, np.linalg.LinAlgError):
             finite = False
         if finite:
             err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
             if err_norm <= 1.0:
-                return dt, t_new, y_new, k_new, diag, err_norm, rejected
-            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / _ORDER))
+                return dt, t_new, y_new, k_new, diag_new, err_norm, order, rejected
+            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / order))
         else:
             dt *= 0.5
         t_new = t + dt
@@ -446,7 +589,9 @@ def run(
     with a smaller dt.  Each later state is evaluated once, as the last
     stage of the trial that reaches it, which also gives its ledger
     diagnostics and the next step's slope; so only a failure at the
-    initial state aborts the run.
+    initial state aborts the run.  Each trial takes DP5(4) or, when the
+    drag sets the step, the implicit-explicit ARK4(3)6L pair (see
+    `_takes_imex`); `steps_implicit` counts the accepted ones of the latter.
     """
     errs = config.validation_errors()
     if errs:
@@ -482,9 +627,9 @@ def run(
 
     dt = min(config.dt_init, config.dt_max, stops[0] - t)
     err_prev = 1.0
-    alpha, beta_pi = 0.7 / _ORDER, 0.4 / _ORDER
     accepted = 0
     rejected = 0
+    implicit = 0
     outcome = "completed"
     blowup_time = None
     stop_idx = 0
@@ -497,11 +642,12 @@ def run(
         if hit_stop:
             dt = next_stop - t
 
-        dt, t, y, ydot, diag, err_norm, n_rejected = _advance(
-            system, t, y, dt, ydot, next_stop if hit_stop else t + dt, config)
+        dt, t, y, ydot, diag, err_norm, order, n_rejected = _advance(
+            system, t, y, dt, ydot, diag, next_stop if hit_stop else t + dt, config)
         rejected += n_rejected
         hit_stop = hit_stop and n_rejected == 0  # a shrunk step stops short
         accepted += 1
+        implicit += order == _ARK_ORDER
 
         l2_C = float(np.sum(y[: system.ns2] ** 2))
         blowup = math.sqrt(l2_C) > config.blowup_cap
@@ -521,7 +667,7 @@ def run(
         if err_norm == 0.0:
             fac = _FAC_MAX
         else:
-            fac = _SAFETY * err_norm ** (-alpha) * err_prev**beta_pi
+            fac = _SAFETY * err_norm ** (-0.7 / order) * err_prev ** (0.4 / order)
         dt = dt * min(_FAC_MAX, max(_FAC_MIN, fac))
         dt = min(dt, config.dt_max)
         err_prev = max(err_norm, 1e-10)
@@ -534,31 +680,9 @@ def run(
         checkpoints=checkpoints,
         steps_accepted=accepted,
         steps_rejected=rejected,
+        steps_implicit=implicit,
         wall_time=time.perf_counter() - t_start,
     )
-
-
-def step(
-    state: SimulationState,
-    params: PhysicalParams,
-    config: SolverConfig,
-    *,
-    forcing: ForcingSpec | None = None,
-) -> SimulationState:
-    """Advance one accepted adaptive step from `state`.
-
-    Tries min(dt_init, dt_max) and shrinks it by the same rule as `run`
-    until a trial passes; `run` is the tool for whole trajectories.
-    """
-    errs = config.validation_errors()
-    if errs:
-        raise ValueError("; ".join(errs))
-    system = GalerkinSystem(state.domain, params, forcing)
-    y = system.pack(state.C, state.u)
-    t = float(state.t)
-    dt0 = min(config.dt_init, config.dt_max)
-    _, t_new, y_new, *_ = _advance(system, t, y, dt0, system.rhs(t, y), t + dt0, config)
-    return system.unpack(t_new, y_new)
 
 
 def rhs_concentration(state: SimulationState, params: PhysicalParams) -> ScalarField:

@@ -31,6 +31,7 @@ def test_run_zero_data_exit_zero(tmp_path, capsys):
     assert all(r.l2_C == 0.0 and r.l2_u == 0.0 for r in ledger.rows)
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["outcome"] == "completed"
+    assert meta["steps_implicit"] == 0
     assert meta["existence_time_bound"] == "unbounded"  # zero initial data
     assert meta["apriori"] == {"all_finite": True, "dissipation_holds": True}
     assert meta["config"]["domain"]["Ns"] == 4

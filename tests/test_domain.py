@@ -111,6 +111,24 @@ def test_gram_and_stiffness_symmetric_spd(rect_domain):
     assert np.linalg.eigvalsh(G).min() > 0
 
 
+@pytest.mark.parametrize("mobility", ["exponential", "negative_polynomial"])
+def test_weighted_gram_is_the_drag_pairing(rect_domain, mobility):
+    # D_F(C) alpha = (F u, w) for every mode, whatever the sign of F: the
+    # sum-factorised matrix against the solver's nodal pairing.
+    dom = rect_domain
+    B = random_scalar(dom, seed=3, scale=0.5, decay=False).coeffs
+    A = np.random.default_rng(4).standard_normal((dom.spec.Nv, dom.spec.Nv))
+    cg = dom.scalar_values(B)
+    F = np.exp(2.0 * cg) if mobility == "exponential" else 0.1 - 1.5 * cg + 0.4 * cg**2
+    assert (F.min() < 0.0) == (mobility == "negative_polynomial")
+    ux, uy = dom.velocity_values(A)
+    ref = dom.velocity_pairing(F * ux, F * uy).reshape(-1)
+    got = dom.weighted_gram(F) @ A.reshape(-1)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    ones = np.ones_like(cg)
+    assert np.abs(dom.weighted_gram(ones) - dom.velocity.gram).max() <= 1e-13
+
+
 def test_build_rejects_bad_specs():
     with pytest.raises(DomainError, match="Lx"):
         build_domain(DomainSpec(Lx=-1.0, Ly=1.0, Ns=4, Nv=1))

@@ -25,9 +25,9 @@ from poromix import (
     rhs_concentration,
     rhs_velocity,
     run,
-    step,
 )
 from poromix import solver
+from poromix.diagnostics import segment_residual_bounds
 from poromix.forcing import FORCING_PRESETS
 
 from conftest import make_scalar, make_velocity, random_scalar
@@ -95,7 +95,8 @@ def test_cubic_grid_matches_oversampled_rhs_and_work():
     # At 16/4 the reaction projection's 3(Ns-1) sizes the grid.  With every
     # term on, a quadratic mobility and all modes excited, each block of the
     # right-hand side (concentration, velocity, work integrals) and the
-    # diagnostics other than the nodal min_C match a grid four times the size.
+    # diagnostics other than the nodal extremes match a grid four times the
+    # size.
     spec = DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4)
     assert integrand_degree(spec.Ns, spec.Nv) == 3 * (spec.Ns - 1)
     dom = build_domain(spec)
@@ -118,8 +119,11 @@ def test_cubic_grid_matches_oversampled_rhs_and_work():
     for block in (slice(0, spec.Ns**2), slice(spec.Ns**2, n_coeffs), slice(n_coeffs, None)):
         ref = y_fine[block]
         assert np.abs(y_dot[block] - ref).max() <= 1e-12 * np.abs(ref).max()
-    for key in diag.keys() - {"min_C"}:
+    # min_C and max_F are nodal extremes; implicit_pair is a vector.
+    for key in diag.keys() - {"min_C", "max_F", "implicit_pair"}:
         assert diag[key] == pytest.approx(diag_fine[key], rel=1e-12)
+    ref = diag_fine["implicit_pair"]
+    assert np.abs(diag["implicit_pair"] - ref).max() <= 1e-12 * np.abs(ref).max()
     # h1_F_sq is on the midpoint rule in both: check it on the fine grid.
     cg = fine.scalar_values(B)
     cx, cy = fine.scalar_gradient_values(B)
@@ -227,8 +231,10 @@ def test_zero_advection_mobility_decoupling(pi_domain):
 def test_single_step_advances_and_controls_error(pi_domain):
     C0 = make_scalar(pi_domain, [(1, 0, 1.0)])
     state = SimulationState(0.0, C0, make_velocity(pi_domain, []))
-    cfg = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13, dt_init=0.01)
-    new = step(state, _params(d=0.1), cfg)
+    cfg = SolverConfig(T_run=0.01, rtol=1e-10, atol=1e-13, dt_init=0.01)
+    res = run(state, _params(d=0.1), cfg)
+    assert res.steps_accepted == 1
+    new = res.final_state
     assert new.t == pytest.approx(0.01)
     expected = math.exp(-0.1 * new.t)
     assert new.C.coeffs[1, 0] / C0.coeffs[1, 0] == pytest.approx(expected, rel=1e-10)
@@ -357,7 +363,7 @@ def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
     assert math.isnan(res.ledger[0].fq_u)
 
 
-def _overshoot_case(T_run=0.5):
+def _overshoot_case():
     # dt_init = 1 overshoots the (3, 3) mode (d lam = 18): a trial stage
     # reaches |R C| ~ 4.2e3, past the exponential-mobility limit, although
     # every accepted state stays near R C = 300.
@@ -365,7 +371,7 @@ def _overshoot_case(T_run=0.5):
     state = SimulationState(0.0, make_scalar(domain, [(3, 3, 0.4)], offset=3.0),
                             make_velocity(domain, []))
     params = PhysicalParams(mu_e=1.0, d=1.0, kappa=0.0, mobility=MobilitySpec.exponential(100.0))
-    cfg = SolverConfig(T_run=T_run, rtol=1e-6, atol=1e-9, dt_init=1.0)
+    cfg = SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9, dt_init=1.0)
     return state, params, cfg
 
 
@@ -375,11 +381,10 @@ def test_trial_stage_mobility_overflow_rejects_step():
     assert res.outcome == "completed"
     assert res.final_state.t == 0.5
     assert res.steps_rejected >= 1
-    new = step(state, params, cfg)
-    assert 0.0 < new.t < 1.0
+    assert res.steps_implicit >= 1  # F ~ e^300 makes the stage loop implicit-explicit
 
 
-def test_mobility_overflow_at_accepted_state_aborts_run(pi_domain):
+def test_mobility_overflow_at_initial_state_aborts_run(pi_domain):
     state = SimulationState(0.0, make_scalar(pi_domain, [], offset=8.0),
                             make_velocity(pi_domain, []))
     params = _params(mobility=MobilitySpec.exponential(100.0))
@@ -387,16 +392,48 @@ def test_mobility_overflow_at_accepted_state_aborts_run(pi_domain):
         run(state, params, SolverConfig(T_run=0.1))
 
 
-def test_step_matches_first_accepted_step_of_run():
-    # T_run > dt_init, so run's first trial is not clipped to the horizon.
-    state, params, cfg = _overshoot_case(T_run=2.0)
-    first = []
-    res = run(state, params, cfg, snapshot_sink=first.append)
-    assert res.steps_rejected >= 1
-    new = step(state, params, cfg)
-    assert new.t == first[1].t
-    assert np.array_equal(new.C.coeffs, first[1].C.coeffs)
-    assert np.array_equal(new.u.coeffs, first[1].u.coeffs)
+def _drag_stiff_case():
+    # Drag F = e^(8C) up to about e^9 dominates d lambda_max = 9.8.
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
+    state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.3), (2, 1, 0.01)], offset=0.8),
+                            make_velocity(domain, []))
+    params = _params(korteweg=KortewegParams(delta_hat=0.1),
+                     mobility=MobilitySpec.exponential(8.0))
+    return state, params
+
+
+def test_drag_stiff_run_takes_imex_steps_at_dp54_accuracy(monkeypatch):
+    state, params = _drag_stiff_case()
+    cfg = SolverConfig(T_run=0.2, rtol=1e-8, atol=1e-11)
+    res = run(state, params, cfg)
+    assert res.outcome == "completed" and res.final_state.t == 0.2
+    assert res.steps_implicit >= res.steps_accepted // 2
+    for which, col in (("C", "res_C"), ("u", "res_u")):
+        bounds = segment_residual_bounds(res.ledger, cfg, which)
+        assert all(abs(getattr(row, col)) <= b for row, b in zip(res.ledger.rows[1:], bounds))
+
+    monkeypatch.setattr(solver, "_takes_imex", lambda system, dt, diag: False)
+    explicit = run(state, params, cfg)
+    assert explicit.steps_implicit == 0
+    assert res.steps_accepted < explicit.steps_accepted
+    ref = run(state, params, SolverConfig(T_run=0.2, rtol=1e-12, atol=1e-15)).final_state
+    for got, exact in ((res.final_state.C.coeffs, ref.C.coeffs),
+                       (res.final_state.u.coeffs, ref.u.coeffs)):
+        assert np.all(np.abs(got - exact) <= 10 * (cfg.rtol * np.abs(exact) + cfg.atol))
+
+
+def test_mild_run_takes_no_imex_trial(pi_domain, monkeypatch):
+    trials = []
+    orig = solver._ark_stages
+    monkeypatch.setattr(solver, "_ark_stages", lambda *a: trials.append(a) or orig(*a))
+    state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.3)]))
+    params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5),
+                     korteweg=KortewegParams(delta_hat=0.1))
+    res = run(state, params, SolverConfig(T_run=0.6),
+              forcing=ForcingSpec.preset("pulsed_stream"))
+    assert res.steps_accepted > 0
+    assert trials == [] and res.steps_implicit == 0
 
 
 # 0.1 + (0.45 - 0.1) rounds to 0.44999999999999996: the loose run's first
@@ -421,8 +458,8 @@ def test_last_stage_is_the_next_steps_slope(pi_domain, monkeypatch, t0, rtol, dt
         monkeypatch.setattr(GalerkinSystem, name, counted)
     orig_attempt = solver._attempt_step
 
-    def recorded(system, t, y, dt, k1, t_new):
-        out = orig_attempt(system, t, y, dt, k1, t_new)
+    def recorded(system, t, y, dt, k1, t_new, diag):
+        out = orig_attempt(system, t, y, dt, k1, t_new, diag)
         starts.append((system, t, y.copy(), k1.copy()))
         return out
 
@@ -481,6 +518,17 @@ def _rooted_trees(order):
     return sorted(trees)
 
 
+def _tree_inverse_gamma(tree):
+    """1 / gamma(tree), the weight the exact solution gives the tree."""
+    def size(t):
+        return 1 + sum(size(c) for c in t)
+
+    def gamma(t):
+        return size(t) * math.prod(gamma(c) for c in t)
+
+    return Fraction(1, gamma(tree))
+
+
 def test_dp54_tableau_is_the_published_pair_and_has_its_orders():
     c, a, b5, b4 = _dp54_rationals()
     e = [p - q for p, q in zip(b5, b4)]
@@ -508,17 +556,96 @@ def test_dp54_tableau_is_the_published_pair_and_has_its_orders():
             out = [o * sum(A[i][j] * inner[j] for j in range(7)) for i, o in enumerate(out)]
         return out
 
-    def size(tree):
-        return 1 + sum(size(t) for t in tree)
-
-    def gamma(tree):
-        return size(tree) * math.prod(gamma(t) for t in tree)
-
     assert [len(_rooted_trees(n)) for n in range(1, 6)] == [1, 1, 2, 4, 9]
     for order, weights in ((5, b5), (4, b4)):
         for n in range(1, order + 1):
             for tree in _rooted_trees(n):
-                assert sum(b * p for b, p in zip(weights, phi(tree))) == Fraction(1, gamma(tree))
+                assert sum(b * p for b, p in zip(weights, phi(tree))) == _tree_inverse_gamma(tree)
     # The embedded weights are exactly 4th order: some 5th-order tree fails.
-    assert any(sum(b * p for b, p in zip(b4, phi(tree))) != Fraction(1, gamma(tree))
+    assert any(sum(b * p for b, p in zip(b4, phi(tree))) != _tree_inverse_gamma(tree)
                for tree in _rooted_trees(5))
+
+
+def _ark436_rationals():
+    """ARK4(3)6L[2]SA as published: explicit rows, ESDIRK rows, b, b_hat, c."""
+    F = Fraction
+    c = [F(0), F(1, 2), F(83, 250), F(31, 50), F(17, 20), F(1)]
+    ae = [
+        [],
+        [F(1, 2)],
+        [F(13861, 62500), F(6889, 62500)],
+        [F(-116923316275, 2393684061468), F(-2731218467317, 15368042101831),
+         F(9408046702089, 11113171139209)],
+        [F(-451086348788, 2902428689909), F(-2682348792572, 7519795681897),
+         F(12662868775082, 11960479115383), F(3355817975965, 11060851509271)],
+        [F(647845179188, 3216320057751), F(73281519250, 8382639484533),
+         F(552539513391, 3454668386233), F(3354512671639, 8306763924573), F(4040, 17871)],
+    ]
+    b = [F(82889, 524892), F(0), F(15625, 83664), F(69875, 102672), F(-2260, 8211), F(1, 4)]
+    ai = [
+        [],
+        [F(1, 4)],
+        [F(8611, 62500), F(-1743, 31250)],
+        [F(5012029, 34652500), F(-654441, 2922500), F(174375, 388108)],
+        [F(15267082809, 155376265600), F(-71443401, 120774400), F(730878875, 902184768),
+         F(2285395, 8070912)],
+        b[:5],
+    ]
+    b_hat = [F(4586570599, 29645900160), F(0), F(178811875, 945068544),
+             F(814220225, 1159782912), F(-3700637, 11593932), F(61727, 225920)]
+    return c, ae, ai, b, b_hat
+
+
+def test_ark436_tableau_is_the_published_pair_and_has_its_orders():
+    c, ae, ai, b, b_hat = _ark436_rationals()
+    gamma = Fraction(1, 4)
+    s = len(c)
+
+    def close(x, q):
+        return abs(x - float(q)) <= math.ulp(float(q))
+
+    assert solver._ARK_GAMMA == gamma
+    assert all(close(x, q) for x, q in zip(solver._ARK_C, c))
+    for got, exact in ((solver._ARK_AE, ae), (solver._ARK_AI, ai)):
+        assert [len(row) for row in got] == list(range(s))
+        assert all(close(x, q) for row, ex in zip(got, exact) for x, q in zip(row, ex))
+    assert all(close(x, q) for x, q in zip(solver._ARK_B, b))
+    # The error weights are b - b_hat evaluated in floating point.
+    assert all(abs(x - float(p - q)) <= 2 * math.ulp(float(p)) + 2 * math.ulp(float(q))
+               for x, p, q in zip(solver._ARK_E, b, b_hat))
+
+    # Full square tableaux; the ESDIRK one has gamma after its explicit
+    # first stage.
+    AE = [row + [Fraction(0)] * (s - len(row)) for row in ae]
+    AI = [row + [gamma if i > 0 else Fraction(0)] + [Fraction(0)] * (s - i - 1)
+          for i, row in enumerate(ai)]
+
+    # ESDIRK half, exactly: rows sum to c, stiffly accurate.
+    assert all(sum(row) == ci for row, ci in zip(AI, c))
+    assert AI[-1] == b
+    # Explicit half: the published rationals carry about 26 digits.
+    assert all(abs(sum(row) - ci) <= 1e-20 for row, ci in zip(AE, c))
+    assert AE[-1] != b  # not first same as last
+
+    def weights(tree, tableaux):
+        """Stage weights of `tree` for every assignment of tableaux to its non-root nodes."""
+        out = [[Fraction(1)] * s]
+        for child in tree:
+            inner = [[sum(A[i][j] * v[j] for j in range(s)) for i in range(s)]
+                     for A in tableaux for v in weights(child, tableaux)]
+            out = [[o * w for o, w in zip(vo, vw)] for vo in out for vw in inner]
+        return out
+
+    def defects(tableaux, bw, order):
+        return [sum(bi * p for bi, p in zip(bw, phi)) - _tree_inverse_gamma(tree)
+                for n in range(1, order + 1) for tree in _rooted_trees(n)
+                for phi in weights(tree, tableaux)]
+
+    # ESDIRK alone: order 4 for b and 3 for b_hat, exactly.
+    assert all(d == 0 for d in defects([AI], b, 4))
+    assert all(d == 0 for d in defects([AI], b_hat, 3))
+    # Explicit alone and every coupled (mixed explicit/implicit) condition.
+    assert max(abs(d) for d in defects([AE, AI], b, 4)) <= 1e-20
+    assert max(abs(d) for d in defects([AE, AI], b_hat, 3)) <= 1e-20
+    # The embedded solution is exactly third order: some 4th-order tree fails.
+    assert any(abs(d) > 1e-6 for d in defects([AI], b_hat, 4))
