@@ -263,10 +263,9 @@ class GalerkinSystem:
     def rho_viscous(self) -> float:
         """mu_e ||G^-1 S||_inf, the largest absolute row sum of mu_e G^-1 S.
 
-        An induced norm bounds the spectral radius.  This one needs only the
-        Gram solve; an eigenvalue or singular-value solver would load more
-        LAPACK code, about 0.8 MB of resident memory, into every run,
-        including those that never leave DP5(4).
+        An induced norm bounds the spectral radius.  This one is a row-sum
+        of one product with the G^-1 formed at build, computed once per
+        system; no eigenvalue or singular-value solve is needed.
         """
         gs = self.domain.velocity.solve_gram(self.stiffness)
         return self.params.mu_e * float(np.abs(gs).sum(axis=1).max())
@@ -282,10 +281,12 @@ class GalerkinSystem:
         Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
         the stage is linear in alpha: one dense solve, no Newton iteration.
         A polynomial F can be negative, so the matrix need not be SPD.
+        Returns alpha and the nodal (C, F(C)), which the stage's `rhs` reuses.
         """
         dom = self.domain
         B = z[: self.ns2].reshape(self.Ns, self.Ns)
-        f_grid = mobility_values(self.params.mobility, dom.scalar_values(B))
+        cg = dom.scalar_values(B)
+        f_grid = mobility_values(self.params.mobility, cg)
         gram = dom.velocity.gram
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = gram + gh * (self.params.mu_e * self.stiffness + dom.weighted_gram(f_grid))
@@ -294,7 +295,7 @@ class GalerkinSystem:
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
         if not np.all(np.isfinite(alpha)):
             raise NonFiniteStateError(t)
-        return alpha
+        return alpha, (cg, f_grid)
 
     # -- packing ------------------------------------------------------------
 
@@ -314,14 +315,19 @@ class GalerkinSystem:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        ydot, _ = self._eval(t, y, want_diag=False)
+    def rhs(self, t: float, y: np.ndarray, *, _nodal_c_f=None) -> np.ndarray:
+        """Time derivative of the packed state y at time t.
+
+        `_nodal_c_f` is for the implicit stage loop only: the nodal (C, F(C))
+        that `solve_momentum_stage` computed from y's concentration.
+        """
+        ydot, _ = self._eval(t, y, want_diag=False, nodal_c_f=_nodal_c_f)
         return ydot
 
     def evaluate_with_diagnostics(self, t, y):
         return self._eval(t, y, want_diag=True)
 
-    def _eval(self, t, y, want_diag):
+    def _eval(self, t, y, want_diag, nodal_c_f=None):
         dom = self.domain
         p = self.params
         dh = p.korteweg.delta_hat
@@ -329,7 +335,11 @@ class GalerkinSystem:
         A = y[self.ns2 : self.ns2 + self.nv2].reshape(self.Nv, self.Nv)
         a_flat = A.reshape(-1)
 
-        cg = dom.scalar_values(B)
+        if nodal_c_f is None:
+            cg = dom.scalar_values(B)
+            f_grid = mobility_values(p.mobility, cg)
+        else:
+            cg, f_grid = nodal_c_f
         cx, cy = dom.scalar_gradient_values(B)
         ux, uy = dom.velocity_values(A)
 
@@ -342,7 +352,6 @@ class GalerkinSystem:
             bdot = bdot + dom.scalar_project(self.transport_source(dom, t))
 
         # Momentum: drag, Korteweg coupling, body force.
-        f_grid = mobility_values(p.mobility, cg)
         pair_F = dom.velocity_pairing(f_grid * ux, f_grid * uy).reshape(-1)
         if dh != 0.0:
             lap_g = dom.scalar_values(-self.lam * B)
@@ -520,10 +529,10 @@ def _ark_stages(system, t, y, dt, k1, t_new, diag):
         t_i = t + _ARK_C[i] * dt
         z = y + dt * (_ARK_AE[i] @ k[:i])
         z[va] += dt * ((_ARK_AI[i] - _ARK_AE[i]) @ ki[:i])
-        alpha = system.solve_momentum_stage(t_i, z, gh)
+        alpha, nodal_c_f = system.solve_momentum_stage(t_i, z, gh)
         ki[i] = (alpha - z[va]) / gh
         z[va] = alpha
-        k[i] = system.rhs(t_i, z)
+        k[i] = system.rhs(t_i, z, _nodal_c_f=nodal_c_f)
     y_new = y + dt * (_ARK_B @ k)
     k_new, diag_new = system.evaluate_with_diagnostics(t_new, y_new)
     return y_new, k_new, diag_new, dt * (_ARK_E @ k)

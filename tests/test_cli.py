@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import poromix
 from poromix.cli import main
 from poromix.ledger import EnergyLedger
 
@@ -145,3 +150,16 @@ def test_sweep_run_count_capped(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "vary spec 'kappa:0.5:1:10001': n=10001 exceeds the limit of 10000" in err
     assert not report.exists()
+
+
+def test_import_loads_no_scipy():
+    # The runtime needs numpy and PyYAML only: importing scipy would add
+    # about 0.3 s and a second OpenBLAS to every run's start-up.
+    src = str(Path(poromix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, poromix, poromix.cli, poromix.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -111,6 +111,29 @@ def test_gram_and_stiffness_symmetric_spd(rect_domain):
     assert np.linalg.eigvalsh(G).min() > 0
 
 
+@pytest.mark.parametrize("Lx, Ly, Ns, Nv", [(math.pi, math.pi, 16, 4), (math.pi, math.pi, 32, 8),
+                                            (math.pi, math.pi, 64, 16), (2.0, 1.0, 16, 4)])
+def test_gram_solve_matches_dense_solve(Lx, Ly, Ns, Nv):
+    # solve_gram is one product with the build-time G^-1; np.linalg.solve
+    # (LU) is the independent reference.
+    vel = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv)).velocity
+    assert np.array_equal(vel.gram_inverse, vel.gram_inverse.T)
+    rng = np.random.default_rng(Ns + Nv)
+    for _ in range(5):
+        r = rng.standard_normal(Nv * Nv)
+        ref = np.linalg.solve(vel.gram, r)
+        assert np.abs(vel.solve_gram(r) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("Ns, Nv, expected", [(16, 4, 46.29284794999079),
+                                              (32, 8, 166.4561165323075)])
+def test_rho_viscous_matches_cholesky_value(Ns, Nv, expected):
+    # mu_e ||G^-1 S||_inf with mu_e = 1, as two triangular Cholesky solves gave it.
+    dom = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=Ns, Nv=Nv))
+    rho = GalerkinSystem(dom, PhysicalParams(mu_e=1.0, d=1.0)).rho_viscous
+    assert abs(rho - expected) <= 1e-13 * expected
+
+
 @pytest.mark.parametrize("mobility", ["exponential", "negative_polynomial"])
 def test_weighted_gram_is_the_drag_pairing(rect_domain, mobility):
     # D_F(C) alpha = (F u, w) for every mode, whatever the sign of F: the
