@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .diagnostics import apriori_flags, fit_decay_rate
+from .domain import build_domain
 from .runio import write_metadata, write_snapshot
 from .solver import SimulationState, existence_time_bound, run
 from .verify import SUITE_NAMES, run_suite
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
 
 def _execute(cfg: RunConfig, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    domain = cfg.build_domain()
+    domain = build_domain(cfg.domain)
     forcing = cfg.build_forcing()
     C0, u0 = cfg.build_initial(domain)
 
@@ -182,14 +183,16 @@ def _cmd_sweep(args) -> int:
     cfg = RunConfig.from_file(args.config)
     param, values = _parse_vary(args.vary[0])
     base_raw = cfg.to_dict()
+    # Every run's config is checked before the report is opened, so a bad
+    # sweep leaves no report behind.
+    run_cfgs = [RunConfig.from_dict(_apply_param(base_raw, param, value), base_dir=cfg.base_dir)
+                for value in values]
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w") as fh:
         fh.write("param,value,outcome,blowup_time,decay_rate\n")
-        for value in values:
-            raw = _apply_param(base_raw, param, value)
-            run_cfg = RunConfig.from_dict(raw, base_dir=cfg.base_dir)
-            domain = run_cfg.build_domain()
+        for value, run_cfg in zip(values, run_cfgs):
+            domain = build_domain(run_cfg.domain)
             C0, u0 = run_cfg.build_initial(domain)
             result = run(
                 SimulationState(0.0, C0, u0),

@@ -1,15 +1,16 @@
 """
 Run configuration: a YAML document with nested key/value sections.
 
-Sections and keys:
+Sections and keys, each declared once in `_KEYS`, which the parsers and
+`to_dict` both read:
 
     domain:   Lx, Ly, Ns, Nv, M (optional)
-    params:   mu_e, d, kappa, delta_hat, gamma, M_GN
+    params:   mu_e, d; optional kappa, delta_hat, gamma, M_GN
     mobility: kind, coefficients
     forcing:  preset OR file
     initial:  C: {preset: ..., ...} or {file: ...}; u: likewise
-    solver:   T_run, rtol, atol, dt_init, dt_max, blowup_cap
-    outputs:  ledger_path, snapshot_cadence, snapshot_dir
+    solver:   T_run; optional rtol, atol, dt_init, blowup_cap
+    outputs:  optional ledger_path, snapshot_cadence, snapshot_dir
 
 Validation collects every problem with its field path before failing, so
 a broken file reports all defects at once.  parse -> serialize -> parse is
@@ -20,19 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .domain import Domain, DomainSpec, build_domain
+from .domain import Domain, DomainSpec
 from .fields import ScalarField, VelocityField, cosine_field, stream_field
 from .forcing import FORCING_PRESETS, ForcingSpec
 from .korteweg import KortewegParams
 from .mobility import MobilitySpec
 from .solver import PhysicalParams, SolverConfig
 
-__all__ = ["ConfigError", "RunConfig", "InitialSpec", "OutputSpec"]
+__all__ = ["ConfigError", "RunConfig", "OutputSpec"]
 
 
 class ConfigError(ValueError):
@@ -43,7 +45,29 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
-_SECTIONS = ("domain", "params", "mobility", "forcing", "initial", "solver", "outputs")
+# Every section's keys.  A value key maps to (kind, required, attribute): the
+# parsers read it as that kind (float, int, str, or tuple for a non-empty
+# list of numbers), an omitted optional key takes its dataclass default, and
+# `to_dict` echoes the attribute, dotted for a nested one, of the parsed
+# object.  The forcing and initial entries are validated by their own
+# parsers and echoed as given.
+_KEYS = {
+    "domain": {"Lx": (float, True, "Lx"), "Ly": (float, True, "Ly"), "Ns": (int, True, "Ns"),
+               "Nv": (int, True, "Nv"), "M": (int, False, "M")},
+    "params": {"mu_e": (float, True, "mu_e"), "d": (float, True, "d"),
+               "kappa": (float, False, "kappa"),
+               "delta_hat": (float, False, "korteweg.delta_hat"),
+               "gamma": (float, False, "korteweg.gamma"), "M_GN": (float, False, "m_gn")},
+    "mobility": {"kind": (str, True, "kind"), "coefficients": (tuple, True, "coefficients")},
+    "forcing": ("preset", "file"),
+    "initial": ("C", "u"),
+    "solver": {"T_run": (float, True, "T_run"), "rtol": (float, False, "rtol"),
+               "atol": (float, False, "atol"), "dt_init": (float, False, "dt_init"),
+               "blowup_cap": (float, False, "blowup_cap")},
+    "outputs": {"ledger_path": (str, False, "ledger_path"),
+                "snapshot_cadence": (float, False, "snapshot_cadence"),
+                "snapshot_dir": (str, False, "snapshot_dir")},
+}
 
 # Initial-field presets and the defaults of their keys; "modes" holds
 # [j, k, amplitude] triples, and integer defaults mark integer keys.
@@ -61,17 +85,6 @@ _VELOCITY_PRESETS = {
 
 
 @dataclass(frozen=True)
-class InitialSpec:
-    """Initial conditions: presets or coefficient files for C and u."""
-
-    C: dict
-    u: dict
-
-    def build(self, domain: Domain):
-        return _build_scalar_initial(domain, self.C), _build_velocity_initial(domain, self.u)
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     ledger_path: str = "ledger.csv"
     snapshot_cadence: float = 0.0  # time interval between snapshots; 0 disables
@@ -83,10 +96,10 @@ class RunConfig:
     domain: DomainSpec
     params: PhysicalParams
     forcing_raw: dict
-    initial: InitialSpec
+    initial: dict  # {"C": entry, "u": entry}, each a preset or a file entry
     solver: SolverConfig
     outputs: OutputSpec
-    base_dir: Path
+    base_dir: Path  # relative file entries are read from here
 
     # -- construction --------------------------------------------------------
 
@@ -114,13 +127,12 @@ class RunConfig:
         errors: list[str] = []
         base_dir = Path(base_dir)
 
-        for section in _SECTIONS:
+        for section in _KEYS:
             if section not in raw:
                 errors.append(f"{section}: missing section")
             elif not isinstance(raw[section], dict):
                 errors.append(f"{section}: must be a mapping")
-        unknown = set(raw) - set(_SECTIONS)
-        for key in sorted(unknown):
+        for key in sorted(set(raw) - set(_KEYS)):
             errors.append(f"{key}: unknown section")
         if errors:
             raise ConfigError(errors)
@@ -147,65 +159,40 @@ class RunConfig:
 
     # -- realization -----------------------------------------------------------
 
-    def build_domain(self) -> Domain:
-        return build_domain(self.domain)
-
     def build_forcing(self) -> ForcingSpec:
         if "file" in self.forcing_raw:
-            return ForcingSpec.tabulated(self._resolve(self.forcing_raw["file"]))
+            return ForcingSpec.tabulated(self.base_dir / self.forcing_raw["file"])
         return ForcingSpec.preset(self.forcing_raw["preset"])
 
-    def _resolve(self, p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else self.base_dir / p
-
     def build_initial(self, domain: Domain):
-        spec = InitialSpec(
-            C=_resolve_file_entry(self.initial.C, self._resolve),
-            u=_resolve_file_entry(self.initial.u, self._resolve),
-        )
-        return spec.build(domain)
+        return (_build_scalar_initial(domain, self.initial["C"], self.base_dir),
+                _build_velocity_initial(domain, self.initial["u"], self.base_dir))
 
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        dom = {"Lx": self.domain.Lx, "Ly": self.domain.Ly, "Ns": self.domain.Ns,
-               "Nv": self.domain.Nv}
-        if self.domain.M is not None:
-            dom["M"] = self.domain.M
         return {
-            "domain": dom,
-            "params": {
-                "mu_e": self.params.mu_e,
-                "d": self.params.d,
-                "kappa": self.params.kappa,
-                "delta_hat": self.params.korteweg.delta_hat,
-                "gamma": self.params.korteweg.gamma,
-                "M_GN": self.params.m_gn,
-            },
-            "mobility": {
-                "kind": self.params.mobility.kind,
-                "coefficients": list(self.params.mobility.coefficients),
-            },
+            "domain": _echo(self.domain, "domain"),
+            "params": _echo(self.params, "params"),
+            "mobility": _echo(self.params.mobility, "mobility"),
             "forcing": dict(self.forcing_raw),
-            "initial": {"C": dict(self.initial.C), "u": dict(self.initial.u)},
-            "solver": {
-                "T_run": self.solver.T_run,
-                "rtol": self.solver.rtol,
-                "atol": self.solver.atol,
-                "dt_init": self.solver.dt_init,
-                "dt_max": self.solver.dt_max,
-                "blowup_cap": self.solver.blowup_cap,
-            },
-            "outputs": {
-                "ledger_path": self.outputs.ledger_path,
-                "snapshot_cadence": self.outputs.snapshot_cadence,
-                "snapshot_dir": self.outputs.snapshot_dir,
-            },
+            "initial": {key: dict(entry) for key, entry in self.initial.items()},
+            "solver": _echo(self.solver, "solver"),
+            "outputs": _echo(self.outputs, "outputs"),
         }
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
+
+
+def _echo(obj, sec_name) -> dict:
+    """The section's keys with the values they parsed to; None values left out."""
+    out = {}
+    for key, (kind, _, attr) in _KEYS[sec_name].items():
+        value = attrgetter(attr)(obj)
+        if value is not None:
+            out[key] = list(value) if kind is tuple else value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +200,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _get_number(section, sec_name, key, errors, *, required=True, default=None,
-                integer=False, allow_inf=False):
-    if key not in section:
-        if required:
-            errors.append(f"{sec_name}.{key}: missing")
-        return default
-    val = section[key]
+def _get_number(val, path, errors, *, integer=False):
+    """val as a finite float (an int if `integer`), or None with an error."""
     if isinstance(val, str):
         # YAML 1.1 reads exponents like 1.0e6 as strings; accept them anyway.
         try:
@@ -227,14 +209,14 @@ def _get_number(section, sec_name, key, errors, *, required=True, default=None,
         except ValueError:
             pass
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{sec_name}.{key}: expected a number, got {val!r}")
-        return default
-    if math.isnan(val) or (math.isinf(val) and not allow_inf):
-        errors.append(f"{sec_name}.{key}: must be finite, got {val!r}")
-        return default
+        errors.append(f"{path}: expected a number, got {val!r}")
+        return None
+    if not math.isfinite(val):
+        errors.append(f"{path}: must be finite, got {val!r}")
+        return None
     if integer and not float(val).is_integer():
-        errors.append(f"{sec_name}.{key}: expected an integer, got {val!r}")
-        return default
+        errors.append(f"{path}: expected an integer, got {val!r}")
+        return None
     return int(val) if integer else float(val)
 
 
@@ -243,96 +225,101 @@ def _check_unknown(section, sec_name, known, errors):
         errors.append(f"{sec_name}.{key}: unknown key")
 
 
+def _read_values(section, sec_name, errors):
+    """{attribute: value} of the section's keys, or None if any key is bad."""
+    keys = _KEYS[sec_name]
+    _check_unknown(section, sec_name, keys, errors)
+    n_errors = len(errors)
+    values = {}
+    for key, (kind, required, attr) in keys.items():
+        path = f"{sec_name}.{key}"
+        if key not in section:
+            if required:
+                errors.append(f"{path}: missing")
+            continue
+        val = section[key]
+        if kind is str:
+            if not isinstance(val, str):
+                errors.append(f"{path}: expected a string")
+        elif kind is tuple:
+            if isinstance(val, list) and val:
+                val = tuple(_get_number(v, f"{path}[{i}]", errors) for i, v in enumerate(val))
+            else:
+                errors.append(f"{path}: expected a non-empty list of numbers")
+        else:
+            val = _get_number(val, path, errors, integer=kind is int)
+        values[attr] = val
+    return values if len(errors) == n_errors else None
+
+
 def _parse_domain(section, errors):
-    _check_unknown(section, "domain", ("Lx", "Ly", "Ns", "Nv", "M"), errors)
-    Lx = _get_number(section, "domain", "Lx", errors)
-    Ly = _get_number(section, "domain", "Ly", errors)
-    Ns = _get_number(section, "domain", "Ns", errors, integer=True)
-    Nv = _get_number(section, "domain", "Nv", errors, integer=True)
-    M = _get_number(section, "domain", "M", errors, required=False, integer=True)
-    if None in (Lx, Ly, Ns, Nv):
+    values = _read_values(section, "domain", errors)
+    if values is None:
         return None
-    spec = DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=M)
+    spec = DomainSpec(**values)
     for msg in spec.validation_errors():
         errors.append(f"domain: {msg}")
     return spec
 
 
 def _parse_mobility(section, errors):
-    _check_unknown(section, "mobility", ("kind", "coefficients"), errors)
-    kind = section.get("kind")
-    coeffs = section.get("coefficients")
-    if kind is None:
-        errors.append("mobility.kind: missing")
-    if coeffs is None:
-        errors.append("mobility.coefficients: missing")
-    elif not (isinstance(coeffs, list) and coeffs
-              and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
-        errors.append("mobility.coefficients: expected a non-empty list of numbers")
-        coeffs = None
-    if kind is None or coeffs is None:
+    values = _read_values(section, "mobility", errors)
+    if values is None:
         return None
-    msgs = MobilitySpec.check(kind, tuple(float(c) for c in coeffs))
+    msgs = MobilitySpec.check(values["kind"], values["coefficients"])
     if msgs:
         errors.extend(f"mobility: {m}" for m in msgs)
         return None
-    return MobilitySpec(kind, tuple(float(c) for c in coeffs))
+    return MobilitySpec(**values)
 
 
 def _parse_params(section, mobility, errors):
-    keys = ("mu_e", "d", "kappa", "delta_hat", "gamma", "M_GN")
-    _check_unknown(section, "params", keys, errors)
-    mu_e = _get_number(section, "params", "mu_e", errors)
-    d = _get_number(section, "params", "d", errors)
-    kappa = _get_number(section, "params", "kappa", errors, required=False,
-                        default=PhysicalParams.kappa)
-    delta_hat = _get_number(section, "params", "delta_hat", errors, required=False,
-                            default=KortewegParams.delta_hat)
-    gamma = _get_number(section, "params", "gamma", errors, required=False,
-                        default=KortewegParams.gamma)
-    m_gn = _get_number(section, "params", "M_GN", errors, required=False,
-                       default=PhysicalParams.m_gn)
-    if None in (mu_e, d, kappa, delta_hat, gamma, m_gn):
+    values = _read_values(section, "params", errors)
+    if values is None:
         return None
+    korteweg = {attr.split(".")[1]: values.pop(attr) for attr in list(values) if "." in attr}
     try:
-        kt = KortewegParams(delta_hat=delta_hat, gamma=gamma)
+        kt = KortewegParams(**korteweg)
     except ValueError as exc:
         errors.append(f"params: {exc}")
         return None
     try:
         # Probe with a placeholder mobility so range errors surface even
         # when the mobility section is itself broken.
-        params = PhysicalParams(mu_e=mu_e, d=d, kappa=kappa, korteweg=kt,
-                                mobility=mobility or MobilitySpec.constant(1.0),
-                                m_gn=m_gn)
+        params = PhysicalParams(**values, korteweg=kt,
+                                mobility=mobility or MobilitySpec.constant(1.0))
     except ValueError as exc:
         errors.append(f"params: {exc}")
         return None
     return params if mobility is not None else None
 
 
+def _check_file(entry, sec_name, base_dir, errors):
+    """Report a non-string or missing file entry (an absolute path stays as is)."""
+    if not isinstance(entry["file"], str):
+        errors.append(f"{sec_name}.file: expected a string")
+    elif not (base_dir / entry["file"]).exists():
+        errors.append(f"{sec_name}.file: {entry['file']} does not exist")
+
+
 def _parse_forcing(section, base_dir, errors):
-    _check_unknown(section, "forcing", ("preset", "file"), errors)
-    has_preset = "preset" in section
-    has_file = "file" in section
-    if has_preset == has_file:
+    _check_unknown(section, "forcing", _KEYS["forcing"], errors)
+    if ("preset" in section) == ("file" in section):
         errors.append("forcing: give exactly one of 'preset' or 'file'")
         return {}
-    if has_preset:
-        name = section["preset"]
-        if name not in list(FORCING_PRESETS):  # a list, as YAML may give an unhashable name
-            errors.append(
-                f"forcing.preset: unknown preset {name!r}; available: {sorted(FORCING_PRESETS)}"
-            )
-        return {"preset": name}
-    path = Path(base_dir) / str(section["file"])
-    if not path.exists():
-        errors.append(f"forcing.file: {path} does not exist")
-    return {"file": str(section["file"])}
+    if "file" in section:
+        _check_file(section, "forcing", base_dir, errors)
+        return {"file": section["file"]}
+    name = section["preset"]
+    if name not in list(FORCING_PRESETS):  # a list, as YAML may give an unhashable name
+        errors.append(
+            f"forcing.preset: unknown preset {name!r}; available: {sorted(FORCING_PRESETS)}"
+        )
+    return {"preset": name}
 
 
 def _parse_initial(section, base_dir, errors):
-    _check_unknown(section, "initial", ("C", "u"), errors)
+    _check_unknown(section, "initial", _KEYS["initial"], errors)
     out = {}
     for key, presets in (("C", _SCALAR_PRESETS), ("u", _VELOCITY_PRESETS)):
         entry = section.get(key)
@@ -348,14 +335,11 @@ def _parse_initial(section, base_dir, errors):
                 f"available: {list(presets)}"
             )
         elif "file" in entry:
-            if not isinstance(entry["file"], str):
-                errors.append(f"initial.{key}.file: expected a string")
-            elif not (Path(base_dir) / entry["file"]).exists():  # an absolute path stays as is
-                errors.append(f"initial.{key}.file: {entry['file']} does not exist")
+            _check_file(entry, f"initial.{key}", base_dir, errors)
         else:
             entry = _parse_preset_keys(entry, f"initial.{key}", presets[entry["preset"]], errors)
         out[key] = dict(entry)
-    return InitialSpec(C=out["C"], u=out["u"])
+    return out
 
 
 def _parse_preset_keys(entry, sec_name, defaults, errors):
@@ -363,7 +347,7 @@ def _parse_preset_keys(entry, sec_name, defaults, errors):
     out = dict(entry)
     for key in (k for k in defaults if k in entry):
         if key != "modes":
-            out[key] = _get_number(entry, sec_name, key, errors,
+            out[key] = _get_number(entry[key], f"{sec_name}.{key}", errors,
                                    integer=isinstance(defaults[key], int))
         elif isinstance(entry[key], (list, tuple)):
             out[key] = [_parse_mode(item, f"{sec_name}.modes[{i}]", errors)
@@ -377,41 +361,27 @@ def _parse_mode(item, sec_name, errors):
     if not (isinstance(item, (list, tuple)) and len(item) == 3):
         errors.append(f"{sec_name}: expected [j, k, amplitude], got {item!r}")
         return None
-    triple = dict(zip(("j", "k", "amplitude"), item))
-    return [_get_number(triple, sec_name, key, errors, integer=key != "amplitude")
-            for key in triple]
+    return [_get_number(val, f"{sec_name}.{key}", errors, integer=key != "amplitude")
+            for key, val in zip(("j", "k", "amplitude"), item)]
 
 
 def _parse_solver(section, errors):
-    keys = ("T_run", "rtol", "atol", "dt_init", "dt_max", "blowup_cap")
-    _check_unknown(section, "solver", keys, errors)
-    T_run = _get_number(section, "solver", "T_run", errors)
-    optional = {key: _get_number(section, "solver", key, errors, required=False,
-                                 default=getattr(SolverConfig, key), allow_inf=key == "dt_max")
-                for key in keys[1:]}
-    if T_run is None:
+    values = _read_values(section, "solver", errors)
+    if values is None:
         return None
-    cfg = SolverConfig(T_run=T_run, **optional)
+    cfg = SolverConfig(**values)
     for msg in cfg.validation_errors():
         errors.append(f"solver: {msg}")
     return cfg
 
 
 def _parse_outputs(section, errors):
-    keys = ("ledger_path", "snapshot_cadence", "snapshot_dir")
-    _check_unknown(section, "outputs", keys, errors)
-    ledger_path = section.get("ledger_path", OutputSpec.ledger_path)
-    snapshot_dir = section.get("snapshot_dir", OutputSpec.snapshot_dir)
-    cadence = _get_number(section, "outputs", "snapshot_cadence", errors,
-                          required=False, default=OutputSpec.snapshot_cadence)
-    if not isinstance(ledger_path, str):
-        errors.append("outputs.ledger_path: expected a string")
-    if not isinstance(snapshot_dir, str):
-        errors.append("outputs.snapshot_dir: expected a string")
-    if cadence is None or cadence < 0:
+    values = _read_values(section, "outputs", errors)
+    if values is None:
+        return None
+    if values.get("snapshot_cadence", 0.0) < 0:
         errors.append("outputs.snapshot_cadence: expected a number >= 0")
-    return OutputSpec(ledger_path=ledger_path, snapshot_cadence=cadence,
-                      snapshot_dir=snapshot_dir)
+    return OutputSpec(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +389,11 @@ def _parse_outputs(section, errors):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_file_entry(entry: dict, resolve) -> dict:
-    if "file" in entry:
-        out = dict(entry)
-        out["file"] = str(resolve(entry["file"]))
-        return out
-    return entry
-
-
-def _load_coeffs(entry: dict, key: str, array: str, name: str, n: int) -> np.ndarray:
+def _load_coeffs(path: Path, key: str, array: str, name: str, n: int) -> np.ndarray:
     """The (n, n) coefficient array of an initial.<key> file entry."""
-    with np.load(entry["file"]) as data:
+    with np.load(path) as data:
         if array not in data.files:
-            raise ConfigError([f"initial.{key}.file: {entry['file']} has no '{array}' array"])
+            raise ConfigError([f"initial.{key}.file: {path} has no '{array}' array"])
         coeffs = np.asarray(data[array], dtype=float)
     if coeffs.shape != (n, n):
         raise ConfigError(
@@ -447,9 +409,10 @@ def _preset_modes(entry: dict, presets: dict):
     return v.get("offset", v.get("value", 0.0)), modes
 
 
-def _build_scalar_initial(domain: Domain, entry: dict) -> ScalarField:
+def _build_scalar_initial(domain: Domain, entry: dict, base_dir: Path) -> ScalarField:
     if "file" in entry:
-        return ScalarField(domain, _load_coeffs(entry, "C", "beta", "Ns", domain.spec.Ns))
+        coeffs = _load_coeffs(base_dir / entry["file"], "C", "beta", "Ns", domain.spec.Ns)
+        return ScalarField(domain, coeffs)
     offset, modes = _preset_modes(entry, _SCALAR_PRESETS)
     try:
         return cosine_field(domain, modes, offset)
@@ -457,9 +420,10 @@ def _build_scalar_initial(domain: Domain, entry: dict) -> ScalarField:
         raise ConfigError([f"initial.C: {exc}"])
 
 
-def _build_velocity_initial(domain: Domain, entry: dict) -> VelocityField:
+def _build_velocity_initial(domain: Domain, entry: dict, base_dir: Path) -> VelocityField:
     if "file" in entry:
-        return VelocityField(domain, _load_coeffs(entry, "u", "alpha", "Nv", domain.spec.Nv))
+        coeffs = _load_coeffs(base_dir / entry["file"], "u", "alpha", "Nv", domain.spec.Nv)
+        return VelocityField(domain, coeffs)
     _, modes = _preset_modes(entry, _VELOCITY_PRESETS)
     try:
         return stream_field(domain, modes)

@@ -8,9 +8,9 @@ no-slip test velocities,
 
 because the isotropic part Q(C) I of the stress is a pure gradient there;
 `solver.GalerkinSystem` assembles that pairing and nothing else does.  The
-full tensor here is used for pressure recovery and as the independent
-oracle for the solver's pairing (the korteweg-reduction verify suite).
-Consistency with the reduced form fixes the dyadic part's sign:
+full tensor here is the independent oracle for the solver's pairing (the
+korteweg-reduction verify suite); pressure recovery uses its divergence,
+`divergence_of_full_tensor`.  Consistency with the reduced form fixes the dyadic part's sign:
 
     T(C) = Q(C) I - delta_hat grad C (x) grad C,
     Q(C) = -(delta_hat / 3) |grad C|^2 + (2 gamma / 3) lap C,

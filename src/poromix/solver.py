@@ -137,13 +137,12 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Horizon, tolerances, step bounds and blow-up cap."""
+    """Horizon, tolerances, initial step and blow-up cap."""
 
     T_run: float
     rtol: float = 1e-8
     atol: float = 1e-11
     dt_init: float = 1e-4
-    dt_max: float = math.inf
     blowup_cap: float = 1e6
 
     def validation_errors(self) -> list[str]:
@@ -154,8 +153,6 @@ class SolverConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 errs.append(f"{name} must be finite and > 0, got {v!r}")
-        if not self.dt_max > 0:
-            errs.append(f"dt_max must be > 0, got {self.dt_max!r}")
         if not self.blowup_cap > 0:
             errs.append(f"blowup_cap must be > 0, got {self.blowup_cap!r}")
         return errs
@@ -230,11 +227,17 @@ _ARK_E = _ARK_B - np.array([4586570599 / 29645900160, 0.0, 178811875 / 945068544
                             814220225 / 1159782912, -3700637 / 11593932, 61727 / 225920])
 _ARK_ORDER = 4
 
-# Indices of the work-integral block appended to the packed state.
-_N_EXTRA = 10
+# The work-integral block appended to the packed state: the LedgerRow
+# field of each entry, and the entries' indices.
+_WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f", "i_fdotu",
+                "i_cc", "i_dcdt")
+_N_EXTRA = len(_WORK_FIELDS)
 _IW_C, _IW_U, _I_GRAD_C, _I_LAP_C, _I_GRAD_U, _I_FU, _I_F, _I_FDOTU, _I_CC, _I_DCDT = range(
     _N_EXTRA
 )
+# The ledger columns that are functions of one state, all from its evaluation.
+_STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
+                  "mass", "min_C", "h1_F_sq", "l2_f")
 
 
 class GalerkinSystem:
@@ -408,13 +411,20 @@ class GalerkinSystem:
             # F is finite below the mobility's overflow limit, but F^2 or
             # F |u|^2 may not be: such a diagnostic is inf, which
             # apriori_flags reports, rather than a RuntimeWarning.
+            sb = dom.scalar
             with np.errstate(over="ignore"):
                 diag = {
-                    "min_C": float(np.min(cg)),
+                    "l2_C": float(np.sum(B * B)),
+                    "h1_semi_C": float(ex[_I_GRAD_C]),
+                    "h2_semi_C": float(ex[_I_LAP_C]),
+                    "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
+                    "h1_semi_u": float(ex[_I_GRAD_U]),
                     "fq_u": float(dom.grid.integrate(f_grid * (ux * ux + uy * uy)))
                     if float(np.min(f_grid)) >= 0.0
                     else math.nan,
                     "dCdt_l2": float(ex[_I_DCDT]),
+                    "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
+                    "min_C": float(np.min(cg)),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
                     "h1_F_sq": dom.midpoint.integrate(
@@ -431,44 +441,22 @@ class GalerkinSystem:
     # -- ledger ---------------------------------------------------------------
 
     def ledger_row(self, t, y, diag, prev, blowup: bool) -> LedgerRow:
-        B = y[: self.ns2].reshape(self.Ns, self.Ns)
-        a_flat = y[self.ns2 : self.ns2 + self.nv2]
+        """The row of state y, with `diag` from its evaluation and `prev` the
+        previous row (None at the initial state)."""
         ex = self.extras(y)
-        s = self.domain.scalar
-        l2_C = float(np.sum(B * B))
-        l2_u = float(a_flat @ self.domain.velocity.gram @ a_flat)
         if prev is None:
             res_C = 0.0
             res_u = 0.0
         else:
-            res_C = (0.5 * l2_C + ex[_IW_C]) - (0.5 * prev.l2_C + prev.iw_c)
-            res_u = (0.5 * l2_u + ex[_IW_U]) - (0.5 * prev.l2_u + prev.iw_u)
+            res_C = (0.5 * diag["l2_C"] + ex[_IW_C]) - (0.5 * prev.l2_C + prev.iw_c)
+            res_u = (0.5 * diag["l2_u"] + ex[_IW_U]) - (0.5 * prev.l2_u + prev.iw_u)
         return LedgerRow(
             t=t,
-            l2_C=l2_C,
-            h1_semi_C=float(np.sum(self.lam * B * B)),
-            h2_semi_C=float(np.sum(self.lam**2 * B * B)),
-            l2_u=l2_u,
-            h1_semi_u=float(a_flat @ self.stiffness @ a_flat),
-            fq_u=diag["fq_u"],
-            dCdt_l2=diag["dCdt_l2"],
-            mass=float(B[0, 0] * s.norm_00 * s.Lx * s.Ly),
-            min_C=diag["min_C"],
             res_C=res_C,
             res_u=res_u,
             blowup=int(blowup),
-            iw_c=float(ex[_IW_C]),
-            iw_u=float(ex[_IW_U]),
-            i_grad_c=float(ex[_I_GRAD_C]),
-            i_lap_c=float(ex[_I_LAP_C]),
-            i_grad_u=float(ex[_I_GRAD_U]),
-            i_fu=float(ex[_I_FU]),
-            i_f=float(ex[_I_F]),
-            i_fdotu=float(ex[_I_FDOTU]),
-            i_cc=float(ex[_I_CC]),
-            i_dcdt=float(ex[_I_DCDT]),
-            h1_F_sq=diag["h1_F_sq"],
-            l2_f=diag["l2_f"],
+            **{name: diag[name] for name in _STATE_COLUMNS},
+            **{name: float(v) for name, v in zip(_WORK_FIELDS, ex)},
         )
 
 
@@ -592,13 +580,13 @@ def run(
 
     Emits a ledger row and calls `snapshot_sink(state)` per accepted step,
     lands exactly on every requested checkpoint time (kept in
-    `checkpoints`), and halts with outcome "blowup" as soon as the
-    concentration L2 norm exceeds the configured cap.  A trial step that
-    fails (non-finite values, mobility overflow) is rejected and retried
-    with a smaller dt.  Each later state is evaluated once, as the last
-    stage of the trial that reaches it, which also gives its ledger
-    diagnostics and the next step's slope; so only a failure at the
-    initial state aborts the run.  Each trial takes DP5(4) or, when the
+    `checkpoints`; a time outside [t0, t0 + T_run] is a ValueError), and
+    halts with outcome "blowup" as soon as the concentration L2 norm
+    exceeds the configured cap.  A trial step that fails (non-finite
+    values, mobility overflow) is rejected and retried with a smaller dt.
+    Each later state is evaluated once, as the last stage of the trial
+    that reaches it, which also gives its ledger diagnostics and the next
+    step's slope; so only a failure at the initial state aborts the run.  Each trial takes DP5(4) or, when the
     drag sets the step, the implicit-explicit ARK4(3)6L pair (see
     `_takes_imex`); `steps_implicit` counts the accepted ones of the latter.
     """
@@ -619,8 +607,11 @@ def run(
             f"concentration norm {init_norm:.6g}"
         )
 
-    stops = sorted({float(s) for s in checkpoint_times if t < float(s) <= t_end} | {t_end})
     checkpoint_set = {float(s) for s in checkpoint_times}
+    outside = sorted(s for s in checkpoint_set if not t <= s <= t_end)
+    if outside:
+        raise ValueError(f"checkpoint time {outside[0]!r} lies outside the run [{t!r}, {t_end!r}]")
+    stops = sorted((checkpoint_set - {t}) | {t_end})
 
     ledger = EnergyLedger()
     checkpoints = {}
@@ -634,7 +625,7 @@ def run(
     if t in checkpoint_set:
         checkpoints[t] = state0
 
-    dt = min(config.dt_init, config.dt_max, stops[0] - t)
+    dt = min(config.dt_init, stops[0] - t)
     err_prev = 1.0
     accepted = 0
     rejected = 0
@@ -658,8 +649,7 @@ def run(
         accepted += 1
         implicit += order == _ARK_ORDER
 
-        l2_C = float(np.sum(y[: system.ns2] ** 2))
-        blowup = math.sqrt(l2_C) > config.blowup_cap
+        blowup = math.sqrt(diag["l2_C"]) > config.blowup_cap
         row = system.ledger_row(t, y, diag, row, blowup)
         ledger.append(row)
         state = system.unpack(t, y)
@@ -678,7 +668,6 @@ def run(
         else:
             fac = _SAFETY * err_norm ** (-0.7 / order) * err_prev ** (0.4 / order)
         dt = dt * min(_FAC_MAX, max(_FAC_MIN, fac))
-        dt = min(dt, config.dt_max)
         err_prev = max(err_norm, 1e-10)
 
     return SimulationResult(

@@ -140,6 +140,18 @@ def test_sweep_malformed_vary_rejected(tmp_path, capsys):
     assert "unknown sweep parameter" in capsys.readouterr().err
 
 
+def test_sweep_rejected_value_leaves_no_report(tmp_path, capsys):
+    # R needs an exponential mobility; the sweep fails before the report opens.
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("{kind: constant, coefficients: [1.0]}",
+                                       "{kind: polynomial, coefficients: [1.0, 0.5]}"))
+    report = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--vary", "R:0:1:2",
+                 "--report", str(report)]) == 1
+    assert "sweeping R requires exponential mobility" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_sweep_run_count_capped(tmp_path, capsys):
     # One above the cap is refused before any run or value grid is made.
     cfg = tmp_path / "s.yaml"

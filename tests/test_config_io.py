@@ -9,6 +9,7 @@ import pytest
 from poromix import ConfigError, DomainSpec, RunConfig, build_domain
 from poromix.config import OutputSpec
 from poromix.forcing import ForcingSpec
+from poromix.mobility import MobilitySpec
 from poromix.ledger import CSV_COLUMNS, EnergyLedger
 from poromix.runio import read_snapshot, write_metadata, write_snapshot
 from poromix.solver import PhysicalParams, SimulationState, SolverConfig, run
@@ -34,7 +35,7 @@ def test_parse_valid_config(tmp_path):
     assert cfg.params.kappa == 1.0
     assert cfg.params.mobility.kind == "constant"
     assert cfg.solver.T_run == 0.2
-    domain = cfg.build_domain()
+    domain = build_domain(cfg.domain)
     C0, u0 = cfg.build_initial(domain)
     assert C0.mean_value == pytest.approx(0.5, abs=1e-14)
     assert np.abs(u0.coeffs).max() == 0.0
@@ -55,19 +56,40 @@ def test_nan_rejected_for_every_numeric_key(tmp_path):
     for old, new in (("Lx: 3.141592653589793", "Lx: .nan"),
                      ("kappa: 1.0", "kappa: .nan"),
                      ("value: 0.5", "value: .nan"),
-                     ("rtol: 1.0e-8", "rtol: .nan, dt_max: .nan"),
+                     ("rtol: 1.0e-8", "rtol: .nan"),
                      ("snapshot_cadence: 0.0", "snapshot_cadence: .nan")):
         assert old in text
         text = text.replace(old, new, 1)
     with pytest.raises(ConfigError) as info:
         RunConfig.from_text(text, base_dir=tmp_path)
-    fields = ("domain.Lx", "params.kappa", "initial.C.value", "solver.rtol", "solver.dt_max",
+    fields = ("domain.Lx", "params.kappa", "initial.C.value", "solver.rtol",
               "outputs.snapshot_cadence")
     for name in fields:
         assert f"{name}: must be finite, got nan" in info.value.errors
-    # dt_max alone may be infinite: no step bound.
-    text = VALID_CONFIG.replace("rtol: 1.0e-8", "rtol: 1.0e-8, dt_max: .inf")
-    assert RunConfig.from_text(text, base_dir=tmp_path).solver.dt_max == math.inf
+
+
+def test_dt_max_rejected_as_unknown_key(tmp_path):
+    # The step size has no upper bound option: a config that sets one is
+    # rejected by name, like any other key the solver section does not have.
+    text = VALID_CONFIG.replace("blowup_cap: 100.0}", "blowup_cap: 100.0, dt_max: 0.01}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == ["solver.dt_max: unknown key"]
+
+
+def test_mobility_coefficients_parsed_one_by_one(tmp_path):
+    # YAML 1.1 reads 1.0e6 (no sign after the e) as a string; each
+    # coefficient is parsed like a scalar key and named by its index.
+    specs = []
+    for coeffs in ("[1.0e6]", "[1000000.0]"):
+        text = VALID_CONFIG.replace("coefficients: [1.0]", f"coefficients: {coeffs}")
+        specs.append(RunConfig.from_text(text, base_dir=tmp_path).params.mobility)
+    assert specs[0] == specs[1] == MobilitySpec.constant(1.0e6)
+    text = VALID_CONFIG.replace("{kind: constant, coefficients: [1.0]}",
+                                "{kind: polynomial, coefficients: [1.0, one]}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == ["mobility.coefficients[1]: expected a number, got 'one'"]
 
 
 def test_non_string_initial_file_reported(tmp_path):

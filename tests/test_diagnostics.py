@@ -132,6 +132,18 @@ def test_perturbation_inconclusive_on_blowup(pi_domain):
     assert "blew up" in report.detail
 
 
+def test_perturbation_checkpoint_past_the_run_is_named(pi_domain):
+    with pytest.raises(ValueError, match="checkpoint time 0.2 lies outside the run"):
+        perturbation_stability(
+            make_scalar(pi_domain, [], offset=0.5),
+            make_scalar(pi_domain, [(1, 0, 1.0)]),
+            1e-3,
+            _params(),
+            SolverConfig(T_run=0.1),
+            checkpoint_times=(0.2,),
+        )
+
+
 def test_apriori_zero_solution(pi_domain):
     res = run(_still(pi_domain, 0.0), _params(kappa=1.0), SolverConfig(T_run=0.3))
     report = apriori_flags(res.ledger, _params(kappa=1.0))

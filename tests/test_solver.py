@@ -281,6 +281,15 @@ def test_run_from_nonzero_initial_time(pi_domain):
     assert res.ledger[0].t == 2.0
 
 
+def test_checkpoint_outside_the_run_is_rejected(pi_domain):
+    state = SimulationState(2.0, make_scalar(pi_domain, [(1, 0, 0.5)], offset=0.5),
+                            make_velocity(pi_domain, []))
+    config = SolverConfig(T_run=0.5)
+    for late_or_early in (2.75, 1.5):
+        with pytest.raises(ValueError, match=f"checkpoint time {late_or_early} lies outside"):
+            run(state, _params(), config, checkpoint_times=(2.25, late_or_early))
+
+
 def test_blowup_cap_must_exceed_initial_norm(pi_domain):
     C0 = make_scalar(pi_domain, [], offset=2.0)
     state = SimulationState(0.0, C0, make_velocity(pi_domain, []))
@@ -350,6 +359,29 @@ def test_ledger_norms_match_grid_quadrature(pi_domain):
     ]
     for coeff_val, grid_val in checks:
         assert abs(coeff_val - grid_val) <= 1e-10 * max(1.0, abs(grid_val))
+
+
+def test_ledger_columns_are_the_integrands_of_their_work_integrals(pi_domain):
+    # Each state's ledger norms and the work-integral slopes come from one
+    # evaluation, so a row's column equals, bit for bit, the slope of the
+    # work integral that accumulates it, evaluated afresh at that state.
+    params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5),
+                     korteweg=KortewegParams(delta_hat=0.1))
+    forcing = ForcingSpec.preset("pulsed_stream")
+    state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2), (2, 0, 0.1)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.3), (2, 1, 0.1)]))
+    states = []
+    res = run(state, params, SolverConfig(T_run=0.4), forcing=forcing,
+              snapshot_sink=states.append)
+    system = GalerkinSystem(pi_domain, params, forcing)
+    pairs = (("h1_semi_C", solver._I_GRAD_C), ("h2_semi_C", solver._I_LAP_C),
+             ("h1_semi_u", solver._I_GRAD_U), ("dCdt_l2", solver._I_DCDT),
+             ("l2_f", solver._I_F))
+    assert len(states) == len(res.ledger) > 10
+    for row, st in zip(res.ledger.rows, states):
+        ex = system.extras(system.rhs(st.t, system.pack(st.C, st.u)))
+        assert row.t == st.t
+        assert [getattr(row, name) for name, _ in pairs] == [ex[i] for _, i in pairs]
 
 
 def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
