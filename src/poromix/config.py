@@ -141,7 +141,7 @@ class RunConfig:
         mobility = _parse_mobility(raw["mobility"], errors)
         params = _parse_params(raw["params"], mobility, errors)
         forcing_raw = _parse_forcing(raw["forcing"], base_dir, errors)
-        initial = _parse_initial(raw["initial"], base_dir, errors)
+        initial = _parse_initial(raw["initial"], domain, base_dir, errors)
         solver = _parse_solver(raw["solver"], errors)
         outputs = _parse_outputs(raw["outputs"], errors)
 
@@ -180,9 +180,6 @@ class RunConfig:
             "solver": _echo(self.solver, "solver"),
             "outputs": _echo(self.outputs, "outputs"),
         }
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
 
 
 def _echo(obj, sec_name) -> dict:
@@ -318,7 +315,9 @@ def _parse_forcing(section, base_dir, errors):
     return {"preset": name}
 
 
-def _parse_initial(section, base_dir, errors):
+def _parse_initial(section, domain, base_dir, errors):
+    """The initial entries; a preset's modes are checked against `domain`'s
+    bases (skipped when the domain section is itself broken)."""
     _check_unknown(section, "initial", _KEYS["initial"], errors)
     out = {}
     for key, presets in (("C", _SCALAR_PRESETS), ("u", _VELOCITY_PRESETS)):
@@ -337,9 +336,24 @@ def _parse_initial(section, base_dir, errors):
         elif "file" in entry:
             _check_file(entry, f"initial.{key}", base_dir, errors)
         else:
+            n_errors = len(errors)
             entry = _parse_preset_keys(entry, f"initial.{key}", presets[entry["preset"]], errors)
+            if domain is not None and len(errors) == n_errors:
+                errors.extend(_mode_range_errors(key, entry, presets, domain))
         out[key] = dict(entry)
     return out
+
+
+def _mode_range_errors(key, entry, presets, spec: DomainSpec) -> list[str]:
+    """initial.<key>'s preset modes that lie outside the basis of `spec`:
+    0 <= j, k < Ns for C, 1 <= j, k <= Nv for u."""
+    if key == "C":
+        lo, hi, name, basis = 0, spec.Ns - 1, "cosine", f"Ns={spec.Ns}"
+    else:
+        lo, hi, name, basis = 1, spec.Nv, "stream", f"Nv={spec.Nv}"
+    _, modes = _preset_modes(entry, presets)
+    return [f"initial.{key}: {name} mode ({j}, {k}) out of range for {basis}"
+            for j, k, _ in modes if not (lo <= j <= hi and lo <= k <= hi)]
 
 
 def _parse_preset_keys(entry, sec_name, defaults, errors):
@@ -414,10 +428,7 @@ def _build_scalar_initial(domain: Domain, entry: dict, base_dir: Path) -> Scalar
         coeffs = _load_coeffs(base_dir / entry["file"], "C", "beta", "Ns", domain.spec.Ns)
         return ScalarField(domain, coeffs)
     offset, modes = _preset_modes(entry, _SCALAR_PRESETS)
-    try:
-        return cosine_field(domain, modes, offset)
-    except ValueError as exc:
-        raise ConfigError([f"initial.C: {exc}"])
+    return cosine_field(domain, modes, offset)
 
 
 def _build_velocity_initial(domain: Domain, entry: dict, base_dir: Path) -> VelocityField:
@@ -425,7 +436,4 @@ def _build_velocity_initial(domain: Domain, entry: dict, base_dir: Path) -> Velo
         coeffs = _load_coeffs(base_dir / entry["file"], "u", "alpha", "Nv", domain.spec.Nv)
         return VelocityField(domain, coeffs)
     _, modes = _preset_modes(entry, _VELOCITY_PRESETS)
-    try:
-        return stream_field(domain, modes)
-    except ValueError as exc:
-        raise ConfigError([f"initial.u: {exc}"])
+    return stream_field(domain, modes)

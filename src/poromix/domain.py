@@ -263,7 +263,14 @@ class MidpointRule:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Bundle of the discretization products for one DomainSpec."""
+    """Bundle of the discretization products for one DomainSpec.
+
+    The grid transforms take a keyword-only ``out=``: an (M, M) array, or
+    a pair of them for the two-component ones, that receives the nodal
+    values and is returned.  The projections and pairings take a
+    keyword-only ``scratch=``, an (M, M) array that holds their weighted
+    nodal values.  Left as None, both allocate, with the same arithmetic.
+    """
 
     spec: DomainSpec
     scalar: ScalarBasis
@@ -273,47 +280,55 @@ class Domain:
 
     # -- scalar transforms -------------------------------------------------
 
-    def scalar_values(self, B: np.ndarray) -> np.ndarray:
+    def scalar_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) on the grid, (M, M)."""
         g = self.grid
-        return g.zx @ B @ g.zy.T
+        return np.matmul(g.zx @ B, g.zy.T, out=out)
 
-    def scalar_gradient_values(self, B: np.ndarray):
+    def scalar_gradient_values(self, B: np.ndarray, *, out=(None, None)):
+        """Nodal (Cx, Cy); `out` is a pair of (M, M) arrays or (None, None)."""
         g = self.grid
-        return g.zxd @ B @ g.zy.T, g.zx @ B @ g.zyd.T
+        ox, oy = out
+        return np.matmul(g.zxd @ B, g.zy.T, out=ox), np.matmul(g.zx @ B, g.zyd.T, out=oy)
 
     def scalar_second_derivative_values(self, B: np.ndarray):
         """(Cxx, Cxy, Cyy) nodal values."""
         g = self.grid
         return g.zxdd @ B @ g.zy.T, g.zxd @ B @ g.zyd.T, g.zx @ B @ g.zydd.T
 
-    def scalar_project(self, values: np.ndarray) -> np.ndarray:
+    def scalar_project(self, values: np.ndarray, *, scratch=None) -> np.ndarray:
         """L2 projection of nodal values onto the cosine basis, (Ns, Ns)."""
         g = self.grid
-        return g.zx.T @ (g.weights * values) @ g.zy
+        return g.zx.T @ np.multiply(g.weights, values, out=scratch) @ g.zy
 
     def scalar_gradient_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Pair a nodal vector field against grad z[j,k] for every mode."""
         g = self.grid
         return g.zxd.T @ (g.weights * vx) @ g.zy + g.zx.T @ (g.weights * vy) @ g.zyd
 
-    def midpoint_values(self, B: np.ndarray) -> np.ndarray:
+    def midpoint_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
         m = self.midpoint
-        return m.zx @ B @ m.zy.T
+        return np.matmul(m.zx @ B, m.zy.T, out=out)
 
-    def midpoint_gradient_values(self, B: np.ndarray):
+    def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
+        """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
         m = self.midpoint
-        return m.zxd @ B @ m.zy.T, m.zx @ B @ m.zyd.T
+        ox, oy = out
+        return np.matmul(m.zxd @ B, m.zy.T, out=ox), np.matmul(m.zx @ B, m.zyd.T, out=oy)
 
     # -- velocity transforms -----------------------------------------------
 
-    def velocity_values(self, A: np.ndarray):
-        """Nodal (ux, uy) for streamfunction coefficients A, (Nv, Nv)."""
+    def velocity_values(self, A: np.ndarray, *, out=(None, None)):
+        """Nodal (ux, uy) for streamfunction coefficients A, (Nv, Nv).
+
+        `out` is a pair of (M, M) arrays or (None, None).
+        """
         g = self.grid
-        ux = g.phx @ A @ g.phyd.T
-        uy = -(g.phxd @ A @ g.phy.T)
-        return ux, uy
+        ox, oy = out
+        ux = np.matmul(g.phx @ A, g.phyd.T, out=ox)
+        uy = np.matmul(g.phxd @ A, g.phy.T, out=oy)
+        return ux, np.negative(uy, out=uy)
 
     def velocity_gradient_values(self, A: np.ndarray):
         """Nodal (dux/dx, dux/dy, duy/dx, duy/dy)."""
@@ -330,12 +345,13 @@ class Domain:
         luy = -(g.phxddd @ A @ g.phy.T + g.phxd @ A @ g.phydd.T)
         return lux, luy
 
-    def velocity_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def velocity_pairing(self, vx: np.ndarray, vy: np.ndarray, *, scratch=None) -> np.ndarray:
         """Pair a nodal vector field against every w[j,k]; returns (Nv, Nv)."""
         g = self.grid
-        return g.phx.T @ (g.weights * vx) @ g.phyd - g.phxd.T @ (g.weights * vy) @ g.phy
+        pair_x = g.phx.T @ np.multiply(g.weights, vx, out=scratch) @ g.phyd
+        return pair_x - g.phxd.T @ np.multiply(g.weights, vy, out=scratch) @ g.phy
 
-    def weighted_gram(self, values: np.ndarray) -> np.ndarray:
+    def weighted_gram(self, values: np.ndarray, *, scratch=None) -> np.ndarray:
         """(values w_q, w_r) for every pair of velocity modes, (Nv^2, Nv^2).
 
         Sum-factorised: the weighted nodal values are contracted with the
@@ -345,7 +361,7 @@ class Domain:
         """
         Nv = self.spec.Nv
         px, pxd, py_pyd = self._stream_pair_factors
-        fy = (self.grid.weights * values) @ py_pyd
+        fy = np.multiply(self.grid.weights, values, out=scratch) @ py_pyd
         d = px @ fy[:, Nv * Nv:] + pxd @ fy[:, : Nv * Nv]
         return d.reshape(Nv, Nv, Nv, Nv).transpose(0, 2, 1, 3).reshape(Nv * Nv, Nv * Nv)
 

@@ -10,6 +10,7 @@ over the run horizon; evaluation rejects non-finite values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,24 +19,41 @@ from .domain import Domain
 __all__ = ["ForcingSpec", "FORCING_PRESETS"]
 
 
-def _zero(domain: Domain, t: float):
-    z = np.zeros((domain.grid.M, domain.grid.M))
-    return z, z.copy()
+# Each preset is (domain, t, out) -> (fx, fy); `out` is a pair of (M, M)
+# arrays that receive the values, or (None, None) for new ones.
 
 
-def _steady_stream(domain: Domain, t: float):
-    """Steady body force shaped like the lowest basis velocity."""
-    g = domain.grid
-    fx = np.outer(g.phx[:, 0], g.phyd[:, 0])
-    fy = -np.outer(g.phxd[:, 0], g.phy[:, 0])
+def _zero(domain: Domain, t: float, out=(None, None)):
+    M = domain.grid.M
+    fx, fy = (np.empty((M, M)) if o is None else o for o in out)
+    fx.fill(0.0)
+    fy.fill(0.0)
     return fx, fy
 
 
-def _pulsed_stream(domain: Domain, t: float):
+@lru_cache(maxsize=8)
+def _lowest_mode(grid):
+    """The lowest basis velocity at the grid's nodes, read-only."""
+    fx = np.outer(grid.phx[:, 0], grid.phyd[:, 0])
+    fy = -np.outer(grid.phxd[:, 0], grid.phy[:, 0])
+    fx.flags.writeable = fy.flags.writeable = False
+    return fx, fy
+
+
+def _scaled_lowest_mode(amp, domain: Domain, out):
+    # A scalar times a grid array: unlike np.outer with out=, this ufunc
+    # needs no iteration buffers.
+    return tuple(np.multiply(amp, f, out=o) for f, o in zip(_lowest_mode(domain.grid), out))
+
+
+def _steady_stream(domain: Domain, t: float, out=(None, None)):
+    """Steady body force shaped like the lowest basis velocity."""
+    return _scaled_lowest_mode(1.0, domain, out)
+
+
+def _pulsed_stream(domain: Domain, t: float, out=(None, None)):
     """Lowest-mode body force with a smooth pulse in time."""
-    amp = np.sin(2.0 * np.pi * t) * np.exp(-t)
-    fx, fy = _steady_stream(domain, t)
-    return amp * fx, amp * fy
+    return _scaled_lowest_mode(np.sin(2.0 * np.pi * t) * np.exp(-t), domain, out)
 
 
 FORCING_PRESETS = {
@@ -97,16 +115,26 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return self.kind == "preset" and self.name == "zero"
 
-    def evaluate(self, domain: Domain, t: float):
+    def evaluate(self, domain: Domain, t: float, out=None):
+        """Nodal (fx, fy) at time t on the domain's grid.
+
+        `out`, a pair of (M, M) arrays, receives the values of a preset or
+        of an interpolation inside a table's window and is returned; left as
+        None, those values come in new arrays.  A table clamped at either
+        end returns its own row, and a callable its own arrays, so callers
+        read the returned pair and never write into it.
+        """
+        out = (None, None) if out is None else out
         if self.kind == "preset":
-            fx, fy = FORCING_PRESETS[self.name](domain, t)
+            fx, fy = FORCING_PRESETS[self.name](domain, t, out)
         elif self.kind == "tabulated":
             M = domain.grid.M
             if self.fx_table.shape[1:] != (M, M):
                 raise ValueError(
                     f"tabulated forcing grid {self.fx_table.shape[1:]} does not match M={M}"
                 )
-            # Clamp outside the tabulated window, interpolate linearly inside.
+            # Clamp outside the tabulated window (the table's own rows),
+            # interpolate linearly inside.
             k = np.searchsorted(self.times, t)
             if k == 0:
                 fx, fy = self.fx_table[0], self.fy_table[0]
@@ -115,8 +143,8 @@ class ForcingSpec:
             else:
                 t0, t1 = self.times[k - 1], self.times[k]
                 s = (t - t0) / (t1 - t0)
-                fx = (1 - s) * self.fx_table[k - 1] + s * self.fx_table[k]
-                fy = (1 - s) * self.fy_table[k - 1] + s * self.fy_table[k]
+                fx, fy = (np.add(np.multiply(1 - s, table[k - 1], out=o), s * table[k], out=o)
+                          for o, table in zip(out, (self.fx_table, self.fy_table)))
         else:
             fx, fy = self.func(domain, t)
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):

@@ -12,7 +12,6 @@ integration error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 __all__ = ["LedgerRow", "EnergyLedger", "CSV_COLUMNS"]
@@ -105,17 +104,3 @@ class EnergyLedger:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             self.to_csv(fh)
-
-    @staticmethod
-    def read_csv(path) -> "EnergyLedger":
-        """Parse a ledger CSV back into rows (cumulative integrals are lost)."""
-        ledger = EnergyLedger()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_COLUMNS:
-                raise ValueError(f"unexpected ledger header: {reader.fieldnames}")
-            for rec in reader:
-                vals = {k: float(rec[k]) for k in CSV_COLUMNS}
-                vals["blowup"] = int(vals["blowup"])
-                ledger.append(LedgerRow(**vals))
-        return ledger

@@ -93,38 +93,51 @@ class MobilitySpec:
     def exponential(R: float) -> "MobilitySpec":
         return MobilitySpec("exponential", (R,))
 
-    def derivative_values(self, c_grid: np.ndarray, f_values: np.ndarray) -> np.ndarray:
+    def derivative_values(self, c_grid: np.ndarray, f_values: np.ndarray,
+                          out=None) -> np.ndarray:
         """Pointwise F'(C), used for H1 norms of F(C).
 
         f_values = evaluate(self, c_grid): the exponential's F' = R F
-        reuses it rather than exponentiating again.
+        reuses it rather than exponentiating again.  `out` is as for
+        `evaluate`.
         """
         if self.kind == "exponential":
-            return self.coefficients[0] * f_values
-        P = np.polynomial.polynomial
-        return P.polyval(c_grid, P.polyder(self.coefficients))
+            return np.multiply(self.coefficients[0], f_values, out=out)
+        return _polyval(c_grid, np.polynomial.polynomial.polyder(self.coefficients), out)
 
 
-def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
+def evaluate(F: MobilitySpec, c_grid: np.ndarray, out=None) -> np.ndarray:
     """Pointwise mobility values on the grid.
 
-    Exponential overflow raises MobilityOverflowError rather than
-    silently clamping.
+    `out`, an array shaped like `c_grid`, receives the values and is
+    returned; left as None, a new array is.  Exponential overflow raises
+    MobilityOverflowError rather than silently clamping.
     """
     c = np.asarray(c_grid, dtype=float)
     if F.kind == "constant":
-        return np.full_like(c, F.coefficients[0])
+        out = np.empty_like(c) if out is None else out
+        out.fill(F.coefficients[0])
+        return out
     if F.kind == "polynomial":
-        return np.polynomial.polynomial.polyval(c, F.coefficients)
-    R = F.coefficients[0]
-    arg = R * c
-    peak = float(np.max(np.abs(arg))) if arg.size else 0.0
+        return _polyval(c, F.coefficients, out)
+    arg = np.multiply(F.coefficients[0], c, out=out)
+    peak = max(float(np.max(arg)), -float(np.min(arg))) if arg.size else 0.0
     if not np.isfinite(peak) or peak > _EXP_ARG_LIMIT:
         raise MobilityOverflowError(
             f"exponential mobility overflow: |R*C| reached {peak:.3e} "
             f"(limit {_EXP_ARG_LIMIT})"
         )
-    return np.exp(arg)
+    return np.exp(arg, out=out)
+
+
+def _polyval(c, coefficients, out):
+    """numpy's polyval(c, coefficients), the same Horner steps, into `out`."""
+    out = np.multiply(c, 0.0, out=out)
+    out += coefficients[-1]
+    for a in coefficients[-2::-1]:
+        out *= c
+        out += a
+    return out
 
 
 @dataclass(frozen=True)

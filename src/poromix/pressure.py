@@ -73,10 +73,12 @@ def momentum_gradient_residual(
     """Norm of (R - grad p) paired against gradient test fields.
 
     After recovery the projection of the momentum residual onto gradients
-    of the scalar basis should vanish; the pressure tests check recovery
-    with it (no verify suite calls it).  Returns the l2 norm of the
-    remaining pairings scaled by the norm of the pairings before
-    subtraction.
+    of the scalar basis should vanish.  The pressure tests keep it as the
+    independent check of `recover_pressure`: it subtracts the pairings
+    (grad p, grad z) = lam p_hat of the given pressure instead of dividing
+    by lam, so it also judges a pressure from elsewhere.  No verify suite
+    calls it.  Returns the l2 norm of the remaining pairings scaled by the
+    norm of the pairings before subtraction.
     """
     dom = state.domain
     rx, ry = _momentum_residual_grids(state, u_dot, forcing, params)

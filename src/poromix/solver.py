@@ -235,13 +235,30 @@ _N_EXTRA = len(_WORK_FIELDS)
 _IW_C, _IW_U, _I_GRAD_C, _I_LAP_C, _I_GRAD_U, _I_FU, _I_F, _I_FDOTU, _I_CC, _I_DCDT = range(
     _N_EXTRA
 )
+# Slots of GalerkinSystem's grid workspace: nodal C and F(C), grad C, u and
+# f, two temporaries, and the scratch for a projection's weighted values.
+_N_WORK = 11
+_W_C, _W_F, _W_CX, _W_CY, _W_UX, _W_UY, _W_FX, _W_FY, _W_TMP_X, _W_TMP_Y, _W_SCRATCH = range(
+    _N_WORK
+)
+# Slots of its midpoint-rule workspace: C, grad C, F(C), F'(C), a temporary.
+_N_MID_WORK = 6
+_M_C, _M_CX, _M_CY, _M_F, _M_FP, _M_TMP = range(_N_MID_WORK)
 # The ledger columns that are functions of one state, all from its evaluation.
 _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
                   "mass", "min_C", "h1_F_sq", "l2_f")
 
 
 class GalerkinSystem:
-    """Right-hand-side assembly for one (domain, params, forcing) triple."""
+    """Right-hand-side assembly for one (domain, params, forcing) triple.
+
+    Every grid intermediate of an evaluation is written into workspaces the
+    system owns, `_work` on the Gauss-Legendre grid and `_mid_work` on the
+    midpoint rule, so evaluations allocate no grid array.  The arrays an
+    evaluation returns never alias them, except the nodal (C, F(C)) that
+    `solve_momentum_stage` hands to the same stage's `rhs`.  One instance
+    must not evaluate in two threads at once.
+    """
 
     def __init__(self, domain: Domain, params: PhysicalParams, forcing: ForcingSpec | None = None,
                  transport_source=None):
@@ -259,6 +276,8 @@ class GalerkinSystem:
         self.lam = domain.scalar.eigenvalues
         self.stiffness = domain.velocity.stiffness
         self.alpha_slice = slice(self.ns2, self.ns2 + self.nv2)
+        self._work = np.empty((_N_WORK, domain.grid.M, domain.grid.M))
+        self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
 
     # -- implicit-explicit stepping ---------------------------------------------
 
@@ -284,15 +303,18 @@ class GalerkinSystem:
         Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
         the stage is linear in alpha: one dense solve, no Newton iteration.
         A polynomial F can be negative, so the matrix need not be SPD.
-        Returns alpha and the nodal (C, F(C)), which the stage's `rhs` reuses.
+        Returns alpha and the nodal (C, F(C)), which the stage's `rhs` reuses;
+        those two live in the workspace until the system's next evaluation.
         """
         dom = self.domain
+        w = self._work
         B = z[: self.ns2].reshape(self.Ns, self.Ns)
-        cg = dom.scalar_values(B)
-        f_grid = mobility_values(self.params.mobility, cg)
+        cg = dom.scalar_values(B, out=w[_W_C])
+        f_grid = mobility_values(self.params.mobility, cg, out=w[_W_F])
         gram = dom.velocity.gram
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs = gram + gh * (self.params.mu_e * self.stiffness + dom.weighted_gram(f_grid))
+            d_f = dom.weighted_gram(f_grid, scratch=w[_W_SCRATCH])
+            lhs = gram + gh * (self.params.mu_e * self.stiffness + d_f)
         if not np.all(np.isfinite(lhs)):
             raise NonFiniteStateError(t)
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
@@ -337,37 +359,46 @@ class GalerkinSystem:
         B = y[: self.ns2].reshape(self.Ns, self.Ns)
         A = y[self.ns2 : self.ns2 + self.nv2].reshape(self.Nv, self.Nv)
         a_flat = A.reshape(-1)
+        w = self._work
+        tmp_x, tmp_y, scratch = w[_W_TMP_X], w[_W_TMP_Y], w[_W_SCRATCH]
 
         if nodal_c_f is None:
-            cg = dom.scalar_values(B)
-            f_grid = mobility_values(p.mobility, cg)
+            cg = dom.scalar_values(B, out=w[_W_C])
+            f_grid = mobility_values(p.mobility, cg, out=w[_W_F])
         else:
             cg, f_grid = nodal_c_f
-        cx, cy = dom.scalar_gradient_values(B)
-        ux, uy = dom.velocity_values(A)
+        cx, cy = dom.scalar_gradient_values(B, out=(w[_W_CX], w[_W_CY]))
+        ux, uy = dom.velocity_values(A, out=(w[_W_UX], w[_W_UY]))
 
         # Transport: advection and reaction projections.
-        p_adv = dom.scalar_project(ux * cx + uy * cy)
-        cc_grid = cg * (1.0 - cg)
-        p_cc = dom.scalar_project(cc_grid)
+        adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
+        p_adv = dom.scalar_project(adv, scratch=scratch)
+        cc_grid = np.multiply(cg, np.subtract(1.0, cg, out=tmp_x), out=tmp_x)
+        p_cc = dom.scalar_project(cc_grid, scratch=scratch)
         bdot = -p.d * self.lam * B - p_adv - p.kappa * p_cc
         if self.transport_source is not None:
-            bdot = bdot + dom.scalar_project(self.transport_source(dom, t))
+            bdot = bdot + dom.scalar_project(self.transport_source(dom, t), scratch=scratch)
 
         # Momentum: drag, Korteweg coupling, body force.
-        pair_F = dom.velocity_pairing(f_grid * ux, f_grid * uy).reshape(-1)
+        pair_F = dom.velocity_pairing(np.multiply(f_grid, ux, out=tmp_x),
+                                      np.multiply(f_grid, uy, out=tmp_y),
+                                      scratch=scratch).reshape(-1)
         if dh != 0.0:
-            lap_g = dom.scalar_values(-self.lam * B)
-            pair_kt = dom.velocity_pairing(-dh * lap_g * cx, -dh * lap_g * cy).reshape(-1)
+            lap_g = dom.scalar_values(-self.lam * B, out=tmp_x)
+            kt = np.multiply(-dh, lap_g, out=tmp_x)
+            kt_y = np.multiply(kt, cy, out=tmp_y)
+            kt_x = np.multiply(kt, cx, out=tmp_x)
+            pair_kt = dom.velocity_pairing(kt_x, kt_y, scratch=scratch).reshape(-1)
         else:
             pair_kt = np.zeros(self.nv2)
         if self.forcing.is_zero:
             pair_f = np.zeros(self.nv2)
             f_sq = 0.0
         else:
-            fx, fy = self.forcing.evaluate(dom, t)
-            pair_f = dom.velocity_pairing(fx, fy).reshape(-1)
-            f_sq = dom.grid.integrate(fx * fx + fy * fy)
+            fx, fy = self.forcing.evaluate(dom, t, out=(w[_W_FX], w[_W_FY]))
+            pair_f = dom.velocity_pairing(fx, fy, scratch=scratch).reshape(-1)
+            f_sq = dom.grid.integrate(np.add(np.multiply(fx, fx, out=tmp_x),
+                                             np.multiply(fy, fy, out=tmp_y), out=tmp_x))
 
         s_alpha = self.stiffness @ a_flat
         implicit_pair = -p.mu_e * s_alpha - pair_F
@@ -389,9 +420,10 @@ class GalerkinSystem:
         ex[_I_F] = f_sq
         f_dot_u = float(a_flat @ pair_f)
         ex[_I_FDOTU] = f_dot_u
-        cm = dom.midpoint_values(B)
-        cc_mid = cm * (1.0 - cm)
-        ex[_I_CC] = dom.midpoint.integrate(cc_mid * cc_mid)
+        mw = self._mid_work
+        cm = dom.midpoint_values(B, out=mw[_M_C])
+        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_TMP]), out=mw[_M_TMP])
+        ex[_I_CC] = dom.midpoint.integrate(np.square(cc_mid, out=cc_mid))
         ex[_I_DCDT] = float(np.sum(bdot * bdot))
         ex[_IW_C] = p.d * grad_c_sq + float(np.sum(B * p_adv)) + p.kappa * float(np.sum(B * p_cc))
         ex[_IW_U] = p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u
@@ -405,31 +437,38 @@ class GalerkinSystem:
             # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
             # F (squares of sines are cosines), quartic for a quadratic F:
             # it goes on the midpoint rule like (C (1-C))^2.
-            cmx, cmy = dom.midpoint_gradient_values(B)
-            f_mid = mobility_values(p.mobility, cm)
-            fp = p.mobility.derivative_values(cm, f_mid)
+            cmx, cmy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
+            f_mid = mobility_values(p.mobility, cm, out=mw[_M_F])
+            fp = p.mobility.derivative_values(cm, f_mid, out=mw[_M_FP])
             # F is finite below the mobility's overflow limit, but F^2 or
             # F |u|^2 may not be: such a diagnostic is inf, which
             # apriori_flags reports, rather than a RuntimeWarning.
             sb = dom.scalar
             with np.errstate(over="ignore"):
+                if float(np.min(f_grid)) >= 0.0:
+                    u_sq = np.add(np.multiply(ux, ux, out=tmp_x), np.multiply(uy, uy, out=tmp_y),
+                                  out=tmp_x)
+                    fq_u = float(dom.grid.integrate(np.multiply(f_grid, u_sq, out=tmp_x)))
+                else:
+                    fq_u = math.nan
+                # f_mid^2 + (fp cmx)^2 + (fp cmy)^2, summed in that order.
+                h1_f = np.square(f_mid, out=mw[_M_TMP])
+                h1_f += np.square(np.multiply(fp, cmx, out=cmx), out=cmx)
+                h1_f += np.square(np.multiply(fp, cmy, out=cmy), out=cmy)
+                h1_f_sq = dom.midpoint.integrate(h1_f)
                 diag = {
                     "l2_C": float(np.sum(B * B)),
                     "h1_semi_C": float(ex[_I_GRAD_C]),
                     "h2_semi_C": float(ex[_I_LAP_C]),
                     "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
                     "h1_semi_u": float(ex[_I_GRAD_U]),
-                    "fq_u": float(dom.grid.integrate(f_grid * (ux * ux + uy * uy)))
-                    if float(np.min(f_grid)) >= 0.0
-                    else math.nan,
+                    "fq_u": fq_u,
                     "dCdt_l2": float(ex[_I_DCDT]),
                     "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
                     "min_C": float(np.min(cg)),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
-                    "h1_F_sq": dom.midpoint.integrate(
-                        f_mid**2 + (fp * cmx) ** 2 + (fp * cmy) ** 2
-                    ),
+                    "h1_F_sq": h1_f_sq,
                     "l2_f": float(ex[_I_F]),
                     # Not ledger columns: the stage-loop choice and the first
                     # stage's implicit slope G^-1 implicit_pair.
@@ -586,9 +625,10 @@ def run(
     values, mobility overflow) is rejected and retried with a smaller dt.
     Each later state is evaluated once, as the last stage of the trial
     that reaches it, which also gives its ledger diagnostics and the next
-    step's slope; so only a failure at the initial state aborts the run.  Each trial takes DP5(4) or, when the
-    drag sets the step, the implicit-explicit ARK4(3)6L pair (see
-    `_takes_imex`); `steps_implicit` counts the accepted ones of the latter.
+    step's slope; so only a failure at the initial state aborts the run.
+    Each trial takes DP5(4) or, when the drag sets the step, the
+    implicit-explicit ARK4(3)6L pair (see `_takes_imex`); `steps_implicit`
+    counts the accepted ones of the latter.
     """
     errs = config.validation_errors()
     if errs:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from poromix import (
     build_domain,
     rhs_velocity,
 )
+from poromix.ledger import CSV_COLUMNS, EnergyLedger, LedgerRow
 # The tests build their fields with the library's mode-list builders.
 from poromix.fields import cosine_field as make_scalar  # noqa: F401
 from poromix.fields import stream_field as make_velocity
@@ -49,3 +51,17 @@ def solver_korteweg_pairing(C, delta_hat):
     params = PhysicalParams(mu_e=1.0, d=1.0, korteweg=KortewegParams(delta_hat=delta_hat))
     rate = rhs_velocity(SimulationState(0.0, C, make_velocity(dom, [])), params)
     return (dom.velocity.gram @ rate.coeffs.reshape(-1)).reshape(Nv, Nv)
+
+
+def read_ledger_csv(path) -> EnergyLedger:
+    """Parse a ledger CSV back into rows (the work integrals are not in it)."""
+    ledger = EnergyLedger()
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != CSV_COLUMNS:
+            raise ValueError(f"unexpected ledger header: {reader.fieldnames}")
+        for rec in reader:
+            vals = {k: float(rec[k]) for k in CSV_COLUMNS}
+            vals["blowup"] = int(vals["blowup"])
+            ledger.append(LedgerRow(**vals))
+    return ledger

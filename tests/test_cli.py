@@ -7,7 +7,8 @@ from pathlib import Path
 
 import poromix
 from poromix.cli import main
-from poromix.ledger import EnergyLedger
+
+from conftest import read_ledger_csv
 
 ZERO_CONFIG = """
 domain: {Lx: 3.141592653589793, Ly: 3.141592653589793, Ns: 4, Nv: 1}
@@ -32,7 +33,7 @@ def test_run_zero_data_exit_zero(tmp_path, capsys):
     cfg.write_text(ZERO_CONFIG)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    ledger = EnergyLedger.read_csv(out / "ledger.csv")
+    ledger = read_ledger_csv(out / "ledger.csv")
     assert all(r.l2_C == 0.0 and r.l2_u == 0.0 for r in ledger.rows)
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["outcome"] == "completed"
@@ -50,7 +51,7 @@ def test_run_blowup_exit_two(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["outcome"] == "blowup"
     assert abs(meta["blowup_time"] - math.log(2.0)) <= 0.01 * math.log(2.0)
-    ledger = EnergyLedger.read_csv(out / "ledger.csv")
+    ledger = read_ledger_csv(out / "ledger.csv")
     assert ledger.final.blowup == 1
 
 
@@ -149,6 +150,16 @@ def test_sweep_rejected_value_leaves_no_report(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--vary", "R:0:1:2",
                  "--report", str(report)]) == 1
     assert "sweeping R requires exponential mobility" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("C: {preset: zero}", "C: {preset: cosine, jx: 9}"))
+    report = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1:2",
+                 "--report", str(report)]) == 1
+    assert "initial.C: cosine mode (9, 0) out of range for Ns=4" in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -280,3 +280,30 @@ def _set(arr, idx, value):
     out = arr.copy()
     out[idx] = value
     return out
+
+
+def test_out_and_scratch_give_the_allocating_results_bit_for_bit(rect_domain):
+    dom = rect_domain
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((dom.spec.Ns, dom.spec.Ns))
+    A = rng.standard_normal((dom.spec.Nv, dom.spec.Nv))
+    M, P = dom.grid.M, dom.midpoint.P
+    vx, vy = rng.standard_normal((2, M, M))
+
+    def buffers(n, size):
+        return tuple(np.full((size, size), np.nan) for _ in range(n))
+
+    for method, arg, size in ((dom.scalar_values, B, M), (dom.midpoint_values, B, P)):
+        out = buffers(1, size)[0]
+        assert method(arg, out=out) is out and out.tobytes() == method(arg).tobytes()
+    for method, arg, size in ((dom.scalar_gradient_values, B, M),
+                              (dom.velocity_values, A, M),
+                              (dom.midpoint_gradient_values, B, P)):
+        out = buffers(2, size)
+        got = method(arg, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in method(arg)]
+    for method, args in ((dom.scalar_project, (vx,)), (dom.velocity_pairing, (vx, vy)),
+                         (dom.weighted_gram, (vx,))):
+        scratch = buffers(1, M)[0]
+        assert method(*args, scratch=scratch).tobytes() == method(*args).tobytes()

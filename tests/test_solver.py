@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -466,6 +467,79 @@ def test_mild_run_takes_no_imex_trial(pi_domain, monkeypatch):
               forcing=ForcingSpec.preset("pulsed_stream"))
     assert res.steps_accepted > 0
     assert trials == [] and res.steps_implicit == 0
+
+
+def _workspace_case(domain):
+    """A system on `domain` with every evaluation branch on (Korteweg, reaction,
+    exponential drag, pulsed forcing) and two distinct states."""
+    params = _params(kappa=1.0, mobility=MobilitySpec.exponential(0.5),
+                     korteweg=KortewegParams(delta_hat=0.1))
+    system = GalerkinSystem(domain, params, ForcingSpec.preset("pulsed_stream"))
+    rng = np.random.default_rng(7)
+    states = []
+    for seed in (1, 2):
+        C = random_scalar(domain, seed, scale=0.1) + make_scalar(domain, offset=0.5)
+        A = 0.2 * rng.standard_normal((domain.spec.Nv, domain.spec.Nv))
+        states.append(system.pack(C, VelocityField(domain, A)))
+    return system, states
+
+
+def test_evaluations_do_not_alias_the_workspace(pi_domain):
+    # Each evaluation reuses the system's grid buffers.  What one returned
+    # must survive the next evaluations, and a repeat must reproduce it bit
+    # for bit.
+    system, (y1, y2) = _workspace_case(pi_domain)
+    r1 = system.rhs(0.3, y1)
+    d1, diag1 = system.evaluate_with_diagnostics(0.3, y1)
+
+    def values(ydot, diag):
+        scalars = {k: v for k, v in diag.items() if k != "implicit_pair"}
+        return ydot.tobytes(), diag["implicit_pair"].tobytes(), scalars
+
+    first = (r1.tobytes(), *values(d1, diag1))
+
+    r2 = system.rhs(0.7, y2)
+    _, diag2 = system.evaluate_with_diagnostics(0.7, y2)
+    assert r2.tobytes() != first[0] and diag2["l2_C"] != diag1["l2_C"]
+    assert (r1.tobytes(), *values(d1, diag1)) == first
+
+    r3 = system.rhs(0.3, y1)
+    d3, diag3 = system.evaluate_with_diagnostics(0.3, y1)
+    assert (r3.tobytes(), *values(d3, diag3)) == first
+
+
+def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
+    # solve_momentum_stage leaves its nodal (C, F(C)) in the workspace for the
+    # stage's rhs; fed back, they must give rhs(t, z) bit for bit.
+    system, (y1, y2) = _workspace_case(pi_domain)
+    system.rhs(0.1, y2)  # fill the workspace with another state's values
+    z = y1.copy()
+    alpha, nodal_c_f = system.solve_momentum_stage(0.3, z, 0.05)
+    z[system.alpha_slice] = alpha
+    reused = system.rhs(0.3, z, _nodal_c_f=nodal_c_f)
+    assert reused.tobytes() == system.rhs(0.3, z).tobytes()
+
+
+def test_evaluations_allocate_no_grid_array():
+    # At 32/8 one grid array is 99^2 doubles.  After a warm-up, one rhs may
+    # allocate under 2 of them at its peak and one evaluation with
+    # diagnostics under 5 (13.4 and 16.0 when every intermediate was new).
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=32, Nv=8))
+    system, (y, _) = _workspace_case(domain)
+    grid_bytes = domain.grid.M ** 2 * 8
+    system.evaluate_with_diagnostics(0.3, y)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for evaluate, budget in ((system.rhs, 2), (system.evaluate_with_diagnostics, 5)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate(0.3, y)
+            assert tracemalloc.get_traced_memory()[1] - base < budget * grid_bytes
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # 0.1 + (0.45 - 0.1) rounds to 0.44999999999999996: the loose run's first
