@@ -236,6 +236,17 @@ class QuadratureGrid:
     def area(self) -> float:
         return float(np.sum(self.wx) * np.sum(self.wy))
 
+    @cached_property
+    def lowest_stream_velocity(self):
+        """Nodal (ux, uy) of the lowest basis velocity w[1,1], read-only.
+
+        Formed on first use and kept as long as the grid.
+        """
+        ux = np.outer(self.phx[:, 0], self.phyd[:, 0])
+        uy = -np.outer(self.phxd[:, 0], self.phy[:, 0])
+        ux.flags.writeable = uy.flags.writeable = False
+        return ux, uy
+
     def integrate(self, values: np.ndarray) -> float:
         """Integrate nodal values over the rectangle."""
         return float(self.wx @ values @ self.wy)
@@ -258,7 +269,7 @@ class MidpointRule:
 
     def integrate(self, values: np.ndarray) -> float:
         """Integrate nodal values over the rectangle."""
-        return self.cell * float(np.sum(values))
+        return self.cell * float(values.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,19 +362,27 @@ class Domain:
         pair_x = g.phx.T @ np.multiply(g.weights, vx, out=scratch) @ g.phyd
         return pair_x - g.phxd.T @ np.multiply(g.weights, vy, out=scratch) @ g.phy
 
-    def weighted_gram(self, values: np.ndarray, *, scratch=None) -> np.ndarray:
+    def weighted_gram(self, values: np.ndarray, *, scratch=None, work=(None, None, None),
+                      out=None) -> np.ndarray:
         """(values w_q, w_r) for every pair of velocity modes, (Nv^2, Nv^2).
 
         Sum-factorised: the weighted nodal values are contracted with the
         products of the y factors first, then with those of the x factors,
         at O(M^2 Nv^2 + M Nv^4).  Times the flattened coefficients it is
-        ``velocity_pairing(values ux, values uy)``.
+        ``velocity_pairing(values ux, values uy)``.  `work` holds the
+        contractions, an (M, 2 Nv^2) array and two (Nv^2, Nv^2) ones, and
+        `out` the result, an (Nv^2, Nv^2) array; None allocates.
         """
         Nv = self.spec.Nv
+        n2 = Nv * Nv
         px, pxd, py_pyd = self._stream_pair_factors
-        fy = np.multiply(self.grid.weights, values, out=scratch) @ py_pyd
-        d = px @ fy[:, Nv * Nv:] + pxd @ fy[:, : Nv * Nv]
-        return d.reshape(Nv, Nv, Nv, Nv).transpose(0, 2, 1, 3).reshape(Nv * Nv, Nv * Nv)
+        fy_out, d_out, dx_out = work
+        fy = np.matmul(np.multiply(self.grid.weights, values, out=scratch), py_pyd, out=fy_out)
+        d = np.add(np.matmul(px, fy[:, n2:], out=d_out), np.matmul(pxd, fy[:, :n2], out=dx_out),
+                   out=d_out)
+        out = np.empty((n2, n2)) if out is None else out
+        np.copyto(out.reshape(Nv, Nv, Nv, Nv), d.reshape(Nv, Nv, Nv, Nv).transpose(0, 2, 1, 3))
+        return out
 
     @cached_property
     def _stream_pair_factors(self):

@@ -10,7 +10,6 @@ over the run horizon; evaluation rejects non-finite values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,19 +30,11 @@ def _zero(domain: Domain, t: float, out=(None, None)):
     return fx, fy
 
 
-@lru_cache(maxsize=8)
-def _lowest_mode(grid):
-    """The lowest basis velocity at the grid's nodes, read-only."""
-    fx = np.outer(grid.phx[:, 0], grid.phyd[:, 0])
-    fy = -np.outer(grid.phxd[:, 0], grid.phy[:, 0])
-    fx.flags.writeable = fy.flags.writeable = False
-    return fx, fy
-
-
 def _scaled_lowest_mode(amp, domain: Domain, out):
     # A scalar times a grid array: unlike np.outer with out=, this ufunc
     # needs no iteration buffers.
-    return tuple(np.multiply(amp, f, out=o) for f, o in zip(_lowest_mode(domain.grid), out))
+    return tuple(np.multiply(amp, f, out=o)
+                 for f, o in zip(domain.grid.lowest_stream_velocity, out))
 
 
 def _steady_stream(domain: Domain, t: float, out=(None, None)):
@@ -147,6 +138,6 @@ class ForcingSpec:
                           for o, table in zip(out, (self.fx_table, self.fy_table)))
         else:
             fx, fy = self.func(domain, t)
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
+        if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
             raise ValueError(f"forcing evaluated to non-finite values at t={t}")
         return fx, fy

@@ -11,6 +11,7 @@ represented separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +104,14 @@ class MobilitySpec:
         """
         if self.kind == "exponential":
             return np.multiply(self.coefficients[0], f_values, out=out)
-        return _polyval(c_grid, np.polynomial.polynomial.polyder(self.coefficients), out)
+        return _polyval(c_grid, self._derivative_coefficients, out)
+
+    @cached_property
+    def _derivative_coefficients(self) -> np.ndarray:
+        """F' of a constant or polynomial F, formed once per spec, read-only."""
+        coefficients = np.polynomial.polynomial.polyder(self.coefficients)
+        coefficients.flags.writeable = False
+        return coefficients
 
 
 def evaluate(F: MobilitySpec, c_grid: np.ndarray, out=None) -> np.ndarray:
@@ -121,7 +129,7 @@ def evaluate(F: MobilitySpec, c_grid: np.ndarray, out=None) -> np.ndarray:
     if F.kind == "polynomial":
         return _polyval(c, F.coefficients, out)
     arg = np.multiply(F.coefficients[0], c, out=out)
-    peak = max(float(np.max(arg)), -float(np.min(arg))) if arg.size else 0.0
+    peak = max(float(arg.max()), -float(arg.min())) if arg.size else 0.0
     if not np.isfinite(peak) or peak > _EXP_ARG_LIMIT:
         raise MobilityOverflowError(
             f"exponential mobility overflow: |R*C| reached {peak:.3e} "

@@ -14,6 +14,7 @@ verification runs; production configurations cannot enable it.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +95,37 @@ def _cos_mode(domain: Domain, a: int, b: int):
             np.cos(by * g.y)[None, :], np.sin(by * g.y)[None, :])
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _PerDomain:
+    """Values built once per domain and kept while that domain lives."""
+
+    def __init__(self, build):
+        self._build = build
+        self.entries = weakref.WeakKeyDictionary()
+
+    def __call__(self, domain: Domain):
+        value = self.entries.get(domain)
+        if value is None:
+            value = self.entries[domain] = self._build(domain)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class ManufacturedCase:
-    """Exact fields plus the forcings that make them solve the system."""
+    """Exact fields plus the forcings that make them solve the system.
+
+    The closures returned by `momentum_forcing` and `transport_source`
+    form the nodal factor grids that no time changes (the products of each
+    mode's `_cos_mode` factors and the `_stream_mode` grids) once per
+    domain they are evaluated on.  Each closure keeps its own, read-only,
+    while both the closure and that domain live; each evaluation only
+    scales and sums them, in the order the grid methods below use.
+    """
 
     name: str
     scalar_modes: tuple  # ((a, b, amplitude_fn), ...) raw cosine products
@@ -116,30 +145,42 @@ class ManufacturedCase:
 
     def exact_C_grids(self, domain: Domain, t: float):
         """Analytic nodal values and derivatives, independent of Ns."""
-        M = domain.grid.M
+        return self._c_grids(domain.grid.M, self._scalar_mode_grids(domain), t)
+
+    def _scalar_mode_grids(self, domain: Domain):
+        """Per scalar mode, the nodal (v, dv/dx, dv/dy, lap v) of v = cos(ax x) cos(by y)."""
+        grids = []
+        for a, b, _ in self.scalar_modes:
+            ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
+            v = cx * cy
+            grids.append(_read_only(v, -ax * sx * cy, -by * cx * sy, -(ax**2 + by**2) * v))
+        return tuple(grids)
+
+    def _c_grids(self, M, mode_grids, t):
         val = np.full((M, M), self.scalar_offset)
         ddx = np.zeros((M, M))
         ddy = np.zeros((M, M))
         lap = np.zeros((M, M))
         dval_dt = np.zeros((M, M))
-        for a, b, amp in self.scalar_modes:
-            ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
-            v = cx * cy
+        for (_, _, amp), (v, vx, vy, lap_v) in zip(self.scalar_modes, mode_grids):
             c = amp(t)
             val += c * v
-            ddx += c * (-ax * sx * cy)
-            ddy += c * (-by * cx * sy)
-            lap += c * (-(ax**2 + by**2) * v)
+            ddx += c * vx
+            ddy += c * vy
+            lap += c * lap_v
             dval_dt += amp._dt(t) * v
         return val, ddx, ddy, lap, dval_dt
 
     def exact_u_grids(self, domain: Domain, t: float):
+        return self._u_grids(self._stream_mode(domain), t)
+
+    def _u_grids(self, stream_grids, t):
         amp = self.stream_amplitude(t)
-        wx, wy, _, _ = self._stream_mode(domain)
+        wx, wy, _, _ = stream_grids
         return amp * wx, amp * wy
 
     def _stream_mode(self, domain: Domain):
-        """Nodal velocity (wx, wy) of the unit stream mode and its Laplacian."""
+        """Nodal velocity (wx, wy) of the unit stream mode and its Laplacian, read-only."""
         g = domain.grid
         j, k = self.stream_mode
         wx = np.outer(g.phx[:, j - 1], g.phyd[:, k - 1])
@@ -151,7 +192,17 @@ class ManufacturedCase:
             np.outer(g.phxddd[:, j - 1], g.phy[:, k - 1])
             + np.outer(g.phxd[:, j - 1], g.phydd[:, k - 1])
         )
-        return wx, wy, lap_wx, lap_wy
+        return _read_only(wx, wy, lap_wx, lap_wy)
+
+    def _korteweg_mode_grids(self, domain: Domain):
+        """Per scalar mode, the further factors of `_div_full_tensor_grids`."""
+        grids = []
+        for a, b, _ in self.scalar_modes:
+            ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
+            lam = ax**2 + by**2
+            grids.append(_read_only(-lam * cx * cy, -(ax**2) * cx * cy, ax * by * sx * sy,
+                                    -(by**2) * cx * cy, lam * ax * sx * cy, lam * by * cx * sy))
+        return tuple(grids)
 
     def error_norms(self, domain: Domain, t: float, C: ScalarField, u: VelocityField):
         """Quadrature L2 errors against the analytic fields."""
@@ -165,10 +216,13 @@ class ManufacturedCase:
 
     def transport_source(self, params):
         """Nodal S(t) = dC*/dt + u*.grad C* - d lap C* + kappa C*(1-C*)."""
+        grids = _PerDomain(lambda domain: (self._scalar_mode_grids(domain),
+                                           self._stream_mode(domain)))
 
         def source(domain: Domain, t: float):
-            val, ddx, ddy, lap, dval_dt = self.exact_C_grids(domain, t)
-            ux, uy = self.exact_u_grids(domain, t)
+            modes, stream = grids(domain)
+            val, ddx, ddy, lap, dval_dt = self._c_grids(domain.grid.M, modes, t)
+            ux, uy = self._u_grids(stream, t)
             return dval_dt + ux * ddx + uy * ddy - params.d * lap + params.kappa * val * (1.0 - val)
 
         return source
@@ -181,17 +235,22 @@ class ManufacturedCase:
         """
         dh = params.korteweg.delta_hat
         gamma = params.korteweg.gamma
+        korteweg = dh != 0.0 or gamma != 0.0
+        grids = _PerDomain(lambda domain: (
+            self._scalar_mode_grids(domain), self._stream_mode(domain),
+            self._korteweg_mode_grids(domain) if korteweg else None))
 
         def force(domain: Domain, t: float):
+            modes, stream, korteweg_modes = grids(domain)
             amp = self.stream_amplitude(t)
             damp = self.stream_amplitude._dt(t)
-            wx, wy, lap_wx, lap_wy = self._stream_mode(domain)
-            val, ddx, ddy, lap, _ = self.exact_C_grids(domain, t)
+            wx, wy, lap_wx, lap_wy = stream
+            val, ddx, ddy, _, _ = self._c_grids(domain.grid.M, modes, t)
             fgrid = mobility_values(params.mobility, val)
             fx = damp * wx + fgrid * amp * wx - params.mu_e * amp * lap_wx
             fy = damp * wy + fgrid * amp * wy - params.mu_e * amp * lap_wy
-            if dh != 0.0 or gamma != 0.0:
-                div_x, div_y = _div_full_tensor_grids(self, domain, t, dh, gamma)
+            if korteweg:
+                div_x, div_y = _div_full_tensor_grids(self, korteweg_modes, ddx, ddy, t, dh, gamma)
                 fx -= div_x
                 fy -= div_y
             return fx, fy
@@ -199,29 +258,22 @@ class ManufacturedCase:
         return ForcingSpec.from_function(force)
 
 
-def _div_full_tensor_grids(case: ManufacturedCase, domain: Domain, t, dh, gamma):
-    """div T of the effective Korteweg tensor from the analytic modes."""
-    M = domain.grid.M
-    ddx = np.zeros((M, M))
-    ddy = np.zeros((M, M))
-    lap = np.zeros((M, M))
-    dxx = np.zeros((M, M))
-    dxy = np.zeros((M, M))
-    dyy = np.zeros((M, M))
-    lap_x = np.zeros((M, M))
-    lap_y = np.zeros((M, M))
-    for a, b, amp in case.scalar_modes:
-        ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
+def _div_full_tensor_grids(case: ManufacturedCase, mode_grids, ddx, ddy, t, dh, gamma):
+    """div T of the effective Korteweg tensor from the analytic modes.
+
+    `mode_grids` are `case._korteweg_mode_grids`; ddx and ddy are the
+    exact gradient of C, as `exact_C_grids` gives it.
+    """
+    lap, dxx, dxy, dyy, lap_x, lap_y = (np.zeros(ddx.shape) for _ in range(6))
+    for (_, _, amp), (g_lap, g_xx, g_xy, g_yy, g_lap_x, g_lap_y) in zip(case.scalar_modes,
+                                                                         mode_grids):
         c = amp(t)
-        lam = ax**2 + by**2
-        ddx += c * (-ax * sx * cy)
-        ddy += c * (-by * cx * sy)
-        lap += c * (-lam * cx * cy)
-        dxx += c * (-(ax**2) * cx * cy)
-        dxy += c * (ax * by * sx * sy)
-        dyy += c * (-(by**2) * cx * cy)
-        lap_x += c * (lam * ax * sx * cy)
-        lap_y += c * (lam * by * cx * sy)
+        lap += c * g_lap
+        dxx += c * g_xx
+        dxy += c * g_xy
+        dyy += c * g_yy
+        lap_x += c * g_lap_x
+        lap_y += c * g_lap_y
     hx = ddx * dxx + ddy * dxy
     hy = ddx * dxy + ddy * dyy
     div_x = -(5.0 * dh / 3.0) * hx + (2.0 * gamma / 3.0) * lap_x - dh * lap * ddx

@@ -254,10 +254,17 @@ class GalerkinSystem:
 
     Every grid intermediate of an evaluation is written into workspaces the
     system owns, `_work` on the Gauss-Legendre grid and `_mid_work` on the
-    midpoint rule, so evaluations allocate no grid array.  The arrays an
-    evaluation returns never alias them, except the nodal (C, F(C)) that
-    `solve_momentum_stage` hands to the same stage's `rhs`.  One instance
-    must not evaluate in two threads at once.
+    midpoint rule, so evaluations allocate no grid array; the implicit
+    stage's D_F(C) contraction and matrix go into `_gram_work` and
+    `_stage_matrix`.  The arrays an evaluation returns never alias them,
+    except the nodal (C, F(C)) that `solve_momentum_stage` hands to the same
+    stage's `rhs`.  One instance must not evaluate in two threads at once.
+
+    What no evaluation changes is formed once, at construction, and lives
+    as long as the system: -d lam, -lam, lam^2, mu_e S and the zero pairing
+    of an absent Korteweg term or forcing, all read-only.  Each is the
+    operand the evaluation's expression would have formed, so results are
+    bit for bit those of forming it per call.
     """
 
     def __init__(self, domain: Domain, params: PhysicalParams, forcing: ForcingSpec | None = None,
@@ -276,8 +283,19 @@ class GalerkinSystem:
         self.lam = domain.scalar.eigenvalues
         self.stiffness = domain.velocity.stiffness
         self.alpha_slice = slice(self.ns2, self.ns2 + self.nv2)
+        self._neg_d_lam = -params.d * self.lam
+        self._neg_lam = -self.lam
+        self._lam_sq = self.lam**2
+        self._mu_stiffness = params.mu_e * self.stiffness
+        self._zero_pair = np.zeros(self.nv2)
+        for const in (self._neg_d_lam, self._neg_lam, self._lam_sq, self._mu_stiffness,
+                      self._zero_pair):
+            const.flags.writeable = False
         self._work = np.empty((_N_WORK, domain.grid.M, domain.grid.M))
         self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
+        self._gram_work = (np.empty((domain.grid.M, 2 * self.nv2)),
+                           np.empty((self.nv2, self.nv2)), np.empty((self.nv2, self.nv2)))
+        self._stage_matrix = np.empty((self.nv2, self.nv2))
 
     # -- implicit-explicit stepping ---------------------------------------------
 
@@ -313,12 +331,16 @@ class GalerkinSystem:
         f_grid = mobility_values(self.params.mobility, cg, out=w[_W_F])
         gram = dom.velocity.gram
         with np.errstate(over="ignore", invalid="ignore"):
-            d_f = dom.weighted_gram(f_grid, scratch=w[_W_SCRATCH])
-            lhs = gram + gh * (self.params.mu_e * self.stiffness + d_f)
-        if not np.all(np.isfinite(lhs)):
+            # lhs = gram + gh (mu_e S + D_F), summed in that order.
+            lhs = dom.weighted_gram(f_grid, scratch=w[_W_SCRATCH], work=self._gram_work,
+                                    out=self._stage_matrix)
+            np.add(self._mu_stiffness, lhs, out=lhs)
+            np.multiply(gh, lhs, out=lhs)
+            np.add(gram, lhs, out=lhs)
+        if not np.isfinite(lhs).all():
             raise NonFiniteStateError(t)
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
-        if not np.all(np.isfinite(alpha)):
+        if not np.isfinite(alpha).all():
             raise NonFiniteStateError(t)
         return alpha, (cg, f_grid)
 
@@ -357,10 +379,13 @@ class GalerkinSystem:
         p = self.params
         dh = p.korteweg.delta_hat
         B = y[: self.ns2].reshape(self.Ns, self.Ns)
-        A = y[self.ns2 : self.ns2 + self.nv2].reshape(self.Nv, self.Nv)
-        a_flat = A.reshape(-1)
+        a_flat = y[self.alpha_slice]
+        A = a_flat.reshape(self.Nv, self.Nv)
         w = self._work
         tmp_x, tmp_y, scratch = w[_W_TMP_X], w[_W_TMP_Y], w[_W_SCRATCH]
+        ydot = np.empty(self.n_state)
+        bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
+        extras = self.extras(ydot)
 
         if nodal_c_f is None:
             cg = dom.scalar_values(B, out=w[_W_C])
@@ -370,29 +395,32 @@ class GalerkinSystem:
         cx, cy = dom.scalar_gradient_values(B, out=(w[_W_CX], w[_W_CY]))
         ux, uy = dom.velocity_values(A, out=(w[_W_UX], w[_W_UY]))
 
-        # Transport: advection and reaction projections.
+        # Transport: advection and reaction projections,
+        # bdot = -d lam B - P_z[adv] - kappa P_z[C (1-C)] (+ source).
         adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
         p_adv = dom.scalar_project(adv, scratch=scratch)
         cc_grid = np.multiply(cg, np.subtract(1.0, cg, out=tmp_x), out=tmp_x)
         p_cc = dom.scalar_project(cc_grid, scratch=scratch)
-        bdot = -p.d * self.lam * B - p_adv - p.kappa * p_cc
+        np.multiply(self._neg_d_lam, B, out=bdot)
+        bdot -= p_adv
+        bdot -= p.kappa * p_cc
         if self.transport_source is not None:
-            bdot = bdot + dom.scalar_project(self.transport_source(dom, t), scratch=scratch)
+            bdot += dom.scalar_project(self.transport_source(dom, t), scratch=scratch)
 
         # Momentum: drag, Korteweg coupling, body force.
         pair_F = dom.velocity_pairing(np.multiply(f_grid, ux, out=tmp_x),
                                       np.multiply(f_grid, uy, out=tmp_y),
                                       scratch=scratch).reshape(-1)
         if dh != 0.0:
-            lap_g = dom.scalar_values(-self.lam * B, out=tmp_x)
+            lap_g = dom.scalar_values(self._neg_lam * B, out=tmp_x)
             kt = np.multiply(-dh, lap_g, out=tmp_x)
             kt_y = np.multiply(kt, cy, out=tmp_y)
             kt_x = np.multiply(kt, cx, out=tmp_x)
             pair_kt = dom.velocity_pairing(kt_x, kt_y, scratch=scratch).reshape(-1)
         else:
-            pair_kt = np.zeros(self.nv2)
+            pair_kt = self._zero_pair
         if self.forcing.is_zero:
-            pair_f = np.zeros(self.nv2)
+            pair_f = self._zero_pair
             f_sq = 0.0
         else:
             fx, fy = self.forcing.evaluate(dom, t, out=(w[_W_FX], w[_W_FY]))
@@ -403,33 +431,33 @@ class GalerkinSystem:
         s_alpha = self.stiffness @ a_flat
         implicit_pair = -p.mu_e * s_alpha - pair_F
         rhs_pair = implicit_pair + pair_kt + pair_f
-        adot = dom.velocity.solve_gram(rhs_pair)
+        ydot[self.alpha_slice] = dom.velocity.solve_gram(rhs_pair)
 
         # Work integrals: exact quadrature complements of the energy
         # identities, so the per-step residuals isolate integrator error.
         # The quartic (C (1-C))^2 is a cosine polynomial: the midpoint rule
         # integrates it exactly.
-        ex = np.empty(_N_EXTRA)
-        grad_c_sq = float(np.sum(self.lam * B * B))
-        ex[_I_GRAD_C] = grad_c_sq
-        ex[_I_LAP_C] = float(np.sum(self.lam**2 * B * B))
+        grad_c_sq = float((self.lam * B * B).sum())
+        lap_c_sq = float((self._lam_sq * B * B).sum())
         grad_u_sq = float(a_flat @ s_alpha)
-        ex[_I_GRAD_U] = grad_u_sq
         fu_quad = float(a_flat @ pair_F)
-        ex[_I_FU] = fu_quad
-        ex[_I_F] = f_sq
         f_dot_u = float(a_flat @ pair_f)
-        ex[_I_FDOTU] = f_dot_u
+        dcdt_sq = float((bdot * bdot).sum())
+        extras[_I_GRAD_C] = grad_c_sq
+        extras[_I_LAP_C] = lap_c_sq
+        extras[_I_GRAD_U] = grad_u_sq
+        extras[_I_FU] = fu_quad
+        extras[_I_F] = f_sq
+        extras[_I_FDOTU] = f_dot_u
         mw = self._mid_work
         cm = dom.midpoint_values(B, out=mw[_M_C])
         cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_TMP]), out=mw[_M_TMP])
-        ex[_I_CC] = dom.midpoint.integrate(np.square(cc_mid, out=cc_mid))
-        ex[_I_DCDT] = float(np.sum(bdot * bdot))
-        ex[_IW_C] = p.d * grad_c_sq + float(np.sum(B * p_adv)) + p.kappa * float(np.sum(B * p_cc))
-        ex[_IW_U] = p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u
-
-        ydot = np.concatenate([bdot.reshape(-1), adot, ex])
-        if not np.all(np.isfinite(ydot)):
+        extras[_I_CC] = dom.midpoint.integrate(np.square(cc_mid, out=cc_mid))
+        extras[_I_DCDT] = dcdt_sq
+        extras[_IW_C] = (p.d * grad_c_sq + float((B * p_adv).sum())
+                         + p.kappa * float((B * p_cc).sum()))
+        extras[_IW_U] = p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u
+        if not np.isfinite(ydot).all():
             raise NonFiniteStateError(t)
 
         diag = None
@@ -445,7 +473,7 @@ class GalerkinSystem:
             # apriori_flags reports, rather than a RuntimeWarning.
             sb = dom.scalar
             with np.errstate(over="ignore"):
-                if float(np.min(f_grid)) >= 0.0:
+                if float(f_grid.min()) >= 0.0:
                     u_sq = np.add(np.multiply(ux, ux, out=tmp_x), np.multiply(uy, uy, out=tmp_y),
                                   out=tmp_x)
                     fq_u = float(dom.grid.integrate(np.multiply(f_grid, u_sq, out=tmp_x)))
@@ -457,22 +485,22 @@ class GalerkinSystem:
                 h1_f += np.square(np.multiply(fp, cmy, out=cmy), out=cmy)
                 h1_f_sq = dom.midpoint.integrate(h1_f)
                 diag = {
-                    "l2_C": float(np.sum(B * B)),
-                    "h1_semi_C": float(ex[_I_GRAD_C]),
-                    "h2_semi_C": float(ex[_I_LAP_C]),
+                    "l2_C": float((B * B).sum()),
+                    "h1_semi_C": grad_c_sq,
+                    "h2_semi_C": lap_c_sq,
                     "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
-                    "h1_semi_u": float(ex[_I_GRAD_U]),
+                    "h1_semi_u": grad_u_sq,
                     "fq_u": fq_u,
-                    "dCdt_l2": float(ex[_I_DCDT]),
+                    "dCdt_l2": dcdt_sq,
                     "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
-                    "min_C": float(np.min(cg)),
+                    "min_C": float(cg.min()),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
                     "h1_F_sq": h1_f_sq,
-                    "l2_f": float(ex[_I_F]),
+                    "l2_f": f_sq,
                     # Not ledger columns: the stage-loop choice and the first
                     # stage's implicit slope G^-1 implicit_pair.
-                    "max_F": float(np.max(f_grid)),
+                    "max_F": float(f_grid.max()),
                     "implicit_pair": implicit_pair,
                 }
         return ydot, diag
@@ -567,7 +595,7 @@ def _ark_stages(system, t, y, dt, k1, t_new, diag):
 
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return float(np.sqrt(((err / scale) ** 2).mean()))
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
@@ -591,7 +619,7 @@ def _advance(system, t, y, dt, k1, diag, t_new, config):
             raise StepSizeUnderflowError(t, dt)
         try:
             y_new, k_new, diag_new, err, order = _attempt_step(system, t, y, dt, k1, t_new, diag)
-            finite = np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))
+            finite = np.isfinite(y_new).all() and np.isfinite(err).all()
         except (NonFiniteStateError, MobilityOverflowError, np.linalg.LinAlgError):
             finite = False
         if finite:
@@ -656,14 +684,21 @@ def run(
     ledger = EnergyLedger()
     checkpoints = {}
 
+    def emit(t, y, checkpoint):
+        # A state is built only when the sink or a checkpoint takes it; an
+        # accepted y is already finite (see _advance).
+        if snapshot_sink is None and not checkpoint:
+            return
+        state = system.unpack(t, y)
+        if snapshot_sink is not None:
+            snapshot_sink(state)
+        if checkpoint:
+            checkpoints[t] = state
+
     ydot, diag = system.evaluate_with_diagnostics(t, y)
     row = system.ledger_row(t, y, diag, None, False)
     ledger.append(row)
-    state0 = system.unpack(t, y)
-    if snapshot_sink is not None:
-        snapshot_sink(state0)
-    if t in checkpoint_set:
-        checkpoints[t] = state0
+    emit(t, y, t in checkpoint_set)
 
     dt = min(config.dt_init, stops[0] - t)
     err_prev = 1.0
@@ -692,11 +727,8 @@ def run(
         blowup = math.sqrt(diag["l2_C"]) > config.blowup_cap
         row = system.ledger_row(t, y, diag, row, blowup)
         ledger.append(row)
-        state = system.unpack(t, y)
-        if snapshot_sink is not None:
-            snapshot_sink(state)
-        if hit_stop and next_stop in checkpoint_set:
-            checkpoints[next_stop] = state
+        # A step that hits its stop lands on it exactly: t == next_stop.
+        emit(t, y, hit_stop and next_stop in checkpoint_set)
 
         if blowup:
             outcome = "blowup"

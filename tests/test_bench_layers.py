@@ -18,3 +18,38 @@ def test_every_traced_layer_exists(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.restore()
+
+
+def test_traced_calls_of_one_evaluation(monkeypatch):
+    # The matmuls of one evaluation go through the Domain / VelocityBasis
+    # methods the benchmark wraps, so its per-layer counts and flops stay
+    # truthful.  An 8/2 system with Korteweg on and pulsed forcing.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    import numpy as np
+    from poromix import (DomainSpec, ForcingSpec, GalerkinSystem, KortewegParams, MobilitySpec,
+                         PhysicalParams, ScalarField, VelocityField, build_domain)
+
+    domain = build_domain(DomainSpec(Lx=np.pi, Ly=np.pi, Ns=8, Nv=2))
+    params = PhysicalParams(mu_e=0.1, d=0.1, kappa=1.0, korteweg=KortewegParams(delta_hat=0.1),
+                            mobility=MobilitySpec.exponential(0.5))
+    system = GalerkinSystem(domain, params, ForcingSpec.preset("pulsed_stream"))
+    B = np.zeros((8, 8))
+    B[0, 0], B[1, 1] = 1.0, 0.1
+    y = system.pack(ScalarField(domain, B), VelocityField(domain, np.full((2, 2), 0.1)))
+    layers = ("domain.transform", "domain.scalar_project", "domain.velocity_pairing",
+              "domain.solve_gram", "mobility.evaluate", "forcing.evaluate")
+    expected = {
+        "rhs": (4, 2, 3, 1, 1, 1),
+        "evaluate_with_diagnostics": (4, 2, 3, 1, 2, 1),
+    }
+    for method, counts in expected.items():
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            getattr(system, method)(0.3, y)
+        finally:
+            tracer.restore()
+        got = tuple(tracer.stats.get(layer, [0])[0] for layer in layers)
+        assert dict(zip(layers, got)) == dict(zip(layers, counts)), method

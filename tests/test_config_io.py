@@ -343,3 +343,17 @@ def test_metadata_serializes_infinity(tmp_path):
     text = path.read_text()
     assert '"unbounded"' in text
     assert '"completed"' in text
+
+
+def test_stream_preset_shape_lives_with_its_grid():
+    # The stream presets' nodal shape is kept on the grid itself, so once
+    # the domain is dropped nothing else holds an evaluated grid.
+    import gc
+    import weakref
+
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=3, Nv=2))
+    ForcingSpec.preset("steady_stream").evaluate(domain, 0.0)
+    grid = weakref.ref(domain.grid)
+    del domain
+    gc.collect()
+    assert grid() is None

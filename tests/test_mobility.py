@@ -132,3 +132,21 @@ def test_lipschitz_skips_zero_distance_and_box(pi_domain):
     big = make_scalar(pi_domain, [], offset=5.0)
     with pytest.raises(ValueError, match="amplitude box"):
         lipschitz_check(MobilitySpec.constant(1.0), [(big, base)], amplitude_box=2.0)
+
+
+def test_polynomial_derivative_coefficients_formed_once(pi_domain, monkeypatch):
+    # F' of a polynomial mobility is formed once per spec, not per
+    # evaluation with diagnostics.
+    from poromix import GalerkinSystem, PhysicalParams, VelocityField
+
+    P = np.polynomial.polynomial
+    calls = []
+    polyder = P.polyder
+    monkeypatch.setattr(P, "polyder", lambda c, *a, **k: calls.append(c) or polyder(c, *a, **k))
+    F = MobilitySpec.polynomial(0.5, 2.0, 0.3)
+    system = GalerkinSystem(pi_domain, PhysicalParams(mu_e=0.1, d=0.1, mobility=F))
+    C = make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5)
+    y = system.pack(C, VelocityField(pi_domain, np.zeros((2, 2))))
+    for t in (0.0, 0.1, 0.2):
+        system.evaluate_with_diagnostics(t, y)
+    assert len(calls) == 1

@@ -125,3 +125,34 @@ def test_exact_fields_match_grid_forms(mms_params):
     ex, ey = case.exact_u_grids(domain, t)
     assert np.abs(ux - ex).max() <= 1e-12
     assert np.abs(uy - ey).max() <= 1e-12
+
+
+def test_manufactured_closures_keep_read_only_grids_per_domain(mms_params):
+    # Each closure forms a domain's time-independent factor grids once and
+    # reuses them: A, then B, then A again equals a fresh case bit for bit.
+    import inspect
+
+    domains = [build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=Ns, Nv=Nv))
+               for Ns, Nv in ((8, 2), (5, 3))]
+    case = manufactured_run("swirl")
+    force = case.momentum_forcing(mms_params).func
+    source = case.transport_source(mms_params)
+    for dom, t in ((domains[0], 0.1), (domains[1], 0.4), (domains[0], 0.7)):
+        fresh = manufactured_run("swirl")
+        expected = (*fresh.momentum_forcing(mms_params).evaluate(dom, t),
+                    fresh.transport_source(mms_params)(dom, t))
+        got = (*force(dom, t), source(dom, t))
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from arrays(v)
+
+    for closure in (force, source):
+        entries = inspect.getclosurevars(closure).nonlocals["grids"].entries
+        assert set(entries) == set(domains)
+        cached = [a for dom in domains for a in arrays(entries[dom])]
+        assert cached and not any(a.flags.writeable for a in cached)

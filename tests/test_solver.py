@@ -542,6 +542,57 @@ def test_evaluations_allocate_no_grid_array():
             tracemalloc.stop()
 
 
+def test_implicit_stage_allocates_no_grid_array():
+    # At 32/8 the D_F(C) contraction, its transposed copy and the stage
+    # matrix go into the system's buffers: after a warm-up, one implicit
+    # stage allocates under 1 grid array at its peak (2.6 when they were new).
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=32, Nv=8))
+    system, (y, _) = _workspace_case(domain)
+    grid_bytes = domain.grid.M ** 2 * 8
+    system.solve_momentum_stage(0.3, y, 0.05)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        system.solve_momentum_stage(0.3, y, 0.05)
+        assert tracemalloc.get_traced_memory()[1] - base < grid_bytes
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_implicit_stage_matrix_is_the_allocating_sum(pi_domain):
+    # The stage matrix, assembled in the system's buffers, is
+    # G + gh (mu_e S + D_F(C)) as the allocating expression forms it.
+    system, (y, _) = _workspace_case(pi_domain)
+    gh = 0.05
+    alpha, (cg, f_grid) = system.solve_momentum_stage(0.3, y, gh)
+    dom, p = pi_domain, system.params
+    lhs = dom.velocity.gram + gh * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_grid))
+    expected = np.linalg.solve(lhs, dom.velocity.gram @ y[system.alpha_slice])
+    assert alpha.tobytes() == expected.tobytes()
+
+
+def test_run_builds_only_the_final_state_without_sink_or_checkpoints(pi_domain, monkeypatch):
+    unpacked = []
+    unpack = GalerkinSystem.unpack
+    monkeypatch.setattr(GalerkinSystem, "unpack",
+                        lambda self, t, y: unpacked.append(t) or unpack(self, t, y))
+    state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.3)]))
+    res = run(state, _params(), SolverConfig(T_run=0.3))
+    assert res.steps_accepted > 1
+    assert unpacked == [res.final_state.t]
+    unpacked.clear()
+    snaps = []
+    res = run(state, _params(), SolverConfig(T_run=0.3), snapshot_sink=snaps.append,
+              checkpoint_times=(0.1,))
+    assert [s.t for s in snaps] == unpacked[:-1] and len(snaps) == res.steps_accepted + 1
+    assert res.checkpoints[0.1] is snaps[[s.t for s in snaps].index(0.1)]
+
+
 # 0.1 + (0.45 - 0.1) rounds to 0.44999999999999996: the loose run's first
 # step starts the next one with rhs(0.45, y) only if its last stage is taken
 # at the stop itself rather than at t + dt.
