@@ -81,8 +81,6 @@ def _execute(cfg: RunConfig, out_dir: Path):
     snap_state = {"next": 0.0, "index": 0}
 
     def snapshot_sink(state: SimulationState):
-        if cadence <= 0:
-            return
         if state.t + 1e-12 < snap_state["next"]:
             return
         snapshot_dir.mkdir(parents=True, exist_ok=True)
@@ -101,7 +99,8 @@ def _execute(cfg: RunConfig, out_dir: Path):
         cfg.params,
         cfg.solver,
         forcing=forcing,
-        snapshot_sink=snapshot_sink,
+        # With no cadence there is no sink, so run builds no per-step state.
+        snapshot_sink=snapshot_sink if cadence > 0 else None,
     )
 
     result.ledger.write_csv(ledger_path)

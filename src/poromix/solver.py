@@ -20,8 +20,8 @@ make the energy identities checkable per accepted step without any extra
 quadrature in time: the residuals are pure time-integration error.
 
 Time stepping is adaptive, with one reject/shrink loop, `_advance`, and one
-proportional-integral controller.  Each trial step picks one of two stage
-loops in `_attempt_step`:
+proportional-integral controller.  Each trial step runs one stage loop,
+`_attempt_step`, over one of two tableaux:
 
 * an embedded Dormand-Prince 5(4) pair, explicit in everything;
 * the additive pair ARK4(3)6L[2]SA (Kennedy & Carpenter 2003), explicit in
@@ -33,7 +33,7 @@ loops in `_attempt_step`:
 The additive pair is taken when the drag sets the step: when the bound
 rho_u = mu_e ||G^-1 S||_inf + max F(C_n) on the momentum block's spectral
 radius exceeds twice the diffusion's d lambda_max, and dt rho_u > 1.  Both
-loops end in one evaluation, with diagnostics, at the step's result; it
+pairs end in one evaluation, with diagnostics, at the step's result; it
 fills that state's ledger row and gives the next step's slope, so each
 accepted state is evaluated once.
 """
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -190,8 +191,6 @@ _A = [
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
-_N_STAGES = 7
-_ORDER = 5
 
 # ARK4(3)6L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003): an
 # explicit and an ESDIRK tableau on shared nodes _ARK_C and weights _ARK_B.
@@ -225,7 +224,14 @@ _ARK_AI = [
 _ARK_B = np.array([82889 / 524892, 0.0, 15625 / 83664, 69875 / 102672, -2260 / 8211, 1 / 4])
 _ARK_E = _ARK_B - np.array([4586570599 / 29645900160, 0.0, 178811875 / 945068544,
                             814220225 / 1159782912, -3700637 / 11593932, 61727 / 225920])
-_ARK_ORDER = 4
+
+# An embedded pair as `_attempt_step` runs it: nodes, explicit rows, implicit
+# rows below the ESDIRK diagonal gamma (both None if explicit), weights,
+# error weights (one longer than b if they also weigh the result's slope) and
+# the propagated order.
+_Pair = namedtuple("_Pair", "c ae ai gamma b e order")
+_DP54 = _Pair(_C, _A, None, None, _A[-1], _E, 5)
+_ARK436 = _Pair(_ARK_C, _ARK_AE, _ARK_AI, _ARK_GAMMA, _ARK_B, _ARK_E, 4)
 
 # The work-integral block appended to the packed state: the LedgerRow
 # field of each entry, and the entries' indices.
@@ -365,7 +371,7 @@ class GalerkinSystem:
     def rhs(self, t: float, y: np.ndarray, *, _nodal_c_f=None) -> np.ndarray:
         """Time derivative of the packed state y at time t.
 
-        `_nodal_c_f` is for the implicit stage loop only: the nodal (C, F(C))
+        `_nodal_c_f` is for the implicit pair's stages only: the nodal (C, F(C))
         that `solve_momentum_stage` computed from y's concentration.
         """
         ydot, _ = self._eval(t, y, want_diag=False, nodal_c_f=_nodal_c_f)
@@ -498,7 +504,7 @@ class GalerkinSystem:
                     # H1 norm and the instantaneous forcing norm.
                     "h1_F_sq": h1_f_sq,
                     "l2_f": f_sq,
-                    # Not ledger columns: the stage-loop choice and the first
+                    # Not ledger columns: the choice of pair and the first
                     # stage's implicit slope G^-1 implicit_pair.
                     "max_F": float(f_grid.max()),
                     "implicit_pair": implicit_pair,
@@ -543,54 +549,41 @@ def _takes_imex(system, dt, diag) -> bool:
 def _attempt_step(system, t, y, dt, k1, t_new, diag):
     """One trial step from (t, y) with slope k1 = rhs(t, y) and its diagnostics.
 
-    Takes the ARK4(3)6L stage loop when `_takes_imex` says so, DP5(4)
-    otherwise.  Returns (y_new, k_new, diag_new, error_estimate, order):
-    the step's result is evaluated once, with diagnostics at t_new, the
-    time the step records, which gives k_new and diag_new; `order` is that
-    of the propagated solution, 5 or 4.
+    Runs the stages of ARK4(3)6L when `_takes_imex` says so, DP5(4)
+    otherwise.  An implicit pair's stage is implicit only in the momentum
+    block's linear part: ki[i] is that part of the full slope k[i], the
+    explicit part is their difference, so the stage input is
+    y + dt (AE k + (AI - AE) ki) and the weights apply to k alone.  The work
+    integrals ride in k at each stage's value after its solve.  The first
+    stage's implicit part is G^-1 diag["implicit_pair"].
+
+    Returns (y_new, k_new, diag_new, error_estimate, pair): the step's
+    result is evaluated once, with diagnostics at t_new, the time the step
+    records, which gives k_new and diag_new; `pair` is the _Pair taken.
     """
-    if _takes_imex(system, dt, diag):
-        return (*_ark_stages(system, t, y, dt, k1, t_new, diag), _ARK_ORDER)
-    return (*_dp54_stages(system, t, y, dt, k1, t_new), _ORDER)
-
-
-def _dp54_stages(system, t, y, dt, k1, t_new):
-    """DP5(4) stages; the last stage's input is y5 itself (first same as last)."""
-    k = np.empty((_N_STAGES, y.size))
+    pair = _ARK436 if _takes_imex(system, dt, diag) else _DP54
+    n = pair.b.size
+    k = np.empty((n + 1, y.size))
     k[0] = k1
-    for i in range(1, _N_STAGES - 1):
-        k[i] = system.rhs(t + _C[i] * dt, y + dt * (_A[i] @ k[:i]))
-    y5 = y + dt * (_A[-1] @ k[:-1])
-    k[-1], diag = system.evaluate_with_diagnostics(t_new, y5)
-    return y5, k[-1], diag, dt * (_E @ k)
-
-
-def _ark_stages(system, t, y, dt, k1, t_new, diag):
-    """ARK4(3)6L stages, implicit only in the momentum block's linear part.
-
-    k[i] is the full slope at stage i and ki[i] its implicit part in the
-    velocity block; the explicit part is their difference, so the stage
-    input is y + dt (AE k + (AI - AE) ki) and the weights apply to k alone.
-    The work integrals ride in k at each stage's value after its solve.
-    The first stage's implicit part is G^-1 diag["implicit_pair"].
-    """
-    va = system.alpha_slice
-    k = np.empty((_ARK_C.size, y.size))
-    ki = np.empty((_ARK_C.size, system.nv2))
-    k[0] = k1
-    ki[0] = system.domain.velocity.solve_gram(diag["implicit_pair"])
-    gh = _ARK_GAMMA * dt
-    for i in range(1, _ARK_C.size):
-        t_i = t + _ARK_C[i] * dt
-        z = y + dt * (_ARK_AE[i] @ k[:i])
-        z[va] += dt * ((_ARK_AI[i] - _ARK_AE[i]) @ ki[:i])
+    if pair.ai is not None:
+        va = system.alpha_slice
+        ki = np.empty((n, system.nv2))
+        ki[0] = system.domain.velocity.solve_gram(diag["implicit_pair"])
+        gh = pair.gamma * dt
+    for i in range(1, n):
+        t_i = t + pair.c[i] * dt
+        z = y + dt * (pair.ae[i] @ k[:i])
+        if pair.ai is None:
+            k[i] = system.rhs(t_i, z)
+            continue
+        z[va] += dt * ((pair.ai[i] - pair.ae[i]) @ ki[:i])
         alpha, nodal_c_f = system.solve_momentum_stage(t_i, z, gh)
         ki[i] = (alpha - z[va]) / gh
         z[va] = alpha
         k[i] = system.rhs(t_i, z, _nodal_c_f=nodal_c_f)
-    y_new = y + dt * (_ARK_B @ k)
-    k_new, diag_new = system.evaluate_with_diagnostics(t_new, y_new)
-    return y_new, k_new, diag_new, dt * (_ARK_E @ k)
+    y_new = y + dt * (pair.b @ k[:n])
+    k[n], diag_new = system.evaluate_with_diagnostics(t_new, y_new)
+    return y_new, k[n], diag_new, dt * (pair.e @ k[: pair.e.size]), pair
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -608,25 +601,25 @@ def _advance(system, t, y, dt, k1, diag, t_new, config):
     lands at t_new, a shrunk one at t + dt.  A trial whose stages raise
     NonFiniteStateError, MobilityOverflowError or a singular implicit
     stage, or whose result is non-finite, halves dt; an error norm above 1
-    scales it by max(0.2, 0.9 err^(-1/q)), q the trial's order.  Returns
-    (dt, t_new, y_new, k_new, diag, err_norm, order, rejected) for the
-    accepted trial, with its result's slope and diagnostics, `rejected`
-    counting the trials before it.
+    scales it by max(0.2, 0.9 err^(-1/q)), q the order of the trial's pair.
+    Returns (dt, t_new, y_new, k_new, diag, err_norm, pair, rejected) for
+    the accepted trial, with its result's slope and diagnostics and the
+    _Pair it took, `rejected` counting the trials before it.
     """
     rejected = 0
     while True:
         if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
             raise StepSizeUnderflowError(t, dt)
         try:
-            y_new, k_new, diag_new, err, order = _attempt_step(system, t, y, dt, k1, t_new, diag)
+            y_new, k_new, diag_new, err, pair = _attempt_step(system, t, y, dt, k1, t_new, diag)
             finite = np.isfinite(y_new).all() and np.isfinite(err).all()
         except (NonFiniteStateError, MobilityOverflowError, np.linalg.LinAlgError):
             finite = False
         if finite:
             err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
             if err_norm <= 1.0:
-                return dt, t_new, y_new, k_new, diag_new, err_norm, order, rejected
-            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / order))
+                return dt, t_new, y_new, k_new, diag_new, err_norm, pair, rejected
+            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / pair.order))
         else:
             dt *= 0.5
         t_new = t + dt
@@ -717,12 +710,12 @@ def run(
         if hit_stop:
             dt = next_stop - t
 
-        dt, t, y, ydot, diag, err_norm, order, n_rejected = _advance(
+        dt, t, y, ydot, diag, err_norm, pair, n_rejected = _advance(
             system, t, y, dt, ydot, diag, next_stop if hit_stop else t + dt, config)
         rejected += n_rejected
         hit_stop = hit_stop and n_rejected == 0  # a shrunk step stops short
         accepted += 1
-        implicit += order == _ARK_ORDER
+        implicit += pair.ai is not None
 
         blowup = math.sqrt(diag["l2_C"]) > config.blowup_cap
         row = system.ledger_row(t, y, diag, row, blowup)
@@ -738,7 +731,7 @@ def run(
         if err_norm == 0.0:
             fac = _FAC_MAX
         else:
-            fac = _SAFETY * err_norm ** (-0.7 / order) * err_prev ** (0.4 / order)
+            fac = _SAFETY * err_norm ** (-0.7 / pair.order) * err_prev ** (0.4 / pair.order)
         dt = dt * min(_FAC_MAX, max(_FAC_MIN, fac))
         err_prev = max(err_norm, 1e-10)
 

@@ -77,6 +77,23 @@ def test_run_snapshots_written(tmp_path):
     assert (out / "snaps" / "ux_000000.snap").exists()
 
 
+def test_run_without_snapshots_builds_only_the_final_state(tmp_path, monkeypatch):
+    # With snapshot_cadence 0 the CLI passes no sink, so run unpacks no
+    # accepted state but the last.
+    from poromix.solver import GalerkinSystem
+    unpacked = []
+    unpack = GalerkinSystem.unpack
+    monkeypatch.setattr(GalerkinSystem, "unpack",
+                        lambda self, t, y: unpacked.append(t) or unpack(self, t, y))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("C: {preset: zero}", "C: {preset: uniform, value: 0.5}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["steps_accepted"] > 1
+    assert unpacked == [meta["t_final"]]
+
+
 def test_verify_suite_exit_codes(capsys):
     assert main(["verify", "--suite", "diffusion"]) == 0
     out = capsys.readouterr().out

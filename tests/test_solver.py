@@ -456,9 +456,11 @@ def test_drag_stiff_run_takes_imex_steps_at_dp54_accuracy(monkeypatch):
 
 
 def test_mild_run_takes_no_imex_trial(pi_domain, monkeypatch):
+    # Only the implicit-explicit pair solves a momentum stage.
     trials = []
-    orig = solver._ark_stages
-    monkeypatch.setattr(solver, "_ark_stages", lambda *a: trials.append(a) or orig(*a))
+    orig = GalerkinSystem.solve_momentum_stage
+    monkeypatch.setattr(GalerkinSystem, "solve_momentum_stage",
+                        lambda *a, **kw: trials.append(a) or orig(*a, **kw))
     state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
                             make_velocity(pi_domain, [(1, 1, 0.3)]))
     params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5),
@@ -467,6 +469,79 @@ def test_mild_run_takes_no_imex_trial(pi_domain, monkeypatch):
               forcing=ForcingSpec.preset("pulsed_stream"))
     assert res.steps_accepted > 0
     assert trials == [] and res.steps_implicit == 0
+
+
+def test_each_trial_makes_its_pairs_calls(monkeypatch):
+    # Per trial: an IMEX one solves 5 momentum stages, each followed by an
+    # rhs that reuses its nodal (C, F(C)); a DP5(4) one makes 5 plain rhs
+    # calls.  Both end in one evaluation with diagnostics at the result.
+    trials = []  # per _attempt_step: the (name, reuses nodal values) calls
+    accepted = []  # per _advance: its trials' calls, the last one accepted
+    for name in ("rhs", "evaluate_with_diagnostics", "solve_momentum_stage"):
+        orig = getattr(GalerkinSystem, name)
+
+        def counted(self, *a, _name=name, _orig=orig, **kw):
+            if trials:
+                trials[-1].append((_name, kw.get("_nodal_c_f") is not None))
+            return _orig(self, *a, **kw)
+
+        monkeypatch.setattr(GalerkinSystem, name, counted)
+    orig_attempt, orig_advance = solver._attempt_step, solver._advance
+
+    def attempt(*a):
+        trials.append([])
+        return orig_attempt(*a)
+
+    def advance(*a):
+        out = orig_advance(*a)
+        accepted.append(trials[-1])
+        return out
+
+    monkeypatch.setattr(solver, "_attempt_step", attempt)
+    monkeypatch.setattr(solver, "_advance", advance)
+    state, params = _drag_stiff_case()
+    res = run(state, params, SolverConfig(T_run=0.2))
+    monkeypatch.undo()
+
+    imex = sorted([("rhs", True), ("solve_momentum_stage", False)] * 5
+                  + [("evaluate_with_diagnostics", False)])
+    dp54 = [("rhs", False)] * 5 + [("evaluate_with_diagnostics", False)]
+    n_imex = sum(sorted(calls) == imex for calls in trials)
+    assert n_imex + trials.count(dp54) == len(trials) == res.steps_accepted + res.steps_rejected
+    assert 0 < n_imex < len(trials)
+    assert len(accepted) == res.steps_accepted
+    assert res.steps_implicit == sum(sorted(calls) == imex for calls in accepted)
+
+
+def test_dp54_step_is_the_textbook_recurrence(pi_domain):
+    # An independent oracle: the Dormand-Prince 5(4) recurrence written out
+    # here from its published tableau, not from the solver's constants,
+    # k_i = rhs(t + c_i dt, y + dt sum_j a_ij k_j), y5 = y + dt sum_i b_i k_i,
+    # err = dt sum_i e_i k_i with k_7 = rhs(t + dt, y5).  DP5(4)'s arithmetic
+    # must never change, so one step must match it bit for bit.
+    c = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]
+    a = [[],
+         [1 / 5],
+         [3 / 40, 9 / 40],
+         [44 / 45, -56 / 15, 32 / 9],
+         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]]
+    b = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+    e = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+    system, (y, _) = _workspace_case(pi_domain)
+    t, dt = 0.3, 0.05
+    k1, diag = system.evaluate_with_diagnostics(t, y)
+    y_new, k_new, diag_new, err, pair = solver._attempt_step(system, t, y, dt, k1, t + dt, diag)
+    assert pair.ai is None and pair.order == 5
+
+    k = [k1]
+    for i in range(1, 6):
+        k.append(system.rhs(t + c[i] * dt, y + dt * (np.array(a[i]) @ np.array(k))))
+    y5 = y + dt * (np.array(b) @ np.array(k))
+    k7, diag7 = system.evaluate_with_diagnostics(t + dt, y5)
+    assert y_new.tobytes() == y5.tobytes()
+    assert k_new.tobytes() == k7.tobytes() and diag_new["l2_C"] == diag7["l2_C"]
+    assert err.tobytes() == (dt * (np.array(e) @ np.array(k + [k7]))).tobytes()
 
 
 def _workspace_case(domain):
