@@ -12,6 +12,7 @@ from .domain import (
     MidpointRule,
     QuadratureGrid,
     ScalarBasis,
+    SpecError,
     VelocityBasis,
     build_domain,
     integrand_degree,

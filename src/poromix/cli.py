@@ -182,26 +182,25 @@ def _cmd_sweep(args) -> int:
     cfg = RunConfig.from_file(args.config)
     param, values = _parse_vary(args.vary[0])
     base_raw = cfg.to_dict()
-    # Every run's config is checked before the report is opened, so a bad
+    # Every run's config is checked, and the domain, initial state and
+    # forcing that no sweep parameter touches are built (the forcing
+    # evaluated once on the grid), before the report is opened, so a bad
     # sweep leaves no report behind.
-    run_cfgs = [RunConfig.from_dict(_apply_param(base_raw, param, value), base_dir=cfg.base_dir)
-                for value in values]
+    run_params = [RunConfig.from_dict(_apply_param(base_raw, param, value),
+                                      base_dir=cfg.base_dir).params for value in values]
+    domain = build_domain(cfg.domain)
+    C0, u0 = cfg.build_initial(domain)
+    forcing = cfg.build_forcing()
+    forcing.evaluate(domain, 0.0)
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w") as fh:
         fh.write("param,value,outcome,blowup_time,decay_rate\n")
-        for value, run_cfg in zip(values, run_cfgs):
-            domain = build_domain(run_cfg.domain)
-            C0, u0 = run_cfg.build_initial(domain)
-            result = run(
-                SimulationState(0.0, C0, u0),
-                run_cfg.params,
-                run_cfg.solver,
-                forcing=run_cfg.build_forcing(),
-            )
+        for value, params in zip(values, run_params):
+            result = run(SimulationState(0.0, C0, u0), params, cfg.solver, forcing=forcing)
             outcome = "BlowUp" if result.outcome == "blowup" else "Completed"
             blow = result.blowup_time if result.blowup_time is not None else math.nan
-            rate = fit_decay_rate(result.ledger, run_cfg.domain.Lx * run_cfg.domain.Ly)
+            rate = fit_decay_rate(result.ledger, cfg.domain.Lx * cfg.domain.Ly)
             fh.write(f"{param},{value:.17g},{outcome},{blow:.17g},{rate:.17g}\n")
     print(f"sweep report: {report_path}")
     return 0

@@ -13,7 +13,9 @@ Sections and keys, each declared once in `_KEYS`, which the parsers and
     outputs:  optional ledger_path, snapshot_cadence, snapshot_dir
 
 Validation collects every problem with its field path before failing, so
-a broken file reports all defects at once.  parse -> serialize -> parse is
+a broken file reports all defects at once.  Each section's spec checks its
+own values when it is constructed; the parser lists each of its defects
+under the section's name.  parse -> serialize -> parse is
 semantically idempotent.
 """
 
@@ -27,8 +29,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .domain import Domain, DomainSpec
-from .fields import ScalarField, VelocityField, cosine_field, stream_field
+from .domain import Domain, DomainSpec, SpecError
+from .fields import ScalarField, VelocityField, cosine_field, mode_range_errors, stream_field
 from .forcing import FORCING_PRESETS, ForcingSpec
 from .korteweg import KortewegParams
 from .mobility import MobilitySpec
@@ -90,6 +92,11 @@ class OutputSpec:
     snapshot_cadence: float = 0.0  # time interval between snapshots; 0 disables
     snapshot_dir: str = "snapshots"
 
+    def __post_init__(self):
+        if not (math.isfinite(self.snapshot_cadence) and self.snapshot_cadence >= 0):
+            raise SpecError(f"snapshot_cadence must be finite and >= 0, "
+                            f"got {self.snapshot_cadence!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -137,13 +144,13 @@ class RunConfig:
         if errors:
             raise ConfigError(errors)
 
-        domain = _parse_domain(raw["domain"], errors)
-        mobility = _parse_mobility(raw["mobility"], errors)
-        params = _parse_params(raw["params"], mobility, errors)
+        domain = _build(DomainSpec, "domain", _read_values(raw, "domain", errors), errors)
+        mobility = _build(MobilitySpec, "mobility", _read_values(raw, "mobility", errors), errors)
+        params = _parse_params(raw, mobility, errors)
         forcing_raw = _parse_forcing(raw["forcing"], base_dir, errors)
         initial = _parse_initial(raw["initial"], domain, base_dir, errors)
-        solver = _parse_solver(raw["solver"], errors)
-        outputs = _parse_outputs(raw["outputs"], errors)
+        solver = _build(SolverConfig, "solver", _read_values(raw, "solver", errors), errors)
+        outputs = _build(OutputSpec, "outputs", _read_values(raw, "outputs", errors), errors)
 
         if errors:
             raise ConfigError(errors)
@@ -222,9 +229,9 @@ def _check_unknown(section, sec_name, known, errors):
         errors.append(f"{sec_name}.{key}: unknown key")
 
 
-def _read_values(section, sec_name, errors):
-    """{attribute: value} of the section's keys, or None if any key is bad."""
-    keys = _KEYS[sec_name]
+def _read_values(raw, sec_name, errors):
+    """{attribute: value} of section `sec_name`'s keys, or None if any key is bad."""
+    section, keys = raw[sec_name], _KEYS[sec_name]
     _check_unknown(section, sec_name, keys, errors)
     n_errors = len(errors)
     values = {}
@@ -249,46 +256,30 @@ def _read_values(section, sec_name, errors):
     return values if len(errors) == n_errors else None
 
 
-def _parse_domain(section, errors):
-    values = _read_values(section, "domain", errors)
+def _build(cls, sec_name, values, errors):
+    """cls(**values), or None with each defect listed under `sec_name`, one
+    per line; None values (a key that failed to parse) build nothing."""
     if values is None:
         return None
-    spec = DomainSpec(**values)
-    for msg in spec.validation_errors():
-        errors.append(f"domain: {msg}")
-    return spec
-
-
-def _parse_mobility(section, errors):
-    values = _read_values(section, "mobility", errors)
-    if values is None:
+    try:
+        return cls(**values)
+    except SpecError as exc:
+        errors.extend(f"{sec_name}: {msg}" for msg in exc.errors)
         return None
-    msgs = MobilitySpec.check(values["kind"], values["coefficients"])
-    if msgs:
-        errors.extend(f"mobility: {m}" for m in msgs)
-        return None
-    return MobilitySpec(**values)
 
 
-def _parse_params(section, mobility, errors):
-    values = _read_values(section, "params", errors)
+def _parse_params(raw, mobility, errors):
+    values = _read_values(raw, "params", errors)
     if values is None:
         return None
     korteweg = {attr.split(".")[1]: values.pop(attr) for attr in list(values) if "." in attr}
-    try:
-        kt = KortewegParams(**korteweg)
-    except ValueError as exc:
-        errors.append(f"params: {exc}")
-        return None
-    try:
-        # Probe with a placeholder mobility so range errors surface even
-        # when the mobility section is itself broken.
-        params = PhysicalParams(**values, korteweg=kt,
-                                mobility=mobility or MobilitySpec.constant(1.0))
-    except ValueError as exc:
-        errors.append(f"params: {exc}")
-        return None
-    return params if mobility is not None else None
+    korteweg = _build(KortewegParams, "params", korteweg, errors)
+    # Placeholders stand in for a broken Korteweg part or mobility section,
+    # so that every range error in params is listed too.
+    params = _build(PhysicalParams, "params",
+                    dict(values, korteweg=korteweg or KortewegParams(),
+                         mobility=mobility or MobilitySpec.constant(1.0)), errors)
+    return params if korteweg and mobility else None
 
 
 def _check_file(entry, sec_name, base_dir, errors):
@@ -339,21 +330,11 @@ def _parse_initial(section, domain, base_dir, errors):
             n_errors = len(errors)
             entry = _parse_preset_keys(entry, f"initial.{key}", presets[entry["preset"]], errors)
             if domain is not None and len(errors) == n_errors:
-                errors.extend(_mode_range_errors(key, entry, presets, domain))
+                _, modes = _preset_modes(entry, presets)
+                size = {"Ns": domain.Ns} if key == "C" else {"Nv": domain.Nv}
+                errors.extend(f"initial.{key}: {m}" for m in mode_range_errors(modes, **size))
         out[key] = dict(entry)
     return out
-
-
-def _mode_range_errors(key, entry, presets, spec: DomainSpec) -> list[str]:
-    """initial.<key>'s preset modes that lie outside the basis of `spec`:
-    0 <= j, k < Ns for C, 1 <= j, k <= Nv for u."""
-    if key == "C":
-        lo, hi, name, basis = 0, spec.Ns - 1, "cosine", f"Ns={spec.Ns}"
-    else:
-        lo, hi, name, basis = 1, spec.Nv, "stream", f"Nv={spec.Nv}"
-    _, modes = _preset_modes(entry, presets)
-    return [f"initial.{key}: {name} mode ({j}, {k}) out of range for {basis}"
-            for j, k, _ in modes if not (lo <= j <= hi and lo <= k <= hi)]
 
 
 def _parse_preset_keys(entry, sec_name, defaults, errors):
@@ -377,25 +358,6 @@ def _parse_mode(item, sec_name, errors):
         return None
     return [_get_number(val, f"{sec_name}.{key}", errors, integer=key != "amplitude")
             for key, val in zip(("j", "k", "amplitude"), item)]
-
-
-def _parse_solver(section, errors):
-    values = _read_values(section, "solver", errors)
-    if values is None:
-        return None
-    cfg = SolverConfig(**values)
-    for msg in cfg.validation_errors():
-        errors.append(f"solver: {msg}")
-    return cfg
-
-
-def _parse_outputs(section, errors):
-    values = _read_values(section, "outputs", errors)
-    if values is None:
-        return None
-    if values.get("snapshot_cadence", 0.0) < 0:
-        errors.append("outputs.snapshot_cadence: expected a number >= 0")
-    return OutputSpec(**values)
 
 
 # ---------------------------------------------------------------------------

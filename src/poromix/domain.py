@@ -45,6 +45,7 @@ import numpy as np
 __all__ = [
     "DomainError",
     "DomainSpec",
+    "SpecError",
     "ScalarBasis",
     "VelocityBasis",
     "QuadratureGrid",
@@ -61,7 +62,15 @@ __all__ = [
 _CERTIFY_TOL = 1e-13
 
 
-class DomainError(ValueError):
+class SpecError(ValueError):
+    """A spec constructed from inadmissible values; `errors` lists each defect."""
+
+    def __init__(self, *errors: str):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
+class DomainError(SpecError):
     """Raised when a DomainSpec is invalid or quadrature certification fails."""
 
 
@@ -128,7 +137,8 @@ def required_quadrature_points(degree: int, Lx: float, Ly: float) -> int:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Rectangle geometry plus spectral and quadrature resolutions.
+    """Rectangle geometry plus spectral and quadrature resolutions, checked
+    when constructed (DomainError).
 
     M may be left as None to pick the smallest Gauss-Legendre rule that
     passes the quadrature certificate at ``integrand_degree(Ns, Nv)``.
@@ -139,6 +149,11 @@ class DomainSpec:
     Ns: int
     Nv: int
     M: int | None = None
+
+    def __post_init__(self):
+        errs = self.validation_errors()
+        if errs:
+            raise DomainError(*errs)
 
     def validation_errors(self) -> list[str]:
         errs = []
@@ -463,13 +478,9 @@ def build_domain(spec: DomainSpec) -> Domain:
     ``integrand_degree(Ns, Nv)``; an unset ``spec.M`` takes the smallest rule
     that does.  The midpoint rule has P = 2 Ns cells per side and must
     integrate every cosine up to ``midpoint_degree(Ns)``.
-    Deterministic for equal arguments.  Raises DomainError when the spec is
-    invalid or the quadrature rule fails its exactness certification.
+    Deterministic for equal arguments.  Raises DomainError when the
+    quadrature rule fails its exactness certification.
     """
-    errs = spec.validation_errors()
-    if errs:
-        raise DomainError("; ".join(errs))
-
     Ns, Nv, Lx, Ly = spec.Ns, spec.Nv, spec.Lx, spec.Ly
     degree = integrand_degree(Ns, Nv)
     M = required_quadrature_points(degree, Lx, Ly) if spec.M is None else int(spec.M)

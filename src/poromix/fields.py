@@ -22,6 +22,7 @@ __all__ = [
     "PressureField",
     "cosine_field",
     "stream_field",
+    "mode_range_errors",
     "scalar_to_grid",
     "grid_to_scalar",
     "gradient",
@@ -110,14 +111,23 @@ class PressureField:
         return 0.0
 
 
+def mode_range_errors(modes, *, Ns=None, Nv=None) -> list[str]:
+    """One message per (j, k, amp) mode outside the cosine basis of size Ns,
+    0 <= j, k < Ns, or, given Nv instead, the stream basis, 1 <= j, k <= Nv."""
+    name, lo, n, size = ("cosine", 0, Ns, "Ns") if Nv is None else ("stream", 1, Nv, "Nv")
+    return [f"{name} mode ({j}, {k}) out of range for {size}={n}"
+            for j, k, _ in modes if not (lo <= j < lo + n and lo <= k < lo + n)]
+
+
 def cosine_field(domain: Domain, modes=(), offset: float = 0.0) -> ScalarField:
     """offset + sum of amp cos(j pi x / Lx) cos(k pi y / Ly) over (j, k, amp)."""
     s = domain.scalar
+    errs = mode_range_errors(modes, Ns=s.Ns)
+    if errs:
+        raise ValueError("; ".join(errs))
     B = np.zeros((s.Ns, s.Ns))
     B[0, 0] = offset / s.norm_00
     for j, k, amp in modes:
-        if not (0 <= j < s.Ns and 0 <= k < s.Ns):
-            raise ValueError(f"cosine mode ({j}, {k}) out of range for Ns={s.Ns}")
         B[j, k] += amp / (s.norm_x[j] * s.norm_y[k])
     return ScalarField(domain, B)
 
@@ -125,10 +135,11 @@ def cosine_field(domain: Domain, modes=(), offset: float = 0.0) -> ScalarField:
 def stream_field(domain: Domain, modes=()) -> VelocityField:
     """Velocity of the streamfunction sum of amp psi[j,k] over (j, k, amp)."""
     Nv = domain.spec.Nv
+    errs = mode_range_errors(modes, Nv=Nv)
+    if errs:
+        raise ValueError("; ".join(errs))
     A = np.zeros((Nv, Nv))
     for j, k, amp in modes:
-        if not (1 <= j <= Nv and 1 <= k <= Nv):
-            raise ValueError(f"stream mode ({j}, {k}) out of range for Nv={Nv}")
         A[j - 1, k - 1] += amp
     return VelocityField(domain, A)
 

@@ -9,8 +9,10 @@ no-slip test velocities,
 because the isotropic part Q(C) I of the stress is a pure gradient there;
 `solver.GalerkinSystem` assembles that pairing and nothing else does.  The
 full tensor here is the independent oracle for the solver's pairing (the
-korteweg-reduction verify suite); pressure recovery uses its divergence,
-`divergence_of_full_tensor`.  Consistency with the reduced form fixes the dyadic part's sign:
+korteweg-reduction verify suite).  Its divergence has one formula,
+`tensor_divergence`: pressure recovery feeds it the field's derivatives
+(`divergence_of_full_tensor`), the manufactured-solution forcing exact
+ones.  Consistency with the reduced form fixes the dyadic part's sign:
 
     T(C) = Q(C) I - delta_hat grad C (x) grad C,
     Q(C) = -(delta_hat / 3) |grad C|^2 + (2 gamma / 3) lap C,
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import SpecError
 from .fields import ScalarField, gradient, laplacian, scalar_to_grid
 
 __all__ = ["KortewegParams", "korteweg_full_tensor"]
@@ -40,7 +43,7 @@ class KortewegParams:
     def __post_init__(self):
         errs = self.validation_errors()
         if errs:
-            raise ValueError("; ".join(errs))
+            raise SpecError(*errs)
 
     def validation_errors(self) -> list[str]:
         errs = []
@@ -67,16 +70,23 @@ def korteweg_full_tensor(C: ScalarField, params: KortewegParams):
 def divergence_of_full_tensor(C: ScalarField, params: KortewegParams):
     """Nodal (div T)_x, (div T)_y, used only by pressure recovery.
 
-    div T = grad Q - delta_hat (lap C grad C + grad |grad C|^2 / 2); the
-    Hessian contractions are evaluated analytically from the coefficients.
+    The Hessian contractions are evaluated analytically from the coefficients.
     """
     dom = C.domain
-    dh, gamma = params.delta_hat, params.gamma
-    cx, cy = gradient(C)
     lap_field = laplacian(C)
-    lap = scalar_to_grid(lap_field)
-    cxx, cxy, cyy = dom.scalar_second_derivative_values(C.coeffs)
-    lap_x, lap_y = dom.scalar_gradient_values(lap_field.coeffs)
+    return tensor_divergence(gradient(C), dom.scalar_second_derivative_values(C.coeffs),
+                             scalar_to_grid(lap_field),
+                             dom.scalar_gradient_values(lap_field.coeffs), params)
+
+
+def tensor_divergence(grad, hessian, lap, lap_grad, params: KortewegParams):
+    """Nodal div T = grad Q - delta_hat (lap C grad C + grad |grad C|^2 / 2).
+
+    From the nodal grad C, Hessian (C_xx, C_xy, C_yy), lap C and grad lap C;
+    the manufactured-solution forcing passes exact ones.
+    """
+    dh, gamma = params.delta_hat, params.gamma
+    (cx, cy), (cxx, cxy, cyy), (lap_x, lap_y) = grad, hessian, lap_grad
     # (Hess C . grad C) components: d|grad C|^2 / 2.
     hx = cx * cxx + cy * cxy
     hy = cx * cxy + cy * cyy

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .domain import SpecError
+
 __all__ = [
     "MobilityOverflowError",
     "MobilitySpec",
@@ -53,21 +55,15 @@ class MobilitySpec:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         errs = self.validation_errors()
         if errs:
-            raise ValueError("; ".join(errs))
+            raise SpecError(*errs)
 
     def validation_errors(self) -> list[str]:
-        return MobilitySpec.check(self.kind, self.coefficients)
-
-    @staticmethod
-    def check(kind, coefficients) -> list[str]:
-        errs = []
+        kind, coefficients = self.kind, self.coefficients
         if kind not in ("constant", "polynomial", "exponential"):
-            errs.append(f"unknown mobility kind {kind!r}")
-            return errs
-        coefficients = tuple(coefficients)
+            return [f"unknown mobility kind {kind!r}"]
         if not coefficients:
-            errs.append("mobility coefficients must be non-empty")
-            return errs
+            return ["mobility coefficients must be non-empty"]
+        errs = []
         if any(not np.isfinite(c) for c in coefficients):
             errs.append("mobility coefficients must be finite")
         if kind == "constant":

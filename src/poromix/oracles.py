@@ -22,6 +22,7 @@ import numpy as np
 from .domain import Domain
 from .fields import ScalarField, VelocityField, cosine_field, stream_field
 from .forcing import ForcingSpec
+from .korteweg import tensor_divergence
 from .mobility import evaluate as mobility_values
 
 __all__ = [
@@ -250,7 +251,8 @@ class ManufacturedCase:
             fx = damp * wx + fgrid * amp * wx - params.mu_e * amp * lap_wx
             fy = damp * wy + fgrid * amp * wy - params.mu_e * amp * lap_wy
             if korteweg:
-                div_x, div_y = _div_full_tensor_grids(self, korteweg_modes, ddx, ddy, t, dh, gamma)
+                div_x, div_y = _div_full_tensor_grids(self, korteweg_modes, ddx, ddy, t,
+                                                      params.korteweg)
                 fx -= div_x
                 fy -= div_y
             return fx, fy
@@ -258,7 +260,7 @@ class ManufacturedCase:
         return ForcingSpec.from_function(force)
 
 
-def _div_full_tensor_grids(case: ManufacturedCase, mode_grids, ddx, ddy, t, dh, gamma):
+def _div_full_tensor_grids(case: ManufacturedCase, mode_grids, ddx, ddy, t, korteweg):
     """div T of the effective Korteweg tensor from the analytic modes.
 
     `mode_grids` are `case._korteweg_mode_grids`; ddx and ddy are the
@@ -274,11 +276,7 @@ def _div_full_tensor_grids(case: ManufacturedCase, mode_grids, ddx, ddy, t, dh, 
         dyy += c * g_yy
         lap_x += c * g_lap_x
         lap_y += c * g_lap_y
-    hx = ddx * dxx + ddy * dxy
-    hy = ddx * dxy + ddy * dyy
-    div_x = -(5.0 * dh / 3.0) * hx + (2.0 * gamma / 3.0) * lap_x - dh * lap * ddx
-    div_y = -(5.0 * dh / 3.0) * hy + (2.0 * gamma / 3.0) * lap_y - dh * lap * ddy
-    return div_x, div_y
+    return tensor_divergence((ddx, ddy), (dxx, dxy, dyy), lap, (lap_x, lap_y), korteweg)
 
 
 class _Amplitude:

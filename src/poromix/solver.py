@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, SpecError
 from .fields import ScalarField, VelocityField, _check_same_domain
 from .forcing import ForcingSpec
 from .korteweg import KortewegParams
@@ -101,7 +101,7 @@ class PhysicalParams:
     def __post_init__(self):
         errs = self.validation_errors()
         if errs:
-            raise ValueError("; ".join(errs))
+            raise SpecError(*errs)
 
     def validation_errors(self) -> list[str]:
         errs = []
@@ -113,8 +113,6 @@ class PhysicalParams:
             errs.append(f"kappa must be finite and >= 0, got {self.kappa!r}")
         if not (np.isfinite(self.m_gn) and self.m_gn > 0):
             errs.append(f"M_GN must be finite and > 0, got {self.m_gn!r}")
-        errs.extend(self.korteweg.validation_errors())
-        errs.extend(self.mobility.validation_errors())
         return errs
 
 
@@ -145,6 +143,11 @@ class SolverConfig:
     atol: float = 1e-11
     dt_init: float = 1e-4
     blowup_cap: float = 1e6
+
+    def __post_init__(self):
+        errs = self.validation_errors()
+        if errs:
+            raise SpecError(*errs)
 
     def validation_errors(self) -> list[str]:
         errs = []
@@ -651,9 +654,6 @@ def run(
     implicit-explicit ARK4(3)6L pair (see `_takes_imex`); `steps_implicit`
     counts the accepted ones of the latter.
     """
-    errs = config.validation_errors()
-    if errs:
-        raise ValueError("; ".join(errs))
     t_start = time.perf_counter()
 
     system = GalerkinSystem(initial.domain, params, forcing, transport_source=transport_source)

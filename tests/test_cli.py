@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import poromix
 from poromix.cli import main
 
@@ -177,6 +180,25 @@ def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1:2",
                  "--report", str(report)]) == 1
     assert "initial.C: cosine mode (9, 0) out of range for Ns=4" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("C: {preset: zero}", "C: {file: c.npz}", "beta shape (3, 3) does not match Ns=4"),
+    ("forcing: {preset: zero}", "forcing: {file: f.npz}",
+     "tabulated forcing grid (10, 10) does not match M=21"),
+], ids=["initial", "forcing"])
+def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, new, message):
+    # No sweep parameter touches the initial state or the forcing, so both
+    # are built, and checked against the grid, before the report opens.
+    np.savez(tmp_path / "c.npz", beta=np.zeros((3, 3)))
+    np.savez(tmp_path / "f.npz", t=np.zeros(1), fx=np.zeros((1, 10, 10)), fy=np.zeros((1, 10, 10)))
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace(old, new))
+    report = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1:2",
+                 "--report", str(report)]) == 1
+    assert message in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from poromix import ConfigError, DomainSpec, RunConfig, build_domain
+from poromix import ConfigError, DomainError, DomainSpec, RunConfig, build_domain
 from poromix.config import OutputSpec
 from poromix.forcing import ForcingSpec
 from poromix.mobility import MobilitySpec
@@ -185,6 +185,28 @@ typo_section: {}
     assert "initial.C.modes[1].k: expected a number, got 'one'" in msgs
     assert "initial.u.jx: expected a number, got 'one'" in msgs
     assert len(msgs) >= 7
+
+
+def test_every_params_defect_listed_on_its_own_line(tmp_path):
+    # A bad Korteweg coefficient does not hide the other params errors.
+    text = VALID_CONFIG.replace("mu_e: 0.1, d: 0.1", "mu_e: -0.1, d: 0.0")
+    text = text.replace("delta_hat: 0.0", "delta_hat: -1.0")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == [
+        "params: delta_hat must be >= 0, got -1.0",
+        "params: mu_e must be finite and > 0, got -0.1",
+        "params: d must be finite and > 0, got 0.0",
+    ]
+
+
+def test_specs_check_their_values_when_constructed():
+    with pytest.raises(DomainError, match="exactness threshold"):
+        DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=10)
+    with pytest.raises(ValueError, match="T_run"):
+        SolverConfig(T_run=-1)
+    with pytest.raises(ValueError, match="snapshot_cadence"):
+        OutputSpec(snapshot_cadence=-1)
 
 
 def test_list_valued_preset_names_reported():

@@ -8,10 +8,8 @@ from poromix import (
     PhysicalParams,
     SimulationState,
     SolverConfig,
-    VelocityField,
     momentum_gradient_residual,
     recover_pressure,
-    rhs_velocity,
     run,
 )
 
@@ -24,13 +22,9 @@ def _params(**kw):
     return PhysicalParams(**defaults)
 
 
-def _zero_udot(domain):
-    return VelocityField(domain, np.zeros((domain.spec.Nv, domain.spec.Nv)))
-
-
 def test_zero_state_zero_pressure(pi_domain):
     state = SimulationState(0.0, make_scalar(pi_domain, []), make_velocity(pi_domain, []))
-    p = recover_pressure(state, _zero_udot(pi_domain), ForcingSpec.zero(), _params())
+    p = recover_pressure(state, ForcingSpec.zero(), _params())
     assert np.abs(p.coeffs).max() == 0.0
 
 
@@ -46,8 +40,7 @@ def test_gradient_forcing_absorbed_by_pressure(pi_domain):
         return domain.scalar_gradient_values(g_coeffs)
 
     state = SimulationState(0.0, make_scalar(pi_domain, []), make_velocity(pi_domain, []))
-    p = recover_pressure(state, _zero_udot(pi_domain), ForcingSpec.from_function(grad_g),
-                         _params())
+    p = recover_pressure(state, ForcingSpec.from_function(grad_g), _params())
     expected = g_coeffs.copy()
     expected[0, 0] = 0.0
     assert np.abs(p.coeffs - expected).max() <= 1e-8
@@ -67,10 +60,9 @@ def test_generic_run_gradient_residual_small(pi_domain):
     res = run(state0, params, SolverConfig(T_run=0.2, rtol=1e-9, atol=1e-12),
               forcing=forcing)
     state = res.final_state
-    u_dot = rhs_velocity(state, params, forcing)
-    p = recover_pressure(state, u_dot, forcing, params)
+    p = recover_pressure(state, forcing, params)
     assert p.coeffs[0, 0] == 0.0
-    residual = momentum_gradient_residual(state, u_dot, forcing, params, p)
+    residual = momentum_gradient_residual(state, forcing, params, p)
     assert residual <= 1e-6
 
 
@@ -88,8 +80,7 @@ def test_gamma_shifts_pressure_only(pi_domain):
         res = run(SimulationState(0.0, C0, u0), params, cfg)
         state = res.final_state
         finals.append(state)
-        u_dot = rhs_velocity(state, params)
-        pressures.append(recover_pressure(state, u_dot, None, params))
+        pressures.append(recover_pressure(state, None, params))
     assert np.array_equal(finals[0].C.coeffs, finals[1].C.coeffs)
     assert np.array_equal(finals[0].u.coeffs, finals[1].u.coeffs)
     lam = pi_domain.scalar.eigenvalues
