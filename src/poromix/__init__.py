@@ -20,7 +20,6 @@ from .domain import (
     required_quadrature_points,
 )
 from .fields import (
-    PressureField,
     ResolutionMismatchError,
     ScalarField,
     VelocityField,

@@ -67,11 +67,23 @@ def main(argv=None) -> int:
         return 1
 
 
-def _execute(cfg: RunConfig, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _build_inputs(cfg: RunConfig):
+    """The domain, initial (C0, u0) and forcing of a config.
+
+    The forcing is evaluated once on the grid, so a table that does not
+    match it fails here too.  Callers build these before they create any
+    output, so a bad input leaves none behind.
+    """
     domain = build_domain(cfg.domain)
-    forcing = cfg.build_forcing()
     C0, u0 = cfg.build_initial(domain)
+    forcing = cfg.build_forcing()
+    forcing.evaluate(domain, 0.0)
+    return domain, C0, u0, forcing
+
+
+def _execute(cfg: RunConfig, out_dir: Path):
+    domain, C0, u0, forcing = _build_inputs(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     ledger_path = out_dir / cfg.outputs.ledger_path
     ledger_path.parent.mkdir(parents=True, exist_ok=True)
@@ -182,16 +194,12 @@ def _cmd_sweep(args) -> int:
     cfg = RunConfig.from_file(args.config)
     param, values = _parse_vary(args.vary[0])
     base_raw = cfg.to_dict()
-    # Every run's config is checked, and the domain, initial state and
-    # forcing that no sweep parameter touches are built (the forcing
-    # evaluated once on the grid), before the report is opened, so a bad
-    # sweep leaves no report behind.
+    # Every run's config is checked, and the inputs that no sweep parameter
+    # touches are built, before the report is opened, so a bad sweep leaves
+    # no report behind.
     run_params = [RunConfig.from_dict(_apply_param(base_raw, param, value),
                                       base_dir=cfg.base_dir).params for value in values]
-    domain = build_domain(cfg.domain)
-    C0, u0 = cfg.build_initial(domain)
-    forcing = cfg.build_forcing()
-    forcing.evaluate(domain, 0.0)
+    _, C0, u0, forcing = _build_inputs(cfg)
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w") as fh:

@@ -325,10 +325,13 @@ def _parse_initial(section, domain, base_dir, errors):
                 f"available: {list(presets)}"
             )
         elif "file" in entry:
+            _check_unknown(entry, f"initial.{key}", ("file",), errors)
             _check_file(entry, f"initial.{key}", base_dir, errors)
         else:
+            defaults = presets[entry["preset"]]
+            _check_unknown(entry, f"initial.{key}", ("preset", *defaults), errors)
             n_errors = len(errors)
-            entry = _parse_preset_keys(entry, f"initial.{key}", presets[entry["preset"]], errors)
+            entry = _parse_preset_keys(entry, f"initial.{key}", defaults, errors)
             if domain is not None and len(errors) == n_errors:
                 _, modes = _preset_modes(entry, presets)
                 size = {"Ns": domain.Ns} if key == "C" else {"Nv": domain.Nv}

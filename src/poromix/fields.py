@@ -19,7 +19,6 @@ __all__ = [
     "ResolutionMismatchError",
     "ScalarField",
     "VelocityField",
-    "PressureField",
     "cosine_field",
     "stream_field",
     "mode_range_errors",
@@ -87,28 +86,6 @@ class VelocityField:
         if not np.all(np.isfinite(c)):
             raise ValueError("velocity field has non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True, eq=False)
-class PressureField:
-    """Diagnostic pressure in the cosine basis; the mean mode is pinned to 0."""
-
-    domain: Domain
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        Ns = self.domain.spec.Ns
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        if c.shape != (Ns, Ns):
-            raise ResolutionMismatchError(f"expected coefficients ({Ns}, {Ns}), got {c.shape}")
-        c[0, 0] = 0.0
-        if not np.all(np.isfinite(c)):
-            raise ValueError("pressure field has non-finite coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def mean_value(self) -> float:
-        return 0.0
 
 
 def mode_range_errors(modes, *, Ns=None, Nv=None) -> list[str]:

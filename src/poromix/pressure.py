@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import PressureField
+from .fields import ScalarField
 from .forcing import ForcingSpec
 from .korteweg import divergence_of_full_tensor
 from .mobility import evaluate as mobility_values
@@ -49,8 +49,8 @@ def recover_pressure(
     state: SimulationState,
     forcing: ForcingSpec | None,
     params: PhysicalParams,
-) -> PressureField:
-    """Recover the diagnostic pressure for one state."""
+) -> ScalarField:
+    """Recover the diagnostic pressure of one state, its mean pinned to 0."""
     dom = state.domain
     rx, ry = _momentum_residual_grids(state, forcing, params)
     pair = dom.scalar_gradient_pairing(rx, ry)
@@ -58,14 +58,14 @@ def recover_pressure(
     lam[0, 0] = 1.0  # mean mode is gauged away below
     coeffs = pair / lam
     coeffs[0, 0] = 0.0
-    return PressureField(dom, coeffs)
+    return ScalarField(dom, coeffs)
 
 
 def momentum_gradient_residual(
     state: SimulationState,
     forcing: ForcingSpec | None,
     params: PhysicalParams,
-    pressure: PressureField,
+    pressure: ScalarField,
 ) -> float:
     """Norm of (R - grad p) paired against gradient test fields.
 

@@ -19,9 +19,10 @@ work integrals (dissipation, forcing power, reaction quadratics).  These
 make the energy identities checkable per accepted step without any extra
 quadrature in time: the residuals are pure time-integration error.
 
-Time stepping is adaptive, with one reject/shrink loop, `_advance`, and one
-proportional-integral controller.  Each trial step runs one stage loop,
-`_attempt_step`, over one of two tableaux:
+Time stepping is adaptive: one trial loop in `run` lands on stops, rejects
+and shrinks, and grows the step by a proportional-integral controller.
+Each trial step runs one stage loop, `_attempt_step`, over one of two
+tableaux:
 
 * an embedded Dormand-Prince 5(4) pair, explicit in everything;
 * the additive pair ARK4(3)6L[2]SA (Kennedy & Carpenter 2003), explicit in
@@ -597,38 +598,6 @@ def _error_norm(err, y_old, y_new, rtol, atol):
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
-def _advance(system, t, y, dt, k1, diag, t_new, config):
-    """Try steps from (t, y), shrinking dt until one passes the error test.
-
-    k1 and diag are the slope and diagnostics at (t, y).  The first trial
-    lands at t_new, a shrunk one at t + dt.  A trial whose stages raise
-    NonFiniteStateError, MobilityOverflowError or a singular implicit
-    stage, or whose result is non-finite, halves dt; an error norm above 1
-    scales it by max(0.2, 0.9 err^(-1/q)), q the order of the trial's pair.
-    Returns (dt, t_new, y_new, k_new, diag, err_norm, pair, rejected) for
-    the accepted trial, with its result's slope and diagnostics and the
-    _Pair it took, `rejected` counting the trials before it.
-    """
-    rejected = 0
-    while True:
-        if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(t, dt)
-        try:
-            y_new, k_new, diag_new, err, pair = _attempt_step(system, t, y, dt, k1, t_new, diag)
-            finite = np.isfinite(y_new).all() and np.isfinite(err).all()
-        except (NonFiniteStateError, MobilityOverflowError, np.linalg.LinAlgError):
-            finite = False
-        if finite:
-            err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
-            if err_norm <= 1.0:
-                return dt, t_new, y_new, k_new, diag_new, err_norm, pair, rejected
-            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / pair.order))
-        else:
-            dt *= 0.5
-        t_new = t + dt
-        rejected += 1
-
-
 def run(
     initial: SimulationState,
     params: PhysicalParams,
@@ -645,14 +614,21 @@ def run(
     lands exactly on every requested checkpoint time (kept in
     `checkpoints`; a time outside [t0, t0 + T_run] is a ValueError), and
     halts with outcome "blowup" as soon as the concentration L2 norm
-    exceeds the configured cap.  A trial step that fails (non-finite
-    values, mobility overflow) is rejected and retried with a smaller dt.
-    Each later state is evaluated once, as the last stage of the trial
-    that reaches it, which also gives its ledger diagnostics and the next
-    step's slope; so only a failure at the initial state aborts the run.
-    Each trial takes DP5(4) or, when the drag sets the step, the
-    implicit-explicit ARK4(3)6L pair (see `_takes_imex`); `steps_implicit`
-    counts the accepted ones of the latter.
+    exceeds the configured cap.  Each later state is evaluated once, as the
+    last stage of the trial that reaches it, which also gives its ledger
+    diagnostics and the next step's slope; so only a failure at the initial
+    state aborts the run.  Each trial takes DP5(4) or, when the drag sets
+    the step, the implicit-explicit ARK4(3)6L pair (see `_takes_imex`);
+    `steps_implicit` counts the accepted ones of the latter.
+
+    One loop makes one trial per pass and sets every step size.  It cuts a
+    trial that would pass the next stop, or end within 1e-12 of it, to land
+    on it.  A trial that fails (NonFiniteStateError, MobilityOverflowError,
+    a singular implicit stage, a non-finite result) halves dt, and one with
+    an error norm above 1 scales it by max(0.2, 0.9 err^(-1/q)), q its
+    pair's order; the retry keeps that dt, short of the stop.  An accepted
+    step grows dt by the PI rule; dt <= 16 eps max(|t|, 1) raises
+    StepSizeUnderflowError.
     """
     t_start = time.perf_counter()
 
@@ -679,7 +655,7 @@ def run(
 
     def emit(t, y, checkpoint):
         # A state is built only when the sink or a checkpoint takes it; an
-        # accepted y is already finite (see _advance).
+        # accepted y is already finite (the trial loop rejects any other).
         if snapshot_sink is None and not checkpoint:
             return
         state = system.unpack(t, y)
@@ -701,19 +677,33 @@ def run(
     outcome = "completed"
     blowup_time = None
     stop_idx = 0
+    retry = False  # the last trial was rejected
 
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         while stop_idx < len(stops) and stops[stop_idx] <= t + 1e-14 * max(1.0, abs(t)):
             stop_idx += 1
         next_stop = stops[stop_idx] if stop_idx < len(stops) else t_end
-        hit_stop = t + dt >= next_stop - 1e-12 * max(1.0, abs(next_stop))
+        # A retry is never moved back onto the stop it was shrunk away from.
+        hit_stop = not retry and t + dt >= next_stop - 1e-12 * max(1.0, abs(next_stop))
         if hit_stop:
             dt = next_stop - t
+        if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+            raise StepSizeUnderflowError(t, dt)
 
-        dt, t, y, ydot, diag, err_norm, pair, n_rejected = _advance(
-            system, t, y, dt, ydot, diag, next_stop if hit_stop else t + dt, config)
-        rejected += n_rejected
-        hit_stop = hit_stop and n_rejected == 0  # a shrunk step stops short
+        t_new = next_stop if hit_stop else t + dt
+        try:
+            y_new, k_new, diag_new, err, pair = _attempt_step(system, t, y, dt, ydot, t_new, diag)
+            finite = np.isfinite(y_new).all() and np.isfinite(err).all()
+        except (NonFiniteStateError, MobilityOverflowError, np.linalg.LinAlgError):
+            finite = False
+        err_norm = _error_norm(err, y, y_new, config.rtol, config.atol) if finite else math.inf
+        retry = err_norm > 1.0
+        if retry:
+            rejected += 1
+            dt *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / pair.order)) if finite else 0.5
+            continue
+
+        t, y, ydot, diag = t_new, y_new, k_new, diag_new
         accepted += 1
         implicit += pair.ai is not None
 

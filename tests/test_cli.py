@@ -183,18 +183,38 @@ def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("old, new, message", [
+# A file entry that does not fit the grid: the edit to ZERO_CONFIG and the
+# error it gives.  Neither is found by parsing the config.
+off_the_grid = pytest.mark.parametrize("old, new, message", [
     ("C: {preset: zero}", "C: {file: c.npz}", "beta shape (3, 3) does not match Ns=4"),
     ("forcing: {preset: zero}", "forcing: {file: f.npz}",
      "tabulated forcing grid (10, 10) does not match M=21"),
 ], ids=["initial", "forcing"])
-def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, new, message):
-    # No sweep parameter touches the initial state or the forcing, so both
-    # are built, and checked against the grid, before the report opens.
+
+
+def _off_the_grid_config(tmp_path, old, new):
     np.savez(tmp_path / "c.npz", beta=np.zeros((3, 3)))
     np.savez(tmp_path / "f.npz", t=np.zeros(1), fx=np.zeros((1, 10, 10)), fy=np.zeros((1, 10, 10)))
     cfg = tmp_path / "s.yaml"
     cfg.write_text(ZERO_CONFIG.replace(old, new))
+    return cfg
+
+
+@off_the_grid
+def test_run_file_entry_off_the_grid_leaves_no_output(tmp_path, capsys, old, new, message):
+    # The inputs are built, and checked against the grid, before --out is made.
+    cfg = _off_the_grid_config(tmp_path, old, new)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@off_the_grid
+def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, new, message):
+    # No sweep parameter touches the initial state or the forcing, so both
+    # are built, and checked against the grid, before the report opens.
+    cfg = _off_the_grid_config(tmp_path, old, new)
     report = tmp_path / "r.csv"
     assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1:2",
                  "--report", str(report)]) == 1

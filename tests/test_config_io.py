@@ -100,6 +100,23 @@ def test_non_string_initial_file_reported(tmp_path):
     assert info.value.errors == ["initial.C.file: expected a string"]
 
 
+def test_unknown_initial_entry_keys_reported(tmp_path):
+    # Each initial entry takes only its preset's keys, or `file` alone.
+    text = VALID_CONFIG.replace(
+        "C: {preset: uniform, value: 0.5}",
+        "C: {preset: cosine, jx: 1, ky: 1, amplitud: 0.5, offset: 0.5}")
+    text = text.replace("u: {preset: zero}", "u: {preset: zero, amplitude: 2}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == ["initial.C.amplitud: unknown key",
+                                 "initial.u.amplitude: unknown key"]
+    np.savez(tmp_path / "c.npz", beta=np.zeros((4, 4)))
+    text = VALID_CONFIG.replace("C: {preset: uniform, value: 0.5}", "C: {file: c.npz, value: 1}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == ["initial.C.value: unknown key"]
+
+
 def test_initial_modes_outside_the_basis_listed_with_config_errors(tmp_path):
     # Ns=4, Nv=1: cosine modes run 0..3, stream modes 1..1.  Both bad modes
     # are listed at parse time, next to an unrelated error.

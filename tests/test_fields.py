@@ -126,15 +126,6 @@ def test_nonfinite_coefficients_rejected(pi_domain):
         ScalarField(pi_domain, B)
 
 
-def test_pressure_field_mean_pinned(pi_domain):
-    from poromix import PressureField
-
-    B = np.ones((6, 6))
-    p = PressureField(pi_domain, B)
-    assert p.coeffs[0, 0] == 0.0
-    assert p.mean_value == 0.0
-
-
 def test_mass_and_mean_match_quadrature(pi_domain):
     C = random_scalar(pi_domain, seed=9)
     grid_mass = pi_domain.grid.integrate(scalar_to_grid(C))

@@ -44,6 +44,7 @@ def test_gradient_forcing_absorbed_by_pressure(pi_domain):
     expected = g_coeffs.copy()
     expected[0, 0] = 0.0
     assert np.abs(p.coeffs - expected).max() <= 1e-8
+    assert p.mean_value == 0.0
 
 
 def test_generic_run_gradient_residual_small(pi_domain):

@@ -14,6 +14,7 @@ from poromix import (
     KortewegParams,
     MobilityOverflowError,
     MobilitySpec,
+    NonFiniteStateError,
     PhysicalParams,
     ScalarField,
     SimulationState,
@@ -314,6 +315,30 @@ def test_step_underflow_reports_time(pi_domain):
     assert 0.0 <= info.value.t <= 0.2
 
 
+def test_retry_after_a_rejected_landing_stops_short(monkeypatch):
+    # The first trial lands on a checkpoint 1.5e-12 away and fails.  Its
+    # retry at half the size ends within 1e-12 of that checkpoint, but must
+    # keep its dt rather than be moved back onto the stop.
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=4, Nv=1))
+    state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(domain, [(1, 1, 0.1)]))
+    trials = []
+    orig = solver._attempt_step
+
+    def attempt(system, t, y, dt, *a):
+        trials.append((t, dt))
+        if len(trials) == 1:
+            raise NonFiniteStateError(t)
+        return orig(system, t, y, dt, *a)
+
+    monkeypatch.setattr(solver, "_attempt_step", attempt)
+    res = run(state, _params(), SolverConfig(T_run=1e-3), checkpoint_times=(1.5e-12,))
+    assert trials[:2] == [(0.0, 1.5e-12), (0.0, 7.5e-13)]
+    assert res.ledger[1].t == 7.5e-13
+    assert 1.5e-12 in res.checkpoints and res.checkpoints[1.5e-12].t == 1.5e-12
+    assert res.steps_rejected == 1
+
+
 def test_existence_time_bound_cases(pi_domain):
     B = np.zeros((6, 6))
     B[1, 1] = 1.0  # unit L2 norm
@@ -476,7 +501,7 @@ def test_each_trial_makes_its_pairs_calls(monkeypatch):
     # rhs that reuses its nodal (C, F(C)); a DP5(4) one makes 5 plain rhs
     # calls.  Both end in one evaluation with diagnostics at the result.
     trials = []  # per _attempt_step: the (name, reuses nodal values) calls
-    accepted = []  # per _advance: its trials' calls, the last one accepted
+    accepted = []  # per accepted step: its accepted trial's calls
     for name in ("rhs", "evaluate_with_diagnostics", "solve_momentum_stage"):
         orig = getattr(GalerkinSystem, name)
 
@@ -486,19 +511,20 @@ def test_each_trial_makes_its_pairs_calls(monkeypatch):
             return _orig(self, *a, **kw)
 
         monkeypatch.setattr(GalerkinSystem, name, counted)
-    orig_attempt, orig_advance = solver._attempt_step, solver._advance
+    orig_attempt, orig_row = solver._attempt_step, GalerkinSystem.ledger_row
 
     def attempt(*a):
         trials.append([])
         return orig_attempt(*a)
 
-    def advance(*a):
-        out = orig_advance(*a)
-        accepted.append(trials[-1])
-        return out
+    def ledger_row(self, *a):
+        # Every row after the initial one records the trial just accepted.
+        if trials:
+            accepted.append(trials[-1])
+        return orig_row(self, *a)
 
     monkeypatch.setattr(solver, "_attempt_step", attempt)
-    monkeypatch.setattr(solver, "_advance", advance)
+    monkeypatch.setattr(GalerkinSystem, "ledger_row", ledger_row)
     state, params = _drag_stiff_case()
     res = run(state, params, SolverConfig(T_run=0.2))
     monkeypatch.undo()
