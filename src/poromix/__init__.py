@@ -33,13 +33,7 @@ from .korteweg import KortewegParams, korteweg_full_tensor
 from .ledger import EnergyLedger, LedgerRow
 from .mobility import MobilityOverflowError, MobilitySpec, lipschitz_check
 from .mobility import evaluate as mobility_evaluate
-from .oracles import (
-    LogisticBlowup,
-    logistic_blowup_time,
-    logistic_solution,
-    manufactured_run,
-    modal_diffusion_factor,
-)
+from .oracles import logistic_blowup_time, manufactured_run
 from .pressure import momentum_gradient_residual, recover_pressure
 from .solver import (
     GalerkinSystem,

@@ -15,23 +15,24 @@ is diagonal.  Velocities are curls of boundary-clamped streamfunctions
 which makes every basis velocity pointwise divergence-free with exact
 no-slip, since phi = phi' = 0 at both endpoints.
 
-Quadrature is a tensor Gauss-Legendre rule.  Every product of basis
-functions and their derivatives that the dynamics integrate is a
-trigonometric polynomial per dimension of degree at most
-``integrand_degree``: 3(Ns-1) for the reaction projection (C (1-C), z),
-2(Ns-1) + 2(Nv+1) for the drag pairing with a mobility of at most quadratic
-degree.  ``required_quadrature_points`` picks the smallest rule that
-integrates every trigonometric mode up to that degree to the certificate
-tolerance on both sides of the rectangle, and ``build_domain`` certifies
-the node set it returns at that degree.
+Quadrature uses two tensor rules.  The integrands with sine content, the
+drag, advection and Korteweg pairings and the Gram matrices, go on a
+Gauss-Legendre rule.  Each is a trigonometric polynomial per dimension of
+degree at most ``integrand_degree`` = 2(Ns-1) + 2(Nv+1), reached by the
+drag pairing with a mobility of at most quadratic degree.
+``required_quadrature_points`` picks the smallest rule that integrates
+every trigonometric mode up to that degree to the certificate tolerance on
+both sides of the rectangle, and ``build_domain`` certifies the node set it
+returns at that degree.
 
-The quartic integrands are pure cosine polynomials: the reaction work
-(C (1-C))^2, and F^2 + F'^2 |grad C|^2 of a quadratic mobility (squares of
-sines are cosines).  They have cosine degree at most ``midpoint_degree`` =
-4(Ns-1) per dimension and are integrated on a second, uniform midpoint rule
-with P = 2 Ns cells per side, which is exact for cos(n pi s / L) whenever
-0 < n < 2P.  That rule is not exact for sine modes, so it carries only a
-cosine certificate, and no integrand with sine content may use it.
+The integrands that are pure cosine polynomials go on a second, uniform
+midpoint rule with P = 2 Ns cells per side, which is exact for
+cos(n pi s / L) whenever 0 < n < 2P: the reaction projection (C (1-C), z),
+of cosine degree 3(Ns-1), the reaction work (C (1-C))^2, and
+F^2 + F'^2 |grad C|^2 of a quadratic mobility (squares of sines are
+cosines), both of cosine degree ``midpoint_degree`` = 4(Ns-1).  That rule
+is not exact for sine modes, so it carries only a cosine certificate, and
+no integrand with sine content may use it.
 """
 
 from __future__ import annotations
@@ -77,19 +78,20 @@ class DomainError(SpecError):
 def integrand_degree(Ns: int, Nv: int) -> int:
     """Highest trigonometric degree per dimension the Gauss-Legendre grid must integrate.
 
-    3(Ns-1) for the reaction projection (C (1-C), z), 2(Ns-1) + 2(Nv+1) for
-    the drag pairing (F(C) u, w) with a quadratic mobility; advection,
-    Korteweg and Gram integrands are of lower degree.  The quartic cosine
-    integrands go to the midpoint rule (``midpoint_degree``).
+    2(Ns-1) + 2(Nv+1) for the drag pairing (F(C) u, w) with a quadratic
+    mobility; advection, Korteweg and Gram integrands are of lower degree.
+    The cosine integrands, the reaction projection (C (1-C), z) of degree
+    3(Ns-1) among them, go to the midpoint rule (``midpoint_degree``).
     """
-    return max(3 * (Ns - 1), 2 * (Ns - 1) + 2 * (Nv + 1))
+    return 2 * (Ns - 1) + 2 * (Nv + 1)
 
 
 def midpoint_degree(Ns: int) -> int:
     """Cosine degree per dimension the midpoint rule must integrate.
 
     4(Ns-1) for the reaction work (C (1-C))^2 and for F^2 + F'^2 |grad C|^2
-    with a quadratic mobility.
+    with a quadratic mobility; the reaction projection (C (1-C), z) needs
+    only 3(Ns-1).
     """
     return 4 * (Ns - 1)
 
@@ -273,6 +275,8 @@ class MidpointRule:
 
     Exact for cosine polynomials of degree below 2P per dimension, not for
     sine modes: only integrands that are pure cosine polynomials may use it.
+    It carries the reaction projection (C (1-C), z) and the quartic cosine
+    integrals of the work and the diagnostics.
     """
 
     P: int
@@ -293,9 +297,10 @@ class Domain:
 
     The grid transforms take a keyword-only ``out=``: an (M, M) array, or
     a pair of them for the two-component ones, that receives the nodal
-    values and is returned.  The projections and pairings take a
-    keyword-only ``scratch=``, an (M, M) array that holds their weighted
-    nodal values.  Left as None, both allocate, with the same arithmetic.
+    values and is returned ((P, P) ones on the midpoint rule).  The
+    projections and pairings take a keyword-only ``scratch=``, an (M, M)
+    array ((P, P) for ``midpoint_project``) that holds their weighted nodal
+    values.  Left as None, both allocate, with the same arithmetic.
     """
 
     spec: DomainSpec
@@ -336,6 +341,15 @@ class Domain:
         """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
         m = self.midpoint
         return np.matmul(m.zx @ B, m.zy.T, out=out)
+
+    def midpoint_project(self, values: np.ndarray, *, scratch=None) -> np.ndarray:
+        """Projection of midpoint values onto the cosine basis, (Ns, Ns).
+
+        Exact only when values times each basis function is a cosine
+        polynomial the midpoint rule integrates; `scratch` is a (P, P) array.
+        """
+        m = self.midpoint
+        return m.zx.T @ np.multiply(m.cell, values, out=scratch) @ m.zy
 
     def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
         """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
@@ -475,9 +489,10 @@ def build_domain(spec: DomainSpec) -> Domain:
     """Construct scalar basis, velocity basis, and both certified quadratures.
 
     The Gauss-Legendre rule must integrate exactly up to
-    ``integrand_degree(Ns, Nv)``; an unset ``spec.M`` takes the smallest rule
-    that does.  The midpoint rule has P = 2 Ns cells per side and must
-    integrate every cosine up to ``midpoint_degree(Ns)``.
+    ``integrand_degree(Ns, Nv)``, the drag pairing's degree; an unset
+    ``spec.M`` takes the smallest rule that does.  The midpoint rule has
+    P = 2 Ns cells per side and must integrate every cosine up to
+    ``midpoint_degree(Ns)``, which covers the reaction projection too.
     Deterministic for equal arguments.  Raises DomainError when the
     quadrature rule fails its exactness certification.
     """

@@ -251,9 +251,10 @@ _N_WORK = 11
 _W_C, _W_F, _W_CX, _W_CY, _W_UX, _W_UY, _W_FX, _W_FY, _W_TMP_X, _W_TMP_Y, _W_SCRATCH = range(
     _N_WORK
 )
-# Slots of its midpoint-rule workspace: C, grad C, F(C), F'(C), a temporary.
-_N_MID_WORK = 6
-_M_C, _M_CX, _M_CY, _M_F, _M_FP, _M_TMP = range(_N_MID_WORK)
+# Slots of its midpoint-rule workspace: C, grad C, F(C), F'(C), a temporary,
+# and the scratch for the reaction projection's weighted values.
+_N_MID_WORK = 7
+_M_C, _M_CX, _M_CY, _M_F, _M_FP, _M_TMP, _M_SCRATCH = range(_N_MID_WORK)
 # The ledger columns that are functions of one state, all from its evaluation.
 _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
                   "mass", "min_C", "h1_F_sq", "l2_f")
@@ -407,10 +408,15 @@ class GalerkinSystem:
 
         # Transport: advection and reaction projections,
         # bdot = -d lam B - P_z[adv] - kappa P_z[C (1-C)] (+ source).
+        # (C (1-C), z) is a cosine polynomial of degree 3(Ns-1) < 2P: the
+        # midpoint rule projects it exactly, and C (1-C) there also feeds
+        # the reaction work below.
+        mw = self._mid_work
+        cm = dom.midpoint_values(B, out=mw[_M_C])
+        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_TMP]), out=mw[_M_TMP])
         adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
         p_adv = dom.scalar_project(adv, scratch=scratch)
-        cc_grid = np.multiply(cg, np.subtract(1.0, cg, out=tmp_x), out=tmp_x)
-        p_cc = dom.scalar_project(cc_grid, scratch=scratch)
+        p_cc = dom.midpoint_project(cc_mid, scratch=mw[_M_SCRATCH])
         np.multiply(self._neg_d_lam, B, out=bdot)
         bdot -= p_adv
         bdot -= p.kappa * p_cc
@@ -459,9 +465,6 @@ class GalerkinSystem:
         extras[_I_FU] = fu_quad
         extras[_I_F] = f_sq
         extras[_I_FDOTU] = f_dot_u
-        mw = self._mid_work
-        cm = dom.midpoint_values(B, out=mw[_M_C])
-        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_TMP]), out=mw[_M_TMP])
         extras[_I_CC] = dom.midpoint.integrate(np.square(cc_mid, out=cc_mid))
         extras[_I_DCDT] = dcdt_sq
         extras[_IW_C] = (p.d * grad_c_sq + float((B * p_adv).sum())

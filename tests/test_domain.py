@@ -235,6 +235,24 @@ def test_midpoint_reaction_work_matches_fine_gauss_legendre(Lx, Ly, Ns):
     assert abs(got - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("Ns", [5, 6])
+@pytest.mark.parametrize("Lx, Ly", [(math.pi, math.pi), (2.0, 1.0)])
+def test_midpoint_reaction_projection_matches_fine_gauss_legendre(Lx, Ly, Ns):
+    # The solver's reaction projection: (C (1-C), z) is a cosine polynomial
+    # of degree 3(Ns-1) < 2P, so the 2 Ns-cell midpoint rule projects it as
+    # a Gauss-Legendre rule four times the size of the certified one does.
+    dom = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=2))
+    fine = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=2, M=4 * dom.grid.M))
+    assert 3 * (Ns - 1) < 2 * dom.midpoint.P
+    B = random_scalar(dom, seed=Ns).coeffs
+    B[0, 0] += 0.5 / dom.scalar.norm_00
+    cm = dom.midpoint_values(B)
+    got = dom.midpoint_project(cm * (1.0 - cm))
+    cg = fine.scalar_values(B)
+    want = fine.scalar_project(cg * (1.0 - cg))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_midpoint_rule_one_cell_too_coarse_fails_cosine_certificate():
     for Ns in (5, 6):
         degree = midpoint_degree(Ns)
@@ -303,7 +321,9 @@ def test_out_and_scratch_give_the_allocating_results_bit_for_bit(rect_domain):
         got = method(arg, out=out)
         assert got[0] is out[0] and got[1] is out[1]
         assert [g.tobytes() for g in got] == [g.tobytes() for g in method(arg)]
-    for method, args in ((dom.scalar_project, (vx,)), (dom.velocity_pairing, (vx, vy)),
-                         (dom.weighted_gram, (vx,))):
-        scratch = buffers(1, M)[0]
+    for method, args, size in ((dom.scalar_project, (vx,), M),
+                               (dom.velocity_pairing, (vx, vy), M),
+                               (dom.weighted_gram, (vx,), M),
+                               (dom.midpoint_project, (vx[:P, :P],), P)):
+        scratch = buffers(1, size)[0]
         assert method(*args, scratch=scratch).tobytes() == method(*args).tobytes()

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from poromix import (
-    LogisticBlowup,
     PhysicalParams,
     SimulationState,
     SolverConfig,
     logistic_blowup_time,
-    logistic_solution,
     manufactured_run,
-    modal_diffusion_factor,
     run,
 )
 from poromix.domain import DomainSpec, build_domain
 from poromix.korteweg import KortewegParams
 from poromix.mobility import MobilitySpec
+from poromix.oracles import LogisticBlowup, logistic_solution, modal_diffusion_factor
 
 
 def test_logistic_fixed_point_and_values():
@@ -108,6 +106,23 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
     err_c, err_u = case.error_norms(domain, T, res.final_state.C, res.final_state.u)
     assert err_c <= 1e-8
     assert err_u <= 1e-8
+
+
+def test_swirl_source_projection_matches_oversampled_grid(mms_params):
+    # The grid at 16/2 is sized for degree 2(Ns-1) + 2(Nv+1) = 36.  The
+    # source's reaction part kappa C*(1-C*) times z reaches cosine degree
+    # 2 * 11 + 15 = 37 in x, odd, so that mode cancels on the symmetric
+    # Gauss-Legendre nodes and the projection stays exact.
+    case = manufactured_run("swirl")
+    spec = DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2)
+    domain = build_domain(spec)
+    fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * domain.grid.M))
+    assert domain.grid.M == 47
+    source = case.transport_source(mms_params)
+    for t in (0.0, 0.37):
+        got = domain.scalar_project(source(domain, t))
+        want = fine.scalar_project(source(fine, t))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_exact_fields_match_grid_forms(mms_params):

@@ -94,13 +94,14 @@ def test_rhs_matches_oversampled_assembly(pi_domain):
 
 
 def test_cubic_grid_matches_oversampled_rhs_and_work():
-    # At 16/4 the reaction projection's 3(Ns-1) sizes the grid.  With every
-    # term on, a quadratic mobility and all modes excited, each block of the
+    # The drag pairing's 2(Ns-1) + 2(Nv+1) sizes the grid; the cubic
+    # reaction projection is on the midpoint rule.  With every term on, a
+    # quadratic mobility and all modes excited, each block of the
     # right-hand side (concentration, velocity, work integrals) and the
     # diagnostics other than the nodal extremes match a grid four times the
     # size.
     spec = DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4)
-    assert integrand_degree(spec.Ns, spec.Nv) == 3 * (spec.Ns - 1)
+    assert integrand_degree(spec.Ns, spec.Nv) == 2 * (spec.Ns - 1) + 2 * (spec.Nv + 1)
     dom = build_domain(spec)
     fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * dom.grid.M))
     params = _params(
@@ -132,6 +133,27 @@ def test_cubic_grid_matches_oversampled_rhs_and_work():
     F, dF = 0.5 + 0.4 * cg + 0.3 * cg**2, 0.4 + 0.6 * cg
     h1_F_sq = fine.grid.integrate(F**2 + dF**2 * (cx**2 + cy**2))
     assert diag["h1_F_sq"] == pytest.approx(h1_F_sq, rel=1e-12)
+
+
+def test_reaction_rate_exact_above_the_grid_degree():
+    # At 12/1 the reaction projection's cosine degree 3(Ns-1) = 33 lies
+    # above the Gauss-Legendre grid's 2(Ns-1) + 2(Nv+1) = 26: only the
+    # midpoint rule projects it exactly.  With u = 0 the concentration
+    # rate is -d lam B - kappa P_z[C (1-C)], here against a grid four
+    # times the size.
+    spec = DomainSpec(Lx=2.0, Ly=1.0, Ns=12, Nv=1)
+    assert integrand_degree(spec.Ns, spec.Nv) < 3 * (spec.Ns - 1)
+    dom = build_domain(spec)
+    fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * dom.grid.M))
+    B = random_scalar(dom, seed=8, decay=False).coeffs
+    B[0, 0] += 0.5 / dom.scalar.norm_00
+    params = _params(d=1e-6, kappa=0.9)
+    u = VelocityField(dom, np.zeros((1, 1)))
+    got = rhs_concentration(SimulationState(0.0, ScalarField(dom, B), u), params).coeffs
+    cg = fine.scalar_values(B)
+    want = -params.d * dom.scalar.eigenvalues * B - params.kappa * fine.scalar_project(
+        cg * (1.0 - cg))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_zero_forcing_is_skipped_with_identical_ledger(pi_domain, monkeypatch):
