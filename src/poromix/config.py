@@ -34,6 +34,7 @@ from .fields import ScalarField, VelocityField, cosine_field, mode_range_errors,
 from .forcing import FORCING_PRESETS, ForcingSpec
 from .korteweg import KortewegParams
 from .mobility import MobilitySpec
+from .runio import read_npz
 from .solver import PhysicalParams, SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "OutputSpec"]
@@ -370,10 +371,10 @@ def _parse_mode(item, sec_name, errors):
 
 def _load_coeffs(path: Path, key: str, array: str, name: str, n: int) -> np.ndarray:
     """The (n, n) coefficient array of an initial.<key> file entry."""
-    with np.load(path) as data:
-        if array not in data.files:
-            raise ConfigError([f"initial.{key}.file: {path} has no '{array}' array"])
-        coeffs = np.asarray(data[array], dtype=float)
+    try:
+        coeffs = read_npz(path, (array,))[array]
+    except ValueError as exc:
+        raise ConfigError([f"initial.{key}.file: {exc}"]) from None
     if coeffs.shape != (n, n):
         raise ConfigError(
             [f"initial.{key}.file: {array} shape {coeffs.shape} does not match {name}={n}"]

@@ -15,24 +15,25 @@ is diagonal.  Velocities are curls of boundary-clamped streamfunctions
 which makes every basis velocity pointwise divergence-free with exact
 no-slip, since phi = phi' = 0 at both endpoints.
 
-Quadrature uses two tensor rules.  The integrands with sine content, the
-drag, advection and Korteweg pairings and the Gram matrices, go on a
-Gauss-Legendre rule.  Each is a trigonometric polynomial per dimension of
-degree at most ``integrand_degree`` = 2(Ns-1) + 2(Nv+1), reached by the
-drag pairing with a mobility of at most quadratic degree.
-``required_quadrature_points`` picks the smallest rule that integrates
-every trigonometric mode up to that degree to the certificate tolerance on
-both sides of the rectangle, and ``build_domain`` certifies the node set it
-returns at that degree.
+Quadrature uses two tensor rules.  Advection, the Korteweg pairing and
+nodal inputs (forcing tables and callables, the manufactured source)
+carry sine content and go on a Gauss-Legendre rule.  So do the Gram
+matrices and the drag pairing (F(C) u, w), because nodal u and F(C) are
+formed there, although they are cosine polynomials: per dimension they
+pair two phi or two phi' factors, both sine polynomials.  Each integrand
+is a trigonometric polynomial per dimension of degree at most
+``integrand_degree`` = 2(Ns-1) + 2(Nv+1), reached by the drag pairing with
+a quadratic mobility.  ``required_quadrature_points`` picks the smallest
+rule that integrates every trigonometric mode up to that degree to the
+certificate tolerance on both sides, and ``build_domain`` certifies the
+node set it returns at that degree.
 
-The integrands that are pure cosine polynomials go on a second, uniform
-midpoint rule with P = 2 Ns cells per side, which is exact for
-cos(n pi s / L) whenever 0 < n < 2P: the reaction projection (C (1-C), z),
-of cosine degree 3(Ns-1), the reaction work (C (1-C))^2, and
-F^2 + F'^2 |grad C|^2 of a quadratic mobility (squares of sines are
-cosines), both of cosine degree ``midpoint_degree`` = 4(Ns-1).  That rule
-is not exact for sine modes, so it carries only a cosine certificate, and
-no integrand with sine content may use it.
+Cosine polynomials may also go on a second, uniform midpoint rule with
+P = 2 Ns cells per side, exact for cos(n pi s / L) whenever 0 < n < 2P:
+the reaction projection (C (1-C), z), of cosine degree 3(Ns-1), the
+reaction work (C (1-C))^2, and F^2 + F'^2 |grad C|^2 of a quadratic
+mobility, both of cosine degree ``midpoint_degree`` = 4(Ns-1).  It is not
+exact for sines, so it carries only a cosine certificate.
 """
 
 from __future__ import annotations

@@ -1,27 +1,28 @@
 """
 External body-force specifications for the momentum equation.
 
-A forcing is either a named analytic preset, a tabulated grid sequence with
-linear interpolation in time, or (programmatically) an arbitrary callable
-t -> (fx, fy) nodal arrays.  All realizations must stay square-integrable
-over the run horizon; evaluation rejects non-finite values.
+A forcing is one function of (domain, t) to nodal (fx, fy) arrays: a named
+analytic preset, a tabulated grid sequence with linear interpolation in
+time, or (programmatically) an arbitrary callable.  All realizations must
+stay square-integrable over the run horizon; evaluation rejects non-finite
+values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .domain import Domain
+from .runio import read_npz
 
 __all__ = ["ForcingSpec", "FORCING_PRESETS"]
 
 
-# Each preset is (domain, t, out) -> (fx, fy); `out` is a pair of (M, M)
-# arrays that receive the values, or (None, None) for new ones.
-
-
+# Each preset is a ForcingSpec.func: (domain, t, out) -> (fx, fy).
 def _zero(domain: Domain, t: float, out=(None, None)):
     M = domain.grid.M
     fx, fy = (np.empty((M, M)) if o is None else o for o in out)
@@ -54,20 +55,35 @@ FORCING_PRESETS = {
 }
 
 
+def _interpolate(times, fx_table, fy_table, domain: Domain, t: float, out):
+    """(fx, fy) of a table at t: an end row outside its window, else interpolated into `out`."""
+    M = domain.grid.M
+    if fx_table.shape[1:] != (M, M):
+        raise ValueError(f"tabulated forcing grid {fx_table.shape[1:]} does not match M={M}")
+    k = np.searchsorted(times, t)
+    if k == 0:
+        return fx_table[0], fy_table[0]
+    if k >= times.size:
+        return fx_table[-1], fy_table[-1]
+    t0, t1 = times[k - 1], times[k]
+    s = (t - t0) / (t1 - t0)
+    return tuple(np.add(np.multiply(1 - s, table[k - 1], out=o), s * table[k], out=o)
+                 for o, table in zip(out, (fx_table, fy_table)))
+
+
 @dataclass(frozen=True, eq=False)
 class ForcingSpec:
-    """Time-dependent vector forcing f(x, y, t) on the quadrature grid."""
+    """Time-dependent vector forcing f(x, y, t) on the quadrature grid.
 
-    kind: str  # "preset" | "tabulated" | "callable"
-    name: str | None = None
-    times: np.ndarray | None = None
-    fx_table: np.ndarray | None = None  # (K, M, M)
-    fy_table: np.ndarray | None = None
-    func: object | None = None
+    `func(domain, t, out) -> (fx, fy)` gives the nodal values; `out` is a
+    pair of (M, M) arrays that may receive them, or (None, None).
+    """
+
+    func: Callable
 
     @staticmethod
     def zero() -> "ForcingSpec":
-        return ForcingSpec(kind="preset", name="zero")
+        return ForcingSpec(_zero)
 
     @staticmethod
     def preset(name: str) -> "ForcingSpec":
@@ -75,36 +91,30 @@ class ForcingSpec:
             raise ValueError(
                 f"unknown forcing preset {name!r}; available: {sorted(FORCING_PRESETS)}"
             )
-        return ForcingSpec(kind="preset", name=name)
+        return ForcingSpec(FORCING_PRESETS[name])
 
     @staticmethod
     def tabulated(path) -> "ForcingSpec":
         """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M)."""
-        with np.load(path) as data:
-            missing = {"t", "fx", "fy"} - set(data.files)
-            if missing:
-                raise ValueError(f"tabulated forcing {path} is missing arrays {sorted(missing)}")
-            times = np.asarray(data["t"], dtype=float)
-            fx = np.asarray(data["fx"], dtype=float)
-            fy = np.asarray(data["fy"], dtype=float)
+        times, fx, fy = read_npz(path, ("t", "fx", "fy")).values()
         if times.ndim != 1 or times.size < 1:
             raise ValueError("tabulated forcing needs at least one time sample")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("tabulated forcing times must be strictly increasing")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+            raise ValueError("tabulated forcing times must be finite and strictly increasing")
         if fx.shape != (times.size,) + fx.shape[1:] or fx.shape != fy.shape or fx.ndim != 3:
             raise ValueError("tabulated forcing arrays must be (K, M, M) and congruent")
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
             raise ValueError("tabulated forcing contains non-finite values")
-        return ForcingSpec(kind="tabulated", times=times, fx_table=fx, fy_table=fy)
+        return ForcingSpec(partial(_interpolate, times, fx, fy))
 
     @staticmethod
     def from_function(func) -> "ForcingSpec":
         """Wrap a callable (domain, t) -> (fx, fy) nodal arrays."""
-        return ForcingSpec(kind="callable", func=func)
+        return ForcingSpec(lambda domain, t, out: func(domain, t))
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "preset" and self.name == "zero"
+        return self.func is _zero
 
     def evaluate(self, domain: Domain, t: float, out=None):
         """Nodal (fx, fy) at time t on the domain's grid.
@@ -115,29 +125,7 @@ class ForcingSpec:
         end returns its own row, and a callable its own arrays, so callers
         read the returned pair and never write into it.
         """
-        out = (None, None) if out is None else out
-        if self.kind == "preset":
-            fx, fy = FORCING_PRESETS[self.name](domain, t, out)
-        elif self.kind == "tabulated":
-            M = domain.grid.M
-            if self.fx_table.shape[1:] != (M, M):
-                raise ValueError(
-                    f"tabulated forcing grid {self.fx_table.shape[1:]} does not match M={M}"
-                )
-            # Clamp outside the tabulated window (the table's own rows),
-            # interpolate linearly inside.
-            k = np.searchsorted(self.times, t)
-            if k == 0:
-                fx, fy = self.fx_table[0], self.fy_table[0]
-            elif k >= self.times.size:
-                fx, fy = self.fx_table[-1], self.fy_table[-1]
-            else:
-                t0, t1 = self.times[k - 1], self.times[k]
-                s = (t - t0) / (t1 - t0)
-                fx, fy = (np.add(np.multiply(1 - s, table[k - 1], out=o), s * table[k], out=o)
-                          for o, table in zip(out, (self.fx_table, self.fy_table)))
-        else:
-            fx, fy = self.func(domain, t)
+        fx, fy = self.func(domain, t, (None, None) if out is None else out)
         if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
             raise ValueError(f"forcing evaluated to non-finite values at t={t}")
         return fx, fy

@@ -241,7 +241,7 @@ class ManufacturedCase:
             self._scalar_mode_grids(domain), self._stream_mode(domain),
             self._korteweg_mode_grids(domain) if korteweg else None))
 
-        def force(domain: Domain, t: float):
+        def force(domain: Domain, t: float, out=(None, None)):
             modes, stream, korteweg_modes = grids(domain)
             amp = self.stream_amplitude(t)
             damp = self.stream_amplitude._dt(t)
@@ -257,7 +257,7 @@ class ManufacturedCase:
                 fy -= div_y
             return fx, fy
 
-        return ForcingSpec.from_function(force)
+        return ForcingSpec(force)
 
 
 def _div_full_tensor_grids(case: ManufacturedCase, mode_grids, ddx, ddy, t, korteweg):

@@ -1,5 +1,5 @@
 """
-On-disk output formats: field snapshots and the run metadata document.
+On-disk formats: field snapshots, the run metadata document, .npz inputs.
 
 A snapshot file is one JSON header line (domain, resolution, time, field
 name) followed by the raw row-major IEEE-754 little-endian float64 nodal
@@ -10,13 +10,35 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .domain import Domain
 
-__all__ = ["write_snapshot", "read_snapshot", "write_metadata"]
+__all__ = ["write_snapshot", "read_snapshot", "write_metadata", "read_npz"]
+
+
+def read_npz(path, names) -> dict:
+    """The arrays `names` of the .npz archive at `path`, as floats, by name.
+
+    A ValueError names a file that is no readable .npz archive of numeric
+    arrays (truncated or corrupt, a bare .npy array, text) or lacks one.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError
+        with data:
+            missing = sorted(set(names) - set(data.files))
+            arrays = {} if missing else {n: np.asarray(data[n], dtype=float) for n in names}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+        raise ValueError(f"{path} is not a readable .npz archive of numeric arrays") from None
+    if missing:
+        raise ValueError(f"{path} is missing arrays {missing}")
+    return arrays
 
 
 def write_snapshot(path, field_name: str, t: float, domain: Domain, values: np.ndarray):

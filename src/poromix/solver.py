@@ -238,13 +238,10 @@ _DP54 = _Pair(_C, _A, None, None, _A[-1], _E, 5)
 _ARK436 = _Pair(_ARK_C, _ARK_AE, _ARK_AI, _ARK_GAMMA, _ARK_B, _ARK_E, 4)
 
 # The work-integral block appended to the packed state: the LedgerRow
-# field of each entry, and the entries' indices.
+# field of each entry, in the block's order.
 _WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f", "i_fdotu",
                 "i_cc", "i_dcdt")
 _N_EXTRA = len(_WORK_FIELDS)
-_IW_C, _IW_U, _I_GRAD_C, _I_LAP_C, _I_GRAD_U, _I_FU, _I_F, _I_FDOTU, _I_CC, _I_DCDT = range(
-    _N_EXTRA
-)
 # Slots of GalerkinSystem's grid workspace: nodal C and F(C), grad C, u and
 # f, two temporaries, and the scratch for a projection's weighted values.
 _N_WORK = 11
@@ -459,17 +456,13 @@ class GalerkinSystem:
         fu_quad = float(a_flat @ pair_F)
         f_dot_u = float(a_flat @ pair_f)
         dcdt_sq = float((bdot * bdot).sum())
-        extras[_I_GRAD_C] = grad_c_sq
-        extras[_I_LAP_C] = lap_c_sq
-        extras[_I_GRAD_U] = grad_u_sq
-        extras[_I_FU] = fu_quad
-        extras[_I_F] = f_sq
-        extras[_I_FDOTU] = f_dot_u
-        extras[_I_CC] = dom.midpoint.integrate(np.square(cc_mid, out=cc_mid))
-        extras[_I_DCDT] = dcdt_sq
-        extras[_IW_C] = (p.d * grad_c_sq + float((B * p_adv).sum())
-                         + p.kappa * float((B * p_cc).sum()))
-        extras[_IW_U] = p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u
+        work = dict(
+            iw_c=p.d * grad_c_sq + float((B * p_adv).sum()) + p.kappa * float((B * p_cc).sum()),
+            iw_u=p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u,
+            i_grad_c=grad_c_sq, i_lap_c=lap_c_sq, i_grad_u=grad_u_sq, i_fu=fu_quad, i_f=f_sq,
+            i_fdotu=f_dot_u, i_cc=dom.midpoint.integrate(np.square(cc_mid, out=cc_mid)),
+            i_dcdt=dcdt_sq)
+        extras[:] = [work[name] for name in _WORK_FIELDS]
         if not np.isfinite(ydot).all():
             raise NonFiniteStateError(t)
 
@@ -481,17 +474,11 @@ class GalerkinSystem:
             cmx, cmy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
             f_mid = mobility_values(p.mobility, cm, out=mw[_M_F])
             fp = p.mobility.derivative_values(cm, f_mid, out=mw[_M_FP])
-            # F is finite below the mobility's overflow limit, but F^2 or
-            # F |u|^2 may not be: such a diagnostic is inf, which
-            # apriori_flags reports, rather than a RuntimeWarning.
+            # F is finite below the mobility's overflow limit, but F^2 may
+            # not be: such a diagnostic is inf, which apriori_flags reports,
+            # rather than a RuntimeWarning.
             sb = dom.scalar
             with np.errstate(over="ignore"):
-                if float(f_grid.min()) >= 0.0:
-                    u_sq = np.add(np.multiply(ux, ux, out=tmp_x), np.multiply(uy, uy, out=tmp_y),
-                                  out=tmp_x)
-                    fq_u = float(dom.grid.integrate(np.multiply(f_grid, u_sq, out=tmp_x)))
-                else:
-                    fq_u = math.nan
                 # f_mid^2 + (fp cmx)^2 + (fp cmy)^2, summed in that order.
                 h1_f = np.square(f_mid, out=mw[_M_TMP])
                 h1_f += np.square(np.multiply(fp, cmx, out=cmx), out=cmx)
@@ -503,7 +490,8 @@ class GalerkinSystem:
                     "h2_semi_C": lap_c_sq,
                     "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
                     "h1_semi_u": grad_u_sq,
-                    "fq_u": fq_u,
+                    # The drag work's slope: int F |u|^2, a norm where F >= 0.
+                    "fq_u": fu_quad if float(f_grid.min()) >= 0.0 else math.nan,
                     "dCdt_l2": dcdt_sq,
                     "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
                     "min_C": float(cg.min()),
@@ -523,20 +511,19 @@ class GalerkinSystem:
     def ledger_row(self, t, y, diag, prev, blowup: bool) -> LedgerRow:
         """The row of state y, with `diag` from its evaluation and `prev` the
         previous row (None at the initial state)."""
-        ex = self.extras(y)
+        work = dict(zip(_WORK_FIELDS, self.extras(y)))
         if prev is None:
-            res_C = 0.0
-            res_u = 0.0
+            res_C = res_u = 0.0
         else:
-            res_C = (0.5 * diag["l2_C"] + ex[_IW_C]) - (0.5 * prev.l2_C + prev.iw_c)
-            res_u = (0.5 * diag["l2_u"] + ex[_IW_U]) - (0.5 * prev.l2_u + prev.iw_u)
+            res_C = (0.5 * diag["l2_C"] + work["iw_c"]) - (0.5 * prev.l2_C + prev.iw_c)
+            res_u = (0.5 * diag["l2_u"] + work["iw_u"]) - (0.5 * prev.l2_u + prev.iw_u)
         return LedgerRow(
             t=t,
             res_C=res_C,
             res_u=res_u,
             blowup=int(blowup),
             **{name: diag[name] for name in _STATE_COLUMNS},
-            **{name: float(v) for name, v in zip(_WORK_FIELDS, ex)},
+            **{name: float(v) for name, v in work.items()},
         )
 
 

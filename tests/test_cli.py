@@ -222,6 +222,67 @@ def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, n
     assert not report.exists()
 
 
+def _write_malformed(path, kind, arrays):
+    """A file at `path` that is no readable .npz archive of `arrays`."""
+    if kind == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, next(iter(arrays.values())))
+        return
+    if kind == "text":
+        path.write_text("beta: 1 2 3\n")
+        return
+    np.savez(path, **arrays)
+    raw = bytearray(path.read_bytes())
+    if kind == "truncated":
+        raw = raw[: len(raw) // 2]
+    else:  # flip the first data byte of the first member: its CRC-32 no longer holds
+        start = raw.find(b"\x93NUMPY")
+        raw[start + 10 + int.from_bytes(raw[start + 8 : start + 10], "little")] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+malformed = pytest.mark.parametrize("kind", ["truncated", "bit_flipped", "npy", "text"])
+malformed_entry = pytest.mark.parametrize("old, new, name, arrays", [
+    ("C: {preset: zero}", "C: {file: c.npz}", "c.npz", {"beta": np.ones((4, 4))}),
+    ("forcing: {preset: zero}", "forcing: {file: f.npz}", "f.npz",
+     {"t": np.zeros(1), "fx": np.ones((1, 21, 21)), "fy": np.ones((1, 21, 21))}),
+], ids=["initial", "forcing"])
+
+
+def _assert_one_error_naming(capsys, path):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and str(path) in lines[0]
+
+
+@malformed
+@malformed_entry
+def test_run_malformed_file_entry_is_one_error_and_no_output(tmp_path, capsys, kind, old, new,
+                                                             name, arrays):
+    _write_malformed(tmp_path / name, kind, arrays)
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    _assert_one_error_naming(capsys, tmp_path / name)
+    assert not out.exists()
+
+
+@malformed
+@malformed_entry
+def test_sweep_malformed_file_entry_is_one_error_and_no_report(tmp_path, capsys, kind, old, new,
+                                                               name, arrays):
+    _write_malformed(tmp_path / name, kind, arrays)
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace(old, new))
+    report = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1:2",
+                 "--report", str(report)]) == 1
+    _assert_one_error_naming(capsys, tmp_path / name)
+    assert not report.exists()
+
+
 def test_sweep_run_count_capped(tmp_path, capsys):
     # One above the cap is refused before any run or value grid is made.
     cfg = tmp_path / "s.yaml"

@@ -313,6 +313,12 @@ def test_tabulated_forcing_validation(tmp_path):
     np.savez(path2, t=np.array([0.0]))
     with pytest.raises(ValueError, match="missing arrays"):
         ForcingSpec.tabulated(path2)
+    # NaN compares false, so only a finiteness check rejects a NaN time.
+    path3 = tmp_path / "bad3.npz"
+    np.savez(path3, t=np.array([0.0, np.nan, 1.0]), fx=np.zeros((3, 3, 3)),
+             fy=np.zeros((3, 3, 3)))
+    with pytest.raises(ValueError, match="times must be finite"):
+        ForcingSpec.tabulated(path3)
 
 
 def _small_run(pi_domain):

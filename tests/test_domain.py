@@ -17,13 +17,15 @@ from poromix import (
     grid_to_scalar,
     integrand_degree,
     midpoint_degree,
+    mobility_evaluate,
     required_quadrature_points,
     rhs_concentration,
     rhs_velocity,
     scalar_to_grid,
 )
-from poromix.domain import _certify_midpoint, _certify_quadrature, _midpoint_nodes
-from poromix.solver import _I_CC
+from poromix.domain import (_certify_midpoint, _certify_quadrature, _midpoint_nodes,
+                            _stream_factors)
+from poromix.solver import _WORK_FIELDS
 
 from conftest import random_scalar
 
@@ -229,7 +231,7 @@ def test_midpoint_reaction_work_matches_fine_gauss_legendre(Lx, Ly, Ns):
     B[0, 0] += 0.5 / dom.scalar.norm_00
     system = GalerkinSystem(dom, PhysicalParams(mu_e=1.0, d=1.0))
     y = system.pack(ScalarField(dom, B), VelocityField(dom, np.zeros((2, 2))))
-    got = system.rhs(0.0, y)[system.ns2 + system.nv2 + _I_CC]
+    got = system.rhs(0.0, y)[system.ns2 + system.nv2 + _WORK_FIELDS.index("i_cc")]
     cg = fine.scalar_values(B)
     want = fine.grid.integrate((cg * (1.0 - cg)) ** 2)
     assert abs(got - want) <= 1e-13 * want
@@ -251,6 +253,30 @@ def test_midpoint_reaction_projection_matches_fine_gauss_legendre(Lx, Ly, Ns):
     cg = fine.scalar_values(B)
     want = fine.scalar_project(cg * (1.0 - cg))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("Lx, Ly, Ns, Nv", [(math.pi, math.pi, 16, 4), (math.pi, math.pi, 32, 8),
+                                            (2.0, 1.0, 10, 3)])
+def test_gram_and_drag_matrices_are_cosine_polynomials(Lx, Ly, Ns, Nv):
+    # Per direction, (w_q, w_r) and (F(C) w_q, w_r) pair two phi's or two
+    # phi''s, and a product of two sine polynomials is a cosine polynomial:
+    # the midpoint rule gives G, and D_F of a quadratic mobility, as the
+    # certified Gauss-Legendre grid does.  Only advection, the Korteweg
+    # pairing and nodal inputs carry sines.
+    dom = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv))
+    m = dom.midpoint
+    phx, phxd, _, _ = _stream_factors(_midpoint_nodes(m.P, Lx)[0], Lx, Nv)
+    phy, phyd, _, _ = _stream_factors(_midpoint_nodes(m.P, Ly)[0], Ly, Nv)
+    wx = np.einsum("xj,yk->jkxy", phx, phyd).reshape(Nv * Nv, -1)
+    wy = np.einsum("xj,yk->jkxy", phxd, phy).reshape(Nv * Nv, -1)
+    B = random_scalar(dom, seed=Ns).coeffs
+    mobility = MobilitySpec.polynomial(1.0, 0.5, 0.25)
+    cases = ((np.ones(m.P * m.P), dom.velocity.gram),
+             (mobility_evaluate(mobility, dom.midpoint_values(B)).reshape(-1),
+              dom.weighted_gram(mobility_evaluate(mobility, dom.scalar_values(B)))))
+    for f, want in cases:
+        got = m.cell * ((wx * f) @ wx.T + (wy * f) @ wy.T)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_midpoint_rule_one_cell_too_coarse_fails_cosine_certificate():

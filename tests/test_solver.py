@@ -422,14 +422,14 @@ def test_ledger_columns_are_the_integrands_of_their_work_integrals(pi_domain):
     res = run(state, params, SolverConfig(T_run=0.4), forcing=forcing,
               snapshot_sink=states.append)
     system = GalerkinSystem(pi_domain, params, forcing)
-    pairs = (("h1_semi_C", solver._I_GRAD_C), ("h2_semi_C", solver._I_LAP_C),
-             ("h1_semi_u", solver._I_GRAD_U), ("dCdt_l2", solver._I_DCDT),
-             ("l2_f", solver._I_F))
+    pairs = (("h1_semi_C", "i_grad_c"), ("h2_semi_C", "i_lap_c"), ("h1_semi_u", "i_grad_u"),
+             ("dCdt_l2", "i_dcdt"), ("l2_f", "i_f"), ("fq_u", "i_fu"))
     assert len(states) == len(res.ledger) > 10
     for row, st in zip(res.ledger.rows, states):
         ex = system.extras(system.rhs(st.t, system.pack(st.C, st.u)))
+        ex = dict(zip(solver._WORK_FIELDS, ex))
         assert row.t == st.t
-        assert [getattr(row, name) for name, _ in pairs] == [ex[i] for _, i in pairs]
+        assert [getattr(row, name) for name, _ in pairs] == [ex[w] for _, w in pairs]
 
 
 def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
@@ -644,7 +644,7 @@ def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
 
 
 def test_evaluations_allocate_no_grid_array():
-    # At 32/8 one grid array is 99^2 doubles.  After a warm-up, one rhs may
+    # At 32/8 one grid array is 87^2 doubles.  After a warm-up, one rhs may
     # allocate under 2 of them at its peak and one evaluation with
     # diagnostics under 5 (13.4 and 16.0 when every intermediate was new).
     domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=32, Nv=8))
