@@ -19,15 +19,7 @@ from .domain import (
     midpoint_degree,
     required_quadrature_points,
 )
-from .fields import (
-    ResolutionMismatchError,
-    ScalarField,
-    VelocityField,
-    gradient,
-    grid_to_scalar,
-    laplacian,
-    scalar_to_grid,
-)
+from .fields import ResolutionMismatchError, ScalarField, VelocityField, grid_to_scalar
 from .forcing import ForcingSpec
 from .korteweg import KortewegParams, korteweg_full_tensor
 from .ledger import EnergyLedger, LedgerRow

@@ -27,7 +27,7 @@ from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
-_SWEEP_PARAMS = ("kappa", "d", "mu_e", "delta_hat", "gamma", "R")
+_SWEEP_PARAMS = ("kappa", "d", "mu_e", "delta_hat", "R")
 # Each sweep value is one full run; a count above this is a typo, not a sweep.
 _MAX_SWEEP_RUNS = 10_000
 
@@ -70,15 +70,13 @@ def main(argv=None) -> int:
 def _build_inputs(cfg: RunConfig):
     """The domain, initial (C0, u0) and forcing of a config.
 
-    The forcing is evaluated once on the grid, so a table that does not
-    match it fails here too.  Callers build these before they create any
-    output, so a bad input leaves none behind.
+    Building reads and checks every file entry against the grid.  Callers
+    build these before they create any output, so a bad input leaves none
+    behind.
     """
     domain = build_domain(cfg.domain)
     C0, u0 = cfg.build_initial(domain)
-    forcing = cfg.build_forcing()
-    forcing.evaluate(domain, 0.0)
-    return domain, C0, u0, forcing
+    return domain, C0, u0, cfg.build_forcing(domain)
 
 
 def _execute(cfg: RunConfig, out_dir: Path):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .domain import Domain, DomainSpec, SpecError
@@ -167,9 +166,10 @@ class RunConfig:
 
     # -- realization -----------------------------------------------------------
 
-    def build_forcing(self) -> ForcingSpec:
+    def build_forcing(self, domain: Domain) -> ForcingSpec:
         if "file" in self.forcing_raw:
-            return ForcingSpec.tabulated(self.base_dir / self.forcing_raw["file"])
+            return _file_entry("forcing.file", ForcingSpec.tabulated,
+                               self.base_dir / self.forcing_raw["file"], domain.grid.M)
         return ForcingSpec.preset(self.forcing_raw["preset"])
 
     def build_initial(self, domain: Domain):
@@ -369,17 +369,21 @@ def _parse_mode(item, sec_name, errors):
 # ---------------------------------------------------------------------------
 
 
-def _load_coeffs(path: Path, key: str, array: str, name: str, n: int) -> np.ndarray:
-    """The (n, n) coefficient array of an initial.<key> file entry."""
+def _file_entry(field: str, build, *args):
+    """build(*args), with a ValueError it raises reported as one ConfigError line on `field`."""
     try:
-        coeffs = read_npz(path, (array,))[array]
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError([f"initial.{key}.file: {exc}"]) from None
+        raise ConfigError([f"{field}: {exc}"]) from None
+
+
+def _load_field(kind, domain: Domain, path: Path, array: str, size: str):
+    """kind(domain, coeffs) for the (n, n) array `array` at `path`, n = domain.spec.<size>."""
+    coeffs = read_npz(path, (array,))[array]
+    n = getattr(domain.spec, size)
     if coeffs.shape != (n, n):
-        raise ConfigError(
-            [f"initial.{key}.file: {array} shape {coeffs.shape} does not match {name}={n}"]
-        )
-    return coeffs
+        raise ValueError(f"{array} shape {coeffs.shape} does not match {size}={n}")
+    return kind(domain, coeffs)
 
 
 def _preset_modes(entry: dict, presets: dict):
@@ -391,15 +395,15 @@ def _preset_modes(entry: dict, presets: dict):
 
 def _build_scalar_initial(domain: Domain, entry: dict, base_dir: Path) -> ScalarField:
     if "file" in entry:
-        coeffs = _load_coeffs(base_dir / entry["file"], "C", "beta", "Ns", domain.spec.Ns)
-        return ScalarField(domain, coeffs)
+        return _file_entry("initial.C.file", _load_field, ScalarField, domain,
+                           base_dir / entry["file"], "beta", "Ns")
     offset, modes = _preset_modes(entry, _SCALAR_PRESETS)
     return cosine_field(domain, modes, offset)
 
 
 def _build_velocity_initial(domain: Domain, entry: dict, base_dir: Path) -> VelocityField:
     if "file" in entry:
-        coeffs = _load_coeffs(base_dir / entry["file"], "u", "alpha", "Nv", domain.spec.Nv)
-        return VelocityField(domain, coeffs)
+        return _file_entry("initial.u.file", _load_field, VelocityField, domain,
+                           base_dir / entry["file"], "alpha", "Nv")
     _, modes = _preset_modes(entry, _VELOCITY_PRESETS)
     return stream_field(domain, modes)

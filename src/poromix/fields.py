@@ -1,6 +1,7 @@
 """
 Field value types over the spectral bases, their builders from mode lists,
-their grid transforms, and the gradient and Laplacian of a scalar field.
+and the L2 projection of nodal values onto a scalar field.  Every other
+grid transform is a `Domain` method applied to a field's coefficients.
 
 Fields are immutable: every operator returns a fresh field.  The physics
 terms themselves (advection, reaction, drag, Korteweg coupling) are
@@ -22,10 +23,7 @@ __all__ = [
     "cosine_field",
     "stream_field",
     "mode_range_errors",
-    "scalar_to_grid",
     "grid_to_scalar",
-    "gradient",
-    "laplacian",
 ]
 
 
@@ -121,15 +119,10 @@ def stream_field(domain: Domain, modes=()) -> VelocityField:
     return VelocityField(domain, A)
 
 
-def scalar_to_grid(field: ScalarField) -> np.ndarray:
-    """Nodal values (M, M) of a scalar field."""
-    return field.domain.scalar_values(field.coeffs)
-
-
 def grid_to_scalar(domain: Domain, values: np.ndarray) -> ScalarField:
     """L2 projection of nodal values back onto the cosine basis.
 
-    Round-trips scalar_to_grid exactly (to rounding) for resolved fields.
+    Round-trips Domain.scalar_values exactly (to rounding) for resolved fields.
     """
     M = domain.grid.M
     v = np.asarray(values, dtype=float)
@@ -137,12 +130,3 @@ def grid_to_scalar(domain: Domain, values: np.ndarray) -> ScalarField:
         raise ResolutionMismatchError(f"expected grid values ({M}, {M}), got {v.shape}")
     return ScalarField(domain, domain.scalar_project(v))
 
-
-def gradient(field: ScalarField):
-    """Nodal (dC/dx, dC/dy), evaluated analytically mode by mode."""
-    return field.domain.scalar_gradient_values(field.coeffs)
-
-
-def laplacian(field: ScalarField) -> ScalarField:
-    """Coefficient-space Laplacian: -lam[j,k] beta[j,k]."""
-    return ScalarField(field.domain, -field.domain.scalar.eigenvalues * field.coeffs)

@@ -57,9 +57,6 @@ FORCING_PRESETS = {
 
 def _interpolate(times, fx_table, fy_table, domain: Domain, t: float, out):
     """(fx, fy) of a table at t: an end row outside its window, else interpolated into `out`."""
-    M = domain.grid.M
-    if fx_table.shape[1:] != (M, M):
-        raise ValueError(f"tabulated forcing grid {fx_table.shape[1:]} does not match M={M}")
     k = np.searchsorted(times, t)
     if k == 0:
         return fx_table[0], fy_table[0]
@@ -82,10 +79,6 @@ class ForcingSpec:
     func: Callable
 
     @staticmethod
-    def zero() -> "ForcingSpec":
-        return ForcingSpec(_zero)
-
-    @staticmethod
     def preset(name: str) -> "ForcingSpec":
         if name not in FORCING_PRESETS:
             raise ValueError(
@@ -94,8 +87,8 @@ class ForcingSpec:
         return ForcingSpec(FORCING_PRESETS[name])
 
     @staticmethod
-    def tabulated(path) -> "ForcingSpec":
-        """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M)."""
+    def tabulated(path, M: int) -> "ForcingSpec":
+        """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M) for an M-point grid."""
         times, fx, fy = read_npz(path, ("t", "fx", "fy")).values()
         if times.ndim != 1 or times.size < 1:
             raise ValueError("tabulated forcing needs at least one time sample")
@@ -103,6 +96,8 @@ class ForcingSpec:
             raise ValueError("tabulated forcing times must be finite and strictly increasing")
         if fx.shape != (times.size,) + fx.shape[1:] or fx.shape != fy.shape or fx.ndim != 3:
             raise ValueError("tabulated forcing arrays must be (K, M, M) and congruent")
+        if fx.shape[1:] != (M, M):
+            raise ValueError(f"tabulated forcing grid {fx.shape[1:]} does not match M={M}")
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
             raise ValueError("tabulated forcing contains non-finite values")
         return ForcingSpec(partial(_interpolate, times, fx, fy))

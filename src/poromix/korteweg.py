@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SpecError
-from .fields import ScalarField, gradient, laplacian, scalar_to_grid
+from .fields import ScalarField
 
 __all__ = ["KortewegParams", "korteweg_full_tensor"]
 
@@ -57,8 +57,9 @@ class KortewegParams:
 
 def korteweg_full_tensor(C: ScalarField, params: KortewegParams):
     """Nodal (Txx, Txy, Tyy) of the full symmetric stress tensor."""
-    cx, cy = gradient(C)
-    lap = scalar_to_grid(laplacian(C))
+    dom = C.domain
+    cx, cy = dom.scalar_gradient_values(C.coeffs)
+    lap = dom.scalar_values(-dom.scalar.eigenvalues * C.coeffs)
     grad_sq = cx**2 + cy**2
     q = -(params.delta_hat / 3.0) * grad_sq + (2.0 * params.gamma / 3.0) * lap
     txx = q - params.delta_hat * cx * cx
@@ -73,10 +74,10 @@ def divergence_of_full_tensor(C: ScalarField, params: KortewegParams):
     The Hessian contractions are evaluated analytically from the coefficients.
     """
     dom = C.domain
-    lap_field = laplacian(C)
-    return tensor_divergence(gradient(C), dom.scalar_second_derivative_values(C.coeffs),
-                             scalar_to_grid(lap_field),
-                             dom.scalar_gradient_values(lap_field.coeffs), params)
+    lap = -dom.scalar.eigenvalues * C.coeffs
+    return tensor_divergence(dom.scalar_gradient_values(C.coeffs),
+                             dom.scalar_second_derivative_values(C.coeffs),
+                             dom.scalar_values(lap), dom.scalar_gradient_values(lap), params)
 
 
 def tensor_divergence(grad, hessian, lap, lap_grad, params: KortewegParams):

@@ -38,7 +38,7 @@ def _momentum_residual_grids(state, forcing, params):
     f_mob = mobility_values(params.mobility, cg)
     div_tx, div_ty = divergence_of_full_tensor(state.C, params.korteweg)
     if forcing is None:
-        forcing = ForcingSpec.zero()
+        forcing = ForcingSpec.preset("zero")
     fx, fy = forcing.evaluate(dom, state.t)
     rx = -f_mob * ux + params.mu_e * lap_ux + div_tx + fx
     ry = -f_mob * uy + params.mu_e * lap_uy + div_ty + fy

@@ -279,7 +279,7 @@ class GalerkinSystem:
                  transport_source=None):
         self.domain = domain
         self.params = params
-        self.forcing = forcing if forcing is not None else ForcingSpec.zero()
+        self.forcing = forcing if forcing is not None else ForcingSpec.preset("zero")
         # Verification-only hook: nodal source added to the transport
         # equation so manufactured fields solve the full system exactly.
         self.transport_source = transport_source
@@ -730,7 +730,7 @@ def run(
 
 def rhs_concentration(state: SimulationState, params: PhysicalParams) -> ScalarField:
     """Coefficient time derivative of the concentration at one state."""
-    system = GalerkinSystem(state.domain, params, ForcingSpec.zero())
+    system = GalerkinSystem(state.domain, params)
     y = system.pack(state.C, state.u)
     ydot = system.rhs(state.t, y)
     return ScalarField(state.domain, ydot[: system.ns2].reshape(system.Ns, system.Ns))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import poromix
-from poromix.cli import main
+from poromix.cli import _SWEEP_PARAMS, main
 
 from conftest import read_ledger_csv
 
@@ -156,9 +157,18 @@ def test_sweep_malformed_vary_rejected(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1",
                  "--report", str(tmp_path / "r.csv")]) == 1
     assert "malformed vary spec" in capsys.readouterr().err
-    assert main(["sweep", "--config", str(cfg), "--vary", "porosity:0:1:2",
-                 "--report", str(tmp_path / "r.csv")]) == 1
-    assert "unknown sweep parameter" in capsys.readouterr().err
+    # gamma moves only the recovered pressure, which no report column holds.
+    for vary in ("porosity:0:1:2", "gamma:0:1:2"):
+        assert main(["sweep", "--config", str(cfg), "--vary", vary,
+                     "--report", str(tmp_path / "r.csv")]) == 1
+        assert "unknown sweep parameter" in capsys.readouterr().err
+
+
+def test_readme_sweep_parameters_match_cli():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    found = re.search(r"Sweepable parameters: ([^.]*)\.", readme)
+    assert found
+    assert re.findall(r"`(\w+)`", found.group(1)) == list(_SWEEP_PARAMS)
 
 
 def test_sweep_rejected_value_leaves_no_report(tmp_path, capsys):
@@ -183,42 +193,54 @@ def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
     assert not report.exists()
 
 
-# A file entry that does not fit the grid: the edit to ZERO_CONFIG and the
-# error it gives.  Neither is found by parsing the config.
-off_the_grid = pytest.mark.parametrize("old, new, message", [
-    ("C: {preset: zero}", "C: {file: c.npz}", "beta shape (3, 3) does not match Ns=4"),
+# A file entry that does not fit the grid or holds a non-finite value: the
+# edit to ZERO_CONFIG and the one error line it gives.  None is found by
+# parsing the config.
+off_the_grid = pytest.mark.parametrize("old, new, error", [
+    ("C: {preset: zero}", "C: {file: c.npz}",
+     "initial.C.file: beta shape (3, 3) does not match Ns=4"),
+    ("C: {preset: zero}", "C: {file: c_nan.npz}",
+     "initial.C.file: scalar field has non-finite coefficients"),
+    ("u: {preset: zero}", "u: {file: u_nan.npz}",
+     "initial.u.file: velocity field has non-finite coefficients"),
     ("forcing: {preset: zero}", "forcing: {file: f.npz}",
-     "tabulated forcing grid (10, 10) does not match M=21"),
-], ids=["initial", "forcing"])
+     "forcing.file: tabulated forcing grid (10, 10) does not match M=21"),
+    ("forcing: {preset: zero}", "forcing: {file: f_nan_t.npz}",
+     "forcing.file: tabulated forcing times must be finite and strictly increasing"),
+], ids=["initial", "initial_nan_beta", "initial_nan_alpha", "forcing", "forcing_nan_time"])
 
 
 def _off_the_grid_config(tmp_path, old, new):
     np.savez(tmp_path / "c.npz", beta=np.zeros((3, 3)))
+    np.savez(tmp_path / "c_nan.npz", beta=np.full((4, 4), np.nan))
+    np.savez(tmp_path / "u_nan.npz", alpha=np.full((1, 1), np.nan))
     np.savez(tmp_path / "f.npz", t=np.zeros(1), fx=np.zeros((1, 10, 10)), fy=np.zeros((1, 10, 10)))
+    np.savez(tmp_path / "f_nan_t.npz", t=np.array([0.0, np.nan, 1.0]),
+             fx=np.zeros((3, 21, 21)), fy=np.zeros((3, 21, 21)))
     cfg = tmp_path / "s.yaml"
     cfg.write_text(ZERO_CONFIG.replace(old, new))
     return cfg
 
 
 @off_the_grid
-def test_run_file_entry_off_the_grid_leaves_no_output(tmp_path, capsys, old, new, message):
+def test_run_file_entry_off_the_grid_leaves_no_output(tmp_path, capsys, old, new, error):
     # The inputs are built, and checked against the grid, before --out is made.
     cfg = _off_the_grid_config(tmp_path, old, new)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
     assert not out.exists()
 
 
 @off_the_grid
-def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, new, message):
+def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, new, error):
     # No sweep parameter touches the initial state or the forcing, so both
     # are built, and checked against the grid, before the report opens.
     cfg = _off_the_grid_config(tmp_path, old, new)
     report = tmp_path / "r.csv"
     assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1:2",
                  "--report", str(report)]) == 1
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
     assert not report.exists()
 
 

@@ -40,7 +40,7 @@ def test_parse_valid_config(tmp_path):
     C0, u0 = cfg.build_initial(domain)
     assert C0.mean_value == pytest.approx(0.5, abs=1e-14)
     assert np.abs(u0.coeffs).max() == 0.0
-    assert cfg.build_forcing().is_zero
+    assert cfg.build_forcing(domain).is_zero
 
 
 def test_integrating_factor_flag_parsed(tmp_path):
@@ -275,7 +275,7 @@ def test_tabulated_forcing_interpolation(tmp_path, pi_domain):
     fy = np.stack([np.ones((M, M)), np.ones((M, M))])
     path = tmp_path / "force.npz"
     np.savez(path, t=times, fx=fx, fy=fy)
-    forcing = ForcingSpec.tabulated(path)
+    forcing = ForcingSpec.tabulated(path, M)
     half_x, half_y = forcing.evaluate(pi_domain, 0.5)
     assert np.allclose(half_x, 0.5) and np.allclose(half_y, 1.0)
     late_x, _ = forcing.evaluate(pi_domain, 5.0)  # clamped past the table
@@ -291,7 +291,7 @@ def test_forcing_out_receives_the_values_bit_for_bit(tmp_path, pi_domain):
     np.savez(path, t=np.array([0.0, 0.3, 1.0]), fx=rng.standard_normal((3, M, M)),
              fy=rng.standard_normal((3, M, M)))
     forcings = [ForcingSpec.preset(name) for name in ("zero", "steady_stream", "pulsed_stream")]
-    for forcing in forcings + [ForcingSpec.tabulated(path)]:
+    for forcing in forcings + [ForcingSpec.tabulated(path, M)]:
         for t in (0.1, 0.65):
             fresh = forcing.evaluate(pi_domain, t)
             out = (np.full((M, M), np.nan), np.full((M, M), np.nan))
@@ -308,17 +308,17 @@ def test_tabulated_forcing_validation(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, t=np.array([0.0, 0.0]), fx=np.zeros((2, 3, 3)), fy=np.zeros((2, 3, 3)))
     with pytest.raises(ValueError, match="strictly increasing"):
-        ForcingSpec.tabulated(path)
+        ForcingSpec.tabulated(path, 3)
     path2 = tmp_path / "bad2.npz"
     np.savez(path2, t=np.array([0.0]))
     with pytest.raises(ValueError, match="missing arrays"):
-        ForcingSpec.tabulated(path2)
+        ForcingSpec.tabulated(path2, 3)
     # NaN compares false, so only a finiteness check rejects a NaN time.
     path3 = tmp_path / "bad3.npz"
     np.savez(path3, t=np.array([0.0, np.nan, 1.0]), fx=np.zeros((3, 3, 3)),
              fy=np.zeros((3, 3, 3)))
     with pytest.raises(ValueError, match="times must be finite"):
-        ForcingSpec.tabulated(path3)
+        ForcingSpec.tabulated(path3, 3)
 
 
 def _small_run(pi_domain):

@@ -21,7 +21,6 @@ from poromix import (
     required_quadrature_points,
     rhs_concentration,
     rhs_velocity,
-    scalar_to_grid,
 )
 from poromix.domain import (_certify_midpoint, _certify_quadrature, _midpoint_nodes,
                             _stream_factors)
@@ -302,21 +301,21 @@ def test_build_is_deterministic():
 def test_scalar_to_grid_constant(pi_domain):
     C = ScalarField(pi_domain, np.zeros((6, 6)))
     C = ScalarField(pi_domain, _set(C.coeffs, (0, 0), 1.0 / pi_domain.scalar.norm_00))
-    assert np.allclose(scalar_to_grid(C), 1.0, atol=1e-13)
+    assert np.allclose(pi_domain.scalar_values(C.coeffs), 1.0, atol=1e-13)
 
 
 def test_scalar_to_grid_single_mode(pi_domain):
     s = pi_domain.scalar
     B = np.zeros((6, 6))
     B[1, 0] = 1.0 / (s.norm_x[1] * s.norm_y[0])
-    vals = scalar_to_grid(ScalarField(pi_domain, B))
+    vals = pi_domain.scalar_values(B)
     expected = np.cos(pi_domain.grid.x)[:, None] * np.ones_like(pi_domain.grid.y)[None, :]
     assert np.abs(vals - expected).max() <= 1e-13
 
 
 def test_grid_roundtrip_random(pi_domain):
     C = random_scalar(pi_domain, seed=3, decay=False)
-    back = grid_to_scalar(pi_domain, scalar_to_grid(C))
+    back = grid_to_scalar(pi_domain, pi_domain.scalar_values(C.coeffs))
     assert np.abs(back.coeffs - C.coeffs).max() <= 1e-12
 
 

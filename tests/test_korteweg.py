@@ -56,9 +56,7 @@ def test_full_tensor_pointwise_formula(pi_domain):
     # against direct arithmetic from the returned gradients.
     params = KortewegParams(delta_hat=3.0, gamma=0.0)
     C = random_scalar(pi_domain, seed=8)
-    from poromix.fields import gradient, laplacian, scalar_to_grid
-
-    cx, cy = gradient(C)
+    cx, cy = pi_domain.scalar_gradient_values(C.coeffs)
     txx, txy, tyy = korteweg_full_tensor(C, params)
     q = -(params.delta_hat / 3.0) * (cx**2 + cy**2)
     assert np.abs(txx - (q - 3.0 * cx * cx)).max() <= 1e-12
@@ -69,10 +67,8 @@ def test_full_tensor_pointwise_formula(pi_domain):
 def test_full_tensor_trace_identity(pi_domain):
     params = KortewegParams(delta_hat=1.1, gamma=0.6)
     C = random_scalar(pi_domain, seed=3)
-    from poromix.fields import gradient, laplacian, scalar_to_grid
-
-    cx, cy = gradient(C)
-    lap = scalar_to_grid(laplacian(C))
+    cx, cy = pi_domain.scalar_gradient_values(C.coeffs)
+    lap = pi_domain.scalar_values(-pi_domain.scalar.eigenvalues * C.coeffs)
     grad_sq = cx**2 + cy**2
     txx, _, tyy = korteweg_full_tensor(C, params)
     trace = txx + tyy

@@ -30,7 +30,6 @@ from poromix import (
 )
 from poromix import solver
 from poromix.diagnostics import segment_residual_bounds
-from poromix.forcing import FORCING_PRESETS
 
 from conftest import make_scalar, make_velocity, random_scalar
 
@@ -157,22 +156,29 @@ def test_reaction_rate_exact_above_the_grid_degree():
 
 
 def test_zero_forcing_is_skipped_with_identical_ledger(pi_domain, monkeypatch):
-    # The zero preset is never evaluated; a callable that returns zeros is
-    # evaluated and paired.  Both runs write the same ledger bytes.
-    def fail(domain, t):
-        raise AssertionError("zero forcing evaluated")
-
+    # The zero preset (the default) is never evaluated; a callable that
+    # returns zeros is evaluated and paired.  Both runs write the same
+    # ledger bytes.
     def zeros(domain, t):
         z = np.zeros((domain.grid.M, domain.grid.M))
         return z, z
 
-    monkeypatch.setitem(FORCING_PRESETS, "zero", fail)
+    evaluated = []
+    evaluate = ForcingSpec.evaluate
+
+    def spy(self, *args, **kw):
+        evaluated.append(self)
+        return evaluate(self, *args, **kw)
+
+    monkeypatch.setattr(ForcingSpec, "evaluate", spy)
     state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
                             make_velocity(pi_domain, [(1, 1, 0.3), (2, 1, -0.1)]))
     params = _params(kappa=0.5, korteweg=KortewegParams(delta_hat=0.2))
     csv = []
-    for forcing in (ForcingSpec.zero(), ForcingSpec.from_function(zeros)):
+    for forcing in (None, ForcingSpec.from_function(zeros)):
+        evaluated.clear()
         res = run(state, params, SolverConfig(T_run=0.2), forcing=forcing)
+        assert bool(evaluated) == (forcing is not None)
         assert res.ledger.final.i_f == 0.0 and res.ledger.final.i_fdotu == 0.0
         buf = io.StringIO()
         res.ledger.to_csv(buf)
