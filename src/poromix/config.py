@@ -216,13 +216,18 @@ def _get_number(val, path, errors, *, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"{path}: expected a number, got {val!r}")
         return None
-    if not math.isfinite(val):
+    try:
+        as_float = float(val)
+    except OverflowError:  # a YAML integer beyond float range
+        errors.append(f"{path}: must be finite, got an integer beyond float range")
+        return None
+    if not math.isfinite(as_float):
         errors.append(f"{path}: must be finite, got {val!r}")
         return None
-    if integer and not float(val).is_integer():
+    if integer and not as_float.is_integer():
         errors.append(f"{path}: expected an integer, got {val!r}")
         return None
-    return int(val) if integer else float(val)
+    return int(val) if integer else as_float
 
 
 def _check_unknown(section, sec_name, known, errors):

@@ -25,8 +25,9 @@ is a trigonometric polynomial per dimension of degree at most
 ``integrand_degree`` = 2(Ns-1) + 2(Nv+1), reached by the drag pairing with
 a quadratic mobility.  ``required_quadrature_points`` picks the smallest
 rule that integrates every trigonometric mode up to that degree to the
-certificate tolerance on both sides, and ``build_domain`` certifies the
-node set it returns at that degree.
+certificate tolerance on both sides.  Each rule is certified once, by
+one certificate: the search certifies a default M, and ``build_domain``
+certifies an explicit M and the midpoint rule.
 
 Cosine polynomials may also go on a second, uniform midpoint rule with
 P = 2 Ns cells per side, exact for cos(n pi s / L) whenever 0 < n < 2P:
@@ -59,8 +60,8 @@ __all__ = [
     "required_quadrature_points",
 ]
 
-# Absolute tolerance (relative to the side length) admitted for the
-# quadrature self-certification in build_domain.
+# Absolute tolerance (relative to the side length) admitted by the
+# quadrature certificate, _certificate_failure.
 _CERTIFY_TOL = 1e-13
 
 
@@ -123,12 +124,7 @@ def required_quadrature_points(degree: int, Lx: float, Ly: float) -> int:
     below it for every D <= 300 scanned on (0, 2), so it builds two rules.
     """
     def certifies(M):
-        try:
-            for L in {Lx, Ly}:
-                _certify_quadrature(*_rule(M, L), L, degree)
-        except DomainError:
-            return False
-        return True
+        return not any(_certificate_failure(*_rule(M, L), L, degree) for L in {Lx, Ly})
 
     M = math.ceil(math.pi * degree / 4 + 5.3 * degree ** (1 / 3) + 0.5)
     while not certifies(M):
@@ -136,6 +132,11 @@ def required_quadrature_points(degree: int, Lx: float, Ly: float) -> int:
     while M > 1 and certifies(M - 1):
         M -= 1
     return M
+
+
+def _is_integer(val) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
 
 
 @dataclass(frozen=True)
@@ -154,29 +155,25 @@ class DomainSpec:
     M: int | None = None
 
     def __post_init__(self):
-        errs = self.validation_errors()
-        if errs:
-            raise DomainError(*errs)
-
-    def validation_errors(self) -> list[str]:
         errs = []
         for name, val in (("Lx", self.Lx), ("Ly", self.Ly)):
             if not (np.isfinite(val) and val > 0.0):
                 errs.append(f"{name} must be finite and strictly positive, got {val!r}")
         for name, val in (("Ns", self.Ns), ("Nv", self.Nv)):
-            if not (isinstance(val, (int, np.integer)) and val >= 1):
+            if not (_is_integer(val) and val >= 1):
                 errs.append(f"{name} must be an integer >= 1, got {val!r}")
         if self.M is not None:
             need = None if errs else required_quadrature_points(
                 integrand_degree(self.Ns, self.Nv), self.Lx, self.Ly)
-            if not isinstance(self.M, (int, np.integer)):
+            if not _is_integer(self.M):
                 errs.append(f"M must be an integer, got {self.M!r}")
             elif need is not None and self.M < need:
                 errs.append(
                     f"M={self.M} is below the quadrature exactness threshold "
                     f"{need} for Ns={self.Ns}, Nv={self.Nv}"
                 )
-        return errs
+        if errs:
+            raise DomainError(*errs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,33 +454,26 @@ def _stream_factors(s: np.ndarray, L: float, Nv: int):
     return v, d, dd, ddd
 
 
-def _certify_quadrature(x, w, L, degree):
-    """Check the 1D rule against closed-form trig integrals up to `degree`."""
-    n = np.arange(1, degree + 1)
-    arg = np.outer(n, np.pi * x / L)
-    cos_err = np.abs(np.cos(arg) @ w)  # exact integrals are all zero
-    sin_exact = L * (1.0 - np.cos(n * np.pi)) / (n * np.pi)
-    sin_err = np.abs(np.sin(arg) @ w - sin_exact)
-    worst = max(cos_err.max(), sin_err.max())
-    if worst > _CERTIFY_TOL * L:
-        raise DomainError(
-            f"quadrature certification failed: worst trig-mode error {worst:.3e} "
-            f"exceeds {_CERTIFY_TOL * L:.3e} at degree {degree}"
-        )
+def _certificate_failure(x, w, L, degree, *, sines=True):
+    """Why the 1D rule (x, w) on (0, L) fails the certificate, or None if it passes.
 
-
-def _certify_midpoint(x, w, L, degree):
-    """Check the 1D midpoint rule against the cosine integrals up to `degree`.
-
-    Cosine modes only: the rule is not meant to integrate sines.
+    Every cos(n pi s / L), 1 <= n <= degree, must integrate to its exact
+    zero, and with `sines` every sin(n pi s / L) to its closed form, within
+    _CERTIFY_TOL L.  The midpoint rule is exact for cosines only, so it is
+    checked with sines=False.
     """
     n = np.arange(1, degree + 1)
-    worst = float(np.abs(np.cos(np.outer(n, np.pi * x / L)) @ w).max(initial=0.0))
+    arg = np.outer(n, np.pi * x / L)
+    err = np.abs(np.cos(arg) @ w)  # exact integrals are all zero
+    if sines:
+        sin_exact = L * (1.0 - np.cos(n * np.pi)) / (n * np.pi)
+        err = np.maximum(err, np.abs(np.sin(arg) @ w - sin_exact))
+    worst = float(err.max(initial=0.0))
     if worst > _CERTIFY_TOL * L:
-        raise DomainError(
-            f"midpoint certification failed: worst cosine-mode error {worst:.3e} "
-            f"exceeds {_CERTIFY_TOL * L:.3e} at degree {degree}"
-        )
+        rule, modes = ("quadrature", "trig") if sines else ("midpoint", "cosine")
+        return (f"{rule} certification failed: worst {modes}-mode error {worst:.3e} "
+                f"exceeds {_CERTIFY_TOL * L:.3e} at degree {degree}")
+    return None
 
 
 def build_domain(spec: DomainSpec) -> Domain:
@@ -494,25 +484,29 @@ def build_domain(spec: DomainSpec) -> Domain:
     ``spec.M`` takes the smallest rule that does.  The midpoint rule has
     P = 2 Ns cells per side and must integrate every cosine up to
     ``midpoint_degree(Ns)``, which covers the reaction projection too.
-    Deterministic for equal arguments.  Raises DomainError when the
-    quadrature rule fails its exactness certification.
+    Each rule is certified once.  An explicit ``spec.M`` and the midpoint
+    rule are certified here; a default M is not, because the sizing search
+    has just certified the same cached, read-only ``_rule`` arrays.
+    Deterministic for equal arguments.  Raises DomainError, listing every
+    failure, when a rule fails its exactness certification.
     """
     Ns, Nv, Lx, Ly = spec.Ns, spec.Nv, spec.Lx, spec.Ly
     degree = integrand_degree(Ns, Nv)
     M = required_quadrature_points(degree, Lx, Ly) if spec.M is None else int(spec.M)
     x, wx = _rule(M, Lx)
     y, wy = _rule(M, Ly)
-    _certify_quadrature(x, wx, Lx, degree)
-    _certify_quadrature(y, wy, Ly, degree)
-
-    norm_x, zx, zxd, zxdd = _scalar_factors(x, Lx, Ns)
-    norm_y, zy, zyd, zydd = _scalar_factors(y, Ly, Ns)
-
     P = 2 * Ns
     xm, wxm = _midpoint_nodes(P, Lx)
     ym, wym = _midpoint_nodes(P, Ly)
-    _certify_midpoint(xm, wxm, Lx, midpoint_degree(Ns))
-    _certify_midpoint(ym, wym, Ly, midpoint_degree(Ns))
+    failures = [] if spec.M is None else [_certificate_failure(x, wx, Lx, degree),
+                                          _certificate_failure(y, wy, Ly, degree)]
+    failures += [_certificate_failure(xm, wxm, Lx, midpoint_degree(Ns), sines=False),
+                 _certificate_failure(ym, wym, Ly, midpoint_degree(Ns), sines=False)]
+    if any(failures):
+        raise DomainError(*filter(None, failures))
+
+    norm_x, zx, zxd, zxdd = _scalar_factors(x, Lx, Ns)
+    norm_y, zy, zyd, zydd = _scalar_factors(y, Ly, Ns)
     _, mzx, mzxd, _ = _scalar_factors(xm, Lx, Ns)
     _, mzy, mzyd, _ = _scalar_factors(ym, Ly, Ns)
     midpoint = MidpointRule(P=P, cell=float(wxm[0] * wym[0]),

@@ -38,6 +38,16 @@ def _check_same_domain(a, b):
         )
 
 
+def _check_coeffs(field, n: int, kind: str):
+    """Store field.coeffs as a float array after checking it is (n, n) and finite."""
+    c = np.asarray(field.coeffs, dtype=float)
+    if c.shape != (n, n):
+        raise ResolutionMismatchError(f"expected coefficients ({n}, {n}), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"{kind} field has non-finite coefficients")
+    object.__setattr__(field, "coeffs", c)
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Concentration-like scalar: cosine coefficients (Ns, Ns)."""
@@ -46,13 +56,7 @@ class ScalarField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        Ns = self.domain.spec.Ns
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (Ns, Ns):
-            raise ResolutionMismatchError(f"expected coefficients ({Ns}, {Ns}), got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("scalar field has non-finite coefficients")
-        object.__setattr__(self, "coeffs", c)
+        _check_coeffs(self, self.domain.spec.Ns, "scalar")
 
     @property
     def mass(self) -> float:
@@ -77,13 +81,7 @@ class VelocityField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        Nv = self.domain.spec.Nv
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (Nv, Nv):
-            raise ResolutionMismatchError(f"expected coefficients ({Nv}, {Nv}), got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("velocity field has non-finite coefficients")
-        object.__setattr__(self, "coeffs", c)
+        _check_coeffs(self, self.domain.spec.Nv, "velocity")
 
 
 def mode_range_errors(modes, *, Ns=None, Nv=None) -> list[str]:

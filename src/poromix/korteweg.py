@@ -41,18 +41,14 @@ class KortewegParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        errs = self.validation_errors()
-        if errs:
-            raise SpecError(*errs)
-
-    def validation_errors(self) -> list[str]:
         errs = []
         for name, val in (("delta_hat", self.delta_hat), ("gamma", self.gamma)):
             if not np.isfinite(val):
                 errs.append(f"{name} must be finite, got {val!r}")
             elif val < 0:
                 errs.append(f"{name} must be >= 0, got {val!r}")
-        return errs
+        if errs:
+            raise SpecError(*errs)
 
 
 def korteweg_full_tensor(C: ScalarField, params: KortewegParams):

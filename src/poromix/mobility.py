@@ -52,17 +52,12 @@ class MobilitySpec:
     coefficients: tuple = field(default=(1.0,))
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        errs = self.validation_errors()
-        if errs:
-            raise SpecError(*errs)
-
-    def validation_errors(self) -> list[str]:
-        kind, coefficients = self.kind, self.coefficients
+        kind, coefficients = self.kind, tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
         if kind not in ("constant", "polynomial", "exponential"):
-            return [f"unknown mobility kind {kind!r}"]
+            raise SpecError(f"unknown mobility kind {kind!r}")
         if not coefficients:
-            return ["mobility coefficients must be non-empty"]
+            raise SpecError("mobility coefficients must be non-empty")
         errs = []
         if any(not np.isfinite(c) for c in coefficients):
             errs.append("mobility coefficients must be finite")
@@ -76,7 +71,8 @@ class MobilitySpec:
                 errs.append("polynomial mobility requires all coefficients >= 0")
         elif kind == "exponential" and len(coefficients) != 1:
             errs.append("exponential mobility takes exactly one coefficient R")
-        return errs
+        if errs:
+            raise SpecError(*errs)
 
     @staticmethod
     def constant(a: float) -> "MobilitySpec":

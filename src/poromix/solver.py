@@ -100,11 +100,6 @@ class PhysicalParams:
     m_gn: float = 1.0  # interpolation-inequality constant for the horizon report
 
     def __post_init__(self):
-        errs = self.validation_errors()
-        if errs:
-            raise SpecError(*errs)
-
-    def validation_errors(self) -> list[str]:
         errs = []
         if not (np.isfinite(self.mu_e) and self.mu_e > 0):
             errs.append(f"mu_e must be finite and > 0, got {self.mu_e!r}")
@@ -114,7 +109,8 @@ class PhysicalParams:
             errs.append(f"kappa must be finite and >= 0, got {self.kappa!r}")
         if not (np.isfinite(self.m_gn) and self.m_gn > 0):
             errs.append(f"M_GN must be finite and > 0, got {self.m_gn!r}")
-        return errs
+        if errs:
+            raise SpecError(*errs)
 
 
 @dataclass(frozen=True)
@@ -146,11 +142,6 @@ class SolverConfig:
     blowup_cap: float = 1e6
 
     def __post_init__(self):
-        errs = self.validation_errors()
-        if errs:
-            raise SpecError(*errs)
-
-    def validation_errors(self) -> list[str]:
         errs = []
         if not (np.isfinite(self.T_run) and self.T_run > 0):
             errs.append(f"T_run must be finite and > 0, got {self.T_run!r}")
@@ -160,7 +151,8 @@ class SolverConfig:
                 errs.append(f"{name} must be finite and > 0, got {v!r}")
         if not self.blowup_cap > 0:
             errs.append(f"blowup_cap must be > 0, got {self.blowup_cap!r}")
-        return errs
+        if errs:
+            raise SpecError(*errs)
 
 
 @dataclass(frozen=True)

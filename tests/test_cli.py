@@ -154,9 +154,13 @@ def test_sweep_delta_hat_invariant_for_uniform_C(tmp_path):
 def test_sweep_malformed_vary_rejected(tmp_path, capsys):
     cfg = tmp_path / "s.yaml"
     cfg.write_text(ZERO_CONFIG)
-    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0:1",
-                 "--report", str(tmp_path / "r.csv")]) == 1
-    assert "malformed vary spec" in capsys.readouterr().err
+    for vary, error in ((["kappa:0:1"], "malformed vary spec"),
+                        (["kappa:a:1:2"], "lo/hi must be numbers, n an integer"),
+                        (["kappa:0:1:0"], "vary spec needs n >= 1"),
+                        (["kappa:0:1:2", "d:0:1:2"], "exactly one parameter per invocation")):
+        assert main(["sweep", "--config", str(cfg), *(f"--vary={v}" for v in vary),
+                     "--report", str(tmp_path / "r.csv")]) == 1
+        assert error in capsys.readouterr().err
     # gamma moves only the recovered pressure, which no report column holds.
     for vary in ("porosity:0:1:2", "gamma:0:1:2"):
         assert main(["sweep", "--config", str(cfg), "--vary", vary,
@@ -171,6 +175,17 @@ def test_readme_sweep_parameters_match_cli():
     assert re.findall(r"`(\w+)`", found.group(1)) == list(_SWEEP_PARAMS)
 
 
+def test_readme_dependency_floors_match_pyproject():
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(),
+                      re.S | re.M)
+    declared = [tuple(dep.split(">=")) for dep in re.findall(r'"([^"]+)"', block.group(1))]
+    readme = " ".join((root / "README.md").read_text().split())
+    found = re.search(r"The runtime dependencies are ([^;]*);", readme)
+    assert found
+    assert re.findall(r"(\w+) >= ([\d.]+)", found.group(1)) == declared
+
+
 def test_sweep_rejected_value_leaves_no_report(tmp_path, capsys):
     # R needs an exponential mobility; the sweep fails before the report opens.
     cfg = tmp_path / "s.yaml"
@@ -181,6 +196,14 @@ def test_sweep_rejected_value_leaves_no_report(tmp_path, capsys):
                  "--report", str(report)]) == 1
     assert "sweeping R requires exponential mobility" in capsys.readouterr().err
     assert not report.exists()
+    # With an exponential mobility the same sweep runs each value.
+    cfg.write_text(ZERO_CONFIG.replace("{kind: constant, coefficients: [1.0]}",
+                                       "{kind: exponential, coefficients: [0.0]}"))
+    assert main(["sweep", "--config", str(cfg), "--vary", "R:0.1:0.5:2",
+                 "--report", str(report)]) == 0
+    rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
+    assert [(r[0], float(r[1]), r[2]) for r in rows] == [("R", 0.1, "Completed"),
+                                                         ("R", 0.5, "Completed")]
 
 
 def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):

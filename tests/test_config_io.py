@@ -69,6 +69,28 @@ def test_nan_rejected_for_every_numeric_key(tmp_path):
         assert f"{name}: must be finite, got nan" in info.value.errors
 
 
+def test_integer_beyond_float_range_named_for_every_numeric_key(tmp_path):
+    # A YAML integer of 400 digits does not fit a float; it is one defect of
+    # its field, listed with the others.
+    huge = "9" * 400
+    text = VALID_CONFIG
+    for old, new in (("Ns: 4", f"Ns: {huge}"),
+                     ("coefficients: [1.0]", f"coefficients: [{huge}]"),
+                     ("{preset: uniform, value: 0.5}",
+                      f"{{preset: cosine_mix, modes: [[{huge}, 0, 0.1]]}}"),
+                     ("kappa: 1.0", "kappa: .nan")):
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == [
+        "domain.Ns: must be finite, got an integer beyond float range",
+        "mobility.coefficients[0]: must be finite, got an integer beyond float range",
+        "params.kappa: must be finite, got nan",
+        "initial.C.modes[0].j: must be finite, got an integer beyond float range",
+    ]
+
+
 def test_dt_max_rejected_as_unknown_key(tmp_path):
     # The step size has no upper bound option: a config that sets one is
     # rejected by name, like any other key the solver section does not have.
@@ -220,6 +242,13 @@ def test_every_params_defect_listed_on_its_own_line(tmp_path):
 def test_specs_check_their_values_when_constructed():
     with pytest.raises(DomainError, match="exactness threshold"):
         DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=10)
+    # bool is an int subclass, but the parser rejects `Ns: true`; so does the spec.
+    for key, error in (("Ns", "Ns must be an integer >= 1, got True"),
+                       ("Nv", "Nv must be an integer >= 1, got True"),
+                       ("M", "M must be an integer, got True")):
+        with pytest.raises(DomainError) as info:
+            DomainSpec(**{"Lx": 1.0, "Ly": 1.0, "Ns": 8, "Nv": 2, key: True})
+        assert info.value.errors == (error,)
     with pytest.raises(ValueError, match="T_run"):
         SolverConfig(T_run=-1)
     with pytest.raises(ValueError, match="snapshot_cadence"):

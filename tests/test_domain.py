@@ -22,8 +22,7 @@ from poromix import (
     rhs_concentration,
     rhs_velocity,
 )
-from poromix.domain import (_certify_midpoint, _certify_quadrature, _midpoint_nodes,
-                            _stream_factors)
+from poromix.domain import _certificate_failure, _midpoint_nodes, _stream_factors
 from poromix.solver import _WORK_FIELDS
 
 from conftest import random_scalar
@@ -164,11 +163,7 @@ def test_build_rejects_bad_specs():
 
 def _certifies(M, degree, L):
     t, w = np.polynomial.legendre.leggauss(M)
-    try:
-        _certify_quadrature(0.5 * L * (t + 1.0), 0.5 * L * w, L, degree)
-    except DomainError:
-        return False
-    return True
+    return _certificate_failure(0.5 * L * (t + 1.0), 0.5 * L * w, L, degree) is None
 
 
 def test_required_points_are_smallest_certified():
@@ -282,12 +277,14 @@ def test_midpoint_rule_one_cell_too_coarse_fails_cosine_certificate():
     for Ns in (5, 6):
         degree = midpoint_degree(Ns)
         for L in (math.pi, 1.0):
-            _certify_midpoint(*_midpoint_nodes(2 * Ns, L), L, degree)
-            with pytest.raises(DomainError, match="midpoint certification"):
-                _certify_midpoint(*_midpoint_nodes(2 * (Ns - 1), L), L, degree)
+            assert _certificate_failure(*_midpoint_nodes(2 * Ns, L), L, degree,
+                                        sines=False) is None
+            assert _certificate_failure(*_midpoint_nodes(2 * (Ns - 1), L), L, degree,
+                                        sines=False).startswith(
+                "midpoint certification failed: worst cosine-mode error")
             # Not a rule for sines: the Gauss-Legendre certificate rejects it.
-            with pytest.raises(DomainError, match="quadrature certification"):
-                _certify_quadrature(*_midpoint_nodes(2 * Ns, L), L, degree)
+            assert _certificate_failure(*_midpoint_nodes(2 * Ns, L), L, degree).startswith(
+                "quadrature certification failed: worst trig-mode error")
 
 
 def test_build_is_deterministic():

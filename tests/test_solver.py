@@ -702,6 +702,14 @@ def test_implicit_stage_matrix_is_the_allocating_sum(pi_domain):
     lhs = dom.velocity.gram + gh * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_grid))
     expected = np.linalg.solve(lhs, dom.velocity.gram @ y[system.alpha_slice])
     assert alpha.tobytes() == expected.tobytes()
+    # A non-finite stage matrix, or a finite one that gives a non-finite
+    # alpha, is reported as such, never returned.
+    with pytest.raises(NonFiniteStateError):
+        system.solve_momentum_stage(0.3, y, math.inf)
+    z = y.copy()
+    z[system.alpha_slice.start] = math.nan
+    with pytest.raises(NonFiniteStateError):
+        system.solve_momentum_stage(0.3, z, gh)
 
 
 def test_run_builds_only_the_final_state_without_sink_or_checkpoints(pi_domain, monkeypatch):
