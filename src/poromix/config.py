@@ -39,6 +39,28 @@ from .solver import PhysicalParams, SolverConfig
 __all__ = ["ConfigError", "RunConfig", "OutputSpec"]
 
 
+class _BeyondFloat(float):
+    """inf standing for a decimal YAML integer longer than int() reads (4300 digits)."""
+
+    def __repr__(self):
+        return "an integer beyond float range"
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader reading such an integer as `_BeyondFloat`: one defect of its field."""
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:  # a plain decimal fails int() only by its length
+            if not node.value.lstrip("+-").replace("_", "").isdecimal():
+                raise
+            return _BeyondFloat("inf")
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
+
 class ConfigError(ValueError):
     """Carries the full list of field-precise validation failures."""
 
@@ -122,7 +144,7 @@ class RunConfig:
     @staticmethod
     def from_text(text: str, base_dir=".") -> "RunConfig":
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError([f"config is not valid YAML: {exc}"])
         if not isinstance(raw, dict):

@@ -31,6 +31,9 @@ __all__ = [
     "segment_residual_bounds",
 ]
 
+_EPS_POS = 1e-6  # positivity: tolerated undershoot below zero
+_DECAY_SLACK = 1e-8  # decay to the mean: tolerated relative excess over the envelope
+
 
 def segment_residual_bounds(ledger, config: SolverConfig, which: str):
     """Per-segment tolerance 10 (rtol scale + atol) for the energy residuals.
@@ -69,14 +72,12 @@ class PositivityReport:
 
 
 def positivity_check(
-    result: SimulationResult,
-    refined: SimulationResult | None = None,
-    eps_pos: float = 1e-6,
+    result: SimulationResult, refined: SimulationResult | None = None
 ) -> PositivityReport:
-    """Minimum grid concentration over the trajectory versus -eps_pos.
+    """Minimum grid concentration over the trajectory versus -_EPS_POS.
 
     Spectral truncation can undershoot slightly where the continuum
-    solution merely touches zero, so the check carries a tolerance and,
+    solution merely touches zero, so the check carries that tolerance and,
     when a refined run is supplied, verifies the undershoot does not grow
     with resolution.
     """
@@ -91,13 +92,13 @@ def positivity_check(
         refined_min = min(r.min_C for r in refined.ledger.rows)
         undershoot = max(0.0, -min_val)
         refined_undershoot = max(0.0, -refined_min)
-        grew = bool(refined_undershoot > max(undershoot, eps_pos))
-    passed = (min_val >= -eps_pos) and not (grew or False)
+        grew = bool(refined_undershoot > max(undershoot, _EPS_POS))
+    passed = (min_val >= -_EPS_POS) and not grew
     return PositivityReport(
         min_over_time=float(min_val),
         min_time=float(min_row.t),
         passed=bool(passed),
-        threshold=-eps_pos,
+        threshold=-_EPS_POS,
         refined_min_over_time=refined_min,
         undershoot_grew=grew,
     )
@@ -141,9 +142,7 @@ def fit_decay_rate(ledger, area: float) -> float:
     return -float(np.polyfit(ts, logs, 1)[0])
 
 
-def decay_to_mean_check(
-    result: SimulationResult, params: PhysicalParams, slack: float = 1e-8
-) -> DecayReport:
+def decay_to_mean_check(result: SimulationResult, params: PhysicalParams) -> DecayReport:
     """Check ||C - mean||^2 <= ||C0 - mean||^2 exp(-2 d lam_1 t) on the ledger.
 
     lam_1 is the smallest nonzero scalar eigenvalue (pi / max(Lx, Ly))^2;
@@ -162,13 +161,13 @@ def decay_to_mean_check(
     for t, dev in _mean_deviations(rows, area):
         bound = dev0 * math.exp(-rate * t)
         worst = max(worst, dev / bound - 1.0 if bound > 0 else math.inf)
-    passed = worst <= slack
+    passed = worst <= _DECAY_SLACK
     return DecayReport(
         passed=bool(passed),
         rate_bound=rate,
         fitted_rate=fit_decay_rate(result.ledger, area),
         max_violation=float(worst),
-        slack=slack,
+        slack=_DECAY_SLACK,
     )
 
 

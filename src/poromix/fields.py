@@ -68,10 +68,6 @@ class ScalarField:
     def mean_value(self) -> float:
         return self.mass / (self.domain.spec.Lx * self.domain.spec.Ly)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_domain(self, other)
-        return ScalarField(self.domain, self.coeffs + other.coeffs)
-
 
 @dataclass(frozen=True, eq=False)
 class VelocityField:

@@ -7,15 +7,16 @@ blows up in finite time for uniform initial values above 1.  Modal
 diffusion factors are the exact decay of individual cosine modes.  The
 manufactured cases prescribe smooth exact fields together with the body
 force and transport source that make them solve the full nonlinear
-system, for convergence verification.  The transport source exists only in
-verification runs; production configurations cannot enable it.
+system, for convergence verification; each case keeps its nodal trig
+grids in one read-only table per domain.  The transport source exists
+only in verification runs; production configurations cannot enable it.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .fields import ScalarField, VelocityField, cosine_field, stream_field
 from .forcing import ForcingSpec
 from .korteweg import tensor_divergence
 from .mobility import evaluate as mobility_values
+from .solver import SimulationState, SolverConfig, run
 
 __all__ = [
     "LogisticBlowup",
@@ -81,129 +83,93 @@ def modal_diffusion_factor(mode, d: float, t: float, Lx: float, Ly: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _cos_mode(domain: Domain, a: int, b: int):
-    """Factors of the raw cosine product cos(ax x) cos(by y) at the nodes.
-
-    Returns (ax, by, cos(ax x), sin(ax x), cos(by y), sin(by y)) with
-    ax = a pi/Lx, by = b pi/Ly, the x factors as a column and the y factors
-    as a row.  Each caller forms its own products of them, whose order
-    fixes the rounding the manufactured runs see.
-    """
-    g = domain.grid
-    ax = a * np.pi / domain.spec.Lx
-    by = b * np.pi / domain.spec.Ly
-    return (ax, by, np.cos(ax * g.x)[:, None], np.sin(ax * g.x)[:, None],
-            np.cos(by * g.y)[None, :], np.sin(by * g.y)[None, :])
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-class _PerDomain:
-    """Values built once per domain and kept while that domain lives."""
-
-    def __init__(self, build):
-        self._build = build
-        self.entries = weakref.WeakKeyDictionary()
-
-    def __call__(self, domain: Domain):
-        value = self.entries.get(domain)
-        if value is None:
-            value = self.entries[domain] = self._build(domain)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class ManufacturedCase:
     """Exact fields plus the forcings that make them solve the system.
 
-    The closures returned by `momentum_forcing` and `transport_source`
-    form the nodal factor grids that no time changes (the products of each
-    mode's `_cos_mode` factors and the `_stream_mode` grids) once per
-    domain they are evaluated on.  Each closure keeps its own, read-only,
-    while both the closure and that domain live; each evaluation only
-    scales and sums them, in the order the grid methods below use.
+    C* = offset + sum_i c_i(t) cos(a_i pi x / Lx) cos(b_i pi y / Ly) and
+    u* = s(t) w, w the unit stream mode; each amplitude is a pair of
+    functions of t, (c_i or s, its time derivative).  The grids that no
+    time changes are formed once per domain, read-only, in one table the
+    case keeps while both it and the domain live; every method and
+    closure below only scales and sums them.
     """
 
     name: str
-    scalar_modes: tuple  # ((a, b, amplitude_fn), ...) raw cosine products
+    scalar_modes: tuple  # ((a, b, amplitude, rate), ...) raw cosine products
     scalar_offset: float
     stream_mode: tuple  # (j, k) of the single streamfunction
-    stream_amplitude: object  # amplitude_fn(t), and ._dt(t) derivative
+    stream_amplitude: tuple  # (amplitude, rate)
+    _tables: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+
+    def _table(self, domain: Domain):
+        """The domain's (scalar mode grids, stream mode grids), formed once.
+
+        For each scalar mode v = cos(ax x) cos(by y) the grids are
+        (v, v_x, v_y, lap v, v_xx, v_xy, v_yy, (lap v)_x, (lap v)_y); for
+        the unit stream mode they are (wx, wy, lap wx, lap wy).
+        """
+        table = self._tables.get(domain)
+        if table is not None:
+            return table
+        g = domain.grid
+        modes = []
+        for a, b, _, _ in self.scalar_modes:
+            ax = a * np.pi / domain.spec.Lx
+            by = b * np.pi / domain.spec.Ly
+            cx, sx = np.cos(ax * g.x)[:, None], np.sin(ax * g.x)[:, None]
+            cy, sy = np.cos(by * g.y)[None, :], np.sin(by * g.y)[None, :]
+            lam = ax**2 + by**2
+            v, vx, vy = cx * cy, -ax * sx * cy, -by * cx * sy
+            modes.append((v, vx, vy, -lam * v,
+                          -(ax**2) * v, ax * by * sx * sy, -(by**2) * v, -lam * vx, -lam * vy))
+        j, k = self.stream_mode
+        x, xd, xdd, xddd = (p[:, j - 1] for p in (g.phx, g.phxd, g.phxdd, g.phxddd))
+        y, yd, ydd, yddd = (p[:, k - 1] for p in (g.phy, g.phyd, g.phydd, g.phyddd))
+        stream = (np.outer(x, yd), -np.outer(xd, y),
+                  np.outer(xdd, yd) + np.outer(x, yddd), -(np.outer(xddd, y) + np.outer(xd, ydd)))
+        for grid in (*(grid for grids in modes for grid in grids), *stream):
+            grid.flags.writeable = False
+        table = self._tables[domain] = (tuple(modes), stream)
+        return table
 
     def exact_C(self, domain: Domain, t: float) -> ScalarField:
         """Exact concentration projected ONTO the domain's resolved band."""
         Ns = domain.spec.Ns
-        modes = [(a, b, amp(t)) for a, b, amp in self.scalar_modes if a < Ns and b < Ns]
+        modes = [(a, b, amplitude(t))
+                 for a, b, amplitude, _ in self.scalar_modes if a < Ns and b < Ns]
         return cosine_field(domain, modes, self.scalar_offset)
 
     def exact_u(self, domain: Domain, t: float) -> VelocityField:
         j, k = self.stream_mode
-        return stream_field(domain, [(j, k, self.stream_amplitude(t))])
+        return stream_field(domain, [(j, k, self.stream_amplitude[0](t))])
 
-    def exact_C_grids(self, domain: Domain, t: float):
-        """Analytic nodal values and derivatives, independent of Ns."""
-        return self._c_grids(domain.grid.M, self._scalar_mode_grids(domain), t)
+    def exact_C_grids(self, domain: Domain, t: float, korteweg: bool = False):
+        """Analytic nodal (C*, C*_x, C*_y, lap C*, dC*/dt), independent of Ns.
 
-    def _scalar_mode_grids(self, domain: Domain):
-        """Per scalar mode, the nodal (v, dv/dx, dv/dy, lap v) of v = cos(ax x) cos(by y)."""
-        grids = []
-        for a, b, _ in self.scalar_modes:
-            ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
-            v = cx * cy
-            grids.append(_read_only(v, -ax * sx * cy, -by * cx * sy, -(ax**2 + by**2) * v))
-        return tuple(grids)
-
-    def _c_grids(self, M, mode_grids, t):
-        val = np.full((M, M), self.scalar_offset)
-        ddx = np.zeros((M, M))
-        ddy = np.zeros((M, M))
-        lap = np.zeros((M, M))
+        With `korteweg` two more entries follow: the Hessian
+        (C*_xx, C*_xy, C*_yy) and grad lap C*.
+        """
+        modes, _ = self._table(domain)
+        M = domain.grid.M
+        sums = [np.full((M, M), self.scalar_offset)]
+        sums += [np.zeros((M, M)) for _ in range(8 if korteweg else 3)]
         dval_dt = np.zeros((M, M))
-        for (_, _, amp), (v, vx, vy, lap_v) in zip(self.scalar_modes, mode_grids):
-            c = amp(t)
-            val += c * v
-            ddx += c * vx
-            ddy += c * vy
-            lap += c * lap_v
-            dval_dt += amp._dt(t) * v
+        for (_, _, amplitude, rate), grids in zip(self.scalar_modes, modes):
+            c = amplitude(t)
+            for total, grid in zip(sums, grids):
+                total += c * grid
+            dval_dt += rate(t) * grids[0]
+        val, ddx, ddy, lap, *second = sums
+        if korteweg:
+            return val, ddx, ddy, lap, dval_dt, tuple(second[:3]), tuple(second[3:])
         return val, ddx, ddy, lap, dval_dt
 
     def exact_u_grids(self, domain: Domain, t: float):
-        return self._u_grids(self._stream_mode(domain), t)
-
-    def _u_grids(self, stream_grids, t):
-        amp = self.stream_amplitude(t)
-        wx, wy, _, _ = stream_grids
-        return amp * wx, amp * wy
-
-    def _stream_mode(self, domain: Domain):
-        """Nodal velocity (wx, wy) of the unit stream mode and its Laplacian, read-only."""
-        g = domain.grid
-        j, k = self.stream_mode
-        wx = np.outer(g.phx[:, j - 1], g.phyd[:, k - 1])
-        wy = -np.outer(g.phxd[:, j - 1], g.phy[:, k - 1])
-        lap_wx = np.outer(g.phxdd[:, j - 1], g.phyd[:, k - 1]) + np.outer(
-            g.phx[:, j - 1], g.phyddd[:, k - 1]
-        )
-        lap_wy = -(
-            np.outer(g.phxddd[:, j - 1], g.phy[:, k - 1])
-            + np.outer(g.phxd[:, j - 1], g.phydd[:, k - 1])
-        )
-        return _read_only(wx, wy, lap_wx, lap_wy)
-
-    def _korteweg_mode_grids(self, domain: Domain):
-        """Per scalar mode, the further factors of `_div_full_tensor_grids`."""
-        grids = []
-        for a, b, _ in self.scalar_modes:
-            ax, by, cx, sx, cy, sy = _cos_mode(domain, a, b)
-            lam = ax**2 + by**2
-            grids.append(_read_only(-lam * cx * cy, -(ax**2) * cx * cy, ax * by * sx * sy,
-                                    -(by**2) * cx * cy, lam * ax * sx * cy, lam * by * cx * sy))
-        return tuple(grids)
+        s = self.stream_amplitude[0](t)
+        wx, wy, _, _ = self._table(domain)[1]
+        return s * wx, s * wy
 
     def error_norms(self, domain: Domain, t: float, C: ScalarField, u: VelocityField):
         """Quadrature L2 errors against the analytic fields."""
@@ -215,15 +181,19 @@ class ManufacturedCase:
         err_u = math.sqrt(domain.grid.integrate((ux - ex) ** 2 + (uy - ey) ** 2))
         return err_c, err_u
 
+    def run_errors(self, domain: Domain, params, T: float):
+        """L2 errors at T of a run (rtol 1e-10, atol 1e-13) from the exact fields at 0."""
+        res = run(SimulationState(0.0, self.exact_C(domain, 0.0), self.exact_u(domain, 0.0)),
+                  params, SolverConfig(T_run=T, rtol=1e-10, atol=1e-13),
+                  forcing=self.momentum_forcing(params),
+                  transport_source=self.transport_source(params))
+        return self.error_norms(domain, T, res.final_state.C, res.final_state.u)
+
     def transport_source(self, params):
         """Nodal S(t) = dC*/dt + u*.grad C* - d lap C* + kappa C*(1-C*)."""
-        grids = _PerDomain(lambda domain: (self._scalar_mode_grids(domain),
-                                           self._stream_mode(domain)))
-
         def source(domain: Domain, t: float):
-            modes, stream = grids(domain)
-            val, ddx, ddy, lap, dval_dt = self._c_grids(domain.grid.M, modes, t)
-            ux, uy = self._u_grids(stream, t)
+            val, ddx, ddy, lap, dval_dt = self.exact_C_grids(domain, t)
+            ux, uy = self.exact_u_grids(domain, t)
             return dval_dt + ux * ddx + uy * ddy - params.d * lap + params.kappa * val * (1.0 - val)
 
         return source
@@ -234,88 +204,43 @@ class ManufacturedCase:
         f = du*/dt + F(C*) u* - mu_e lap u* - div T(C*), with the pressure
         gauge chosen as zero.
         """
-        dh = params.korteweg.delta_hat
-        gamma = params.korteweg.gamma
-        korteweg = dh != 0.0 or gamma != 0.0
-        grids = _PerDomain(lambda domain: (
-            self._scalar_mode_grids(domain), self._stream_mode(domain),
-            self._korteweg_mode_grids(domain) if korteweg else None))
+        amplitude, rate = self.stream_amplitude
 
         def force(domain: Domain, t: float, out=(None, None)):
-            modes, stream, korteweg_modes = grids(domain)
-            amp = self.stream_amplitude(t)
-            damp = self.stream_amplitude._dt(t)
-            wx, wy, lap_wx, lap_wy = stream
-            val, ddx, ddy, _, _ = self._c_grids(domain.grid.M, modes, t)
+            amp = amplitude(t)
+            damp = rate(t)
+            wx, wy, lap_wx, lap_wy = self._table(domain)[1]
+            val, ddx, ddy, lap, _, hessian, lap_grad = self.exact_C_grids(domain, t, korteweg=True)
             fgrid = mobility_values(params.mobility, val)
-            fx = damp * wx + fgrid * amp * wx - params.mu_e * amp * lap_wx
-            fy = damp * wy + fgrid * amp * wy - params.mu_e * amp * lap_wy
-            if korteweg:
-                div_x, div_y = _div_full_tensor_grids(self, korteweg_modes, ddx, ddy, t,
-                                                      params.korteweg)
-                fx -= div_x
-                fy -= div_y
+            div_x, div_y = tensor_divergence((ddx, ddy), hessian, lap, lap_grad, params.korteweg)
+            fx = damp * wx + fgrid * amp * wx - params.mu_e * amp * lap_wx - div_x
+            fy = damp * wy + fgrid * amp * wy - params.mu_e * amp * lap_wy - div_y
             return fx, fy
 
         return ForcingSpec(force)
 
 
-def _div_full_tensor_grids(case: ManufacturedCase, mode_grids, ddx, ddy, t, korteweg):
-    """div T of the effective Korteweg tensor from the analytic modes.
-
-    `mode_grids` are `case._korteweg_mode_grids`; ddx and ddy are the
-    exact gradient of C, as `exact_C_grids` gives it.
-    """
-    lap, dxx, dxy, dyy, lap_x, lap_y = (np.zeros(ddx.shape) for _ in range(6))
-    for (_, _, amp), (g_lap, g_xx, g_xy, g_yy, g_lap_x, g_lap_y) in zip(case.scalar_modes,
-                                                                         mode_grids):
-        c = amp(t)
-        lap += c * g_lap
-        dxx += c * g_xx
-        dxy += c * g_xy
-        dyy += c * g_yy
-        lap_x += c * g_lap_x
-        lap_y += c * g_lap_y
-    return tensor_divergence((ddx, ddy), (dxx, dxy, dyy), lap, (lap_x, lap_y), korteweg)
-
-
-class _Amplitude:
-    """Smooth scalar amplitude with an attached time derivative."""
-
-    def __init__(self, fn, dfn):
-        self._fn = fn
-        self._dt = dfn
-
-    def __call__(self, t):
-        return self._fn(t)
-
-
 def _build_rest() -> ManufacturedCase:
-    steady = _Amplitude(lambda t: 0.25, lambda t: 0.0)
     return ManufacturedCase(
         name="rest",
-        scalar_modes=((1, 1, steady),),
+        scalar_modes=((1, 1, lambda t: 0.25, lambda t: 0.0),),
         scalar_offset=0.5,
         stream_mode=(1, 1),
-        stream_amplitude=_Amplitude(lambda t: 0.0, lambda t: 0.0),
+        stream_amplitude=(lambda t: 0.0, lambda t: 0.0),
     )
 
 
 def _build_swirl() -> ManufacturedCase:
-    low = _Amplitude(lambda t: 0.3 * math.cos(t), lambda t: -0.3 * math.sin(t))
-    high = _Amplitude(
-        lambda t: 0.02 * (1.0 + 0.5 * math.sin(2.0 * t)),
-        lambda t: 0.02 * math.cos(2.0 * t),
-    )
-    amp = _Amplitude(
-        lambda t: 0.2 * (1.0 + 0.5 * math.sin(t)), lambda t: 0.1 * math.cos(t)
-    )
     return ManufacturedCase(
         name="swirl",
-        scalar_modes=((1, 1, low), (11, 9, high)),
+        scalar_modes=(
+            (1, 1, lambda t: 0.3 * math.cos(t), lambda t: -0.3 * math.sin(t)),
+            (11, 9, lambda t: 0.02 * (1.0 + 0.5 * math.sin(2.0 * t)),
+             lambda t: 0.02 * math.cos(2.0 * t)),
+        ),
         scalar_offset=0.5,
         stream_mode=(1, 1),
-        stream_amplitude=amp,
+        stream_amplitude=(lambda t: 0.2 * (1.0 + 0.5 * math.sin(t)), lambda t: 0.1 * math.cos(t)),
     )
 
 

@@ -161,7 +161,7 @@ def suite_positivity():
 
     base = one(16)
     refined = one(32)
-    report = positivity_check(base, refined, eps_pos=1e-6)
+    report = positivity_check(base, refined)
     out = [
         CheckResult("positivity", "min_grid_value",
                     report.min_over_time >= report.threshold,
@@ -271,30 +271,11 @@ def suite_mms():
         mobility=MobilitySpec.exponential(0.5),
     )
 
-    rest = manufactured_run("rest")
-    domain = _make_domain(Ns=8, Nv=2)
-    config = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
-    res = run(
-        SimulationState(0.0, rest.exact_C(domain, 0.0), rest.exact_u(domain, 0.0)),
-        params, config,
-        forcing=rest.momentum_forcing(params),
-        transport_source=rest.transport_source(params),
-    )
-    err_c, _ = rest.error_norms(domain, config.T_run, res.final_state.C, res.final_state.u)
+    err_c, _ = manufactured_run("rest").run_errors(_make_domain(Ns=8, Nv=2), params, 0.5)
     out.append(CheckResult("mms", "rest_stationary", err_c <= 1e-8, err_c, 0.0, 1e-8))
 
     swirl = manufactured_run("swirl")
-    errs = {}
-    for Ns in (8, 16):
-        dom = _make_domain(Ns=Ns, Nv=2)
-        cfg = SolverConfig(T_run=0.25, rtol=1e-10, atol=1e-13)
-        res = run(
-            SimulationState(0.0, swirl.exact_C(dom, 0.0), swirl.exact_u(dom, 0.0)),
-            params, cfg,
-            forcing=swirl.momentum_forcing(params),
-            transport_source=swirl.transport_source(params),
-        )
-        errs[Ns] = swirl.error_norms(dom, cfg.T_run, res.final_state.C, res.final_state.u)
+    errs = {Ns: swirl.run_errors(_make_domain(Ns=Ns, Nv=2), params, 0.25) for Ns in (8, 16)}
     floor = 1e-9
     for idx, label in ((0, "C"), (1, "u")):
         coarse, fine = errs[8][idx], errs[16][idx]

@@ -70,25 +70,26 @@ def test_nan_rejected_for_every_numeric_key(tmp_path):
 
 
 def test_integer_beyond_float_range_named_for_every_numeric_key(tmp_path):
-    # A YAML integer of 400 digits does not fit a float; it is one defect of
-    # its field, listed with the others.
-    huge = "9" * 400
-    text = VALID_CONFIG
-    for old, new in (("Ns: 4", f"Ns: {huge}"),
-                     ("coefficients: [1.0]", f"coefficients: [{huge}]"),
-                     ("{preset: uniform, value: 0.5}",
-                      f"{{preset: cosine_mix, modes: [[{huge}, 0, 0.1]]}}"),
-                     ("kappa: 1.0", "kappa: .nan")):
-        assert old in text
-        text = text.replace(old, new, 1)
-    with pytest.raises(ConfigError) as info:
-        RunConfig.from_text(text, base_dir=tmp_path)
-    assert info.value.errors == [
-        "domain.Ns: must be finite, got an integer beyond float range",
-        "mobility.coefficients[0]: must be finite, got an integer beyond float range",
-        "params.kappa: must be finite, got nan",
-        "initial.C.modes[0].j: must be finite, got an integer beyond float range",
-    ]
+    # A YAML integer of 400 digits does not fit a float, and one of 5000 is
+    # longer than Python converts to int; either is one defect of its
+    # field, listed with the others.
+    for huge in ("9" * 400, "9" * 5000):
+        text = VALID_CONFIG
+        for old, new in (("Ns: 4", f"Ns: {huge}"),
+                         ("coefficients: [1.0]", f"coefficients: [{huge}]"),
+                         ("{preset: uniform, value: 0.5}",
+                          f"{{preset: cosine_mix, modes: [[{huge}, 0, 0.1]]}}"),
+                         ("kappa: 1.0", "kappa: .nan")):
+            assert old in text
+            text = text.replace(old, new, 1)
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(text, base_dir=tmp_path)
+        assert info.value.errors == [
+            "domain.Ns: must be finite, got an integer beyond float range",
+            "mobility.coefficients[0]: must be finite, got an integer beyond float range",
+            "params.kappa: must be finite, got nan",
+            "initial.C.modes[0].j: must be finite, got an integer beyond float range",
+        ]
 
 
 def test_dt_max_rejected_as_unknown_key(tmp_path):

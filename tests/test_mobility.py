@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poromix import MobilityOverflowError, MobilitySpec, lipschitz_check
+from poromix import MobilityOverflowError, MobilitySpec, ScalarField, lipschitz_check
 from poromix.mobility import evaluate
 
 from conftest import make_scalar, random_scalar
@@ -96,7 +96,8 @@ def test_exponential_monotone_shift_ratio(pi_domain):
 
 def test_lipschitz_constant_family_all_zero(pi_domain):
     base = random_scalar(pi_domain, seed=4)
-    pairs = [(base, make_scalar(pi_domain, [(1, 0, eps)], offset=0.0) + base)
+    pairs = [(base, ScalarField(pi_domain, make_scalar(pi_domain, [(1, 0, eps)]).coeffs
+                                + base.coeffs))
              for eps in (0.5, 0.1, 0.02)]
     report = lipschitz_check(MobilitySpec.constant(4.0), pairs)
     assert report.max_ratio == 0.0

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poromix import (
-    PhysicalParams,
-    SimulationState,
-    SolverConfig,
-    logistic_blowup_time,
-    manufactured_run,
-    run,
-)
+from poromix import PhysicalParams, logistic_blowup_time, manufactured_run
 from poromix.domain import DomainSpec, build_domain
 from poromix.korteweg import KortewegParams
 from poromix.mobility import MobilitySpec
@@ -78,14 +71,7 @@ def mms_params():
 def test_rest_preset_is_stationary(mms_params):
     case = manufactured_run("rest")
     domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
-    res = run(
-        SimulationState(0.0, case.exact_C(domain, 0.0), case.exact_u(domain, 0.0)),
-        mms_params,
-        SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13),
-        forcing=case.momentum_forcing(mms_params),
-        transport_source=case.transport_source(mms_params),
-    )
-    err_c, err_u = case.error_norms(domain, 0.5, res.final_state.C, res.final_state.u)
+    err_c, err_u = case.run_errors(domain, mms_params, 0.5)
     assert err_c <= 1e-8
     assert err_u <= 1e-8
 
@@ -95,15 +81,7 @@ def test_swirl_galerkin_exact_when_resolved(mms_params):
     # tracks the exact fields to integrator accuracy.
     case = manufactured_run("swirl")
     domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2))
-    T = 0.2
-    res = run(
-        SimulationState(0.0, case.exact_C(domain, 0.0), case.exact_u(domain, 0.0)),
-        mms_params,
-        SolverConfig(T_run=T, rtol=1e-10, atol=1e-13),
-        forcing=case.momentum_forcing(mms_params),
-        transport_source=case.transport_source(mms_params),
-    )
-    err_c, err_u = case.error_norms(domain, T, res.final_state.C, res.final_state.u)
+    err_c, err_u = case.run_errors(domain, mms_params, 0.2)
     assert err_c <= 1e-8
     assert err_u <= 1e-8
 
@@ -126,15 +104,30 @@ def test_swirl_source_projection_matches_oversampled_grid(mms_params):
 
 
 def test_exact_fields_match_grid_forms(mms_params):
+    # At 16/2 every swirl mode is resolved, so the analytic grids equal the
+    # Galerkin transforms of the projected field, derivatives included.
     case = manufactured_run("swirl")
     domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2))
     t = 0.37
-    C = case.exact_C(domain, t)
-    val, ddx, ddy, lap, _ = case.exact_C_grids(domain, t)
-    assert np.abs(domain.scalar_values(C.coeffs) - val).max() <= 1e-12
-    gx, gy = domain.scalar_gradient_values(C.coeffs)
-    assert np.abs(gx - ddx).max() <= 1e-11
-    assert np.abs(gy - ddy).max() <= 1e-11
+    B = case.exact_C(domain, t).coeffs
+    lap_B = -domain.scalar.eigenvalues * B
+    val, ddx, ddy, lap, dval_dt, hessian, lap_grad = case.exact_C_grids(domain, t, korteweg=True)
+    assert [g.tobytes() for g in (val, ddx, ddy, lap, dval_dt)] == [
+        g.tobytes() for g in case.exact_C_grids(domain, t)]
+    pairs = [((val,), (domain.scalar_values(B),)),
+             ((ddx, ddy), domain.scalar_gradient_values(B)),
+             (hessian, domain.scalar_second_derivative_values(B)),
+             ((lap,), (domain.scalar_values(lap_B),)),
+             (lap_grad, domain.scalar_gradient_values(lap_B))]
+    for exact, galerkin in pairs:
+        for e, g in zip(exact, galerkin, strict=True):
+            assert np.abs(e - g).max() <= 1e-14 * np.abs(g).max()
+    # Rates against a centred difference in t.
+    h = 1e-5
+    later, earlier = case.exact_C_grids(domain, t + h)[0], case.exact_C_grids(domain, t - h)[0]
+    assert np.abs((later - earlier) / (2 * h) - dval_dt).max() <= 1e-10
+    for amplitude, rate in [m[2:] for m in case.scalar_modes] + [case.stream_amplitude]:
+        assert abs((amplitude(t + h) - amplitude(t - h)) / (2 * h) - rate(t)) <= 1e-10
     u = case.exact_u(domain, t)
     ux, uy = domain.velocity_values(u.coeffs)
     ex, ey = case.exact_u_grids(domain, t)
@@ -142,32 +135,31 @@ def test_exact_fields_match_grid_forms(mms_params):
     assert np.abs(uy - ey).max() <= 1e-12
 
 
-def test_manufactured_closures_keep_read_only_grids_per_domain(mms_params):
-    # Each closure forms a domain's time-independent factor grids once and
-    # reuses them: A, then B, then A again equals a fresh case bit for bit.
-    import inspect
-
+def test_manufactured_case_keeps_one_read_only_table_per_domain(mms_params):
+    # The case forms a domain's time-independent grids once, in one table
+    # that the forcing, the source and the grid methods all read: A, then
+    # B, then A again equals a fresh case bit for bit.
     domains = [build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=Ns, Nv=Nv))
                for Ns, Nv in ((8, 2), (5, 3))]
     case = manufactured_run("swirl")
     force = case.momentum_forcing(mms_params).func
     source = case.transport_source(mms_params)
+    tables = case._tables
+    # Either closure alone puts its domain's table on the case.
+    source(domains[1], 0.0)
+    assert list(tables) == [domains[1]]
+    force(domains[0], 0.0)
+    assert set(tables) == set(domains)
+    kept = dict(tables)
     for dom, t in ((domains[0], 0.1), (domains[1], 0.4), (domains[0], 0.7)):
         fresh = manufactured_run("swirl")
         expected = (*fresh.momentum_forcing(mms_params).evaluate(dom, t),
                     fresh.transport_source(mms_params)(dom, t))
         got = (*force(dom, t), source(dom, t))
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, tuple):
-            for v in value:
-                yield from arrays(v)
-
-    for closure in (force, source):
-        entries = inspect.getclosurevars(closure).nonlocals["grids"].entries
-        assert set(entries) == set(domains)
-        cached = [a for dom in domains for a in arrays(entries[dom])]
-        assert cached and not any(a.flags.writeable for a in cached)
+        case.exact_C_grids(dom, t, korteweg=True)
+        case.exact_u_grids(dom, t)
+    assert len(tables) == 2 and all(tables[dom] is kept[dom] for dom in domains)
+    arrays = [a for modes, stream in kept.values() for grids in (*modes, stream) for a in grids]
+    assert len(arrays) == 2 * (2 * 9 + 4)
+    assert not any(a.flags.writeable for a in arrays)

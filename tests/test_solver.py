@@ -607,7 +607,8 @@ def _workspace_case(domain):
     rng = np.random.default_rng(7)
     states = []
     for seed in (1, 2):
-        C = random_scalar(domain, seed, scale=0.1) + make_scalar(domain, offset=0.5)
+        C = ScalarField(domain, random_scalar(domain, seed, scale=0.1).coeffs
+                        + make_scalar(domain, offset=0.5).coeffs)
         A = 0.2 * rng.standard_normal((domain.spec.Nv, domain.spec.Nv))
         states.append(system.pack(C, VelocityField(domain, A)))
     return system, states
