@@ -47,18 +47,31 @@ class _BeyondFloat(float):
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader reading such an integer as `_BeyondFloat`: one defect of its field."""
+    """SafeLoader that leaves a scalar its tag's constructor refuses to the field's check.
 
-    def construct_yaml_int(self, node):
+    A plain decimal integer fails int() only by its length (over 4300
+    digits) and reads as `_BeyondFloat`.  Any other refused int, float, bool
+    or timestamp scalar (`!!int abc`, `!!float abc`, `!!bool abc`) stays its
+    raw string.  Either way its field names it as one defect among the others.
+    """
+
+
+def _refused_as_raw(tag):
+    construct = yaml.SafeLoader.yaml_constructors[tag]
+
+    def construct_or_raw(loader, node):
         try:
-            return super().construct_yaml_int(node)
-        except ValueError:  # a plain decimal fails int() only by its length
-            if not node.value.lstrip("+-").replace("_", "").isdecimal():
-                raise
-            return _BeyondFloat("inf")
+            return construct(loader, node)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            if tag.endswith(":int") and node.value.lstrip("+-").replace("_", "").isdecimal():
+                return _BeyondFloat("inf")
+            return node.value
+
+    _Loader.add_constructor(tag, construct_or_raw)
 
 
-_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+for _kind in ("int", "float", "bool", "timestamp"):
+    _refused_as_raw(f"tag:yaml.org,2002:{_kind}")
 
 
 class ConfigError(ValueError):

@@ -15,26 +15,37 @@ is diagonal.  Velocities are curls of boundary-clamped streamfunctions
 which makes every basis velocity pointwise divergence-free with exact
 no-slip, since phi = phi' = 0 at both endpoints.
 
-Quadrature uses two tensor rules.  Advection, the Korteweg pairing and
-nodal inputs (forcing tables and callables, the manufactured source)
-carry sine content and go on a Gauss-Legendre rule.  So do the Gram
-matrices and the drag pairing (F(C) u, w), because nodal u and F(C) are
-formed there, although they are cosine polynomials: per dimension they
-pair two phi or two phi' factors, both sine polynomials.  Each integrand
-is a trigonometric polynomial per dimension of degree at most
-``integrand_degree`` = 2(Ns-1) + 2(Nv+1), reached by the drag pairing with
-a quadratic mobility.  ``required_quadrature_points`` picks the smallest
-rule that integrates every trigonometric mode up to that degree to the
-certificate tolerance on both sides.  Each rule is certified once, by
-one certificate: the search certifies a default M, and ``build_domain``
-certifies an explicit M and the midpoint rule.
+Quadrature uses two tensor rules.  Per dimension, every product of the
+solution in the right-hand side is a trigonometric polynomial of known
+parity and degree, and a uniform midpoint rule with P = max(2 Ns,
+Ns + Nv + 1) cells per side projects each one exactly:
 
-Cosine polynomials may also go on a second, uniform midpoint rule with
-P = 2 Ns cells per side, exact for cos(n pi s / L) whenever 0 < n < 2P:
-the reaction projection (C (1-C), z), of cosine degree 3(Ns-1), the
-reaction work (C (1-C))^2, and F^2 + F'^2 |grad C|^2 of a quadratic
-mobility, both of cosine degree ``midpoint_degree`` = 4(Ns-1).  It is not
-exact for sines, so it carries only a cosine certificate.
+* as plain sums, exact for cosine polynomials of degree below 2P: the
+  reaction projection (C (1-C), z), of degree 3(Ns-1), the quartic work
+  and diagnostic integrals, of degree 4(Ns-1), and the drag pairing
+  (F(C) u, w) and D_F(C) of a quadratic mobility, of degree
+  ``integrand_degree`` = 2(Ns-1) + 2(Nv+1) (two phi or two phi' factors
+  per dimension: a product of two sine polynomials is a cosine one);
+* through fixed analysis matrices R, (P, n): the DST-II recovers a sine
+  polynomial of degree at most P from its midpoint values, and the DCT-II
+  a cosine polynomial of degree below P; times the closed-form integrals
+  of each mode against a basis factor, sum_i g(s_i) R[i, j] is
+  int g factor_j, and a projection is Rx^T V Ry.  Advection u . grad C, a
+  sine polynomial of degree Ns + Nv, goes to z this way; so does the
+  Korteweg pairing, lap C C_x and lap C C_y being of degree 2(Ns-1), a
+  sine in the differentiated direction and a cosine in the other.
+
+The Gauss-Legendre rule carries what has no known parity: nodal forcing
+tables and callables, the manufactured source and forcing, pressure
+recovery and the nodal extremes min C and max F(C) of the diagnostics; the
+Gram and stiffness matrices are formed on it at build.  Its size M stays
+the smallest rule that integrates every trigonometric mode up to
+``integrand_degree`` to the certificate tolerance on both sides
+(``required_quadrature_points``), so it pairs a manufactured F(C*) u*
+exactly.  One certificate, ``_certificate_failure``, checks each rule once:
+M for every mode up to that degree, the midpoint rule for every cosine up
+to ``midpoint_degree``, and each R for every mode of its data up to the
+degree it takes.
 """
 
 from __future__ import annotations
@@ -78,24 +89,23 @@ class DomainError(SpecError):
 
 
 def integrand_degree(Ns: int, Nv: int) -> int:
-    """Highest trigonometric degree per dimension the Gauss-Legendre grid must integrate.
+    """Trigonometric degree per dimension the Gauss-Legendre grid must integrate.
 
-    2(Ns-1) + 2(Nv+1) for the drag pairing (F(C) u, w) with a quadratic
-    mobility; advection, Korteweg and Gram integrands are of lower degree.
-    The cosine integrands, the reaction projection (C (1-C), z) of degree
-    3(Ns-1) among them, go to the midpoint rule (``midpoint_degree``).
+    2(Ns-1) + 2(Nv+1), the degree of (F(C) u, w) with a quadratic
+    mobility, which a manufactured forcing F(C*) u* carries to the grid.
+    The right-hand side's own products go to the midpoint rule.
     """
     return 2 * (Ns - 1) + 2 * (Nv + 1)
 
 
-def midpoint_degree(Ns: int) -> int:
+def midpoint_degree(Ns: int, Nv: int) -> int:
     """Cosine degree per dimension the midpoint rule must integrate.
 
     4(Ns-1) for the reaction work (C (1-C))^2 and for F^2 + F'^2 |grad C|^2
-    with a quadratic mobility; the reaction projection (C (1-C), z) needs
-    only 3(Ns-1).
+    with a quadratic mobility, or the drag's ``integrand_degree`` if that
+    is larger; the reaction projection (C (1-C), z) needs only 3(Ns-1).
     """
-    return 4 * (Ns - 1)
+    return max(4 * (Ns - 1), integrand_degree(Ns, Nv))
 
 
 @lru_cache(maxsize=None)
@@ -269,12 +279,14 @@ class QuadratureGrid:
 
 @dataclass(frozen=True, eq=False)
 class MidpointRule:
-    """Uniform P x P midpoint rule with cached scalar factors at the cell midpoints.
+    """Uniform P x P midpoint rule with cached basis factors at the cell midpoints.
 
-    Exact for cosine polynomials of degree below 2P per dimension, not for
-    sine modes: only integrands that are pure cosine polynomials may use it.
-    It carries the reaction projection (C (1-C), z) and the quartic cosine
-    integrals of the work and the diagnostics.
+    As a plain sum it is exact for cosine polynomials of degree below 2P
+    per dimension, not for sine modes.  Per dimension, the analysis matrices
+    R take midpoint values of a sine polynomial of degree at most P, or of a
+    cosine polynomial of degree below P, to their exact integrals against
+    each basis factor: rz against z_j, rph against phi_j (both from sine
+    data) and rphd against phi_j' (from cosine data).
     """
 
     P: int
@@ -283,6 +295,16 @@ class MidpointRule:
     zxd: np.ndarray  # (P, Ns) their derivatives d/ds
     zy: np.ndarray
     zyd: np.ndarray
+    phx: np.ndarray  # (P, Nv) streamfunction factors
+    phxd: np.ndarray  # (P, Nv) their derivatives d/ds
+    phy: np.ndarray
+    phyd: np.ndarray
+    rzx: np.ndarray  # (P, Ns) sine data against z_j
+    rzy: np.ndarray
+    rphx: np.ndarray  # (P, Nv) sine data against phi_j
+    rphy: np.ndarray
+    rphxd: np.ndarray  # (P, Nv) cosine data against phi_j'
+    rphyd: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
         """Integrate nodal values over the rectangle."""
@@ -296,9 +318,10 @@ class Domain:
     The grid transforms take a keyword-only ``out=``: an (M, M) array, or
     a pair of them for the two-component ones, that receives the nodal
     values and is returned ((P, P) ones on the midpoint rule).  The
-    projections and pairings take a keyword-only ``scratch=``, an (M, M)
-    array ((P, P) for ``midpoint_project``) that holds their weighted nodal
-    values.  Left as None, both allocate, with the same arithmetic.
+    Gauss-Legendre projections and pairings take a keyword-only
+    ``scratch=``, an (M, M) array that holds their weighted nodal values;
+    the midpoint ones need none.  Left as None, both allocate, with the
+    same arithmetic.
     """
 
     spec: DomainSpec
@@ -335,26 +358,6 @@ class Domain:
         g = self.grid
         return g.zxd.T @ (g.weights * vx) @ g.zy + g.zx.T @ (g.weights * vy) @ g.zyd
 
-    def midpoint_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
-        """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
-        m = self.midpoint
-        return np.matmul(m.zx @ B, m.zy.T, out=out)
-
-    def midpoint_project(self, values: np.ndarray, *, scratch=None) -> np.ndarray:
-        """Projection of midpoint values onto the cosine basis, (Ns, Ns).
-
-        Exact only when values times each basis function is a cosine
-        polynomial the midpoint rule integrates; `scratch` is a (P, P) array.
-        """
-        m = self.midpoint
-        return m.zx.T @ np.multiply(m.cell, values, out=scratch) @ m.zy
-
-    def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
-        """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
-        m = self.midpoint
-        ox, oy = out
-        return np.matmul(m.zxd @ B, m.zy.T, out=ox), np.matmul(m.zx @ B, m.zyd.T, out=oy)
-
     # -- velocity transforms -----------------------------------------------
 
     def velocity_values(self, A: np.ndarray, *, out=(None, None)):
@@ -389,22 +392,90 @@ class Domain:
         pair_x = g.phx.T @ np.multiply(g.weights, vx, out=scratch) @ g.phyd
         return pair_x - g.phxd.T @ np.multiply(g.weights, vy, out=scratch) @ g.phy
 
-    def weighted_gram(self, values: np.ndarray, *, scratch=None, work=(None, None, None),
+    # -- midpoint rule ---------------------------------------------------------
+
+    def midpoint_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
+        """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
+        m = self.midpoint
+        return np.matmul(m.zx @ B, m.zy.T, out=out)
+
+    def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
+        """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
+        m = self.midpoint
+        ox, oy = out
+        return np.matmul(m.zxd @ B, m.zy.T, out=ox), np.matmul(m.zx @ B, m.zyd.T, out=oy)
+
+    def midpoint_velocity_values(self, A: np.ndarray, *, out=(None, None)):
+        """(ux, uy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
+        m = self.midpoint
+        ox, oy = out
+        ux = np.matmul(m.phx @ A, m.phyd.T, out=ox)
+        uy = np.matmul(m.phxd @ A, m.phy.T, out=oy)
+        return ux, np.negative(uy, out=uy)
+
+    def midpoint_project(self, values: np.ndarray) -> np.ndarray:
+        """Projection of midpoint values onto the cosine basis, (Ns, Ns), as plain sums.
+
+        Exact when values times each basis function is a cosine polynomial
+        of degree below 2P per dimension, such as C (1-C).
+        """
+        m = self.midpoint
+        proj = m.zx.T @ values @ m.zy
+        proj *= m.cell
+        return proj
+
+    def midpoint_sine_project(self, values: np.ndarray) -> np.ndarray:
+        """Projection of midpoint values onto the cosine basis, (Ns, Ns), through R.
+
+        Exact when values are a sine polynomial of degree at most P in each
+        dimension, such as u . grad C.
+        """
+        m = self.midpoint
+        return m.rzx.T @ values @ m.rzy
+
+    def midpoint_velocity_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+        """Pair midpoint values (vx, vy) against every w[j,k], (Nv, Nv), as plain sums.
+
+        Exact when each product with w is a cosine polynomial of degree below
+        2P per dimension: vx a cosine in x and a sine in y, vy the reverse,
+        as for F(C) u with a polynomial F.
+        """
+        m = self.midpoint
+        pair = m.phx.T @ vx @ m.phyd
+        pair -= m.phxd.T @ vy @ m.phy
+        pair *= m.cell
+        return pair
+
+    def midpoint_gradient_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+        """Pair midpoint values (vx, vy) against every w[j,k], (Nv, Nv), through R.
+
+        Exact for fields with the parity of a gradient, such as lap C grad C:
+        vx a sine polynomial of degree at most P in x and a cosine one of
+        degree below P in y, vy the reverse.
+        """
+        m = self.midpoint
+        pair = m.rphx.T @ vx @ m.rphyd
+        pair -= m.rphxd.T @ vy @ m.rphy
+        return pair
+
+    def weighted_gram(self, values: np.ndarray, *, work=(None, None, None),
                       out=None) -> np.ndarray:
         """(values w_q, w_r) for every pair of velocity modes, (Nv^2, Nv^2).
 
-        Sum-factorised: the weighted nodal values are contracted with the
-        products of the y factors first, then with those of the x factors,
-        at O(M^2 Nv^2 + M Nv^4).  Times the flattened coefficients it is
-        ``velocity_pairing(values ux, values uy)``.  `work` holds the
-        contractions, an (M, 2 Nv^2) array and two (Nv^2, Nv^2) ones, and
-        `out` the result, an (Nv^2, Nv^2) array; None allocates.
+        `values` are at the midpoint nodes, and the pairs are plain midpoint
+        sums: exact where ``midpoint_velocity_pairing(values ux, values uy)``
+        is, which it equals times the flattened coefficients.
+        Sum-factorised: the values are contracted with the weighted products
+        of the y factors first, then with those of the x factors, at
+        O(P^2 Nv^2 + P Nv^4).  `work` holds the contractions, a (P, 2 Nv^2)
+        array and two (Nv^2, Nv^2) ones, and `out` the result, an
+        (Nv^2, Nv^2) array; None allocates.
         """
         Nv = self.spec.Nv
         n2 = Nv * Nv
         px, pxd, py_pyd = self._stream_pair_factors
         fy_out, d_out, dx_out = work
-        fy = np.matmul(np.multiply(self.grid.weights, values, out=scratch), py_pyd, out=fy_out)
+        fy = np.matmul(values, py_pyd, out=fy_out)
         d = np.add(np.matmul(px, fy[:, n2:], out=d_out), np.matmul(pxd, fy[:, :n2], out=dx_out),
                    out=d_out)
         out = np.empty((n2, n2)) if out is None else out
@@ -413,19 +484,20 @@ class Domain:
 
     @cached_property
     def _stream_pair_factors(self):
-        """Products phi_j phi_l of the streamfunction factors for weighted_gram.
+        """Products phi_j phi_l of the midpoint streamfunction factors for weighted_gram.
 
-        (phx phx)^T and (phxd phxd)^T, (Nv^2, M), and [phy phy | phyd phyd],
-        (M, 2 Nv^2); pair column j Nv + l holds factor j times factor l.
+        (phx phx)^T and (phxd phxd)^T, (Nv^2, P), and the cell weight times
+        [phy phy | phyd phyd], (P, 2 Nv^2); pair column j Nv + l holds factor
+        j times factor l.
         """
-        g = self.grid
+        m = self.midpoint
         Nv = self.spec.Nv
 
         def pairs(p):
             return (p[:, :, None] * p[:, None, :]).reshape(p.shape[0], Nv * Nv)
 
-        return (np.ascontiguousarray(pairs(g.phx).T), np.ascontiguousarray(pairs(g.phxd).T),
-                np.hstack([pairs(g.phy), pairs(g.phyd)]))
+        return (np.ascontiguousarray(pairs(m.phx).T), np.ascontiguousarray(pairs(m.phxd).T),
+                m.cell * np.hstack([pairs(m.phy), pairs(m.phyd)]))
 
 
 def _scalar_factors(s: np.ndarray, L: float, Ns: int):
@@ -454,63 +526,153 @@ def _stream_factors(s: np.ndarray, L: float, Nv: int):
     return v, d, dd, ddd
 
 
-def _certificate_failure(x, w, L, degree, *, sines=True):
-    """Why the 1D rule (x, w) on (0, L) fails the certificate, or None if it passes.
+_MODE = {"cos": np.cos, "sin": np.sin}
+# The unit function as a factor: (kind, coefficients), whose columns expand
+# functions in cos(n pi s / L) or sin(n pi s / L), n = 0, 1, ... (see
+# _factor_expansions).
+_UNIT = ("cos", np.ones((1, 1)))
 
-    Every cos(n pi s / L), 1 <= n <= degree, must integrate to its exact
-    zero, and with `sines` every sin(n pi s / L) to its closed form, within
-    _CERTIFY_TOL L.  The midpoint rule is exact for cosines only, so it is
-    checked with sines=False.
+
+def _mode_integrals(kind_a, a, kind_b, b, L):
+    """int_0^L of mode a of kind_a times mode b of kind_b, closed form, (len(a), len(b)).
+
+    A mode of kind "cos" or "sin" and index n is cos(n pi s / L) or sin(n pi s / L).
     """
-    n = np.arange(1, degree + 1)
-    arg = np.outer(n, np.pi * x / L)
-    err = np.abs(np.cos(arg) @ w)  # exact integrals are all zero
-    if sines:
-        sin_exact = L * (1.0 - np.cos(n * np.pi)) / (n * np.pi)
-        err = np.maximum(err, np.abs(np.sin(arg) @ w - sin_exact))
-    worst = float(err.max(initial=0.0))
+    a, b = a[:, None], b[None, :]
+    if kind_a == kind_b:
+        # Orthogonal: L/2 on the diagonal, L for cos 0 cos 0 and 0 for sin 0 sin 0.
+        return np.where(a == b, np.where(a == 0, L if kind_a == "cos" else 0.0, 0.5 * L), 0.0)
+    s, c = (a, b) if kind_a == "sin" else (b, a)
+    # int_0^pi sin(s t) cos(c t) dt is 2 s / (s^2 - c^2) when s + c is odd, else 0.
+    return np.divide(2.0 * L * s, np.pi * (s * s - c * c), out=np.zeros(np.broadcast(s, c).shape),
+                     where=(s + c) % 2 == 1)
+
+
+def _factor_expansions(L: float, norm: np.ndarray, Nv: int):
+    """z_j, phi_j and phi_j' on (0, L) as factors (kind, coefficients).
+
+    With t = pi s / L: z_j = norm_j cos(j t), phi_j = (cos((j-1) t) -
+    cos((j+1) t)) / 2 and phi_j' = (pi / L) ((j+1) sin((j+1) t) -
+    (j-1) sin((j-1) t)) / 2; column j-1 holds factor j of phi and phi'.
+    """
+    j = np.arange(1, Nv + 1)
+    phi = np.zeros((Nv + 2, Nv))
+    dphi = np.zeros((Nv + 2, Nv))
+    phi[j - 1, j - 1] = 0.5
+    phi[j + 1, j - 1] = -0.5
+    dphi[j + 1, j - 1] = 0.5 * (np.pi / L) * (j + 1)
+    dphi[j - 1, j - 1] = -0.5 * (np.pi / L) * (j - 1)
+    return ("cos", np.diag(norm)), ("cos", phi), ("sin", dphi)
+
+
+def _analysis_matrix(kind, P: int, L: float, factor):
+    """R, (P, k): midpoint values of a `kind` polynomial to its integrals against each factor.
+
+    The P midpoints resolve sin(n pi s / L) for 1 <= n <= P through the
+    DST-II and cos(n pi s / L) for 0 <= n < P through the DCT-II; both are
+    orthogonal, so the analysis is the transposed basis scaled by 2/P, or
+    1/P for the modes P and 0.  R is that analysis times the closed-form
+    integrals of each mode against each factor.
+    """
+    n = np.arange(1, P + 1) if kind == "sin" else np.arange(P)
+    theta = np.pi * (np.arange(P) + 0.5) / P
+    weight = np.where((n == 0) | (n == P), 1.0 / P, 2.0 / P)
+    kind_f, coeffs = factor
+    exact = _mode_integrals(kind, n, kind_f, np.arange(len(coeffs)), L) @ coeffs
+    return _MODE[kind](np.outer(theta, n)) @ (weight[:, None] * exact)
+
+
+def _certificate_failure(x, w, L, degree, *, modes="trig", factor=_UNIT, rule="quadrature"):
+    """Why the 1D rule w at the nodes x of (0, L) fails the certificate, or None if it passes.
+
+    `w` is a rule's weights, (n,), or an analysis matrix R, (n, k), against
+    the k functions of `factor`, the unit function unless given.  Every
+    cos(m pi s / L), 0 <= m <= degree, and every sin(m pi s / L),
+    1 <= m <= degree, must give its closed-form integral against each
+    function to within _CERTIFY_TOL L times the function's coefficient sum,
+    a bound on its size (1 for the unit).  `modes` "cos" or "sin" checks one
+    kind only: a plain midpoint rule is exact for cosines alone, and an R
+    takes data of one kind.
+    """
+    kind_f, coeffs = factor
+    w = w.reshape(x.size, -1)
+    scale = np.abs(coeffs).sum(axis=0)
+    worst = 0.0
+    for kind in ("cos", "sin") if modes == "trig" else (modes,):
+        m = np.arange(int(kind == "sin"), degree + 1)
+        exact = _mode_integrals(kind, m, kind_f, np.arange(len(coeffs)), L) @ coeffs
+        err = np.abs(_MODE[kind](np.outer(m, np.pi * x / L)) @ w - exact) / scale
+        worst = max(worst, float(err.max(initial=0.0)))
     if worst > _CERTIFY_TOL * L:
-        rule, modes = ("quadrature", "trig") if sines else ("midpoint", "cosine")
-        return (f"{rule} certification failed: worst {modes}-mode error {worst:.3e} "
+        label = {"trig": "trig", "cos": "cosine", "sin": "sine"}[modes]
+        return (f"{rule} certification failed: worst {label}-mode error {worst:.3e} "
                 f"exceeds {_CERTIFY_TOL * L:.3e} at degree {degree}")
     return None
+
+
+@lru_cache(maxsize=None)
+def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
+    """One side of the P-cell midpoint rule on (0, L), read-only, and its certificate failures.
+
+    The factors z, z', phi and phi' at the midpoints and the R matrices
+    against z, phi (sine data) and phi' (cosine data), each certified up to
+    the degree of the products it takes (see ``build_domain``); the plain
+    rule is certified for cosines up to ``midpoint_degree``.
+    """
+    s, w = _midpoint_nodes(P, L)
+    norm, z, zd, _ = _scalar_factors(s, L, Ns)
+    phi, phid, _, _ = _stream_factors(s, L, Nv)
+    failures = [_certificate_failure(s, w, L, midpoint_degree(Ns, Nv), modes="cos",
+                                     rule="midpoint")]
+    z_factor, phi_factor, dphi_factor = _factor_expansions(L, norm, Nv)
+    analyses = []
+    for rule, kind, factor, degree in (("R_sin->z", "sin", z_factor, Ns + Nv),
+                                       ("R_sin->phi", "sin", phi_factor, 2 * (Ns - 1)),
+                                       ("R_cos->phi'", "cos", dphi_factor, 2 * (Ns - 1))):
+        R = _analysis_matrix(kind, P, L, factor)
+        failures.append(_certificate_failure(s, R, L, degree, modes=kind, factor=factor,
+                                             rule=rule))
+        analyses.append(R)
+    arrays = (z, zd, phi, phid, *analyses)
+    for a in arrays:
+        a.flags.writeable = False  # shared by every domain with this side
+    return arrays, failures
 
 
 def build_domain(spec: DomainSpec) -> Domain:
     """Construct scalar basis, velocity basis, and both certified quadratures.
 
     The Gauss-Legendre rule must integrate exactly up to
-    ``integrand_degree(Ns, Nv)``, the drag pairing's degree; an unset
-    ``spec.M`` takes the smallest rule that does.  The midpoint rule has
-    P = 2 Ns cells per side and must integrate every cosine up to
-    ``midpoint_degree(Ns)``, which covers the reaction projection too.
-    Each rule is certified once.  An explicit ``spec.M`` and the midpoint
-    rule are certified here; a default M is not, because the sizing search
-    has just certified the same cached, read-only ``_rule`` arrays.
-    Deterministic for equal arguments.  Raises DomainError, listing every
-    failure, when a rule fails its exactness certification.
+    ``integrand_degree(Ns, Nv)``; an unset ``spec.M`` takes the smallest
+    rule that does.  The midpoint rule has P = max(2 Ns, Ns + Nv + 1) cells
+    per side: the drag needs Ns + Nv < P, advection Ns + Nv <= P, and the
+    reaction work and the Korteweg pairing 2 Ns - 1 <= P.  Each rule is
+    certified once: an explicit ``spec.M`` here, a default M by the sizing
+    search, and each side of the midpoint rule when ``_midpoint_side``
+    first builds it; the last two are cached and read-only.  Deterministic
+    for equal arguments.  Raises DomainError, listing every failure, when a
+    rule fails its exactness certification.
     """
     Ns, Nv, Lx, Ly = spec.Ns, spec.Nv, spec.Lx, spec.Ly
     degree = integrand_degree(Ns, Nv)
     M = required_quadrature_points(degree, Lx, Ly) if spec.M is None else int(spec.M)
     x, wx = _rule(M, Lx)
     y, wy = _rule(M, Ly)
-    P = 2 * Ns
-    xm, wxm = _midpoint_nodes(P, Lx)
-    ym, wym = _midpoint_nodes(P, Ly)
-    failures = [] if spec.M is None else [_certificate_failure(x, wx, Lx, degree),
-                                          _certificate_failure(y, wy, Ly, degree)]
-    failures += [_certificate_failure(xm, wxm, Lx, midpoint_degree(Ns), sines=False),
-                 _certificate_failure(ym, wym, Ly, midpoint_degree(Ns), sines=False)]
-    if any(failures):
-        raise DomainError(*filter(None, failures))
-
     norm_x, zx, zxd, zxdd = _scalar_factors(x, Lx, Ns)
     norm_y, zy, zyd, zydd = _scalar_factors(y, Ly, Ns)
-    _, mzx, mzxd, _ = _scalar_factors(xm, Lx, Ns)
-    _, mzy, mzyd, _ = _scalar_factors(ym, Ly, Ns)
-    midpoint = MidpointRule(P=P, cell=float(wxm[0] * wym[0]),
-                            zx=mzx, zxd=mzxd, zy=mzy, zyd=mzyd)
+    failures = [] if spec.M is None else [_certificate_failure(x, wx, Lx, degree),
+                                          _certificate_failure(y, wy, Ly, degree)]
+
+    P = max(2 * Ns, Ns + Nv + 1)
+    (mzx, mzxd, mphx, mphxd, rzx, rphx, rphxd), fails_x = _midpoint_side(P, Lx, Ns, Nv)
+    (mzy, mzyd, mphy, mphyd, rzy, rphy, rphyd), fails_y = _midpoint_side(P, Ly, Ns, Nv)
+    failures += fails_x + fails_y
+    if any(failures):
+        raise DomainError(*filter(None, failures))
+    midpoint = MidpointRule(P=P, cell=float(Lx / P * (Ly / P)),
+                            zx=mzx, zxd=mzxd, zy=mzy, zyd=mzyd,
+                            phx=mphx, phxd=mphxd, phy=mphy, phyd=mphyd,
+                            rzx=rzx, rzy=rzy, rphx=rphx, rphy=rphy, rphxd=rphxd, rphyd=rphyd)
     phx, phxd, phxdd, phxddd = _stream_factors(x, Lx, Nv)
     phy, phyd, phydd, phyddd = _stream_factors(y, Ly, Nv)
 

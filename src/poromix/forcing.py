@@ -3,9 +3,12 @@ External body-force specifications for the momentum equation.
 
 A forcing is one function of (domain, t) to nodal (fx, fy) arrays: a named
 analytic preset, a tabulated grid sequence with linear interpolation in
-time, or (programmatically) an arbitrary callable.  All realizations must
-stay square-integrable over the run horizon; evaluation rejects non-finite
-values.
+time, or (programmatically) an arbitrary callable.  The right-hand side
+needs only its pairing against the velocity basis and int |f|^2: a preset
+is a multiple of the lowest basis velocity and gives both from the Gram
+matrix, while a table or callable pairs its nodal values on the
+Gauss-Legendre grid.  All realizations must stay square-integrable over the
+run horizon; evaluation rejects non-finite values.
 """
 
 from __future__ import annotations
@@ -22,37 +25,19 @@ from .runio import read_npz
 __all__ = ["ForcingSpec", "FORCING_PRESETS"]
 
 
-# Each preset is a ForcingSpec.func: (domain, t, out) -> (fx, fy).
-def _zero(domain: Domain, t: float, out=(None, None)):
-    M = domain.grid.M
-    fx, fy = (np.empty((M, M)) if o is None else o for o in out)
-    fx.fill(0.0)
-    fy.fill(0.0)
-    return fx, fy
+# Each preset is amp(t) w[1,1], the lowest basis velocity: name -> amp.
+FORCING_PRESETS = {
+    "zero": lambda t: 0.0,
+    "steady_stream": lambda t: 1.0,
+    "pulsed_stream": lambda t: np.sin(2.0 * np.pi * t) * np.exp(-t),
+}
 
 
-def _scaled_lowest_mode(amp, domain: Domain, out):
+def _scaled_lowest_mode(amplitude, domain: Domain, t: float, out):
     # A scalar times a grid array: unlike np.outer with out=, this ufunc
     # needs no iteration buffers.
-    return tuple(np.multiply(amp, f, out=o)
+    return tuple(np.multiply(amplitude(t), f, out=o)
                  for f, o in zip(domain.grid.lowest_stream_velocity, out))
-
-
-def _steady_stream(domain: Domain, t: float, out=(None, None)):
-    """Steady body force shaped like the lowest basis velocity."""
-    return _scaled_lowest_mode(1.0, domain, out)
-
-
-def _pulsed_stream(domain: Domain, t: float, out=(None, None)):
-    """Lowest-mode body force with a smooth pulse in time."""
-    return _scaled_lowest_mode(np.sin(2.0 * np.pi * t) * np.exp(-t), domain, out)
-
-
-FORCING_PRESETS = {
-    "zero": _zero,
-    "steady_stream": _steady_stream,
-    "pulsed_stream": _pulsed_stream,
-}
 
 
 def _interpolate(times, fx_table, fy_table, domain: Domain, t: float, out):
@@ -73,10 +58,12 @@ class ForcingSpec:
     """Time-dependent vector forcing f(x, y, t) on the quadrature grid.
 
     `func(domain, t, out) -> (fx, fy)` gives the nodal values; `out` is a
-    pair of (M, M) arrays that may receive them, or (None, None).
+    pair of (M, M) arrays that may receive them, or (None, None).  A preset
+    also keeps its `amplitude`, t -> amp with f = amp w[1,1].
     """
 
     func: Callable
+    amplitude: Callable | None = None
 
     @staticmethod
     def preset(name: str) -> "ForcingSpec":
@@ -84,7 +71,8 @@ class ForcingSpec:
             raise ValueError(
                 f"unknown forcing preset {name!r}; available: {sorted(FORCING_PRESETS)}"
             )
-        return ForcingSpec(FORCING_PRESETS[name])
+        amplitude = FORCING_PRESETS[name]
+        return ForcingSpec(partial(_scaled_lowest_mode, amplitude), amplitude)
 
     @staticmethod
     def tabulated(path, M: int) -> "ForcingSpec":
@@ -107,10 +95,6 @@ class ForcingSpec:
         """Wrap a callable (domain, t) -> (fx, fy) nodal arrays."""
         return ForcingSpec(lambda domain, t, out: func(domain, t))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.func is _zero
-
     def evaluate(self, domain: Domain, t: float, out=None):
         """Nodal (fx, fy) at time t on the domain's grid.
 
@@ -124,3 +108,22 @@ class ForcingSpec:
         if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
             raise ValueError(f"forcing evaluated to non-finite values at t={t}")
         return fx, fy
+
+    def pairing(self, domain: Domain, t: float, *, work=(None, None, None, None)):
+        """((f, w_q) for every velocity mode q, flattened (Nv^2,), and int |f|^2) at t.
+
+        A preset f = amp w[1,1] pairs in coefficient space, exactly:
+        amp G[:, 0] and amp^2 G[0, 0].  A table or callable pairs its nodal
+        values on the Gauss-Legendre grid; `work`, four (M, M) arrays or
+        Nones, receives those values, a temporary and the pairing's scratch.
+        """
+        if self.amplitude is not None:
+            amp = self.amplitude(t)
+            gram = domain.velocity.gram
+            return amp * gram[:, 0], float(amp * amp * gram[0, 0])
+        out_x, out_y, tmp, scratch = work
+        fx, fy = self.evaluate(domain, t, out=(out_x, out_y))
+        pair = domain.velocity_pairing(fx, fy, scratch=scratch).reshape(-1)
+        f_sq = domain.grid.integrate(np.add(np.square(fx, out=tmp), np.square(fy, out=scratch),
+                                            out=tmp))
+        return pair, f_sq

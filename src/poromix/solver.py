@@ -9,10 +9,19 @@ concentration and streamfunction coefficients alpha of the velocity:
     G alpha' = -mu_e S alpha - P_w[F(C) u] + P_w[-delta_hat lap C grad C]
                + P_w[f]
 
-with P_z / P_w the quadrature pairings against the scalar and velocity
-bases, G and S the velocity Gram and stiffness matrices.  The body force
-enters with a plus sign on the right-hand side, matching the strong form
-of the momentum balance.
+with P_z / P_w the pairings against the scalar and velocity bases, G and S
+the velocity Gram and stiffness matrices.  The body force enters with a
+plus sign on the right-hand side, matching the strong form of the
+momentum balance.
+
+Each pairing is exact.  Every product of the solution is formed at the
+midpoint nodes (see the domain module): the reaction projection, the drag
+pairing P_w[F(C) u], D_F(C) and the quartic work integrals are cosine
+polynomials and go as plain midpoint sums; advection and the Korteweg
+pairing go through the analysis matrices R.  A preset forcing pairs in
+coefficient space.  The Gauss-Legendre grid carries only a nodal forcing
+(tables, callables), the manufactured transport source, and the nodal
+extremes min C and max F(C) of each evaluation with diagnostics.
 
 Alongside the physical coefficients, the state carries a small block of
 work integrals (dissipation, forcing power, reaction quadratics).  These
@@ -234,16 +243,16 @@ _ARK436 = _Pair(_ARK_C, _ARK_AE, _ARK_AI, _ARK_GAMMA, _ARK_B, _ARK_E, 4)
 _WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f", "i_fdotu",
                 "i_cc", "i_dcdt")
 _N_EXTRA = len(_WORK_FIELDS)
-# Slots of GalerkinSystem's grid workspace: nodal C and F(C), grad C, u and
-# f, two temporaries, and the scratch for a projection's weighted values.
-_N_WORK = 11
-_W_C, _W_F, _W_CX, _W_CY, _W_UX, _W_UY, _W_FX, _W_FY, _W_TMP_X, _W_TMP_Y, _W_SCRATCH = range(
-    _N_WORK
-)
-# Slots of its midpoint-rule workspace: C, grad C, F(C), F'(C), a temporary,
-# and the scratch for the reaction projection's weighted values.
-_N_MID_WORK = 7
-_M_C, _M_CX, _M_CY, _M_F, _M_FP, _M_TMP, _M_SCRATCH = range(_N_MID_WORK)
+# Slots of GalerkinSystem's Gauss-Legendre workspace: nodal C and F(C) for
+# the diagnostics' extremes, then the work of a nodal forcing's pairing (its
+# values, a temporary and a scratch), whose scratch a transport source's
+# projection shares.
+_N_WORK = 6
+_W_C, _W_F, _W_FX, _W_FY, _W_TMP, _W_SCRATCH = range(_N_WORK)
+# Slots of its midpoint-rule workspace: C, grad C, u, F(C), F'(C), C (1-C)
+# and two temporaries.
+_N_MID_WORK = 10
+_M_C, _M_CX, _M_CY, _M_UX, _M_UY, _M_F, _M_FP, _M_CC, _M_TMP_X, _M_TMP_Y = range(_N_MID_WORK)
 # The ledger columns that are functions of one state, all from its evaluation.
 _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
                   "mass", "min_C", "h1_F_sq", "l2_f")
@@ -253,16 +262,19 @@ class GalerkinSystem:
     """Right-hand-side assembly for one (domain, params, forcing) triple.
 
     Every grid intermediate of an evaluation is written into workspaces the
-    system owns, `_work` on the Gauss-Legendre grid and `_mid_work` on the
-    midpoint rule, so evaluations allocate no grid array; the implicit
+    system owns, `_mid_work` on the midpoint rule, which carries every
+    product of the solution, and `_work` on the Gauss-Legendre grid, which
+    only a nodal forcing, a transport source and the diagnostics' nodal
+    extremes use; so evaluations allocate no grid array.  The implicit
     stage's D_F(C) contraction and matrix go into `_gram_work` and
     `_stage_matrix`.  The arrays an evaluation returns never alias them,
-    except the nodal (C, F(C)) that `solve_momentum_stage` hands to the same
-    stage's `rhs`.  One instance must not evaluate in two threads at once.
+    except the midpoint (C, F(C)) that `solve_momentum_stage` hands to the
+    same stage's `rhs`.  One instance must not evaluate in two threads at
+    once.
 
     What no evaluation changes is formed once, at construction, and lives
     as long as the system: -d lam, -lam, lam^2, mu_e S and the zero pairing
-    of an absent Korteweg term or forcing, all read-only.  Each is the
+    of an absent Korteweg term, all read-only.  Each is the
     operand the evaluation's expression would have formed, so results are
     bit for bit those of forming it per call.
     """
@@ -292,8 +304,9 @@ class GalerkinSystem:
                       self._zero_pair):
             const.flags.writeable = False
         self._work = np.empty((_N_WORK, domain.grid.M, domain.grid.M))
+        self._forcing_work = self._work[_W_FX:]
         self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
-        self._gram_work = (np.empty((domain.grid.M, 2 * self.nv2)),
+        self._gram_work = (np.empty((domain.midpoint.P, 2 * self.nv2)),
                            np.empty((self.nv2, self.nv2)), np.empty((self.nv2, self.nv2)))
         self._stage_matrix = np.empty((self.nv2, self.nv2))
 
@@ -321,19 +334,19 @@ class GalerkinSystem:
         Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
         the stage is linear in alpha: one dense solve, no Newton iteration.
         A polynomial F can be negative, so the matrix need not be SPD.
-        Returns alpha and the nodal (C, F(C)), which the stage's `rhs` reuses;
-        those two live in the workspace until the system's next evaluation.
+        Returns alpha and the midpoint (C, F(C)), which the stage's `rhs`
+        reuses; those two live in the workspace until the system's next
+        evaluation.
         """
         dom = self.domain
-        w = self._work
+        mw = self._mid_work
         B = z[: self.ns2].reshape(self.Ns, self.Ns)
-        cg = dom.scalar_values(B, out=w[_W_C])
-        f_grid = mobility_values(self.params.mobility, cg, out=w[_W_F])
+        cm = dom.midpoint_values(B, out=mw[_M_C])
+        f_mid = mobility_values(self.params.mobility, cm, out=mw[_M_F])
         gram = dom.velocity.gram
         with np.errstate(over="ignore", invalid="ignore"):
             # lhs = gram + gh (mu_e S + D_F), summed in that order.
-            lhs = dom.weighted_gram(f_grid, scratch=w[_W_SCRATCH], work=self._gram_work,
-                                    out=self._stage_matrix)
+            lhs = dom.weighted_gram(f_mid, work=self._gram_work, out=self._stage_matrix)
             np.add(self._mu_stiffness, lhs, out=lhs)
             np.multiply(gh, lhs, out=lhs)
             np.add(gram, lhs, out=lhs)
@@ -342,7 +355,7 @@ class GalerkinSystem:
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
         if not np.isfinite(alpha).all():
             raise NonFiniteStateError(t)
-        return alpha, (cg, f_grid)
+        return alpha, (cm, f_mid)
 
     # -- packing ------------------------------------------------------------
 
@@ -365,8 +378,8 @@ class GalerkinSystem:
     def rhs(self, t: float, y: np.ndarray, *, _nodal_c_f=None) -> np.ndarray:
         """Time derivative of the packed state y at time t.
 
-        `_nodal_c_f` is for the implicit pair's stages only: the nodal (C, F(C))
-        that `solve_momentum_stage` computed from y's concentration.
+        `_nodal_c_f` is for the implicit pair's stages only: the midpoint
+        (C, F(C)) that `solve_momentum_stage` computed from y's concentration.
         """
         ydot, _ = self._eval(t, y, want_diag=False, nodal_c_f=_nodal_c_f)
         return ydot
@@ -381,57 +394,48 @@ class GalerkinSystem:
         B = y[: self.ns2].reshape(self.Ns, self.Ns)
         a_flat = y[self.alpha_slice]
         A = a_flat.reshape(self.Nv, self.Nv)
-        w = self._work
-        tmp_x, tmp_y, scratch = w[_W_TMP_X], w[_W_TMP_Y], w[_W_SCRATCH]
+        mw = self._mid_work
+        tmp_x, tmp_y = mw[_M_TMP_X], mw[_M_TMP_Y]
         ydot = np.empty(self.n_state)
         bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
         extras = self.extras(ydot)
 
         if nodal_c_f is None:
-            cg = dom.scalar_values(B, out=w[_W_C])
-            f_grid = mobility_values(p.mobility, cg, out=w[_W_F])
+            cm = dom.midpoint_values(B, out=mw[_M_C])
+            f_mid = mobility_values(p.mobility, cm, out=mw[_M_F])
         else:
-            cg, f_grid = nodal_c_f
-        cx, cy = dom.scalar_gradient_values(B, out=(w[_W_CX], w[_W_CY]))
-        ux, uy = dom.velocity_values(A, out=(w[_W_UX], w[_W_UY]))
+            cm, f_mid = nodal_c_f
+        cx, cy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
+        ux, uy = dom.midpoint_velocity_values(A, out=(mw[_M_UX], mw[_M_UY]))
 
         # Transport: advection and reaction projections,
         # bdot = -d lam B - P_z[adv] - kappa P_z[C (1-C)] (+ source).
-        # (C (1-C), z) is a cosine polynomial of degree 3(Ns-1) < 2P: the
-        # midpoint rule projects it exactly, and C (1-C) there also feeds
-        # the reaction work below.
-        mw = self._mid_work
-        cm = dom.midpoint_values(B, out=mw[_M_C])
-        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_TMP]), out=mw[_M_TMP])
+        # u . grad C is a sine polynomial of degree Ns + Nv <= P, and
+        # (C (1-C), z) a cosine polynomial of degree 3(Ns-1) < 2P; C (1-C)
+        # also feeds the reaction work below.
+        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_CC]), out=mw[_M_CC])
         adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
-        p_adv = dom.scalar_project(adv, scratch=scratch)
-        p_cc = dom.midpoint_project(cc_mid, scratch=mw[_M_SCRATCH])
+        p_adv = dom.midpoint_sine_project(adv)
+        p_cc = dom.midpoint_project(cc_mid)
         np.multiply(self._neg_d_lam, B, out=bdot)
         bdot -= p_adv
         bdot -= p.kappa * p_cc
         if self.transport_source is not None:
-            bdot += dom.scalar_project(self.transport_source(dom, t), scratch=scratch)
+            bdot += dom.scalar_project(self.transport_source(dom, t),
+                                       scratch=self._work[_W_SCRATCH])
 
         # Momentum: drag, Korteweg coupling, body force.
-        pair_F = dom.velocity_pairing(np.multiply(f_grid, ux, out=tmp_x),
-                                      np.multiply(f_grid, uy, out=tmp_y),
-                                      scratch=scratch).reshape(-1)
+        pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
+                                               np.multiply(f_mid, uy, out=tmp_y)).reshape(-1)
         if dh != 0.0:
-            lap_g = dom.scalar_values(self._neg_lam * B, out=tmp_x)
-            kt = np.multiply(-dh, lap_g, out=tmp_x)
+            lap_m = dom.midpoint_values(self._neg_lam * B, out=tmp_x)
+            kt = np.multiply(-dh, lap_m, out=tmp_x)
             kt_y = np.multiply(kt, cy, out=tmp_y)
             kt_x = np.multiply(kt, cx, out=tmp_x)
-            pair_kt = dom.velocity_pairing(kt_x, kt_y, scratch=scratch).reshape(-1)
+            pair_kt = dom.midpoint_gradient_pairing(kt_x, kt_y).reshape(-1)
         else:
             pair_kt = self._zero_pair
-        if self.forcing.is_zero:
-            pair_f = self._zero_pair
-            f_sq = 0.0
-        else:
-            fx, fy = self.forcing.evaluate(dom, t, out=(w[_W_FX], w[_W_FY]))
-            pair_f = dom.velocity_pairing(fx, fy, scratch=scratch).reshape(-1)
-            f_sq = dom.grid.integrate(np.add(np.multiply(fx, fx, out=tmp_x),
-                                             np.multiply(fy, fy, out=tmp_y), out=tmp_x))
+        pair_f, f_sq = self.forcing.pairing(dom, t, work=self._forcing_work)
 
         s_alpha = self.stiffness @ a_flat
         implicit_pair = -p.mu_e * s_alpha - pair_F
@@ -460,21 +464,24 @@ class GalerkinSystem:
 
         diag = None
         if want_diag:
+            # The nodal extremes min C and max F(C), and the sign of F behind
+            # fq_u, are over the Gauss-Legendre nodes.
+            w = self._work
+            cg = dom.scalar_values(B, out=w[_W_C])
+            f_grid = mobility_values(p.mobility, cg, out=w[_W_F])
             # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
             # F (squares of sines are cosines), quartic for a quadratic F:
             # it goes on the midpoint rule like (C (1-C))^2.
-            cmx, cmy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
-            f_mid = mobility_values(p.mobility, cm, out=mw[_M_F])
             fp = p.mobility.derivative_values(cm, f_mid, out=mw[_M_FP])
             # F is finite below the mobility's overflow limit, but F^2 may
             # not be: such a diagnostic is inf, which apriori_flags reports,
             # rather than a RuntimeWarning.
             sb = dom.scalar
             with np.errstate(over="ignore"):
-                # f_mid^2 + (fp cmx)^2 + (fp cmy)^2, summed in that order.
-                h1_f = np.square(f_mid, out=mw[_M_TMP])
-                h1_f += np.square(np.multiply(fp, cmx, out=cmx), out=cmx)
-                h1_f += np.square(np.multiply(fp, cmy, out=cmy), out=cmy)
+                # f_mid^2 + (fp cx)^2 + (fp cy)^2, summed in that order.
+                h1_f = np.square(f_mid, out=tmp_x)
+                h1_f += np.square(np.multiply(fp, cx, out=cx), out=cx)
+                h1_f += np.square(np.multiply(fp, cy, out=cy), out=cy)
                 h1_f_sq = dom.midpoint.integrate(h1_f)
                 diag = {
                     "l2_C": float((B * B).sum()),
@@ -522,9 +529,11 @@ class GalerkinSystem:
 def _takes_imex(system, dt, diag) -> bool:
     """Whether a trial of size dt from a state with diagnostics `diag` is IMEX.
 
-    rho_u = mu_e ||G^-1 S||_inf + max F bounds the momentum block's
-    spectral radius: ||G^-1 S||_inf bounds the largest eigenvalue of G^-1 S,
-    and (D_F a, a) <= max F (G a, a) on the certified rule.
+    rho_u = mu_e ||G^-1 S||_inf + max F estimates a bound on the momentum
+    block's spectral radius: ||G^-1 S||_inf bounds the largest eigenvalue of
+    G^-1 S, and (D_F a, a) <= max F (G a, a) with the maximum over the
+    midpoint nodes that assemble D_F, for which diag["max_F"], the maximum
+    over the Gauss-Legendre nodes, stands in.
     The drag or viscosity must dominate diffusion (rho_u > 2 d lambda_max),
     and dt must be past the scale where an explicit step resolves them.
     """

@@ -21,11 +21,13 @@ def test_every_traced_layer_exists(monkeypatch):
 
 
 def test_traced_calls_of_one_evaluation(monkeypatch):
-    # The matmuls of one evaluation go through the Domain / VelocityBasis
-    # methods the benchmark wraps, so its per-layer counts and flops stay
-    # truthful.  An 8/2 system with Korteweg on and pulsed forcing.  The
-    # reaction projection is on the midpoint rule (`Domain.midpoint_project`),
-    # which the benchmark does not wrap: one `scalar_project` per evaluation.
+    # The per-layer counts of one evaluation of an 8/2 system with Korteweg
+    # on and pulsed forcing.  Every product of the solution is on the
+    # midpoint rule, whose `Domain.midpoint_*` methods the benchmark does not
+    # wrap, and the preset forcing pairs in coefficient space without a
+    # nodal `ForcingSpec.evaluate`.  What is left on the wrapped
+    # Gauss-Legendre methods is the diagnostics' nodal C for min C and
+    # max F(C): one transform and one more mobility call.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -43,8 +45,8 @@ def test_traced_calls_of_one_evaluation(monkeypatch):
     layers = ("domain.transform", "domain.scalar_project", "domain.velocity_pairing",
               "domain.solve_gram", "mobility.evaluate", "forcing.evaluate")
     expected = {
-        "rhs": (4, 1, 3, 1, 1, 1),
-        "evaluate_with_diagnostics": (4, 1, 3, 1, 2, 1),
+        "rhs": (0, 0, 0, 1, 1, 0),
+        "evaluate_with_diagnostics": (1, 0, 0, 1, 2, 0),
     }
     for method, counts in expected.items():
         tracer = tracing.Tracer()

@@ -67,6 +67,20 @@ def test_run_config_errors_exit_one(tmp_path, capsys):
     assert "mobility" in err and "coefficients" in err
 
 
+@pytest.mark.parametrize("tagged", ["!!int abc", "!!float abc", "!!bool abc"])
+def test_run_malformed_tagged_scalar_is_one_error_among_the_others(tmp_path, capsys, tagged):
+    # YAML's constructor refuses the scalar; its field names it, and the
+    # other defect is still listed.
+    cfg = tmp_path / "tagged.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("Ns: 4", f"Ns: {tagged}").replace("kappa: 1.0", "kappa: -1.0"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: domain.Ns: expected a number, got 'abc'",
+        "config error: params: kappa must be finite and >= 0, got -1.0",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_snapshots_written(tmp_path):
     cfg = tmp_path / "snap.yaml"
     cfg.write_text(

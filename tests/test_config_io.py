@@ -40,7 +40,8 @@ def test_parse_valid_config(tmp_path):
     C0, u0 = cfg.build_initial(domain)
     assert C0.mean_value == pytest.approx(0.5, abs=1e-14)
     assert np.abs(u0.coeffs).max() == 0.0
-    assert cfg.build_forcing(domain).is_zero
+    pair, f_sq = cfg.build_forcing(domain).pairing(domain, 0.3)
+    assert not pair.any() and f_sq == 0.0
 
 
 def test_integrating_factor_flag_parsed(tmp_path):

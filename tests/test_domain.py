@@ -22,7 +22,8 @@ from poromix import (
     rhs_concentration,
     rhs_velocity,
 )
-from poromix.domain import _certificate_failure, _midpoint_nodes, _stream_factors
+from poromix.domain import (_analysis_matrix, _certificate_failure, _factor_expansions,
+                            _midpoint_nodes)
 from poromix.solver import _WORK_FIELDS
 
 from conftest import random_scalar
@@ -137,18 +138,18 @@ def test_rho_viscous_matches_cholesky_value(Ns, Nv, expected):
 @pytest.mark.parametrize("mobility", ["exponential", "negative_polynomial"])
 def test_weighted_gram_is_the_drag_pairing(rect_domain, mobility):
     # D_F(C) alpha = (F u, w) for every mode, whatever the sign of F: the
-    # sum-factorised matrix against the solver's nodal pairing.
+    # sum-factorised matrix against the solver's midpoint drag pairing.
     dom = rect_domain
     B = random_scalar(dom, seed=3, scale=0.5, decay=False).coeffs
     A = np.random.default_rng(4).standard_normal((dom.spec.Nv, dom.spec.Nv))
-    cg = dom.scalar_values(B)
-    F = np.exp(2.0 * cg) if mobility == "exponential" else 0.1 - 1.5 * cg + 0.4 * cg**2
+    cm = dom.midpoint_values(B)
+    F = np.exp(2.0 * cm) if mobility == "exponential" else 0.1 - 1.5 * cm + 0.4 * cm**2
     assert (F.min() < 0.0) == (mobility == "negative_polynomial")
-    ux, uy = dom.velocity_values(A)
-    ref = dom.velocity_pairing(F * ux, F * uy).reshape(-1)
+    ux, uy = dom.midpoint_velocity_values(A)
+    ref = dom.midpoint_velocity_pairing(F * ux, F * uy).reshape(-1)
     got = dom.weighted_gram(F) @ A.reshape(-1)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    ones = np.ones_like(cg)
+    ones = np.ones_like(cm)
     assert np.abs(dom.weighted_gram(ones) - dom.velocity.gram).max() <= 1e-13
 
 
@@ -255,36 +256,94 @@ def test_gram_and_drag_matrices_are_cosine_polynomials(Lx, Ly, Ns, Nv):
     # Per direction, (w_q, w_r) and (F(C) w_q, w_r) pair two phi's or two
     # phi''s, and a product of two sine polynomials is a cosine polynomial:
     # the midpoint rule gives G, and D_F of a quadratic mobility, as the
-    # certified Gauss-Legendre grid does.  Only advection, the Korteweg
-    # pairing and nodal inputs carry sines.
+    # certified Gauss-Legendre grid does.  The oracle is independent of
+    # weighted_gram: the same pairs written out on the Gauss-Legendre grid.
     dom = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv))
-    m = dom.midpoint
-    phx, phxd, _, _ = _stream_factors(_midpoint_nodes(m.P, Lx)[0], Lx, Nv)
-    phy, phyd, _, _ = _stream_factors(_midpoint_nodes(m.P, Ly)[0], Ly, Nv)
-    wx = np.einsum("xj,yk->jkxy", phx, phyd).reshape(Nv * Nv, -1)
-    wy = np.einsum("xj,yk->jkxy", phxd, phy).reshape(Nv * Nv, -1)
+    g = dom.grid
+    wx = np.einsum("xj,yk->jkxy", g.phx, g.phyd).reshape(Nv * Nv, -1)
+    wy = np.einsum("xj,yk->jkxy", g.phxd, g.phy).reshape(Nv * Nv, -1)
     B = random_scalar(dom, seed=Ns).coeffs
     mobility = MobilitySpec.polynomial(1.0, 0.5, 0.25)
-    cases = ((np.ones(m.P * m.P), dom.velocity.gram),
-             (mobility_evaluate(mobility, dom.midpoint_values(B)).reshape(-1),
-              dom.weighted_gram(mobility_evaluate(mobility, dom.scalar_values(B)))))
-    for f, want in cases:
-        got = m.cell * ((wx * f) @ wx.T + (wy * f) @ wy.T)
+    cases = ((np.ones((dom.midpoint.P,) * 2), np.ones((g.M, g.M))),
+             (mobility_evaluate(mobility, dom.midpoint_values(B)),
+              mobility_evaluate(mobility, dom.scalar_values(B))))
+    for f_mid, f_grid in cases:
+        fw = (g.weights * f_grid).reshape(-1)
+        want = (wx * fw) @ wx.T + (wy * fw) @ wy.T
+        got = dom.weighted_gram(f_mid)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("Lx, Ly, Ns, Nv", [(math.pi, math.pi, 8, 2), (math.pi, math.pi, 16, 4),
+                                            (2.0, 1.0, 8, 2), (2.0, 1.0, 16, 4),
+                                            (math.pi, math.pi, 2, 9)])
+def test_midpoint_products_match_oversampled_gauss_legendre(Lx, Ly, Ns, Nv):
+    # Every product of the right-hand side on the midpoint rule against the
+    # same product paired on a Gauss-Legendre grid four times the certified
+    # size: advection through R_sin->z, the Korteweg pairing through
+    # R_sin->phi and R_cos->phi', the drag pairing and D_F as plain sums.
+    # 2/9 has Nv > Ns, where P = Ns + Nv + 1 exceeds 2 Ns.
+    dom = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv))
+    fine = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=4 * dom.grid.M))
+    assert dom.midpoint.P == max(2 * Ns, Ns + Nv + 1)
+    rng = np.random.default_rng(Ns + Nv)
+    B = rng.standard_normal((Ns, Ns))
+    A = rng.standard_normal((Nv, Nv))
+    lap = -dom.scalar.eigenvalues * B
+
+    def F(c):
+        return 0.5 + 0.4 * c + 0.3 * c**2
+
+    cm, lm = dom.midpoint_values(B), dom.midpoint_values(lap)
+    cx, cy = dom.midpoint_gradient_values(B)
+    ux, uy = dom.midpoint_velocity_values(A)
+    cg, lg = fine.scalar_values(B), fine.scalar_values(lap)
+    gx, gy = fine.scalar_gradient_values(B)
+    vx, vy = fine.velocity_values(A)
+    drag = fine.velocity_pairing(F(cg) * vx, F(cg) * vy)
+    for got, want in ((dom.midpoint_sine_project(ux * cx + uy * cy),
+                       fine.scalar_project(vx * gx + vy * gy)),
+                      (dom.midpoint_gradient_pairing(lm * cx, lm * cy),
+                       fine.velocity_pairing(lg * gx, lg * gy)),
+                      (dom.midpoint_velocity_pairing(F(cm) * ux, F(cm) * uy), drag),
+                      (dom.weighted_gram(F(cm)) @ A.reshape(-1), drag.reshape(-1))):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_midpoint_rule_one_cell_too_coarse_fails_cosine_certificate():
     for Ns in (5, 6):
-        degree = midpoint_degree(Ns)
+        degree = midpoint_degree(Ns, 2)
         for L in (math.pi, 1.0):
-            assert _certificate_failure(*_midpoint_nodes(2 * Ns, L), L, degree,
-                                        sines=False) is None
-            assert _certificate_failure(*_midpoint_nodes(2 * (Ns - 1), L), L, degree,
-                                        sines=False).startswith(
+            assert _certificate_failure(*_midpoint_nodes(2 * Ns, L), L, degree, modes="cos",
+                                        rule="midpoint") is None
+            assert _certificate_failure(*_midpoint_nodes(2 * (Ns - 1), L), L, degree, modes="cos",
+                                        rule="midpoint").startswith(
                 "midpoint certification failed: worst cosine-mode error")
             # Not a rule for sines: the Gauss-Legendre certificate rejects it.
             assert _certificate_failure(*_midpoint_nodes(2 * Ns, L), L, degree).startswith(
                 "quadrature certification failed: worst trig-mode error")
+
+
+def test_analysis_matrix_one_cell_too_coarse_fails_its_certificate():
+    # P midpoints resolve sines up to degree P and cosines below P.  Each R,
+    # at the degree build_domain certifies it for (Ns + Nv for advection,
+    # 2(Ns-1) for the Korteweg pairing), passes at the fewest cells that
+    # resolve its data and fails with one cell fewer.
+    Ns, Nv = 6, 3
+    for L in (math.pi, 1.0):
+        z, phi, dphi = _factor_expansions(L, np.ones(Ns), Nv)
+        for kind, factor, degree, P in (("sin", z, Ns + Nv, Ns + Nv),
+                                        ("sin", phi, 2 * (Ns - 1), 2 * (Ns - 1)),
+                                        ("cos", dphi, 2 * (Ns - 1), 2 * Ns - 1)):
+            for cells in (P, P - 1):
+                R = _analysis_matrix(kind, cells, L, factor)
+                failure = _certificate_failure(_midpoint_nodes(cells, L)[0], R, L, degree,
+                                               modes=kind, factor=factor, rule="R")
+                if cells == P:
+                    assert failure is None
+                else:
+                    label = "sine" if kind == "sin" else "cosine"
+                    assert failure.startswith(f"R certification failed: worst {label}-mode error")
 
 
 def test_build_is_deterministic():
@@ -338,14 +397,17 @@ def test_out_and_scratch_give_the_allocating_results_bit_for_bit(rect_domain):
         assert method(arg, out=out) is out and out.tobytes() == method(arg).tobytes()
     for method, arg, size in ((dom.scalar_gradient_values, B, M),
                               (dom.velocity_values, A, M),
-                              (dom.midpoint_gradient_values, B, P)):
+                              (dom.midpoint_gradient_values, B, P),
+                              (dom.midpoint_velocity_values, A, P)):
         out = buffers(2, size)
         got = method(arg, out=out)
         assert got[0] is out[0] and got[1] is out[1]
         assert [g.tobytes() for g in got] == [g.tobytes() for g in method(arg)]
-    for method, args, size in ((dom.scalar_project, (vx,), M),
-                               (dom.velocity_pairing, (vx, vy), M),
-                               (dom.weighted_gram, (vx,), M),
-                               (dom.midpoint_project, (vx[:P, :P],), P)):
-        scratch = buffers(1, size)[0]
+    for method, args in ((dom.scalar_project, (vx,)), (dom.velocity_pairing, (vx, vy))):
+        scratch = buffers(1, M)[0]
         assert method(*args, scratch=scratch).tobytes() == method(*args).tobytes()
+    n2 = dom.spec.Nv ** 2
+    work = (np.full((P, 2 * n2), np.nan), *buffers(2, n2))
+    out = buffers(1, n2)[0]
+    assert dom.weighted_gram(vx[:P, :P], work=work, out=out) is out
+    assert out.tobytes() == dom.weighted_gram(vx[:P, :P]).tobytes()

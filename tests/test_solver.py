@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -184,6 +185,20 @@ def test_zero_forcing_is_skipped_with_identical_ledger(pi_domain, monkeypatch):
         res.ledger.to_csv(buf)
         csv.append(buf.getvalue())
     assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("name", ["steady_stream", "pulsed_stream"])
+def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(rect_domain, name):
+    # A preset is amp(t) w[1,1], so it pairs as amp G[:, 0] with
+    # int |f|^2 = amp^2 G[0, 0].  The oracle is its nodal values paired on
+    # the Gauss-Legendre grid, as a table or callable is.
+    preset = ForcingSpec.preset(name)
+    nodal = ForcingSpec.from_function(preset.evaluate)
+    gram = rect_domain.velocity.gram
+    for t in (0.0, 0.3, 1.7):
+        (pair, f_sq), (ref, ref_sq) = preset.pairing(rect_domain, t), nodal.pairing(rect_domain, t)
+        assert np.abs(pair - ref).max() <= 1e-14 * np.abs(gram[:, 0]).max()
+        assert abs(f_sq - ref_sq) <= 1e-14 * gram[0, 0]
 
 
 def test_rhs_velocity_constant_mobility_linear_algebra(pi_domain):
@@ -648,6 +663,21 @@ def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
     z[system.alpha_slice] = alpha
     reused = system.rhs(0.3, z, _nodal_c_f=nodal_c_f)
     assert reused.tobytes() == system.rhs(0.3, z).tobytes()
+
+
+def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(pi_domain):
+    # Every product of the solution is on the midpoint rule and a preset
+    # forcing pairs in coefficient space: with the Gauss-Legendre grid taken
+    # away and its workspace read-only, an rhs and an implicit stage give
+    # the same bytes.  Only the diagnostics' nodal extremes need the grid.
+    system, (y, _) = _workspace_case(pi_domain)
+    want = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
+    system.domain = dataclasses.replace(pi_domain, grid=None)
+    system._work.flags.writeable = False
+    got = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    with pytest.raises(AttributeError):
+        system.evaluate_with_diagnostics(0.3, y)
 
 
 def test_evaluations_allocate_no_grid_array():
