@@ -35,10 +35,10 @@ Ns + Nv + 1) cells per side projects each one exactly:
   Korteweg pairing, lap C C_x and lap C C_y being of degree 2(Ns-1), a
   sine in the differentiated direction and a cosine in the other.
 
-The Gauss-Legendre rule carries what has no known parity: nodal forcing
-tables and callables, the manufactured source and forcing, pressure
-recovery and the nodal extremes min C and max F(C) of the diagnostics; the
-Gram and stiffness matrices are formed on it at build.  Its size M stays
+The Gauss-Legendre rule carries what has no known parity: forcing table
+rows (paired once, when read) and callables, the manufactured source and
+forcing, pressure recovery and the diagnostics' min C; the Gram and
+stiffness matrices are formed on it at build.  Its size M stays
 the smallest rule that integrates every trigonometric mode up to
 ``integrand_degree`` to the certificate tolerance on both sides
 (``required_quadrature_points``), so it pairs a manufactured F(C*) u*
@@ -261,17 +261,6 @@ class QuadratureGrid:
     def area(self) -> float:
         return float(np.sum(self.wx) * np.sum(self.wy))
 
-    @cached_property
-    def lowest_stream_velocity(self):
-        """Nodal (ux, uy) of the lowest basis velocity w[1,1], read-only.
-
-        Formed on first use and kept as long as the grid.
-        """
-        ux = np.outer(self.phx[:, 0], self.phyd[:, 0])
-        uy = -np.outer(self.phxd[:, 0], self.phy[:, 0])
-        ux.flags.writeable = uy.flags.writeable = False
-        return ux, uy
-
     def integrate(self, values: np.ndarray) -> float:
         """Integrate nodal values over the rectangle."""
         return float(self.wx @ values @ self.wy)
@@ -315,13 +304,10 @@ class MidpointRule:
 class Domain:
     """Bundle of the discretization products for one DomainSpec.
 
-    The grid transforms take a keyword-only ``out=``: an (M, M) array, or
-    a pair of them for the two-component ones, that receives the nodal
-    values and is returned ((P, P) ones on the midpoint rule).  The
-    Gauss-Legendre projections and pairings take a keyword-only
-    ``scratch=``, an (M, M) array that holds their weighted nodal values;
-    the midpoint ones need none.  Left as None, both allocate, with the
-    same arithmetic.
+    The midpoint transforms take a keyword-only ``out=``: a (P, P) array,
+    or a pair of them for the two-component ones, that receives the values
+    and is returned; left as None, they allocate, with the same arithmetic.
+    The Gauss-Legendre methods always allocate.
     """
 
     spec: DomainSpec
@@ -332,26 +318,25 @@ class Domain:
 
     # -- scalar transforms -------------------------------------------------
 
-    def scalar_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
+    def scalar_values(self, B: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) on the grid, (M, M)."""
         g = self.grid
-        return np.matmul(g.zx @ B, g.zy.T, out=out)
+        return g.zx @ B @ g.zy.T
 
-    def scalar_gradient_values(self, B: np.ndarray, *, out=(None, None)):
-        """Nodal (Cx, Cy); `out` is a pair of (M, M) arrays or (None, None)."""
+    def scalar_gradient_values(self, B: np.ndarray):
+        """Nodal (Cx, Cy)."""
         g = self.grid
-        ox, oy = out
-        return np.matmul(g.zxd @ B, g.zy.T, out=ox), np.matmul(g.zx @ B, g.zyd.T, out=oy)
+        return g.zxd @ B @ g.zy.T, g.zx @ B @ g.zyd.T
 
     def scalar_second_derivative_values(self, B: np.ndarray):
         """(Cxx, Cxy, Cyy) nodal values."""
         g = self.grid
         return g.zxdd @ B @ g.zy.T, g.zxd @ B @ g.zyd.T, g.zx @ B @ g.zydd.T
 
-    def scalar_project(self, values: np.ndarray, *, scratch=None) -> np.ndarray:
+    def scalar_project(self, values: np.ndarray) -> np.ndarray:
         """L2 projection of nodal values onto the cosine basis, (Ns, Ns)."""
         g = self.grid
-        return g.zx.T @ np.multiply(g.weights, values, out=scratch) @ g.zy
+        return g.zx.T @ (g.weights * values) @ g.zy
 
     def scalar_gradient_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Pair a nodal vector field against grad z[j,k] for every mode."""
@@ -360,16 +345,10 @@ class Domain:
 
     # -- velocity transforms -----------------------------------------------
 
-    def velocity_values(self, A: np.ndarray, *, out=(None, None)):
-        """Nodal (ux, uy) for streamfunction coefficients A, (Nv, Nv).
-
-        `out` is a pair of (M, M) arrays or (None, None).
-        """
+    def velocity_values(self, A: np.ndarray):
+        """Nodal (ux, uy) for streamfunction coefficients A, (Nv, Nv)."""
         g = self.grid
-        ox, oy = out
-        ux = np.matmul(g.phx @ A, g.phyd.T, out=ox)
-        uy = np.matmul(g.phxd @ A, g.phy.T, out=oy)
-        return ux, np.negative(uy, out=uy)
+        return g.phx @ A @ g.phyd.T, -(g.phxd @ A @ g.phy.T)
 
     def velocity_gradient_values(self, A: np.ndarray):
         """Nodal (dux/dx, dux/dy, duy/dx, duy/dy)."""
@@ -386,11 +365,10 @@ class Domain:
         luy = -(g.phxddd @ A @ g.phy.T + g.phxd @ A @ g.phydd.T)
         return lux, luy
 
-    def velocity_pairing(self, vx: np.ndarray, vy: np.ndarray, *, scratch=None) -> np.ndarray:
-        """Pair a nodal vector field against every w[j,k]; returns (Nv, Nv)."""
+    def velocity_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+        """Pair a nodal vector field, or a (K, M, M) stack, against every w[j,k], (Nv, Nv) each."""
         g = self.grid
-        pair_x = g.phx.T @ np.multiply(g.weights, vx, out=scratch) @ g.phyd
-        return pair_x - g.phxd.T @ np.multiply(g.weights, vy, out=scratch) @ g.phy
+        return g.phx.T @ (g.weights * vx) @ g.phyd - g.phxd.T @ (g.weights * vy) @ g.phy
 
     # -- midpoint rule ---------------------------------------------------------
 

@@ -1,14 +1,13 @@
 """
 External body-force specifications for the momentum equation.
 
-A forcing is one function of (domain, t) to nodal (fx, fy) arrays: a named
-analytic preset, a tabulated grid sequence with linear interpolation in
-time, or (programmatically) an arbitrary callable.  The right-hand side
-needs only its pairing against the velocity basis and int |f|^2: a preset
-is a multiple of the lowest basis velocity and gives both from the Gram
-matrix, while a table or callable pairs its nodal values on the
-Gauss-Legendre grid.  All realizations must stay square-integrable over the
-run horizon; evaluation rejects non-finite values.
+The right-hand side uses a forcing only through `ForcingSpec.pairing`: its
+pairing against the velocity basis and int |f|^2 at t.  A named preset, a
+multiple of the lowest basis velocity, pairs from the Gram matrix; a
+tabulated grid sequence, linear in time, pairs each row once, when read;
+only an arbitrary callable pairs its nodal values on the Gauss-Legendre
+grid at every call.  Nodal values stay available for pressure recovery.
+Evaluation rejects non-finite values.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from .domain import Domain
+from .fields import ResolutionMismatchError
 from .runio import read_npz
 
 __all__ = ["ForcingSpec", "FORCING_PRESETS"]
@@ -33,50 +33,91 @@ FORCING_PRESETS = {
 }
 
 
-def _scaled_lowest_mode(amplitude, domain: Domain, t: float, out):
-    # A scalar times a grid array: unlike np.outer with out=, this ufunc
-    # needs no iteration buffers.
-    return tuple(np.multiply(amplitude(t), f, out=o)
-                 for f, o in zip(domain.grid.lowest_stream_velocity, out))
+def _preset_values(amplitude, domain: Domain, t: float):
+    """Nodal amp(t) w[1,1]: amp times the outer products of the first factors."""
+    g = domain.grid
+    amp = amplitude(t)
+    return amp * np.outer(g.phx[:, 0], g.phyd[:, 0]), amp * -np.outer(g.phxd[:, 0], g.phy[:, 0])
 
 
-def _interpolate(times, fx_table, fy_table, domain: Domain, t: float, out):
-    """(fx, fy) of a table at t: an end row outside its window, else interpolated into `out`."""
-    k = np.searchsorted(times, t)
-    if k == 0:
-        return fx_table[0], fy_table[0]
-    if k >= times.size:
-        return fx_table[-1], fy_table[-1]
-    t0, t1 = times[k - 1], times[k]
-    s = (t - t0) / (t1 - t0)
-    return tuple(np.add(np.multiply(1 - s, table[k - 1], out=o), s * table[k], out=o)
-                 for o, table in zip(out, (fx_table, fy_table)))
+def _preset_pairing(amplitude, domain: Domain, t: float):
+    """amp G[:, 0] and amp^2 G[0, 0]: the pairing and int |f|^2 of amp(t) w[1,1], exactly."""
+    amp = amplitude(t)
+    gram = domain.velocity.gram
+    return amp * gram[:, 0], float(amp * amp * gram[0, 0])
+
+
+class _Table:
+    """Rows f_k at times t_k on one domain's grid, linear in time between them.
+
+    Each row is paired once, on the Gauss-Legendre grid, when the table is
+    read: P_k = (f_k, w), E_k = int |f_k|^2 and X_k = int f_k . f_{k+1}.
+    At s of the way from row k to k+1, (f, w) = (1-s) P_k + s P_{k+1} and
+    int |f|^2 = (1-s)^2 E_k + 2 s (1-s) X_k + s^2 E_{k+1}, clamped at 0;
+    outside the table's window, the end row's.
+    """
+
+    def __init__(self, domain: Domain, times, fx, fy):
+        g = domain.grid
+        self.domain, self.times, self.rows = domain, times, (fx, fy)
+        self.pairs = domain.velocity_pairing(fx, fy).reshape(times.size, -1)
+        self.pairs.flags.writeable = False  # an end row's pairing is returned as it is
+        self.sq = g.wx @ (np.square(fx) + np.square(fy)) @ g.wy
+        self.cross = g.wx @ (fx[:-1] * fx[1:] + fy[:-1] * fy[1:]) @ g.wy
+
+    def _interval(self, domain: Domain, t: float):
+        """(k, s): t lies s of the way from row k-1 to row k, or s is None at end row k."""
+        if domain is not self.domain and domain.spec != self.domain.spec:
+            raise ResolutionMismatchError(
+                f"forcing table read for {self.domain.spec} used on {domain.spec}")
+        times = self.times
+        k = int(np.searchsorted(times, t))
+        if 0 < k < times.size:
+            return k, (t - times[k - 1]) / (times[k] - times[k - 1])
+        return min(k, times.size - 1), None
+
+    def values(self, domain: Domain, t: float):
+        k, s = self._interval(domain, t)
+        return tuple(table[k] if s is None else (1 - s) * table[k - 1] + s * table[k]
+                     for table in self.rows)
+
+    def pairing(self, domain: Domain, t: float):
+        k, s = self._interval(domain, t)
+        if s is None:
+            return self.pairs[k], float(self.sq[k])
+        f_sq = ((1 - s) ** 2 * self.sq[k - 1] + 2 * s * (1 - s) * self.cross[k - 1]
+                + s * s * self.sq[k])
+        return (1 - s) * self.pairs[k - 1] + s * self.pairs[k], max(float(f_sq), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class ForcingSpec:
-    """Time-dependent vector forcing f(x, y, t) on the quadrature grid.
+    """Time-dependent vector forcing f(x, y, t).
 
-    `func(domain, t, out) -> (fx, fy)` gives the nodal values; `out` is a
-    pair of (M, M) arrays that may receive them, or (None, None).  A preset
-    also keeps its `amplitude`, t -> amp with f = amp w[1,1].
+    `nodal(domain, t) -> (fx, fy)` gives its values on the Gauss-Legendre
+    grid, and `paired(domain, t) -> (pairing, int |f|^2)`, when set, its
+    pairing without them; a forcing without one pairs its nodal values.
     """
 
-    func: Callable
-    amplitude: Callable | None = None
+    nodal: Callable
+    paired: Callable | None = None
 
     @staticmethod
     def preset(name: str) -> "ForcingSpec":
         if name not in FORCING_PRESETS:
-            raise ValueError(
-                f"unknown forcing preset {name!r}; available: {sorted(FORCING_PRESETS)}"
-            )
+            raise ValueError(f"unknown forcing preset {name!r}; "
+                             f"available: {sorted(FORCING_PRESETS)}")
         amplitude = FORCING_PRESETS[name]
-        return ForcingSpec(partial(_scaled_lowest_mode, amplitude), amplitude)
+        return ForcingSpec(partial(_preset_values, amplitude), partial(_preset_pairing, amplitude))
 
     @staticmethod
-    def tabulated(path, M: int) -> "ForcingSpec":
-        """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M) for an M-point grid."""
+    def tabulated(path, domain: Domain) -> "ForcingSpec":
+        """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M) for the domain's grid.
+
+        The table pairs on this domain alone: on another, `evaluate` and
+        `pairing` raise ResolutionMismatchError.
+        """
+        M = domain.grid.M
         times, fx, fy = read_npz(path, ("t", "fx", "fy")).values()
         if times.ndim != 1 or times.size < 1:
             raise ValueError("tabulated forcing needs at least one time sample")
@@ -88,42 +129,33 @@ class ForcingSpec:
             raise ValueError(f"tabulated forcing grid {fx.shape[1:]} does not match M={M}")
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
             raise ValueError("tabulated forcing contains non-finite values")
-        return ForcingSpec(partial(_interpolate, times, fx, fy))
+        table = _Table(domain, times, fx, fy)
+        return ForcingSpec(table.values, table.pairing)
 
     @staticmethod
     def from_function(func) -> "ForcingSpec":
         """Wrap a callable (domain, t) -> (fx, fy) nodal arrays."""
-        return ForcingSpec(lambda domain, t, out: func(domain, t))
+        return ForcingSpec(func)
 
-    def evaluate(self, domain: Domain, t: float, out=None):
+    def evaluate(self, domain: Domain, t: float):
         """Nodal (fx, fy) at time t on the domain's grid.
 
-        `out`, a pair of (M, M) arrays, receives the values of a preset or
-        of an interpolation inside a table's window and is returned; left as
-        None, those values come in new arrays.  A table clamped at either
-        end returns its own row, and a callable its own arrays, so callers
-        read the returned pair and never write into it.
+        A table at either end returns its own row, and a callable its own
+        arrays, so callers read the returned pair and never write into it.
         """
-        fx, fy = self.func(domain, t, (None, None) if out is None else out)
+        fx, fy = self.nodal(domain, t)
         if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
             raise ValueError(f"forcing evaluated to non-finite values at t={t}")
         return fx, fy
 
-    def pairing(self, domain: Domain, t: float, *, work=(None, None, None, None)):
+    def pairing(self, domain: Domain, t: float):
         """((f, w_q) for every velocity mode q, flattened (Nv^2,), and int |f|^2) at t.
 
-        A preset f = amp w[1,1] pairs in coefficient space, exactly:
-        amp G[:, 0] and amp^2 G[0, 0].  A table or callable pairs its nodal
-        values on the Gauss-Legendre grid; `work`, four (M, M) arrays or
-        Nones, receives those values, a temporary and the pairing's scratch.
+        A preset or table gives both without nodal values; a callable's
+        nodal values are paired on the Gauss-Legendre grid.
         """
-        if self.amplitude is not None:
-            amp = self.amplitude(t)
-            gram = domain.velocity.gram
-            return amp * gram[:, 0], float(amp * amp * gram[0, 0])
-        out_x, out_y, tmp, scratch = work
-        fx, fy = self.evaluate(domain, t, out=(out_x, out_y))
-        pair = domain.velocity_pairing(fx, fy, scratch=scratch).reshape(-1)
-        f_sq = domain.grid.integrate(np.add(np.square(fx, out=tmp), np.square(fy, out=scratch),
-                                            out=tmp))
-        return pair, f_sq
+        if self.paired is not None:
+            return self.paired(domain, t)
+        fx, fy = self.evaluate(domain, t)
+        pair = domain.velocity_pairing(fx, fy).reshape(-1)
+        return pair, domain.grid.integrate(np.square(fx) + np.square(fy))

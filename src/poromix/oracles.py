@@ -206,7 +206,7 @@ class ManufacturedCase:
         """
         amplitude, rate = self.stream_amplitude
 
-        def force(domain: Domain, t: float, out=(None, None)):
+        def force(domain: Domain, t: float):
             amp = amplitude(t)
             damp = rate(t)
             wx, wy, lap_wx, lap_wy = self._table(domain)[1]

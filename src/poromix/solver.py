@@ -18,10 +18,10 @@ Each pairing is exact.  Every product of the solution is formed at the
 midpoint nodes (see the domain module): the reaction projection, the drag
 pairing P_w[F(C) u], D_F(C) and the quartic work integrals are cosine
 polynomials and go as plain midpoint sums; advection and the Korteweg
-pairing go through the analysis matrices R.  A preset forcing pairs in
-coefficient space.  The Gauss-Legendre grid carries only a nodal forcing
-(tables, callables), the manufactured transport source, and the nodal
-extremes min C and max F(C) of each evaluation with diagnostics.
+pairing go through the analysis matrices R.  The forcing comes as its
+pairing (see the forcing module).  The Gauss-Legendre grid carries only a
+callable forcing's nodal values, the manufactured transport source, and
+the nodal minimum min C of each evaluation with diagnostics.
 
 Alongside the physical coefficients, the state carries a small block of
 work integrals (dissipation, forcing power, reaction quadratics).  These
@@ -243,14 +243,8 @@ _ARK436 = _Pair(_ARK_C, _ARK_AE, _ARK_AI, _ARK_GAMMA, _ARK_B, _ARK_E, 4)
 _WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f", "i_fdotu",
                 "i_cc", "i_dcdt")
 _N_EXTRA = len(_WORK_FIELDS)
-# Slots of GalerkinSystem's Gauss-Legendre workspace: nodal C and F(C) for
-# the diagnostics' extremes, then the work of a nodal forcing's pairing (its
-# values, a temporary and a scratch), whose scratch a transport source's
-# projection shares.
-_N_WORK = 6
-_W_C, _W_F, _W_FX, _W_FY, _W_TMP, _W_SCRATCH = range(_N_WORK)
-# Slots of its midpoint-rule workspace: C, grad C, u, F(C), F'(C), C (1-C)
-# and two temporaries.
+# Slots of GalerkinSystem's midpoint-rule workspace: C, grad C, u, F(C),
+# F'(C), C (1-C) and two temporaries.
 _N_MID_WORK = 10
 _M_C, _M_CX, _M_CY, _M_UX, _M_UY, _M_F, _M_FP, _M_CC, _M_TMP_X, _M_TMP_Y = range(_N_MID_WORK)
 # The ledger columns that are functions of one state, all from its evaluation.
@@ -261,16 +255,14 @@ _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u",
 class GalerkinSystem:
     """Right-hand-side assembly for one (domain, params, forcing) triple.
 
-    Every grid intermediate of an evaluation is written into workspaces the
-    system owns, `_mid_work` on the midpoint rule, which carries every
-    product of the solution, and `_work` on the Gauss-Legendre grid, which
-    only a nodal forcing, a transport source and the diagnostics' nodal
-    extremes use; so evaluations allocate no grid array.  The implicit
-    stage's D_F(C) contraction and matrix go into `_gram_work` and
-    `_stage_matrix`.  The arrays an evaluation returns never alias them,
-    except the midpoint (C, F(C)) that `solve_momentum_stage` hands to the
-    same stage's `rhs`.  One instance must not evaluate in two threads at
-    once.
+    Every product of the solution is written into the workspace the system
+    owns on the midpoint rule, `_mid_work`, and the implicit stage's D_F(C)
+    contraction and matrix into `_gram_work` and `_stage_matrix`.  Only a
+    callable forcing, a transport source and the diagnostics' nodal min C
+    allocate, on the Gauss-Legendre grid.  The arrays an evaluation returns
+    never alias the workspace, except the midpoint (C, F(C)) that
+    `solve_momentum_stage` hands to the same stage's `rhs`.  One instance
+    must not evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
     as long as the system: -d lam, -lam, lam^2, mu_e S and the zero pairing
@@ -303,8 +295,6 @@ class GalerkinSystem:
         for const in (self._neg_d_lam, self._neg_lam, self._lam_sq, self._mu_stiffness,
                       self._zero_pair):
             const.flags.writeable = False
-        self._work = np.empty((_N_WORK, domain.grid.M, domain.grid.M))
-        self._forcing_work = self._work[_W_FX:]
         self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
         self._gram_work = (np.empty((domain.midpoint.P, 2 * self.nv2)),
                            np.empty((self.nv2, self.nv2)), np.empty((self.nv2, self.nv2)))
@@ -375,19 +365,19 @@ class GalerkinSystem:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray, *, _nodal_c_f=None) -> np.ndarray:
+    def rhs(self, t: float, y: np.ndarray, *, _midpoint_c_f=None) -> np.ndarray:
         """Time derivative of the packed state y at time t.
 
-        `_nodal_c_f` is for the implicit pair's stages only: the midpoint
+        `_midpoint_c_f` is for the implicit pair's stages only: the midpoint
         (C, F(C)) that `solve_momentum_stage` computed from y's concentration.
         """
-        ydot, _ = self._eval(t, y, want_diag=False, nodal_c_f=_nodal_c_f)
+        ydot, _ = self._eval(t, y, want_diag=False, midpoint_c_f=_midpoint_c_f)
         return ydot
 
     def evaluate_with_diagnostics(self, t, y):
         return self._eval(t, y, want_diag=True)
 
-    def _eval(self, t, y, want_diag, nodal_c_f=None):
+    def _eval(self, t, y, want_diag, midpoint_c_f=None):
         dom = self.domain
         p = self.params
         dh = p.korteweg.delta_hat
@@ -400,11 +390,11 @@ class GalerkinSystem:
         bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
         extras = self.extras(ydot)
 
-        if nodal_c_f is None:
+        if midpoint_c_f is None:
             cm = dom.midpoint_values(B, out=mw[_M_C])
             f_mid = mobility_values(p.mobility, cm, out=mw[_M_F])
         else:
-            cm, f_mid = nodal_c_f
+            cm, f_mid = midpoint_c_f
         cx, cy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
         ux, uy = dom.midpoint_velocity_values(A, out=(mw[_M_UX], mw[_M_UY]))
 
@@ -421,8 +411,7 @@ class GalerkinSystem:
         bdot -= p_adv
         bdot -= p.kappa * p_cc
         if self.transport_source is not None:
-            bdot += dom.scalar_project(self.transport_source(dom, t),
-                                       scratch=self._work[_W_SCRATCH])
+            bdot += dom.scalar_project(self.transport_source(dom, t))
 
         # Momentum: drag, Korteweg coupling, body force.
         pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
@@ -435,7 +424,7 @@ class GalerkinSystem:
             pair_kt = dom.midpoint_gradient_pairing(kt_x, kt_y).reshape(-1)
         else:
             pair_kt = self._zero_pair
-        pair_f, f_sq = self.forcing.pairing(dom, t, work=self._forcing_work)
+        pair_f, f_sq = self.forcing.pairing(dom, t)
 
         s_alpha = self.stiffness @ a_flat
         implicit_pair = -p.mu_e * s_alpha - pair_F
@@ -464,11 +453,9 @@ class GalerkinSystem:
 
         diag = None
         if want_diag:
-            # The nodal extremes min C and max F(C), and the sign of F behind
-            # fq_u, are over the Gauss-Legendre nodes.
-            w = self._work
-            cg = dom.scalar_values(B, out=w[_W_C])
-            f_grid = mobility_values(p.mobility, cg, out=w[_W_F])
+            # max F(C) and the sign of F behind fq_u are over the midpoint
+            # nodes that assemble the drag and D_F; min C, for the positivity
+            # check, is over the Gauss-Legendre nodes, nearer its true value.
             # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
             # F (squares of sines are cosines), quartic for a quadratic F:
             # it goes on the midpoint rule like (C (1-C))^2.
@@ -490,17 +477,17 @@ class GalerkinSystem:
                     "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
                     "h1_semi_u": grad_u_sq,
                     # The drag work's slope: int F |u|^2, a norm where F >= 0.
-                    "fq_u": fu_quad if float(f_grid.min()) >= 0.0 else math.nan,
+                    "fq_u": fu_quad if float(f_mid.min()) >= 0.0 else math.nan,
                     "dCdt_l2": dcdt_sq,
                     "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
-                    "min_C": float(cg.min()),
+                    "min_C": float(dom.scalar_values(B).min()),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
                     "h1_F_sq": h1_f_sq,
                     "l2_f": f_sq,
                     # Not ledger columns: the choice of pair and the first
                     # stage's implicit slope G^-1 implicit_pair.
-                    "max_F": float(f_grid.max()),
+                    "max_F": float(f_mid.max()),
                     "implicit_pair": implicit_pair,
                 }
         return ydot, diag
@@ -531,9 +518,10 @@ def _takes_imex(system, dt, diag) -> bool:
 
     rho_u = mu_e ||G^-1 S||_inf + max F estimates a bound on the momentum
     block's spectral radius: ||G^-1 S||_inf bounds the largest eigenvalue of
-    G^-1 S, and (D_F a, a) <= max F (G a, a) with the maximum over the
-    midpoint nodes that assemble D_F, for which diag["max_F"], the maximum
-    over the Gauss-Legendre nodes, stands in.
+    G^-1 S, and (D_F a, a) <= max F (G a, a) with diag["max_F"] the maximum
+    over the midpoint nodes: (D_F a, a) is the plain midpoint sum of
+    F |u_a|^2, at most max F times the sum of |u_a|^2, which the rule
+    integrates exactly to (G a, a).
     The drag or viscosity must dominate diffusion (rho_u > 2 d lambda_max),
     and dt must be past the scale where an explicit step resolves them.
     """
@@ -572,10 +560,10 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
             k[i] = system.rhs(t_i, z)
             continue
         z[va] += dt * ((pair.ai[i] - pair.ae[i]) @ ki[:i])
-        alpha, nodal_c_f = system.solve_momentum_stage(t_i, z, gh)
+        alpha, midpoint_c_f = system.solve_momentum_stage(t_i, z, gh)
         ki[i] = (alpha - z[va]) / gh
         z[va] = alpha
-        k[i] = system.rhs(t_i, z, _nodal_c_f=nodal_c_f)
+        k[i] = system.rhs(t_i, z, _midpoint_c_f=midpoint_c_f)
     y_new = y + dt * (pair.b @ k[:n])
     k[n], diag_new = system.evaluate_with_diagnostics(t_new, y_new)
     return y_new, k[n], diag_new, dt * (pair.e @ k[: pair.e.size]), pair

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from poromix import ConfigError, DomainError, DomainSpec, RunConfig, build_domain
+from poromix import (ConfigError, DomainError, DomainSpec, ResolutionMismatchError, RunConfig,
+                     build_domain)
 from poromix.config import OutputSpec
 from poromix.forcing import ForcingSpec
 from poromix.mobility import MobilitySpec
@@ -306,7 +307,7 @@ def test_tabulated_forcing_interpolation(tmp_path, pi_domain):
     fy = np.stack([np.ones((M, M)), np.ones((M, M))])
     path = tmp_path / "force.npz"
     np.savez(path, t=times, fx=fx, fy=fy)
-    forcing = ForcingSpec.tabulated(path, M)
+    forcing = ForcingSpec.tabulated(path, pi_domain)
     half_x, half_y = forcing.evaluate(pi_domain, 0.5)
     assert np.allclose(half_x, 0.5) and np.allclose(half_y, 1.0)
     late_x, _ = forcing.evaluate(pi_domain, 5.0)  # clamped past the table
@@ -315,41 +316,53 @@ def test_tabulated_forcing_interpolation(tmp_path, pi_domain):
     assert np.allclose(early_x, 0.0)
 
 
-def test_forcing_out_receives_the_values_bit_for_bit(tmp_path, pi_domain):
-    M = pi_domain.grid.M
-    rng = np.random.default_rng(3)
-    path = tmp_path / "force.npz"
-    np.savez(path, t=np.array([0.0, 0.3, 1.0]), fx=rng.standard_normal((3, M, M)),
-             fy=rng.standard_normal((3, M, M)))
-    forcings = [ForcingSpec.preset(name) for name in ("zero", "steady_stream", "pulsed_stream")]
-    for forcing in forcings + [ForcingSpec.tabulated(path, M)]:
-        for t in (0.1, 0.65):
-            fresh = forcing.evaluate(pi_domain, t)
-            out = (np.full((M, M), np.nan), np.full((M, M), np.nan))
-            got = forcing.evaluate(pi_domain, t, out=out)
-            assert all(g is o for g, o in zip(got, out))
-            assert [g.tobytes() for g in got] == [f.tobytes() for f in fresh]
+def test_preset_nodal_values_are_the_lowest_basis_velocity_bit_for_bit(pi_domain):
+    # A preset's nodal values, which only pressure recovery asks for, are
+    # amp(t) times the outer products of the first streamfunction factors.
     g = pi_domain.grid
     steady = ForcingSpec.preset("steady_stream").evaluate(pi_domain, 0.0)
     assert steady[0].tobytes() == np.outer(g.phx[:, 0], g.phyd[:, 0]).tobytes()
     assert steady[1].tobytes() == (-np.outer(g.phxd[:, 0], g.phy[:, 0])).tobytes()
+    pulsed = ForcingSpec.preset("pulsed_stream").evaluate(pi_domain, 0.65)
+    amp = np.sin(2.0 * np.pi * 0.65) * np.exp(-0.65)
+    assert [p.tobytes() for p in pulsed] == [(amp * s).tobytes() for s in steady]
 
 
-def test_tabulated_forcing_validation(tmp_path):
+def test_tabulated_forcing_validation(tmp_path, pi_domain):
     path = tmp_path / "bad.npz"
     np.savez(path, t=np.array([0.0, 0.0]), fx=np.zeros((2, 3, 3)), fy=np.zeros((2, 3, 3)))
     with pytest.raises(ValueError, match="strictly increasing"):
-        ForcingSpec.tabulated(path, 3)
+        ForcingSpec.tabulated(path, pi_domain)
     path2 = tmp_path / "bad2.npz"
     np.savez(path2, t=np.array([0.0]))
     with pytest.raises(ValueError, match="missing arrays"):
-        ForcingSpec.tabulated(path2, 3)
+        ForcingSpec.tabulated(path2, pi_domain)
     # NaN compares false, so only a finiteness check rejects a NaN time.
     path3 = tmp_path / "bad3.npz"
     np.savez(path3, t=np.array([0.0, np.nan, 1.0]), fx=np.zeros((3, 3, 3)),
              fy=np.zeros((3, 3, 3)))
     with pytest.raises(ValueError, match="times must be finite"):
-        ForcingSpec.tabulated(path3, 3)
+        ForcingSpec.tabulated(path3, pi_domain)
+
+
+def test_table_on_another_domain_is_a_resolution_mismatch(tmp_path, pi_domain):
+    # A table is paired on the grid it was read for; on another domain it
+    # would hand back that domain's pairings, so it raises instead.  The
+    # same spec built again is the same domain.
+    M = pi_domain.grid.M
+    path = tmp_path / "force.npz"
+    np.savez(path, t=np.array([0.0, 1.0]), fx=np.ones((2, M, M)), fy=np.zeros((2, M, M)))
+    forcing = ForcingSpec.tabulated(path, pi_domain)
+    same = build_domain(pi_domain.spec)
+    assert forcing.pairing(same, 0.5)[1] == forcing.pairing(pi_domain, 0.5)[1]
+    spec = pi_domain.spec
+    for other in (DomainSpec(Lx=2.0, Ly=spec.Ly, Ns=spec.Ns, Nv=spec.Nv, M=M),
+                  DomainSpec(Lx=spec.Lx, Ly=spec.Ly, Ns=spec.Ns, Nv=spec.Nv - 1, M=M)):
+        dom = build_domain(other)
+        assert dom.grid.M == M
+        for method in (forcing.pairing, forcing.evaluate):
+            with pytest.raises(ResolutionMismatchError, match="forcing table read for"):
+                method(dom, 0.5)
 
 
 def _small_run(pi_domain):
@@ -422,8 +435,8 @@ def test_metadata_serializes_infinity(tmp_path):
 
 
 def test_stream_preset_shape_lives_with_its_grid():
-    # The stream presets' nodal shape is kept on the grid itself, so once
-    # the domain is dropped nothing else holds an evaluated grid.
+    # The stream presets' nodal shape is formed on each call, so once the
+    # domain is dropped nothing else holds an evaluated grid.
     import gc
     import weakref
 

@@ -142,7 +142,7 @@ def test_manufactured_case_keeps_one_read_only_table_per_domain(mms_params):
     domains = [build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=Ns, Nv=Nv))
                for Ns, Nv in ((8, 2), (5, 3))]
     case = manufactured_run("swirl")
-    force = case.momentum_forcing(mms_params).func
+    force = case.momentum_forcing(mms_params).nodal
     source = case.transport_source(mms_params)
     tables = case._tables
     # Either closure alone puts its domain's table on the case.
