@@ -204,7 +204,7 @@ class RunConfig:
     def build_forcing(self, domain: Domain) -> ForcingSpec:
         if "file" in self.forcing_raw:
             return _file_entry("forcing.file", ForcingSpec.tabulated,
-                               self.base_dir / self.forcing_raw["file"], domain)
+                               self.base_dir / self.forcing_raw["file"], domain.grid.M)
         return ForcingSpec.preset(self.forcing_raw["preset"])
 
     def build_initial(self, domain: Domain):

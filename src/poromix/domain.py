@@ -35,10 +35,10 @@ Ns + Nv + 1) cells per side projects each one exactly:
   Korteweg pairing, lap C C_x and lap C C_y being of degree 2(Ns-1), a
   sine in the differentiated direction and a cosine in the other.
 
-The Gauss-Legendre rule carries what has no known parity: forcing table
-rows (paired once, when read) and callables, the manufactured source and
-forcing, pressure recovery and the diagnostics' min C; the Gram and
-stiffness matrices are formed on it at build.  Its size M stays
+The Gauss-Legendre rule carries what has no known parity: forcing tables
+and callables, the manufactured source and forcing, pressure recovery and
+the diagnostics' min C; the Gram and stiffness matrices are formed on it
+at build.  Its size M stays
 the smallest rule that integrates every trigonometric mode up to
 ``integrand_degree`` to the certificate tolerance on both sides
 (``required_quadrature_points``), so it pairs a manufactured F(C*) u*

@@ -4,10 +4,9 @@ External body-force specifications for the momentum equation.
 The right-hand side uses a forcing only through `ForcingSpec.pairing`: its
 pairing against the velocity basis and int |f|^2 at t.  A named preset, a
 multiple of the lowest basis velocity, pairs from the Gram matrix; a
-tabulated grid sequence, linear in time, pairs each row once, when read;
-only an arbitrary callable pairs its nodal values on the Gauss-Legendre
-grid at every call.  Nodal values stay available for pressure recovery.
-Evaluation rejects non-finite values.
+tabulated grid sequence, linear in time, and an arbitrary callable pair
+their nodal values on the Gauss-Legendre grid at every call.  Nodal values
+stay available for pressure recovery.  Evaluation rejects non-finite values.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from functools import partial
 import numpy as np
 
 from .domain import Domain
-from .fields import ResolutionMismatchError
 from .runio import read_npz
 
 __all__ = ["ForcingSpec", "FORCING_PRESETS"]
@@ -47,47 +45,15 @@ def _preset_pairing(amplitude, domain: Domain, t: float):
     return amp * gram[:, 0], float(amp * amp * gram[0, 0])
 
 
-class _Table:
-    """Rows f_k at times t_k on one domain's grid, linear in time between them.
-
-    Each row is paired once, on the Gauss-Legendre grid, when the table is
-    read: P_k = (f_k, w), E_k = int |f_k|^2 and X_k = int f_k . f_{k+1}.
-    At s of the way from row k to k+1, (f, w) = (1-s) P_k + s P_{k+1} and
-    int |f|^2 = (1-s)^2 E_k + 2 s (1-s) X_k + s^2 E_{k+1}, clamped at 0;
-    outside the table's window, the end row's.
-    """
-
-    def __init__(self, domain: Domain, times, fx, fy):
-        g = domain.grid
-        self.domain, self.times, self.rows = domain, times, (fx, fy)
-        self.pairs = domain.velocity_pairing(fx, fy).reshape(times.size, -1)
-        self.pairs.flags.writeable = False  # an end row's pairing is returned as it is
-        self.sq = g.wx @ (np.square(fx) + np.square(fy)) @ g.wy
-        self.cross = g.wx @ (fx[:-1] * fx[1:] + fy[:-1] * fy[1:]) @ g.wy
-
-    def _interval(self, domain: Domain, t: float):
-        """(k, s): t lies s of the way from row k-1 to row k, or s is None at end row k."""
-        if domain is not self.domain and domain.spec != self.domain.spec:
-            raise ResolutionMismatchError(
-                f"forcing table read for {self.domain.spec} used on {domain.spec}")
-        times = self.times
-        k = int(np.searchsorted(times, t))
-        if 0 < k < times.size:
-            return k, (t - times[k - 1]) / (times[k] - times[k - 1])
-        return min(k, times.size - 1), None
-
-    def values(self, domain: Domain, t: float):
-        k, s = self._interval(domain, t)
-        return tuple(table[k] if s is None else (1 - s) * table[k - 1] + s * table[k]
-                     for table in self.rows)
-
-    def pairing(self, domain: Domain, t: float):
-        k, s = self._interval(domain, t)
-        if s is None:
-            return self.pairs[k], float(self.sq[k])
-        f_sq = ((1 - s) ** 2 * self.sq[k - 1] + 2 * s * (1 - s) * self.cross[k - 1]
-                + s * s * self.sq[k])
-        return (1 - s) * self.pairs[k - 1] + s * self.pairs[k], max(float(f_sq), 0.0)
+def _interpolate(times, fx_table, fy_table, domain: Domain, t: float):
+    """(fx, fy) of a table at t: an end row outside its window, else (1-s) T_k + s T_{k+1}."""
+    k = np.searchsorted(times, t)
+    if k == 0:
+        return fx_table[0], fy_table[0]
+    if k >= times.size:
+        return fx_table[-1], fy_table[-1]
+    s = (t - times[k - 1]) / (times[k] - times[k - 1])
+    return tuple((1 - s) * table[k - 1] + s * table[k] for table in (fx_table, fy_table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +77,8 @@ class ForcingSpec:
         return ForcingSpec(partial(_preset_values, amplitude), partial(_preset_pairing, amplitude))
 
     @staticmethod
-    def tabulated(path, domain: Domain) -> "ForcingSpec":
-        """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M) for the domain's grid.
-
-        The table pairs on this domain alone: on another, `evaluate` and
-        `pairing` raise ResolutionMismatchError.
-        """
-        M = domain.grid.M
+    def tabulated(path, M: int) -> "ForcingSpec":
+        """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M) for an M-point grid."""
         times, fx, fy = read_npz(path, ("t", "fx", "fy")).values()
         if times.ndim != 1 or times.size < 1:
             raise ValueError("tabulated forcing needs at least one time sample")
@@ -129,8 +90,7 @@ class ForcingSpec:
             raise ValueError(f"tabulated forcing grid {fx.shape[1:]} does not match M={M}")
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
             raise ValueError("tabulated forcing contains non-finite values")
-        table = _Table(domain, times, fx, fy)
-        return ForcingSpec(table.values, table.pairing)
+        return ForcingSpec(partial(_interpolate, times, fx, fy))
 
     @staticmethod
     def from_function(func) -> "ForcingSpec":
@@ -151,7 +111,7 @@ class ForcingSpec:
     def pairing(self, domain: Domain, t: float):
         """((f, w_q) for every velocity mode q, flattened (Nv^2,), and int |f|^2) at t.
 
-        A preset or table gives both without nodal values; a callable's
+        A preset gives both without nodal values; a table's or callable's
         nodal values are paired on the Gauss-Legendre grid.
         """
         if self.paired is not None:

@@ -20,8 +20,8 @@ pairing P_w[F(C) u], D_F(C) and the quartic work integrals are cosine
 polynomials and go as plain midpoint sums; advection and the Korteweg
 pairing go through the analysis matrices R.  The forcing comes as its
 pairing (see the forcing module).  The Gauss-Legendre grid carries only a
-callable forcing's nodal values, the manufactured transport source, and
-the nodal minimum min C of each evaluation with diagnostics.
+table's or callable forcing's nodal values, the manufactured transport
+source, and the nodal minimum min C of each evaluation with diagnostics.
 
 Alongside the physical coefficients, the state carries a small block of
 work integrals (dissipation, forcing power, reaction quadratics).  These
@@ -258,8 +258,8 @@ class GalerkinSystem:
     Every product of the solution is written into the workspace the system
     owns on the midpoint rule, `_mid_work`, and the implicit stage's D_F(C)
     contraction and matrix into `_gram_work` and `_stage_matrix`.  Only a
-    callable forcing, a transport source and the diagnostics' nodal min C
-    allocate, on the Gauss-Legendre grid.  The arrays an evaluation returns
+    table or callable forcing, a transport source and the diagnostics'
+    nodal min C allocate, on the Gauss-Legendre grid.  The arrays an evaluation returns
     never alias the workspace, except the midpoint (C, F(C)) that
     `solve_momentum_stage` hands to the same stage's `rhs`.  One instance
     must not evaluate in two threads at once.

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from poromix import (ConfigError, DomainError, DomainSpec, ResolutionMismatchError, RunConfig,
-                     build_domain)
+from poromix import ConfigError, DomainError, DomainSpec, RunConfig, build_domain
 from poromix.config import OutputSpec
 from poromix.forcing import ForcingSpec
 from poromix.mobility import MobilitySpec
@@ -307,7 +306,7 @@ def test_tabulated_forcing_interpolation(tmp_path, pi_domain):
     fy = np.stack([np.ones((M, M)), np.ones((M, M))])
     path = tmp_path / "force.npz"
     np.savez(path, t=times, fx=fx, fy=fy)
-    forcing = ForcingSpec.tabulated(path, pi_domain)
+    forcing = ForcingSpec.tabulated(path, M)
     half_x, half_y = forcing.evaluate(pi_domain, 0.5)
     assert np.allclose(half_x, 0.5) and np.allclose(half_y, 1.0)
     late_x, _ = forcing.evaluate(pi_domain, 5.0)  # clamped past the table
@@ -328,41 +327,21 @@ def test_preset_nodal_values_are_the_lowest_basis_velocity_bit_for_bit(pi_domain
     assert [p.tobytes() for p in pulsed] == [(amp * s).tobytes() for s in steady]
 
 
-def test_tabulated_forcing_validation(tmp_path, pi_domain):
+def test_tabulated_forcing_validation(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, t=np.array([0.0, 0.0]), fx=np.zeros((2, 3, 3)), fy=np.zeros((2, 3, 3)))
     with pytest.raises(ValueError, match="strictly increasing"):
-        ForcingSpec.tabulated(path, pi_domain)
+        ForcingSpec.tabulated(path, 3)
     path2 = tmp_path / "bad2.npz"
     np.savez(path2, t=np.array([0.0]))
     with pytest.raises(ValueError, match="missing arrays"):
-        ForcingSpec.tabulated(path2, pi_domain)
+        ForcingSpec.tabulated(path2, 3)
     # NaN compares false, so only a finiteness check rejects a NaN time.
     path3 = tmp_path / "bad3.npz"
     np.savez(path3, t=np.array([0.0, np.nan, 1.0]), fx=np.zeros((3, 3, 3)),
              fy=np.zeros((3, 3, 3)))
     with pytest.raises(ValueError, match="times must be finite"):
-        ForcingSpec.tabulated(path3, pi_domain)
-
-
-def test_table_on_another_domain_is_a_resolution_mismatch(tmp_path, pi_domain):
-    # A table is paired on the grid it was read for; on another domain it
-    # would hand back that domain's pairings, so it raises instead.  The
-    # same spec built again is the same domain.
-    M = pi_domain.grid.M
-    path = tmp_path / "force.npz"
-    np.savez(path, t=np.array([0.0, 1.0]), fx=np.ones((2, M, M)), fy=np.zeros((2, M, M)))
-    forcing = ForcingSpec.tabulated(path, pi_domain)
-    same = build_domain(pi_domain.spec)
-    assert forcing.pairing(same, 0.5)[1] == forcing.pairing(pi_domain, 0.5)[1]
-    spec = pi_domain.spec
-    for other in (DomainSpec(Lx=2.0, Ly=spec.Ly, Ns=spec.Ns, Nv=spec.Nv, M=M),
-                  DomainSpec(Lx=spec.Lx, Ly=spec.Ly, Ns=spec.Ns, Nv=spec.Nv - 1, M=M)):
-        dom = build_domain(other)
-        assert dom.grid.M == M
-        for method in (forcing.pairing, forcing.evaluate):
-            with pytest.raises(ResolutionMismatchError, match="forcing table read for"):
-                method(dom, 0.5)
+        ForcingSpec.tabulated(path3, 3)
 
 
 def _small_run(pi_domain):

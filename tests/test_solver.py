@@ -187,55 +187,18 @@ def test_zero_forcing_is_skipped_with_identical_ledger(pi_domain, monkeypatch):
     assert csv[0] == csv[1]
 
 
-def _random_table(tmp_path, domain, times, seed):
-    """A table of random rows at `times` on the domain's grid, read back."""
-    M = domain.grid.M
-    fx, fy = np.random.default_rng(seed).standard_normal((2, len(times), M, M))
-    path = tmp_path / f"force{seed}.npz"
-    np.savez(path, t=np.asarray(times), fx=fx, fy=fy)
-    return ForcingSpec.tabulated(path, domain)
-
-
-@pytest.mark.parametrize("name", ["steady_stream", "pulsed_stream", "table"])
-def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(tmp_path, rect_domain, name):
+@pytest.mark.parametrize("name", ["steady_stream", "pulsed_stream"])
+def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(rect_domain, name):
     # A preset is amp(t) w[1,1], so it pairs as amp G[:, 0] with
-    # int |f|^2 = amp^2 G[0, 0].  A table pairs its rows once, when read,
-    # and combines them at t.  The oracle is the nodal values paired on
-    # the Gauss-Legendre grid, as a callable is: for a table, before, at,
-    # between and after its knots.
-    if name == "table":
-        domain = build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=16, Nv=4))
-        forcing = _random_table(tmp_path, domain, [0.0, 0.3, 0.7, 1.2], seed=4)
-        times = (-0.5, 0.0, 0.1, 0.3, 0.45, 0.7, 1.0, 1.2, 2.0)
-    else:
-        domain, forcing, times = rect_domain, ForcingSpec.preset(name), (0.0, 0.3, 1.7)
-    nodal = ForcingSpec.from_function(forcing.evaluate)
-    gram = domain.velocity.gram
-    for t in times:
-        (pair, f_sq), (ref, ref_sq) = forcing.pairing(domain, t), nodal.pairing(domain, t)
-        if name == "table":
-            assert np.abs(pair - ref).max() <= 1e-14 * np.abs(ref).max()
-            assert abs(f_sq - ref_sq) <= 1e-14 * ref_sq
-        else:
-            assert np.abs(pair - ref).max() <= 1e-14 * np.abs(gram[:, 0]).max()
-            assert abs(f_sq - ref_sq) <= 1e-14 * gram[0, 0]
-
-
-def test_table_forcing_norm_stays_nonnegative(tmp_path, rect_domain):
-    # With f_{k+1} = -f_k, int |f|^2 = (1 - 2s)^2 E_k vanishes at mid-interval,
-    # where its three stored terms cancel: rounding must not make it negative.
-    M = rect_domain.grid.M
-    fx, fy = np.random.default_rng(6).standard_normal((2, M, M))
-    path = tmp_path / "flip.npz"
-    np.savez(path, t=np.array([0.0, 1.0, 2.0]), fx=np.stack([fx, -fx, fx]),
-             fy=np.stack([fy, -fy, fy]))
-    forcing = ForcingSpec.tabulated(path, rect_domain)
-    e0 = forcing.pairing(rect_domain, 0.0)[1]
-    for t in np.linspace(0.0, 2.0, 41):
-        f_sq = forcing.pairing(rect_domain, t)[1]
-        s = t % 1.0
-        assert f_sq >= 0.0 and abs(f_sq - (1 - 2 * s) ** 2 * e0) <= 1e-14 * e0
-    assert all(forcing.pairing(rect_domain, t)[1] >= 0.0 for t in (0.5, 1.5))
+    # int |f|^2 = amp^2 G[0, 0].  The oracle is its nodal values paired on
+    # the Gauss-Legendre grid, as a table or callable is.
+    preset = ForcingSpec.preset(name)
+    nodal = ForcingSpec.from_function(preset.evaluate)
+    gram = rect_domain.velocity.gram
+    for t in (0.0, 0.3, 1.7):
+        (pair, f_sq), (ref, ref_sq) = preset.pairing(rect_domain, t), nodal.pairing(rect_domain, t)
+        assert np.abs(pair - ref).max() <= 1e-14 * np.abs(gram[:, 0]).max()
+        assert abs(f_sq - ref_sq) <= 1e-14 * gram[0, 0]
 
 
 def test_rhs_velocity_constant_mobility_linear_algebra(pi_domain):
@@ -702,21 +665,18 @@ def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
     assert reused.tobytes() == system.rhs(0.3, z).tobytes()
 
 
-def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(tmp_path, pi_domain):
-    # Every product of the solution is on the midpoint rule, a preset
-    # forcing pairs in coefficient space and a table pairs its rows when it
-    # is read: with the Gauss-Legendre grid taken away, an rhs and an
-    # implicit stage give the same bytes.  Only the diagnostics' nodal
-    # min C needs the grid.
-    preset, (y, _) = _workspace_case(pi_domain)
-    table = _random_table(tmp_path, pi_domain, [0.0, 0.2, 0.5], seed=8)
-    for system in (preset, GalerkinSystem(pi_domain, preset.params, table)):
-        want = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
-        system.domain = dataclasses.replace(pi_domain, grid=None)
-        got = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        with pytest.raises(AttributeError):
-            system.evaluate_with_diagnostics(0.3, y)
+def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(pi_domain):
+    # Every product of the solution is on the midpoint rule and a preset
+    # forcing pairs in coefficient space: with the Gauss-Legendre grid taken
+    # away, an rhs and an implicit stage give the same bytes.  Only the
+    # diagnostics' nodal min C needs the grid.
+    system, (y, _) = _workspace_case(pi_domain)
+    want = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
+    system.domain = dataclasses.replace(pi_domain, grid=None)
+    got = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    with pytest.raises(AttributeError):
+        system.evaluate_with_diagnostics(0.3, y)
 
 
 def test_drag_matrix_is_bounded_by_the_midpoint_max_of_f(pi_domain):
