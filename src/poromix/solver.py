@@ -259,10 +259,10 @@ class GalerkinSystem:
     owns on the midpoint rule, `_mid_work`, and the implicit stage's D_F(C)
     contraction and matrix into `_gram_work` and `_stage_matrix`.  Only a
     table or callable forcing, a transport source and the diagnostics'
-    nodal min C allocate, on the Gauss-Legendre grid.  The arrays an evaluation returns
-    never alias the workspace, except the midpoint (C, F(C)) that
-    `solve_momentum_stage` hands to the same stage's `rhs`.  One instance
-    must not evaluate in two threads at once.
+    nodal min C allocate, on the Gauss-Legendre grid.  The arrays an
+    evaluation returns never alias the workspace, except the midpoint
+    (C, F(C)) that `solve_momentum_stage` hands to the same stage's `rhs`.
+    One instance must not evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
     as long as the system: -d lam, -lam, lam^2, mu_e S and the zero pairing
