@@ -304,10 +304,10 @@ class MidpointRule:
 class Domain:
     """Bundle of the discretization products for one DomainSpec.
 
-    The midpoint transforms take a keyword-only ``out=``: a (P, P) array,
-    or a pair of them for the two-component ones, that receives the values
-    and is returned; left as None, they allocate, with the same arithmetic.
-    The Gauss-Legendre methods always allocate.
+    The three midpoint transforms take a keyword-only ``out=``: a (P, P)
+    array, or a pair of them for the two-component ones, that receives the
+    values and is returned; left as None, they allocate, with the same
+    arithmetic.  Every other method allocates.
     """
 
     spec: DomainSpec
@@ -366,7 +366,7 @@ class Domain:
         return lux, luy
 
     def velocity_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Pair a nodal vector field, or a (K, M, M) stack, against every w[j,k], (Nv, Nv) each."""
+        """Pair a nodal vector field against every w[j,k], (Nv, Nv)."""
         g = self.grid
         return g.phx.T @ (g.weights * vx) @ g.phyd - g.phxd.T @ (g.weights * vy) @ g.phy
 
@@ -436,8 +436,7 @@ class Domain:
         pair -= m.rphxd.T @ vy @ m.rphy
         return pair
 
-    def weighted_gram(self, values: np.ndarray, *, work=(None, None, None),
-                      out=None) -> np.ndarray:
+    def weighted_gram(self, values: np.ndarray) -> np.ndarray:
         """(values w_q, w_r) for every pair of velocity modes, (Nv^2, Nv^2).
 
         `values` are at the midpoint nodes, and the pairs are plain midpoint
@@ -445,20 +444,14 @@ class Domain:
         is, which it equals times the flattened coefficients.
         Sum-factorised: the values are contracted with the weighted products
         of the y factors first, then with those of the x factors, at
-        O(P^2 Nv^2 + P Nv^4).  `work` holds the contractions, a (P, 2 Nv^2)
-        array and two (Nv^2, Nv^2) ones, and `out` the result, an
-        (Nv^2, Nv^2) array; None allocates.
+        O(P^2 Nv^2 + P Nv^4).
         """
         Nv = self.spec.Nv
         n2 = Nv * Nv
         px, pxd, py_pyd = self._stream_pair_factors
-        fy_out, d_out, dx_out = work
-        fy = np.matmul(values, py_pyd, out=fy_out)
-        d = np.add(np.matmul(px, fy[:, n2:], out=d_out), np.matmul(pxd, fy[:, :n2], out=dx_out),
-                   out=d_out)
-        out = np.empty((n2, n2)) if out is None else out
-        np.copyto(out.reshape(Nv, Nv, Nv, Nv), d.reshape(Nv, Nv, Nv, Nv).transpose(0, 2, 1, 3))
-        return out
+        fy = values @ py_pyd
+        d = px @ fy[:, n2:] + pxd @ fy[:, :n2]
+        return d.reshape(Nv, Nv, Nv, Nv).transpose(0, 2, 1, 3).reshape(n2, n2)
 
     @cached_property
     def _stream_pair_factors(self):

@@ -92,11 +92,6 @@ class ForcingSpec:
             raise ValueError("tabulated forcing contains non-finite values")
         return ForcingSpec(partial(_interpolate, times, fx, fy))
 
-    @staticmethod
-    def from_function(func) -> "ForcingSpec":
-        """Wrap a callable (domain, t) -> (fx, fy) nodal arrays."""
-        return ForcingSpec(func)
-
     def evaluate(self, domain: Domain, t: float):
         """Nodal (fx, fy) at time t on the domain's grid.
 

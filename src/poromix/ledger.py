@@ -3,7 +3,8 @@ Energy ledger: the per-step record of every monitored functional.
 
 One row per accepted integrator step.  Norm columns store squared norms.
 `fq_u` (the mobility-weighted velocity norm) is NaN whenever F takes a
-negative value somewhere on the grid, where sqrt(F) u is undefined.
+negative value at a midpoint node that assembles the drag, where sqrt(F) u
+is undefined.
 `res_C` / `res_u` are the energy-identity residuals over the segment ending
 at the row's time; they are computed from work integrals carried inside
 the ODE state, so a healthy run keeps them at the size of the local

@@ -3,9 +3,9 @@ Mobility function F(C), the viscosity-to-permeability ratio.
 
 Three families are supported: constant, polynomial with nonnegative
 coefficients, and exponential exp(R C).  F enters the momentum equation
-only through pointwise multiplication on the quadrature grid followed by
-projection onto the velocity basis; viscosity and permeability are never
-represented separately.
+only through its values at the midpoint nodes, in the drag pairing
+(F(C) u, w) and the implicit stage's matrix D_F(C) = (F(C) w_q, w_r);
+viscosity and permeability are never represented separately.
 """
 
 from __future__ import annotations
@@ -86,17 +86,15 @@ class MobilitySpec:
     def exponential(R: float) -> "MobilitySpec":
         return MobilitySpec("exponential", (R,))
 
-    def derivative_values(self, c_grid: np.ndarray, f_values: np.ndarray,
-                          out=None) -> np.ndarray:
+    def derivative_values(self, c_grid: np.ndarray, f_values: np.ndarray) -> np.ndarray:
         """Pointwise F'(C), used for H1 norms of F(C).
 
         f_values = evaluate(self, c_grid): the exponential's F' = R F
-        reuses it rather than exponentiating again.  `out` is as for
-        `evaluate`.
+        reuses it rather than exponentiating again.
         """
         if self.kind == "exponential":
-            return np.multiply(self.coefficients[0], f_values, out=out)
-        return _polyval(c_grid, self._derivative_coefficients, out)
+            return self.coefficients[0] * f_values
+        return np.polynomial.polynomial.polyval(c_grid, self._derivative_coefficients)
 
     @cached_property
     def _derivative_coefficients(self) -> np.ndarray:
@@ -106,38 +104,25 @@ class MobilitySpec:
         return coefficients
 
 
-def evaluate(F: MobilitySpec, c_grid: np.ndarray, out=None) -> np.ndarray:
-    """Pointwise mobility values on the grid.
+def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
+    """Pointwise mobility values on the grid, a new array.
 
-    `out`, an array shaped like `c_grid`, receives the values and is
-    returned; left as None, a new array is.  Exponential overflow raises
-    MobilityOverflowError rather than silently clamping.
+    Exponential overflow raises MobilityOverflowError rather than silently
+    clamping.
     """
     c = np.asarray(c_grid, dtype=float)
     if F.kind == "constant":
-        out = np.empty_like(c) if out is None else out
-        out.fill(F.coefficients[0])
-        return out
+        return np.full_like(c, F.coefficients[0])
     if F.kind == "polynomial":
-        return _polyval(c, F.coefficients, out)
-    arg = np.multiply(F.coefficients[0], c, out=out)
+        return np.polynomial.polynomial.polyval(c, F.coefficients)
+    arg = F.coefficients[0] * c
     peak = max(float(arg.max()), -float(arg.min())) if arg.size else 0.0
     if not np.isfinite(peak) or peak > _EXP_ARG_LIMIT:
         raise MobilityOverflowError(
             f"exponential mobility overflow: |R*C| reached {peak:.3e} "
             f"(limit {_EXP_ARG_LIMIT})"
         )
-    return np.exp(arg, out=out)
-
-
-def _polyval(c, coefficients, out):
-    """numpy's polyval(c, coefficients), the same Horner steps, into `out`."""
-    out = np.multiply(c, 0.0, out=out)
-    out += coefficients[-1]
-    for a in coefficients[-2::-1]:
-        out *= c
-        out += a
-    return out
+    return np.exp(arg)
 
 
 @dataclass(frozen=True)

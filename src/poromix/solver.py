@@ -243,10 +243,10 @@ _ARK436 = _Pair(_ARK_C, _ARK_AE, _ARK_AI, _ARK_GAMMA, _ARK_B, _ARK_E, 4)
 _WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f", "i_fdotu",
                 "i_cc", "i_dcdt")
 _N_EXTRA = len(_WORK_FIELDS)
-# Slots of GalerkinSystem's midpoint-rule workspace: C, grad C, u, F(C),
-# F'(C), C (1-C) and two temporaries.
-_N_MID_WORK = 10
-_M_C, _M_CX, _M_CY, _M_UX, _M_UY, _M_F, _M_FP, _M_CC, _M_TMP_X, _M_TMP_Y = range(_N_MID_WORK)
+# Slots of GalerkinSystem's midpoint-rule workspace: C, grad C, u, C (1-C)
+# and two temporaries.
+_N_MID_WORK = 8
+_M_C, _M_CX, _M_CY, _M_UX, _M_UY, _M_CC, _M_TMP_X, _M_TMP_Y = range(_N_MID_WORK)
 # The ledger columns that are functions of one state, all from its evaluation.
 _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
                   "mass", "min_C", "h1_F_sq", "l2_f")
@@ -255,14 +255,13 @@ _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u",
 class GalerkinSystem:
     """Right-hand-side assembly for one (domain, params, forcing) triple.
 
-    Every product of the solution is written into the workspace the system
-    owns on the midpoint rule, `_mid_work`, and the implicit stage's D_F(C)
-    contraction and matrix into `_gram_work` and `_stage_matrix`.  Only a
-    table or callable forcing, a transport source and the diagnostics'
-    nodal min C allocate, on the Gauss-Legendre grid.  The arrays an
-    evaluation returns never alias the workspace, except the midpoint
-    (C, F(C)) that `solve_momentum_stage` hands to the same stage's `rhs`.
-    One instance must not evaluate in two threads at once.
+    An evaluation writes C, grad C, u, C (1-C) and its temporaries into the
+    workspace the system owns on the midpoint rule, `_mid_work`; F(C) and
+    F'(C) are new arrays.  Only a table or callable forcing, a transport
+    source and the diagnostics' nodal min C allocate on the Gauss-Legendre
+    grid.  The implicit stage allocates all it forms.  The arrays an
+    evaluation or a stage returns never alias the workspace.  One instance
+    must not evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
     as long as the system: -d lam, -lam, lam^2, mu_e S and the zero pairing
@@ -296,9 +295,6 @@ class GalerkinSystem:
                       self._zero_pair):
             const.flags.writeable = False
         self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
-        self._gram_work = (np.empty((domain.midpoint.P, 2 * self.nv2)),
-                           np.empty((self.nv2, self.nv2)), np.empty((self.nv2, self.nv2)))
-        self._stage_matrix = np.empty((self.nv2, self.nv2))
 
     # -- implicit-explicit stepping ---------------------------------------------
 
@@ -325,21 +321,15 @@ class GalerkinSystem:
         the stage is linear in alpha: one dense solve, no Newton iteration.
         A polynomial F can be negative, so the matrix need not be SPD.
         Returns alpha and the midpoint (C, F(C)), which the stage's `rhs`
-        reuses; those two live in the workspace until the system's next
-        evaluation.
+        reuses.
         """
         dom = self.domain
-        mw = self._mid_work
         B = z[: self.ns2].reshape(self.Ns, self.Ns)
-        cm = dom.midpoint_values(B, out=mw[_M_C])
-        f_mid = mobility_values(self.params.mobility, cm, out=mw[_M_F])
+        cm = dom.midpoint_values(B)
+        f_mid = mobility_values(self.params.mobility, cm)
         gram = dom.velocity.gram
         with np.errstate(over="ignore", invalid="ignore"):
-            # lhs = gram + gh (mu_e S + D_F), summed in that order.
-            lhs = dom.weighted_gram(f_mid, work=self._gram_work, out=self._stage_matrix)
-            np.add(self._mu_stiffness, lhs, out=lhs)
-            np.multiply(gh, lhs, out=lhs)
-            np.add(gram, lhs, out=lhs)
+            lhs = gram + gh * (self._mu_stiffness + dom.weighted_gram(f_mid))
         if not np.isfinite(lhs).all():
             raise NonFiniteStateError(t)
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
@@ -392,7 +382,7 @@ class GalerkinSystem:
 
         if midpoint_c_f is None:
             cm = dom.midpoint_values(B, out=mw[_M_C])
-            f_mid = mobility_values(p.mobility, cm, out=mw[_M_F])
+            f_mid = mobility_values(p.mobility, cm)
         else:
             cm, f_mid = midpoint_c_f
         cx, cy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
@@ -459,7 +449,7 @@ class GalerkinSystem:
             # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
             # F (squares of sines are cosines), quartic for a quadratic F:
             # it goes on the midpoint rule like (C (1-C))^2.
-            fp = p.mobility.derivative_values(cm, f_mid, out=mw[_M_FP])
+            fp = p.mobility.derivative_values(cm, f_mid)
             # F is finite below the mobility's overflow limit, but F^2 may
             # not be: such a diagnostic is inf, which apriori_flags reports,
             # rather than a RuntimeWarning.

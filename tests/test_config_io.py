@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -11,7 +12,7 @@ from poromix import ConfigError, DomainError, DomainSpec, RunConfig, build_domai
 from poromix.config import OutputSpec
 from poromix.forcing import ForcingSpec
 from poromix.mobility import MobilitySpec
-from poromix.ledger import CSV_COLUMNS
+from poromix.ledger import CSV_COLUMNS, EnergyLedger, LedgerRow
 from poromix.runio import read_snapshot, write_metadata, write_snapshot
 from poromix.solver import PhysicalParams, SimulationState, SolverConfig, run
 
@@ -197,7 +198,7 @@ outputs: {}
     assert cfg.outputs == OutputSpec()
 
 
-def test_all_errors_reported_at_once():
+def test_all_errors_reported_at_once(tmp_path):
     broken = """
 domain: {Lx: -1.0, Ly: 3.0, Ns: 4, Nv: 1}
 params: {mu_e: -0.1, d: 0.1}
@@ -226,6 +227,28 @@ typo_section: {}
     assert "initial.C.modes[1].k: expected a number, got 'one'" in msgs
     assert "initial.u.jx: expected a number, got 'one'" in msgs
     assert len(msgs) >= 7
+
+    def errors(text):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(text, base_dir=tmp_path)
+        return info.value.errors
+
+    msgs = errors(VALID_CONFIG.replace("Ns: 4", "Ns: 2.5")
+                  .replace("ledger_path: ledger.csv", "ledger_path: 5")
+                  .replace("{preset: zero}\ninitial", "{file: missing.npz}\ninitial")
+                  .replace("C: {preset: uniform, value: 0.5}", "C: 3")
+                  .replace("u: {preset: zero}", "u: {preset: zero, file: u0.npz}"))
+    assert msgs == ["domain.Ns: expected an integer, got 2.5",
+                    "forcing.file: missing.npz does not exist",
+                    "initial.C: missing or not a mapping",
+                    "initial.u: give exactly one of 'preset' or 'file'",
+                    "outputs.ledger_path: expected a string"]
+    for forcing in ("{preset: zero, file: missing.npz}", "{}"):
+        assert errors(VALID_CONFIG.replace("forcing: {preset: zero}", f"forcing: {forcing}")) == [
+            "forcing: give exactly one of 'preset' or 'file'"]
+    assert errors(VALID_CONFIG.replace("{preset: uniform, value: 0.5}",
+                                       "{preset: cosine_mix, modes: 3}")) == [
+        "initial.C.modes: expected a list of [j, k, amplitude] triples"]
 
 
 def test_every_params_defect_listed_on_its_own_line(tmp_path):
@@ -272,6 +295,12 @@ def test_missing_section_and_non_yaml():
         RunConfig.from_text("domain: {Lx: 1, Ly: 1, Ns: 2, Nv: 1}")
     with pytest.raises(ConfigError, match="YAML"):
         RunConfig.from_text("{unbalanced")
+    for text, message in (("- domain\n- solver", "config must be a mapping of sections"),
+                          (re.sub(r"domain: \{.*\}", "domain: [1, 2]", VALID_CONFIG),
+                           "domain: must be a mapping")):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(text)
+        assert info.value.errors == [message]
 
 
 def test_roundtrip_semantically_idempotent(tmp_path):
@@ -342,6 +371,24 @@ def test_tabulated_forcing_validation(tmp_path):
              fy=np.zeros((3, 3, 3)))
     with pytest.raises(ValueError, match="times must be finite"):
         ForcingSpec.tabulated(path3, 3)
+    grid = np.zeros((2, 3, 3))
+    for arrays, message in (
+            (dict(t=np.zeros(0), fx=np.zeros((0, 3, 3)), fy=np.zeros((0, 3, 3))),
+             "needs at least one time sample"),
+            (dict(t=np.array([0.0, 1.0]), fx=grid, fy=np.zeros((2, 3, 4))),
+             "(K, M, M) and congruent"),
+            (dict(t=np.array([0.0, 1.0]), fx=np.where(np.eye(3, dtype=bool), np.nan, grid),
+                  fy=grid), "non-finite values")):
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ForcingSpec.tabulated(path, 3)
+
+
+def test_non_finite_callable_forcing_rejected(pi_domain):
+    M = pi_domain.grid.M
+    forcing = ForcingSpec(lambda domain, t: (np.full((M, M), np.nan), np.zeros((M, M))))
+    with pytest.raises(ValueError, match="forcing evaluated to non-finite values at t=0.5"):
+        forcing.evaluate(pi_domain, 0.5)
 
 
 def _small_run(pi_domain):
@@ -386,6 +433,10 @@ def test_snapshot_roundtrip(tmp_path, pi_domain):
     assert header["t"] == 0.125
     assert header["M"] == pi_domain.grid.M
     assert np.array_equal(back, values)
+    path.write_bytes(path.read_bytes()[:-8])
+    M = pi_domain.grid.M
+    with pytest.raises(ValueError, match=f"snapshot payload has {M * M - 1} values, expected {M * M}"):
+        read_snapshot(path)
 
 
 def test_snapshot_shape_checked(tmp_path, pi_domain):
@@ -398,6 +449,16 @@ def test_ledger_rejects_foreign_header(tmp_path):
     path.write_text("time,value\n0,1\n")
     with pytest.raises(ValueError, match="header"):
         read_ledger_csv(path)
+
+
+def test_ledger_times_must_increase():
+    ledger = EnergyLedger()
+    row = LedgerRow(1.0, *[0.0] * 11, 0)
+    ledger.append(row)
+    for t in (1.0, 0.5):
+        with pytest.raises(ValueError, match=f"ledger times must increase: {t} after 1.0"):
+            ledger.append(dataclasses.replace(row, t=t))
+    assert ledger.rows == [row]
 
 
 def test_unknown_forcing_preset_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from poromix import (
     run,
 )
 from poromix.diagnostics import segment_residual_bounds
+from poromix.ledger import EnergyLedger, LedgerRow
 from poromix.oracles import logistic_solution
 
 from conftest import make_scalar, make_velocity
@@ -199,6 +201,20 @@ def test_apriori_flags_mobility_h1_overflow(pi_domain):
     report = apriori_flags(res.ledger, params)
     assert report.sups["h1_F_sq"] == math.inf
     assert not report.all_finite
+
+
+def test_apriori_negative_drag_work_skips_the_dissipation_inequality():
+    # A drag work integral that falls (a negative mobility) voids dropping
+    # the drag term, so the inequality is reported as not applicable.
+    ledger = EnergyLedger()
+    row = LedgerRow(0.0, *[0.0] * 11, 0)
+    ledger.append(row)
+    ledger.append(dataclasses.replace(row, t=1.0, i_fu=-1.0))
+    report = apriori_flags(ledger, _params())
+    assert report.integrals["drag_quadratic"] == -1.0
+    assert report.drag_integral_nonneg is False
+    assert report.dissipation_holds is None
+    assert report.detail == "mobility quadratic went negative; inequality not applicable"
 
 
 def test_segment_bounds_positive(pi_domain):

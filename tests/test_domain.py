@@ -381,29 +381,23 @@ def _set(arr, idx, value):
     return out
 
 
-def test_midpoint_out_and_work_give_the_allocating_results_bit_for_bit(rect_domain):
-    # The midpoint transforms and weighted_gram write into the buffers
-    # GalerkinSystem owns; the Gauss-Legendre methods always allocate.
+def test_midpoint_out_gives_the_allocating_results_bit_for_bit(rect_domain):
+    # The three midpoint transforms write into the buffers GalerkinSystem
+    # owns; every other method allocates.
     dom = rect_domain
     rng = np.random.default_rng(5)
     B = rng.standard_normal((dom.spec.Ns, dom.spec.Ns))
     A = rng.standard_normal((dom.spec.Nv, dom.spec.Nv))
     P = dom.midpoint.P
-    values = rng.standard_normal((P, P))
 
-    def buffers(n, size):
-        return tuple(np.full((size, size), np.nan) for _ in range(n))
+    def buffers(n):
+        return tuple(np.full((P, P), np.nan) for _ in range(n))
 
-    out = buffers(1, P)[0]
+    out = buffers(1)[0]
     assert dom.midpoint_values(B, out=out) is out
     assert out.tobytes() == dom.midpoint_values(B).tobytes()
     for method, arg in ((dom.midpoint_gradient_values, B), (dom.midpoint_velocity_values, A)):
-        out = buffers(2, P)
+        out = buffers(2)
         got = method(arg, out=out)
         assert got[0] is out[0] and got[1] is out[1]
         assert [g.tobytes() for g in got] == [g.tobytes() for g in method(arg)]
-    n2 = dom.spec.Nv ** 2
-    work = (np.full((P, 2 * n2), np.nan), *buffers(2, n2))
-    out = buffers(1, n2)[0]
-    assert dom.weighted_gram(values, work=work, out=out) is out
-    assert out.tobytes() == dom.weighted_gram(values).tobytes()

@@ -57,24 +57,6 @@ def test_derivative_values_match_closed_forms():
     assert np.array_equal(F.derivative_values(grid, f), 1.3 * f)
 
 
-def test_out_receives_the_values_bit_for_bit():
-    # Filling a caller's buffer is the same arithmetic as returning a new
-    # array; the polynomial's in-place Horner steps are numpy's polyval.
-    grid = np.linspace(-2.0, 3.0, 41).reshape(41, 1) * np.ones((1, 3))
-    for F in (MobilitySpec.constant(3.0), MobilitySpec.polynomial(0.5, 2.0, 0.3, 0.1),
-              MobilitySpec.exponential(-1.7)):
-        f = evaluate(F, grid)
-        buf, dbuf = np.full_like(grid, np.nan), np.full_like(grid, np.nan)
-        assert evaluate(F, grid, out=buf) is buf and buf.tobytes() == f.tobytes()
-        fp = F.derivative_values(grid, f, out=dbuf)
-        assert fp is dbuf and fp.tobytes() == F.derivative_values(grid, f).tobytes()
-    P = np.polynomial.polynomial
-    F = MobilitySpec.polynomial(0.5, 2.0, 0.3, 0.1)
-    assert evaluate(F, grid).tobytes() == P.polyval(grid, F.coefficients).tobytes()
-    assert (F.derivative_values(grid, evaluate(F, grid)).tobytes()
-            == P.polyval(grid, P.polyder(F.coefficients)).tobytes())
-
-
 def test_nonnegativity_on_nonnegative_fields(pi_domain):
     C = make_scalar(pi_domain, [(1, 1, 0.4)], offset=0.6)
     grid = pi_domain.scalar_values(C.coeffs)

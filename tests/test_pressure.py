@@ -40,7 +40,7 @@ def test_gradient_forcing_absorbed_by_pressure(pi_domain):
         return domain.scalar_gradient_values(g_coeffs)
 
     state = SimulationState(0.0, make_scalar(pi_domain, []), make_velocity(pi_domain, []))
-    p = recover_pressure(state, ForcingSpec.from_function(grad_g), _params())
+    p = recover_pressure(state, ForcingSpec(grad_g), _params())
     expected = g_coeffs.copy()
     expected[0, 0] = 0.0
     assert np.abs(p.coeffs - expected).max() <= 1e-8

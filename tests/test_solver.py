@@ -176,7 +176,7 @@ def test_zero_forcing_is_skipped_with_identical_ledger(pi_domain, monkeypatch):
                             make_velocity(pi_domain, [(1, 1, 0.3), (2, 1, -0.1)]))
     params = _params(kappa=0.5, korteweg=KortewegParams(delta_hat=0.2))
     csv = []
-    for forcing in (None, ForcingSpec.from_function(zeros)):
+    for forcing in (None, ForcingSpec(zeros)):
         evaluated.clear()
         res = run(state, params, SolverConfig(T_run=0.2), forcing=forcing)
         assert bool(evaluated) == (forcing is not None)
@@ -193,7 +193,7 @@ def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(rect_domain, n
     # int |f|^2 = amp^2 G[0, 0].  The oracle is its nodal values paired on
     # the Gauss-Legendre grid, as a table or callable is.
     preset = ForcingSpec.preset(name)
-    nodal = ForcingSpec.from_function(preset.evaluate)
+    nodal = ForcingSpec(preset.evaluate)
     gram = rect_domain.velocity.gram
     for t in (0.0, 0.3, 1.7):
         (pair, f_sq), (ref, ref_sq) = preset.pairing(rect_domain, t), nodal.pairing(rect_domain, t)
@@ -654,8 +654,8 @@ def test_evaluations_do_not_alias_the_workspace(pi_domain):
 
 
 def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
-    # solve_momentum_stage leaves its nodal (C, F(C)) in the workspace for the
-    # stage's rhs; fed back, they must give rhs(t, z) bit for bit.
+    # solve_momentum_stage hands its midpoint (C, F(C)) to the stage's rhs;
+    # fed back, they must give rhs(t, z) bit for bit.
     system, (y1, y2) = _workspace_case(pi_domain)
     system.rhs(0.1, y2)  # fill the workspace with another state's values
     z = y1.copy()
@@ -715,30 +715,9 @@ def test_evaluations_allocate_no_grid_array():
             tracemalloc.stop()
 
 
-def test_implicit_stage_allocates_no_grid_array():
-    # At 32/8 the D_F(C) contraction, its transposed copy and the stage
-    # matrix go into the system's buffers: after a warm-up, one implicit
-    # stage allocates under 1 grid array at its peak (2.6 when they were new).
-    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=32, Nv=8))
-    system, (y, _) = _workspace_case(domain)
-    grid_bytes = domain.grid.M ** 2 * 8
-    system.solve_momentum_stage(0.3, y, 0.05)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        system.solve_momentum_stage(0.3, y, 0.05)
-        assert tracemalloc.get_traced_memory()[1] - base < grid_bytes
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def test_implicit_stage_matrix_is_the_allocating_sum(pi_domain):
-    # The stage matrix, assembled in the system's buffers, is
-    # G + gh (mu_e S + D_F(C)) as the allocating expression forms it.
+    # The stage solves with G + gh (mu_e S + D_F(C)) exactly as this
+    # expression forms it.
     system, (y, _) = _workspace_case(pi_domain)
     gh = 0.05
     alpha, (cg, f_grid) = system.solve_momentum_stage(0.3, y, gh)
