@@ -45,7 +45,10 @@ rho_u = mu_e ||G^-1 S||_inf + max F(C_n) on the momentum block's spectral
 radius exceeds twice the diffusion's d lambda_max, and dt rho_u > 1.  Both
 pairs end in one evaluation, with diagnostics, at the step's result; it
 fills that state's ledger row and gives the next step's slope, so each
-accepted state is evaluated once.
+accepted state is evaluated once.  The additive pair's alpha error
+estimate overstates the stiff modes' error, so it is filtered by the last
+implicit stage's matrix, (G + gamma dt (mu_e S + D_F))^-1 G err_alpha
+(Shampine's filter; Hairer & Wanner, Solving ODEs II, IV.8).
 """
 
 from __future__ import annotations
@@ -320,8 +323,8 @@ class GalerkinSystem:
         Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
         the stage is linear in alpha: one dense solve, no Newton iteration.
         A polynomial F can be negative, so the matrix need not be SPD.
-        Returns alpha and the midpoint (C, F(C)), which the stage's `rhs`
-        reuses.
+        Returns alpha, the midpoint (C, F(C)), which the stage's `rhs`
+        reuses, and the matrix, which filters the step's error estimate.
         """
         dom = self.domain
         B = z[: self.ns2].reshape(self.Ns, self.Ns)
@@ -335,7 +338,7 @@ class GalerkinSystem:
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
         if not np.isfinite(alpha).all():
             raise NonFiniteStateError(t)
-        return alpha, (cm, f_mid)
+        return alpha, (cm, f_mid), lhs
 
     # -- packing ------------------------------------------------------------
 
@@ -528,7 +531,8 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
     explicit part is their difference, so the stage input is
     y + dt (AE k + (AI - AE) ki) and the weights apply to k alone.  The work
     integrals ride in k at each stage's value after its solve.  The first
-    stage's implicit part is G^-1 diag["implicit_pair"].
+    stage's implicit part is G^-1 diag["implicit_pair"].  The estimate is
+    dt (e @ k), its alpha block filtered by the last implicit stage's matrix.
 
     Returns (y_new, k_new, diag_new, error_estimate, pair): the step's
     result is evaluated once, with diagnostics at t_new, the time the step
@@ -550,13 +554,16 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
             k[i] = system.rhs(t_i, z)
             continue
         z[va] += dt * ((pair.ai[i] - pair.ae[i]) @ ki[:i])
-        alpha, midpoint_c_f = system.solve_momentum_stage(t_i, z, gh)
+        alpha, midpoint_c_f, lhs = system.solve_momentum_stage(t_i, z, gh)
         ki[i] = (alpha - z[va]) / gh
         z[va] = alpha
         k[i] = system.rhs(t_i, z, _midpoint_c_f=midpoint_c_f)
     y_new = y + dt * (pair.b @ k[:n])
     k[n], diag_new = system.evaluate_with_diagnostics(t_new, y_new)
-    return y_new, k[n], diag_new, dt * (pair.e @ k[: pair.e.size]), pair
+    err = dt * (pair.e @ k[: pair.e.size])
+    if pair.ai is not None:
+        err[va] = np.linalg.solve(lhs, system.domain.velocity.gram @ err[va])
+    return y_new, k[n], diag_new, err, pair
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):

@@ -31,6 +31,7 @@ from poromix import (
 )
 from poromix import solver
 from poromix.diagnostics import segment_residual_bounds
+from poromix.mobility import evaluate as mobility_values
 
 from conftest import make_scalar, make_velocity, random_scalar
 
@@ -613,6 +614,70 @@ def test_dp54_step_is_the_textbook_recurrence(pi_domain):
     assert err.tobytes() == (dt * (np.array(e) @ np.array(k + [k7]))).tobytes()
 
 
+def _recorded_imex_trial(monkeypatch, system, t, y, dt):
+    """One trial from (t, y), its stages' slopes k_1..k_6 and the
+    concentration coefficients of its implicit stages."""
+    k1, diag = system.evaluate_with_diagnostics(t, y)
+    ks, stage_B = [k1], []
+    rhs, stage = system.rhs, system.solve_momentum_stage
+    with monkeypatch.context() as m:
+        m.setattr(system, "rhs", lambda *a, **kw: ks.append(rhs(*a, **kw)) or ks[-1])
+        m.setattr(system, "solve_momentum_stage", lambda t_i, z, gh: stage_B.append(
+            z[: system.ns2].reshape(system.Ns, system.Ns).copy()) or stage(t_i, z, gh))
+        trial = solver._attempt_step(system, t, y, dt, k1, t + dt, diag)
+    assert trial[-1].ai is not None and diag["max_F"] * dt / 4 >= 1
+    assert len(ks) == 6 and len(stage_B) == 5
+    return trial, np.array(ks), stage_B
+
+
+def _ark436_floats():
+    """b and b - b_hat of the published ARK4(3)6L[2]SA, in floating point."""
+    _, _, _, b, b_hat = _ark436_rationals()
+    b, b_hat = np.array([float(q) for q in b]), np.array([float(q) for q in b_hat])
+    return b, b - b_hat
+
+
+def test_imex_step_is_the_filtered_recurrence(monkeypatch):
+    # An independent oracle for an implicit-explicit trial: y_new =
+    # y + dt sum_i b_i k_i and the estimate dt sum_i e_i k_i, e = b - b_hat,
+    # from the published tableau and the slopes its stages evaluated; the
+    # estimate's alpha block goes through (G + gh (mu_e S + D_F(C_6)))^-1 G,
+    # with the matrix built here from the domain's methods at the last
+    # stage's concentration C_6.  Bit for bit, as for DP5(4).
+    state, params = _drag_stiff_case()
+    dom, p = state.domain, params
+    system = GalerkinSystem(dom, p)
+    y, t, dt = system.pack(state.C, state.u), 0.3, 0.01
+    (y_new, _, _, err, _), k, stage_B = _recorded_imex_trial(monkeypatch, system, t, y, dt)
+    b, e = _ark436_floats()
+    assert y_new.tobytes() == (y + dt * (b @ k)).tobytes()
+    expected = dt * (e @ k)
+    f_6 = mobility_values(p.mobility, dom.midpoint_values(stage_B[-1]))
+    lhs = dom.velocity.gram + dt / 4 * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_6))
+    va = system.alpha_slice
+    expected[va] = np.linalg.solve(lhs, dom.velocity.gram @ expected[va])
+    assert err.tobytes() == expected.tobytes()
+
+
+def test_filtered_velocity_error_estimate_tracks_the_true_error(monkeypatch):
+    # Where the drag is stiff (gh max F >= 1) the embedded estimate of the
+    # alpha error overstates the step's true local error; the filtered one
+    # tracks it.  The true error is the step's result minus a run over the
+    # same dt at rtol 1e-13.  The state is relaxed from rest, u != 0.
+    state, params = _drag_stiff_case()
+    state = run(state, params, SolverConfig(T_run=0.05)).final_state
+    system = GalerkinSystem(state.domain, params)
+    y, dt, va = system.pack(state.C, state.u), 0.01, system.alpha_slice
+    assert np.abs(y[va]).max() > 0
+    (y_new, _, _, err, _), k, _ = _recorded_imex_trial(monkeypatch, system, state.t, y, dt)
+    raw = (dt * (_ark436_floats()[1] @ k))[va]
+    ref = run(state, params, SolverConfig(T_run=dt, rtol=1e-13, atol=1e-16)).final_state
+    true = y_new[va] - ref.u.coeffs.reshape(-1)
+    norm = np.linalg.norm
+    assert norm(err[va] - true) < norm(raw - true)
+    assert 0.5 <= norm(err[va]) / norm(true) <= 2
+
+
 def _workspace_case(domain):
     """A system on `domain` with every evaluation branch on (Korteweg, reaction,
     exponential drag, pulsed forcing) and two distinct states."""
@@ -659,7 +724,7 @@ def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
     system, (y1, y2) = _workspace_case(pi_domain)
     system.rhs(0.1, y2)  # fill the workspace with another state's values
     z = y1.copy()
-    alpha, midpoint_c_f = system.solve_momentum_stage(0.3, z, 0.05)
+    alpha, midpoint_c_f, _ = system.solve_momentum_stage(0.3, z, 0.05)
     z[system.alpha_slice] = alpha
     reused = system.rhs(0.3, z, _midpoint_c_f=midpoint_c_f)
     assert reused.tobytes() == system.rhs(0.3, z).tobytes()
@@ -671,9 +736,9 @@ def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(pi_domain):
     # away, an rhs and an implicit stage give the same bytes.  Only the
     # diagnostics' nodal min C needs the grid.
     system, (y, _) = _workspace_case(pi_domain)
-    want = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
+    want = system.rhs(0.3, y), *system.solve_momentum_stage(0.3, y, 0.05)[::2]
     system.domain = dataclasses.replace(pi_domain, grid=None)
-    got = system.rhs(0.3, y), system.solve_momentum_stage(0.3, y, 0.05)[0]
+    got = system.rhs(0.3, y), *system.solve_momentum_stage(0.3, y, 0.05)[::2]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     with pytest.raises(AttributeError):
         system.evaluate_with_diagnostics(0.3, y)
@@ -687,7 +752,7 @@ def test_drag_matrix_is_bounded_by_the_midpoint_max_of_f(pi_domain):
     rng = np.random.default_rng(12)
     for y in states:
         _, diag = system.evaluate_with_diagnostics(0.3, y)
-        alpha, (_, f_mid) = system.solve_momentum_stage(0.3, y, 0.05)
+        alpha, (_, f_mid), _ = system.solve_momentum_stage(0.3, y, 0.05)
         d_f = pi_domain.weighted_gram(f_mid)
         for a in rng.standard_normal((20, system.nv2)):
             assert a @ d_f @ a <= diag["max_F"] * (a @ gram @ a) * (1 + 1e-13)
@@ -717,14 +782,15 @@ def test_evaluations_allocate_no_grid_array():
 
 def test_implicit_stage_matrix_is_the_allocating_sum(pi_domain):
     # The stage solves with G + gh (mu_e S + D_F(C)) exactly as this
-    # expression forms it.
+    # expression forms it, and returns that matrix.
     system, (y, _) = _workspace_case(pi_domain)
     gh = 0.05
-    alpha, (cg, f_grid) = system.solve_momentum_stage(0.3, y, gh)
+    alpha, (cg, f_grid), stage_lhs = system.solve_momentum_stage(0.3, y, gh)
     dom, p = pi_domain, system.params
     lhs = dom.velocity.gram + gh * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_grid))
     expected = np.linalg.solve(lhs, dom.velocity.gram @ y[system.alpha_slice])
     assert alpha.tobytes() == expected.tobytes()
+    assert stage_lhs.tobytes() == lhs.tobytes()
     # A non-finite stage matrix, or a finite one that gives a non-finite
     # alpha, is reported as such, never returned.
     with pytest.raises(NonFiniteStateError):
