@@ -102,8 +102,6 @@ class ManufacturedCase:
     stream_amplitude: tuple  # (amplitude, rate)
     _tables: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
-    _latest: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def _table(self, domain: Domain):
         """The domain's (scalar mode grids, stream mode grids), formed once.
@@ -151,28 +149,22 @@ class ManufacturedCase:
         """Analytic nodal (C*, C*_x, C*_y, lap C*, dC*/dt), independent of Ns.
 
         With `korteweg` two more entries follow: the Hessian
-        (C*_xx, C*_xy, C*_yy) and grad lap C*.  The grids of the latest t
-        are kept per domain, read-only, so the transport source and the
-        forcing of one evaluation form them once.
+        (C*_xx, C*_xy, C*_yy) and grad lap C*.
         """
-        latest = self._latest.get(domain)
-        if latest is None or latest[0] != t:
-            modes, _ = self._table(domain)
-            M = domain.grid.M
-            sums = [np.full((M, M), self.scalar_offset)] + [np.zeros((M, M)) for _ in range(8)]
-            dval_dt = np.zeros((M, M))
-            for (_, _, amplitude, rate), grids in zip(self.scalar_modes, modes):
-                c = amplitude(t)
-                for total, grid in zip(sums, grids):
-                    total += c * grid
-                dval_dt += rate(t) * grids[0]
-            for grid in (*sums, dval_dt):
-                grid.flags.writeable = False
-            val, ddx, ddy, lap, *second = sums
-            latest = self._latest[domain] = (
-                t, (val, ddx, ddy, lap, dval_dt, tuple(second[:3]), tuple(second[3:])))
-        grids = latest[1]
-        return grids if korteweg else grids[:5]
+        modes, _ = self._table(domain)
+        M = domain.grid.M
+        sums = [np.full((M, M), self.scalar_offset)]
+        sums += [np.zeros((M, M)) for _ in range(8 if korteweg else 3)]
+        dval_dt = np.zeros((M, M))
+        for (_, _, amplitude, rate), grids in zip(self.scalar_modes, modes):
+            c = amplitude(t)
+            for total, grid in zip(sums, grids):
+                total += c * grid
+            dval_dt += rate(t) * grids[0]
+        val, ddx, ddy, lap, *second = sums
+        if korteweg:
+            return val, ddx, ddy, lap, dval_dt, tuple(second[:3]), tuple(second[3:])
+        return val, ddx, ddy, lap, dval_dt
 
     def exact_u_grids(self, domain: Domain, t: float):
         s = self.stream_amplitude[0](t)

@@ -662,20 +662,30 @@ def test_imex_step_is_the_filtered_recurrence(monkeypatch):
 def test_filtered_velocity_error_estimate_tracks_the_true_error(monkeypatch):
     # Where the drag is stiff (gh max F >= 1) the embedded estimate of the
     # alpha error overstates the step's true local error; the filtered one
-    # tracks it.  The true error is the step's result minus a run over the
-    # same dt at rtol 1e-13.  The state is relaxed from rest, u != 0.
+    # tracks it.  The true errors are the step's result y_new, and the
+    # embedded result y_hat = y + dt sum_i b_hat_i k_i, minus a run over
+    # the same dt at rtol 1e-13.  The state is relaxed from rest, u != 0.
+    # The raw estimate is y_new - y_hat; here the two errors are about as
+    # large as each other and of opposite sign, so it is about twice
+    # either.  The step keeps y_new, so the first target is its error; the
+    # filtered estimate is within a factor 2 of both.  Measured at T_run
+    # 0.04-0.06 and dt 0.008-0.012: filtered/true 0.63-0.70 for y_new (raw
+    # 1.77-2.10), and |y_new error|/|y_hat error| 0.89-1.29.
     state, params = _drag_stiff_case()
     state = run(state, params, SolverConfig(T_run=0.05)).final_state
     system = GalerkinSystem(state.domain, params)
     y, dt, va = system.pack(state.C, state.u), 0.01, system.alpha_slice
     assert np.abs(y[va]).max() > 0
     (y_new, _, _, err, _), k, _ = _recorded_imex_trial(monkeypatch, system, state.t, y, dt)
-    raw = (dt * (_ark436_floats()[1] @ k))[va]
+    b, e = _ark436_floats()
+    raw = (dt * (e @ k))[va]
     ref = run(state, params, SolverConfig(T_run=dt, rtol=1e-13, atol=1e-16)).final_state
     true = y_new[va] - ref.u.coeffs.reshape(-1)
+    true_hat = (y + dt * ((b - e) @ k))[va] - ref.u.coeffs.reshape(-1)
     norm = np.linalg.norm
     assert norm(err[va] - true) < norm(raw - true)
     assert 0.5 <= norm(err[va]) / norm(true) <= 2
+    assert 0.5 <= norm(err[va]) / norm(true_hat) <= 2
 
 
 def _workspace_case(domain):
