@@ -302,13 +302,7 @@ class MidpointRule:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Bundle of the discretization products for one DomainSpec.
-
-    The three midpoint transforms take a keyword-only ``out=``: a (P, P)
-    array, or a pair of them for the two-component ones, that receives the
-    values and is returned; left as None, they allocate, with the same
-    arithmetic.  Every other method allocates.
-    """
+    """Bundle of the discretization products for one DomainSpec."""
 
     spec: DomainSpec
     scalar: ScalarBasis
@@ -372,24 +366,20 @@ class Domain:
 
     # -- midpoint rule ---------------------------------------------------------
 
-    def midpoint_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
+    def midpoint_values(self, B: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
         m = self.midpoint
-        return np.matmul(m.zx @ B, m.zy.T, out=out)
+        return m.zx @ B @ m.zy.T
 
-    def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
-        """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
+    def midpoint_gradient_values(self, B: np.ndarray):
+        """(Cx, Cy) at the midpoint nodes, (P, P)."""
         m = self.midpoint
-        ox, oy = out
-        return np.matmul(m.zxd @ B, m.zy.T, out=ox), np.matmul(m.zx @ B, m.zyd.T, out=oy)
+        return m.zxd @ B @ m.zy.T, m.zx @ B @ m.zyd.T
 
-    def midpoint_velocity_values(self, A: np.ndarray, *, out=(None, None)):
-        """(ux, uy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
+    def midpoint_velocity_values(self, A: np.ndarray):
+        """(ux, uy) at the midpoint nodes, (P, P)."""
         m = self.midpoint
-        ox, oy = out
-        ux = np.matmul(m.phx @ A, m.phyd.T, out=ox)
-        uy = np.matmul(m.phxd @ A, m.phy.T, out=oy)
-        return ux, np.negative(uy, out=uy)
+        return m.phx @ A @ m.phyd.T, -(m.phxd @ A @ m.phy.T)
 
     def midpoint_project(self, values: np.ndarray) -> np.ndarray:
         """Projection of midpoint values onto the cosine basis, (Ns, Ns), as plain sums.

@@ -267,7 +267,7 @@ class GalerkinSystem:
     must not evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
-    as long as the system: -d lam, -lam, lam^2, mu_e S and the zero pairing
+    as long as the system: -d lam, lam^2, mu_e S and the zero pairing
     of an absent Korteweg term, all read-only.  Each is the
     operand the evaluation's expression would have formed, so results are
     bit for bit those of forming it per call.
@@ -290,12 +290,10 @@ class GalerkinSystem:
         self.stiffness = domain.velocity.stiffness
         self.alpha_slice = slice(self.ns2, self.ns2 + self.nv2)
         self._neg_d_lam = -params.d * self.lam
-        self._neg_lam = -self.lam
         self._lam_sq = self.lam**2
         self._mu_stiffness = params.mu_e * self.stiffness
         self._zero_pair = np.zeros(self.nv2)
-        for const in (self._neg_d_lam, self._neg_lam, self._lam_sq, self._mu_stiffness,
-                      self._zero_pair):
+        for const in (self._neg_d_lam, self._lam_sq, self._mu_stiffness, self._zero_pair):
             const.flags.writeable = False
         self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
 
@@ -383,13 +381,19 @@ class GalerkinSystem:
         bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
         extras = self.extras(ydot)
 
+        # C and C_y share zx B; u_y is kept as -u_y (see `midpoint_velocity_values`),
+        # its sign carried into the products below.
+        m = dom.midpoint
+        zx_b = m.zx @ B
         if midpoint_c_f is None:
-            cm = dom.midpoint_values(B, out=mw[_M_C])
+            cm = np.matmul(zx_b, m.zy.T, out=mw[_M_C])
             f_mid = mobility_values(p.mobility, cm)
         else:
             cm, f_mid = midpoint_c_f
-        cx, cy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
-        ux, uy = dom.midpoint_velocity_values(A, out=(mw[_M_UX], mw[_M_UY]))
+        cx = np.matmul(m.zxd @ B, m.zy.T, out=mw[_M_CX])
+        cy = np.matmul(zx_b, m.zyd.T, out=mw[_M_CY])
+        ux = np.matmul(m.phx @ A, m.phyd.T, out=mw[_M_UX])
+        neg_uy = np.matmul(m.phxd @ A, m.phy.T, out=mw[_M_UY])
 
         # Transport: advection and reaction projections,
         # bdot = -d lam B - P_z[adv] - kappa P_z[C (1-C)] (+ source).
@@ -397,21 +401,27 @@ class GalerkinSystem:
         # (C (1-C), z) a cosine polynomial of degree 3(Ns-1) < 2P; C (1-C)
         # also feeds the reaction work below.
         cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_CC]), out=mw[_M_CC])
-        adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
+        adv = np.subtract(np.multiply(ux, cx, out=tmp_x), np.multiply(neg_uy, cy, out=tmp_y),
+                          out=tmp_x)
         p_adv = dom.midpoint_sine_project(adv)
-        p_cc = dom.midpoint_project(cc_mid)
         np.multiply(self._neg_d_lam, B, out=bdot)
         bdot -= p_adv
-        bdot -= p.kappa * p_cc
+        if p.kappa != 0.0:
+            p_cc = dom.midpoint_project(cc_mid)
+            bdot -= p.kappa * p_cc
         if self.transport_source is not None:
             bdot += dom.scalar_project(self.transport_source(dom, t))
 
-        # Momentum: drag, Korteweg coupling, body force.
-        pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
-                                               np.multiply(f_mid, uy, out=tmp_y)).reshape(-1)
+        # Momentum: drag, Korteweg coupling, body force.  The drag pairing is
+        # `midpoint_velocity_pairing(F ux, F uy)` with the sign of u_y inside.
+        pair_F = m.phx.T @ np.multiply(f_mid, ux, out=tmp_x) @ m.phyd
+        pair_F += m.phxd.T @ np.multiply(f_mid, neg_uy, out=tmp_y) @ m.phy
+        pair_F *= m.cell
+        pair_F = pair_F.reshape(-1)
+        lam_b = self.lam * B
         if dh != 0.0:
-            lap_m = dom.midpoint_values(self._neg_lam * B, out=tmp_x)
-            kt = np.multiply(-dh, lap_m, out=tmp_x)
+            # -dh lap C = dh (zx (lam B) zy^T), the Korteweg coefficient.
+            kt = np.multiply(dh, np.matmul(m.zx @ lam_b, m.zy.T, out=tmp_x), out=tmp_x)
             kt_y = np.multiply(kt, cy, out=tmp_y)
             kt_x = np.multiply(kt, cx, out=tmp_x)
             pair_kt = dom.midpoint_gradient_pairing(kt_x, kt_y).reshape(-1)
@@ -428,19 +438,19 @@ class GalerkinSystem:
         # identities, so the per-step residuals isolate integrator error.
         # The quartic (C (1-C))^2 is a cosine polynomial: the midpoint rule
         # integrates it exactly.
-        grad_c_sq = float((self.lam * B * B).sum())
+        grad_c_sq = float((lam_b * B).sum())
         lap_c_sq = float((self._lam_sq * B * B).sum())
         grad_u_sq = float(a_flat @ s_alpha)
         fu_quad = float(a_flat @ pair_F)
         f_dot_u = float(a_flat @ pair_f)
         dcdt_sq = float((bdot * bdot).sum())
-        work = dict(
-            iw_c=p.d * grad_c_sq + float((B * p_adv).sum()) + p.kappa * float((B * p_cc).sum()),
-            iw_u=p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u,
-            i_grad_c=grad_c_sq, i_lap_c=lap_c_sq, i_grad_u=grad_u_sq, i_fu=fu_quad, i_f=f_sq,
-            i_fdotu=f_dot_u, i_cc=dom.midpoint.integrate(np.square(cc_mid, out=cc_mid)),
-            i_dcdt=dcdt_sq)
-        extras[:] = [work[name] for name in _WORK_FIELDS]
+        iw_c = p.d * grad_c_sq + float((B * p_adv).sum())
+        if p.kappa != 0.0:
+            iw_c += p.kappa * float((B * p_cc).sum())
+        # In _WORK_FIELDS order.
+        extras[:] = (iw_c, p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u,
+                     grad_c_sq, lap_c_sq, grad_u_sq, fu_quad, f_sq, f_dot_u,
+                     dom.midpoint.integrate(np.square(cc_mid, out=cc_mid)), dcdt_sq)
         if not np.isfinite(ydot).all():
             raise NonFiniteStateError(t)
 
@@ -490,7 +500,7 @@ class GalerkinSystem:
     def ledger_row(self, t, y, diag, prev, blowup: bool) -> LedgerRow:
         """The row of state y, with `diag` from its evaluation and `prev` the
         previous row (None at the initial state)."""
-        work = dict(zip(_WORK_FIELDS, self.extras(y)))
+        work = dict(zip(_WORK_FIELDS, self.extras(y).tolist()))
         if prev is None:
             res_C = res_u = 0.0
         else:
@@ -502,7 +512,7 @@ class GalerkinSystem:
             res_u=res_u,
             blowup=int(blowup),
             **{name: diag[name] for name in _STATE_COLUMNS},
-            **{name: float(v) for name, v in work.items()},
+            **work,
         )
 
 
@@ -568,7 +578,9 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
 
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(((err / scale) ** 2).mean()))
+    q = err / scale
+    # The mean of q^2, as ndarray.mean forms it, without its Python wrapper.
+    return float(np.sqrt(np.add.reduce(q * q) / q.size))
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -354,14 +355,68 @@ def test_sweep_run_count_capped(tmp_path, capsys):
     assert not report.exists()
 
 
-def test_import_loads_no_scipy():
-    # The runtime needs numpy and PyYAML only: importing scipy would add
-    # about 0.3 s and a second OpenBLAS to every run's start-up.
+def _python(code):
+    """stdout of `code` run by a fresh interpreter that imports this checkout's poromix."""
     src = str(Path(poromix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_import_loads_no_scipy():
+    # The runtime needs numpy and PyYAML only: importing scipy would add
+    # about 0.3 s and a second OpenBLAS to every run's start-up.
     code = ("import sys, poromix, poromix.cli, poromix.verify; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _python(code).strip() == "[]"
+
+
+# The names `import poromix` resolves on first use, and their modules.
+DEFERRED = {
+    "ConfigError": "config", "RunConfig": "config",
+    "apriori_flags": "diagnostics", "decay_to_mean_check": "diagnostics",
+    "perturbation_stability": "diagnostics", "positivity_check": "diagnostics",
+    "logistic_blowup_time": "oracles", "manufactured_run": "oracles",
+    "momentum_gradient_residual": "pressure", "recover_pressure": "pressure",
+    "config": "config", "diagnostics": "diagnostics", "oracles": "oracles",
+    "pressure": "pressure",
+}
+NOT_IN_CORE = ("yaml", "poromix.config", "poromix.diagnostics", "poromix.oracles",
+               "poromix.pressure")
+
+
+def test_import_loads_only_the_solver_core():
+    # dir() lists the deferred names before their modules load, and lists
+    # exactly the names in __all__.
+    code = ("import sys, poromix; "
+            f"print(sorted(m for m in {NOT_IN_CORE!r} if m in sys.modules)); "
+            f"print(sorted(set({list(DEFERRED)!r}) - set(poromix.__all__))); "
+            "print(sorted({n for n in dir(poromix) if n[0] != '_'} ^ set(poromix.__all__)))")
+    assert _python(code).split() == ["[]", "[]", "[]"]
+
+
+def test_deferred_names_are_their_modules_objects():
+    for name, module in DEFERRED.items():
+        mod = importlib.import_module(f"poromix.{module}")
+        assert getattr(poromix, name) is (mod if name == module else getattr(mod, name))
+        assert name in dir(poromix) and name in poromix.__all__
+    assert all(hasattr(poromix, n) for n in poromix.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        poromix.no_such_name
+
+
+def _readme_library_example(T_run):
+    """The README's library example with its run shortened to `T_run`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", text.split("## Library use", 1)[1], re.S).group(1)
+    assert "T_run=1.0" in code
+    return code.replace("T_run=1.0", f"T_run={T_run!r}")
+
+
+def test_solver_core_runs_without_pyyaml():
+    # PyYAML is needed to read a config file, not to import or run the solver.
+    code = ("import sys\nsys.modules['yaml'] = None\n" + _readme_library_example(0.05)
+            + "try:\n    pm.RunConfig\nexcept ImportError:\n    print('no RunConfig')\n")
+    run_line, last = _python(code).splitlines()
+    assert run_line.split()[0] == "completed" and last == "no RunConfig"

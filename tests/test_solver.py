@@ -202,6 +202,28 @@ def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(rect_domain, n
         assert abs(f_sq - ref_sq) <= 1e-14 * gram[0, 0]
 
 
+def test_reactionless_rhs_makes_no_reaction_projection(pi_domain, monkeypatch):
+    # With kappa = 0 the reaction projection is skipped, and the transport
+    # block is diffusion and advection alone, with u and grad C from the
+    # Domain's own midpoint transforms.
+    params = _params(mobility=MobilitySpec.exponential(0.5), korteweg=KortewegParams(delta_hat=0.1))
+    system = GalerkinSystem(pi_domain, params)
+    C = ScalarField(pi_domain, random_scalar(pi_domain, 3, scale=0.1).coeffs
+                    + make_scalar(pi_domain, offset=0.5).coeffs)
+    u = make_velocity(pi_domain, [(1, 1, 0.3), (2, 1, -0.2), (1, 2, 0.1)])
+    dom, B = pi_domain, C.coeffs
+
+    def no_projection(*args, **kwargs):
+        raise AssertionError("midpoint_project called with kappa = 0")
+
+    monkeypatch.setattr(type(dom), "midpoint_project", no_projection)
+    beta = system.rhs(0.2, system.pack(C, u))[: system.ns2].reshape(B.shape)
+    cx, cy = dom.midpoint_gradient_values(B)
+    ux, uy = dom.midpoint_velocity_values(u.coeffs)
+    expected = (-params.d * dom.scalar.eigenvalues) * B - dom.midpoint_sine_project(ux * cx + uy * cy)
+    assert beta.tobytes() == expected.tobytes()
+
+
 def test_rhs_velocity_constant_mobility_linear_algebra(pi_domain):
     # delta_hat = 0, f = 0, C uniform, F = a: G alpha' = -(mu_e S + a G) alpha.
     a, mu_e = 0.7, 0.2
@@ -404,6 +426,10 @@ def test_ledger_csv_values_and_monotone_time(pi_domain):
     assert all(b > a for a, b in zip(ts, ts[1:]))
     for name in ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "dCdt_l2"):
         assert all(v >= 0.0 for v in res.ledger.column(name))
+    # Every column but the blow-up flag is a Python float, not a numpy scalar.
+    for row in res.ledger:
+        assert {type(getattr(row, f.name)) for f in dataclasses.fields(row)
+                if f.name != "blowup"} == {float}
 
 
 def test_ledger_norms_match_grid_quadrature(pi_domain):
