@@ -65,23 +65,8 @@ _DEFERRED = {
     "pressure": "pressure",
 }
 
-__all__ = [
-    # submodules
-    "domain", "fields", "forcing", "korteweg", "ledger", "mobility", "runio", "solver",
-    # domain
-    "Domain", "DomainError", "DomainSpec", "MidpointRule", "QuadratureGrid", "ScalarBasis",
-    "SpecError", "VelocityBasis", "build_domain", "integrand_degree", "midpoint_degree",
-    "required_quadrature_points",
-    # fields, forcing, korteweg, ledger, mobility
-    "ResolutionMismatchError", "ScalarField", "VelocityField", "grid_to_scalar", "ForcingSpec",
-    "KortewegParams", "korteweg_full_tensor", "EnergyLedger", "LedgerRow",
-    "MobilityOverflowError", "MobilitySpec", "lipschitz_check", "mobility_evaluate",
-    # solver
-    "GalerkinSystem", "NonFiniteStateError", "PhysicalParams", "SimulationResult",
-    "SimulationState", "SolverConfig", "StepSizeUnderflowError", "existence_time_bound",
-    "rhs_concentration", "rhs_velocity", "run",
-    *_DEFERRED,
-]
+# Every public name: the eager ones bound above (submodules included) and the deferred ones.
+__all__ = sorted({n for n in globals() if n[0] != "_"} | set(_DEFERRED))
 
 
 def __getattr__(name):

@@ -302,7 +302,13 @@ class MidpointRule:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Bundle of the discretization products for one DomainSpec."""
+    """Bundle of the discretization products for one DomainSpec.
+
+    The three midpoint transforms take a keyword-only ``out=``: a (P, P)
+    array, or a pair of them for the two-component ones, that receives the
+    values and is returned; left as None, they allocate, with the same
+    arithmetic.  Every other method allocates.
+    """
 
     spec: DomainSpec
     scalar: ScalarBasis
@@ -366,20 +372,24 @@ class Domain:
 
     # -- midpoint rule ---------------------------------------------------------
 
-    def midpoint_values(self, B: np.ndarray) -> np.ndarray:
+    def midpoint_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
         m = self.midpoint
-        return m.zx @ B @ m.zy.T
+        return np.matmul(m.zx @ B, m.zy.T, out=out)
 
-    def midpoint_gradient_values(self, B: np.ndarray):
-        """(Cx, Cy) at the midpoint nodes, (P, P)."""
+    def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
+        """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
         m = self.midpoint
-        return m.zxd @ B @ m.zy.T, m.zx @ B @ m.zyd.T
+        ox, oy = out
+        return np.matmul(m.zxd @ B, m.zy.T, out=ox), np.matmul(m.zx @ B, m.zyd.T, out=oy)
 
-    def midpoint_velocity_values(self, A: np.ndarray):
-        """(ux, uy) at the midpoint nodes, (P, P)."""
+    def midpoint_velocity_values(self, A: np.ndarray, *, out=(None, None)):
+        """(ux, uy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
         m = self.midpoint
-        return m.phx @ A @ m.phyd.T, -(m.phxd @ A @ m.phy.T)
+        ox, oy = out
+        ux = np.matmul(m.phx @ A, m.phyd.T, out=ox)
+        uy = np.matmul(m.phxd @ A, m.phy.T, out=oy)
+        return ux, np.negative(uy, out=uy)
 
     def midpoint_project(self, values: np.ndarray) -> np.ndarray:
         """Projection of midpoint values onto the cosine basis, (Ns, Ns), as plain sums.

@@ -381,19 +381,13 @@ class GalerkinSystem:
         bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
         extras = self.extras(ydot)
 
-        # C and C_y share zx B; u_y is kept as -u_y (see `midpoint_velocity_values`),
-        # its sign carried into the products below.
-        m = dom.midpoint
-        zx_b = m.zx @ B
         if midpoint_c_f is None:
-            cm = np.matmul(zx_b, m.zy.T, out=mw[_M_C])
+            cm = dom.midpoint_values(B, out=mw[_M_C])
             f_mid = mobility_values(p.mobility, cm)
         else:
             cm, f_mid = midpoint_c_f
-        cx = np.matmul(m.zxd @ B, m.zy.T, out=mw[_M_CX])
-        cy = np.matmul(zx_b, m.zyd.T, out=mw[_M_CY])
-        ux = np.matmul(m.phx @ A, m.phyd.T, out=mw[_M_UX])
-        neg_uy = np.matmul(m.phxd @ A, m.phy.T, out=mw[_M_UY])
+        cx, cy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
+        ux, uy = dom.midpoint_velocity_values(A, out=(mw[_M_UX], mw[_M_UY]))
 
         # Transport: advection and reaction projections,
         # bdot = -d lam B - P_z[adv] - kappa P_z[C (1-C)] (+ source).
@@ -401,8 +395,7 @@ class GalerkinSystem:
         # (C (1-C), z) a cosine polynomial of degree 3(Ns-1) < 2P; C (1-C)
         # also feeds the reaction work below.
         cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_CC]), out=mw[_M_CC])
-        adv = np.subtract(np.multiply(ux, cx, out=tmp_x), np.multiply(neg_uy, cy, out=tmp_y),
-                          out=tmp_x)
+        adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
         p_adv = dom.midpoint_sine_project(adv)
         np.multiply(self._neg_d_lam, B, out=bdot)
         bdot -= p_adv
@@ -412,16 +405,13 @@ class GalerkinSystem:
         if self.transport_source is not None:
             bdot += dom.scalar_project(self.transport_source(dom, t))
 
-        # Momentum: drag, Korteweg coupling, body force.  The drag pairing is
-        # `midpoint_velocity_pairing(F ux, F uy)` with the sign of u_y inside.
-        pair_F = m.phx.T @ np.multiply(f_mid, ux, out=tmp_x) @ m.phyd
-        pair_F += m.phxd.T @ np.multiply(f_mid, neg_uy, out=tmp_y) @ m.phy
-        pair_F *= m.cell
-        pair_F = pair_F.reshape(-1)
+        # Momentum: drag, Korteweg coupling, body force.
+        pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
+                                               np.multiply(f_mid, uy, out=tmp_y)).reshape(-1)
         lam_b = self.lam * B
         if dh != 0.0:
-            # -dh lap C = dh (zx (lam B) zy^T), the Korteweg coefficient.
-            kt = np.multiply(dh, np.matmul(m.zx @ lam_b, m.zy.T, out=tmp_x), out=tmp_x)
+            # -dh lap C is dh times the midpoint values of lam B.
+            kt = np.multiply(dh, dom.midpoint_values(lam_b, out=tmp_x), out=tmp_x)
             kt_y = np.multiply(kt, cy, out=tmp_y)
             kt_x = np.multiply(kt, cx, out=tmp_x)
             pair_kt = dom.midpoint_gradient_pairing(kt_x, kt_y).reshape(-1)
@@ -578,9 +568,7 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
 
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    q = err / scale
-    # The mean of q^2, as ndarray.mean forms it, without its Python wrapper.
-    return float(np.sqrt(np.add.reduce(q * q) / q.size))
+    return float(np.sqrt(((err / scale) ** 2).mean()))
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0

@@ -202,26 +202,44 @@ def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(rect_domain, n
         assert abs(f_sq - ref_sq) <= 1e-14 * gram[0, 0]
 
 
-def test_reactionless_rhs_makes_no_reaction_projection(pi_domain, monkeypatch):
-    # With kappa = 0 the reaction projection is skipped, and the transport
-    # block is diffusion and advection alone, with u and grad C from the
-    # Domain's own midpoint transforms.
-    params = _params(mobility=MobilitySpec.exponential(0.5), korteweg=KortewegParams(delta_hat=0.1))
-    system = GalerkinSystem(pi_domain, params)
-    C = ScalarField(pi_domain, random_scalar(pi_domain, 3, scale=0.1).coeffs
-                    + make_scalar(pi_domain, offset=0.5).coeffs)
-    u = make_velocity(pi_domain, [(1, 1, 0.3), (2, 1, -0.2), (1, 2, 0.1)])
-    dom, B = pi_domain, C.coeffs
+@pytest.mark.parametrize("kappa", [0.0, 0.7])
+def test_rhs_is_the_domain_transforms_assembly(pi_domain, monkeypatch, kappa):
+    # Both blocks of rhs, bit for bit, from the Domain's allocating midpoint
+    # transforms and pairings:
+    #   bdot = -d lam B - P_sin[u . grad C] - kappa P[C (1-C)],
+    #   G alpha' = -mu_e S alpha - (F(C) u, w) + (-dh lap C grad C, w) + (f, w).
+    # With kappa = 0 the reaction projection is not formed at all.
+    dom, dh = pi_domain, 0.1
+    params = _params(kappa=kappa, mobility=MobilitySpec.exponential(0.5),
+                     korteweg=KortewegParams(delta_hat=dh))
+    forcing = ForcingSpec.preset("steady_stream")
+    system = GalerkinSystem(dom, params, forcing)
+    C = ScalarField(dom, random_scalar(dom, 3, scale=0.1).coeffs
+                    + make_scalar(dom, offset=0.5).coeffs)
+    u = make_velocity(dom, [(1, 1, 0.3), (2, 1, -0.2), (1, 2, 0.1)])
+    B, A, lam = C.coeffs, u.coeffs, dom.scalar.eigenvalues
 
-    def no_projection(*args, **kwargs):
-        raise AssertionError("midpoint_project called with kappa = 0")
-
-    monkeypatch.setattr(type(dom), "midpoint_project", no_projection)
-    beta = system.rhs(0.2, system.pack(C, u))[: system.ns2].reshape(B.shape)
+    cm = dom.midpoint_values(B)
     cx, cy = dom.midpoint_gradient_values(B)
-    ux, uy = dom.midpoint_velocity_values(u.coeffs)
-    expected = (-params.d * dom.scalar.eigenvalues) * B - dom.midpoint_sine_project(ux * cx + uy * cy)
-    assert beta.tobytes() == expected.tobytes()
+    ux, uy = dom.midpoint_velocity_values(A)
+    beta = (-params.d * lam) * B - dom.midpoint_sine_project(ux * cx + uy * cy)
+    if kappa:
+        beta -= kappa * dom.midpoint_project(cm * (1.0 - cm))
+    else:
+        def no_projection(*args, **kwargs):
+            raise AssertionError("midpoint_project called with kappa = 0")
+
+        monkeypatch.setattr(type(dom), "midpoint_project", no_projection)
+    F = mobility_values(params.mobility, cm)
+    kt = -dh * dom.midpoint_values(-lam * B)  # -dh lap C
+    pair = (-params.mu_e * (dom.velocity.stiffness @ A.reshape(-1))
+            - dom.midpoint_velocity_pairing(F * ux, F * uy).reshape(-1)
+            + dom.midpoint_gradient_pairing(kt * cx, kt * cy).reshape(-1)
+            + forcing.pairing(dom, 0.2)[0])
+
+    ydot = system.rhs(0.2, system.pack(C, u))
+    assert ydot[: system.ns2].tobytes() == beta.tobytes()
+    assert ydot[system.alpha_slice].tobytes() == dom.velocity.solve_gram(pair).tobytes()
 
 
 def test_rhs_velocity_constant_mobility_linear_algebra(pi_domain):
