@@ -20,10 +20,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .diagnostics import apriori_flags, fit_decay_rate
-from .domain import build_domain
 from .runio import write_metadata, write_snapshot
 from .solver import SimulationState, existence_time_bound, run
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
@@ -43,7 +41,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True,
-                          help=f"one of: {', '.join(SUITE_NAMES)}, or 'all'")
+                          help="a suite name, or 'all'; an unknown name lists the suites")
 
     p_sweep = sub.add_parser("sweep", help="vary one parameter across runs")
     p_sweep.add_argument("--config", required=True)
@@ -70,11 +68,11 @@ def main(argv=None) -> int:
 def _build_inputs(cfg: RunConfig):
     """The domain, initial (C0, u0) and forcing of a config.
 
-    Building reads and checks every file entry against the grid.  Callers
-    build these before they create any output, so a bad input leaves none
-    behind.
+    Building reads and checks every file entry against the grid, which a
+    forcing table sets.  Callers build these before they create any output,
+    so a bad input leaves none behind.
     """
-    domain = build_domain(cfg.domain)
+    domain = cfg.build_domain()
     C0, u0 = cfg.build_initial(domain)
     return domain, C0, u0, cfg.build_forcing(domain)
 
@@ -145,6 +143,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here, so that `run` and `sweep` do not load the verification code.
+    from .verify import SUITE_NAMES, run_suite
+
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     all_passed = True
     for name in names:

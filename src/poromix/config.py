@@ -4,13 +4,16 @@ Run configuration: a YAML document with nested key/value sections.
 Sections and keys, each declared once in `_KEYS`, which the parsers and
 `to_dict` both read:
 
-    domain:   Lx, Ly, Ns, Nv, M (optional)
+    domain:   Lx, Ly, Ns, Nv
     params:   mu_e, d; optional kappa, delta_hat, gamma, M_GN
     mobility: kind, coefficients
     forcing:  preset OR file
     initial:  C: {preset: ..., ...} or {file: ...}; u: likewise
     solver:   T_run; optional rtol, atol, dt_init, blowup_cap
     outputs:  optional ledger_path, snapshot_cadence, snapshot_dir
+
+The quadrature size M is not a key: a run takes the smallest certified
+Gauss-Legendre grid for its Ns and Nv, or a forcing table's own grid.
 
 Validation collects every problem with its field path before failing, so
 a broken file reports all defects at once.  Each section's spec checks its
@@ -22,13 +25,13 @@ semantically idempotent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
 import yaml
 
-from .domain import Domain, DomainSpec, SpecError
+from .domain import Domain, DomainSpec, SpecError, build_domain
 from .fields import ScalarField, VelocityField, cosine_field, mode_range_errors, stream_field
 from .forcing import FORCING_PRESETS, ForcingSpec
 from .korteweg import KortewegParams
@@ -90,7 +93,7 @@ class ConfigError(ValueError):
 # parsers and echoed as given.
 _KEYS = {
     "domain": {"Lx": (float, True, "Lx"), "Ly": (float, True, "Ly"), "Ns": (int, True, "Ns"),
-               "Nv": (int, True, "Nv"), "M": (int, False, "M")},
+               "Nv": (int, True, "Nv")},
     "params": {"mu_e": (float, True, "mu_e"), "d": (float, True, "d"),
                "kappa": (float, False, "kappa"),
                "delta_hat": (float, False, "korteweg.delta_hat"),
@@ -200,6 +203,15 @@ class RunConfig:
         )
 
     # -- realization -----------------------------------------------------------
+
+    def build_domain(self) -> Domain:
+        """The run's domain.  A forcing table's grid, the last dimension of
+        its fx, sets M; a grid the spec's threshold or the certificate
+        rejects is a `forcing.file` error."""
+        if "file" not in self.forcing_raw:
+            return build_domain(self.domain)
+        return _file_entry("forcing.file", _table_domain, self.domain,
+                           self.base_dir / self.forcing_raw["file"])
 
     def build_forcing(self, domain: Domain) -> ForcingSpec:
         if "file" in self.forcing_raw:
@@ -415,6 +427,12 @@ def _file_entry(field: str, build, *args):
         return build(*args)
     except ValueError as exc:
         raise ConfigError([f"{field}: {exc}"]) from None
+
+
+def _table_domain(spec: DomainSpec, path: Path) -> Domain:
+    """The domain of `spec` on the grid of the forcing table at `path`."""
+    fx = read_npz(path, ("t", "fx", "fy"))["fx"]
+    return build_domain(replace(spec, M=fx.shape[-1] if fx.ndim == 3 else None))
 
 
 def _load_field(kind, domain: Domain, path: Path, array: str, size: str):

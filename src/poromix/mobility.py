@@ -116,10 +116,12 @@ def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
     if F.kind == "polynomial":
         return np.polynomial.polynomial.polyval(c, F.coefficients)
     arg = F.coefficients[0] * c
-    peak = max(float(arg.max()), -float(arg.min())) if arg.size else 0.0
+    # Only a large positive R*C overflows; a negative one underflows
+    # harmlessly to 0.
+    peak = float(arg.max()) if arg.size else 0.0
     if not np.isfinite(peak) or peak > _EXP_ARG_LIMIT:
         raise MobilityOverflowError(
-            f"exponential mobility overflow: |R*C| reached {peak:.3e} "
+            f"exponential mobility overflow: R*C reached {peak:.3e} "
             f"(limit {_EXP_ARG_LIMIT})"
         )
     return np.exp(arg)

@@ -231,9 +231,10 @@ def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
     assert not report.exists()
 
 
-# A file entry that does not fit the grid or holds a non-finite value: the
-# edit to ZERO_CONFIG and the one error line it gives.  None is found by
-# parsing the config.
+# A file entry that does not fit the grid, sets one below the quadrature
+# threshold (a forcing table's grid is the run's grid) or holds a non-finite
+# value: the edit to ZERO_CONFIG and the one error line it gives.  None is
+# found by parsing the config.
 off_the_grid = pytest.mark.parametrize("old, new, error", [
     ("C: {preset: zero}", "C: {file: c.npz}",
      "initial.C.file: beta shape (3, 3) does not match Ns=4"),
@@ -242,10 +243,13 @@ off_the_grid = pytest.mark.parametrize("old, new, error", [
     ("u: {preset: zero}", "u: {file: u_nan.npz}",
      "initial.u.file: velocity field has non-finite coefficients"),
     ("forcing: {preset: zero}", "forcing: {file: f.npz}",
-     "forcing.file: tabulated forcing grid (10, 10) does not match M=21"),
+     "forcing.file: M=10 is below the quadrature exactness threshold 21 for Ns=4, Nv=1"),
+    ("forcing: {preset: zero}", "forcing: {file: f_flat.npz}",
+     "forcing.file: tabulated forcing arrays must be (K, M, M) and congruent"),
     ("forcing: {preset: zero}", "forcing: {file: f_nan_t.npz}",
      "forcing.file: tabulated forcing times must be finite and strictly increasing"),
-], ids=["initial", "initial_nan_beta", "initial_nan_alpha", "forcing", "forcing_nan_time"])
+], ids=["initial", "initial_nan_beta", "initial_nan_alpha", "forcing", "forcing_not_a_grid",
+        "forcing_nan_time"])
 
 
 def _off_the_grid_config(tmp_path, old, new):
@@ -253,6 +257,7 @@ def _off_the_grid_config(tmp_path, old, new):
     np.savez(tmp_path / "c_nan.npz", beta=np.full((4, 4), np.nan))
     np.savez(tmp_path / "u_nan.npz", alpha=np.full((1, 1), np.nan))
     np.savez(tmp_path / "f.npz", t=np.zeros(1), fx=np.zeros((1, 10, 10)), fy=np.zeros((1, 10, 10)))
+    np.savez(tmp_path / "f_flat.npz", t=np.zeros(1), fx=np.zeros((1, 21)), fy=np.zeros((1, 21)))
     np.savez(tmp_path / "f_nan_t.npz", t=np.array([0.0, np.nan, 1.0]),
              fx=np.zeros((3, 21, 21)), fy=np.zeros((3, 21, 21)))
     cfg = tmp_path / "s.yaml"
@@ -280,6 +285,44 @@ def test_sweep_file_entry_off_the_grid_leaves_no_report(tmp_path, capsys, old, n
                  "--report", str(report)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
     assert not report.exists()
+
+
+def test_config_domain_M_is_an_unknown_key(tmp_path, capsys):
+    # The quadrature size is no config key: the smallest certified grid, or
+    # a forcing table's own grid, sets it.
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("Nv: 1}", "Nv: 1, M: 30}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: domain.M: unknown key"]
+    assert not out.exists()
+
+
+def test_forcing_table_sets_the_grid(tmp_path):
+    # A table on an M=30 grid, above Ns/Nv 4/1's default of 21, runs with no
+    # M in the config, through run and sweep, as the library run on M=30.
+    rng = np.random.default_rng(3)
+    np.savez(tmp_path / "f.npz", t=np.array([0.0, 0.05, 0.1]),
+             fx=rng.standard_normal((3, 30, 30)), fy=rng.standard_normal((3, 30, 30)))
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("forcing: {preset: zero}", "forcing: {file: f.npz}"))
+    out, report = tmp_path / "out", tmp_path / "r.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:1:1:1",
+                 "--report", str(report)]) == 0
+
+    domain = poromix.build_domain(poromix.DomainSpec(Lx=math.pi, Ly=math.pi, Ns=4, Nv=1, M=30))
+    result = poromix.run(
+        poromix.SimulationState(0.0, poromix.ScalarField(domain, np.zeros((4, 4))),
+                                poromix.VelocityField(domain, np.zeros((1, 1)))),
+        poromix.PhysicalParams(mu_e=0.1, d=0.1, kappa=1.0),
+        poromix.SolverConfig(T_run=0.1, rtol=1e-8, atol=1e-11),
+        forcing=poromix.ForcingSpec.tabulated(tmp_path / "f.npz", 30))
+    result.ledger.write_csv(tmp_path / "library.csv")
+    assert (out / "ledger.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert result.ledger.final.l2_u > 0.0
+    rate = poromix.diagnostics.fit_decay_rate(result.ledger, math.pi * math.pi)
+    assert report.read_text().splitlines()[1] == f"kappa,1,Completed,nan,{rate:.17g}"
 
 
 def _write_malformed(path, kind, arrays):
@@ -394,6 +437,14 @@ def test_import_loads_only_the_solver_core():
             f"print(sorted(set({list(DEFERRED)!r}) - set(poromix.__all__))); "
             "print(sorted({n for n in dir(poromix) if n[0] != '_'} ^ set(poromix.__all__)))")
     assert _python(code).split() == ["[]", "[]", "[]"]
+
+
+def test_cli_import_loads_no_verification_code():
+    # `run` and `sweep` need neither the verify suites nor the oracles;
+    # `verify` imports them when it runs.
+    code = ("import sys, poromix.cli; "
+            "print(sorted(m for m in ('poromix.verify', 'poromix.oracles') if m in sys.modules))")
+    assert _python(code).strip() == "[]"
 
 
 def test_deferred_names_are_their_modules_objects():

@@ -290,7 +290,7 @@ def test_list_valued_preset_names_reported():
     assert any(m.startswith("initial.u.preset: unknown preset ['zero']") for m in msgs)
 
 
-def test_missing_section_and_non_yaml():
+def test_missing_section_and_non_yaml(tmp_path):
     with pytest.raises(ConfigError, match="solver: missing section"):
         RunConfig.from_text("domain: {Lx: 1, Ly: 1, Ns: 2, Nv: 1}")
     with pytest.raises(ConfigError, match="YAML"):
@@ -301,6 +301,11 @@ def test_missing_section_and_non_yaml():
         with pytest.raises(ConfigError) as info:
             RunConfig.from_text(text)
         assert info.value.errors == [message]
+    missing = tmp_path / "missing.yaml"
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_file(missing)
+    assert info.value.errors == [
+        f"cannot read config file {missing}: [Errno 2] No such file or directory: '{missing}'"]
 
 
 def test_roundtrip_semantically_idempotent(tmp_path):

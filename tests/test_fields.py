@@ -114,6 +114,16 @@ def test_resolution_mismatch_rejected(pi_domain, rect_domain):
         SimulationState(0.0, C, u)
     with pytest.raises(ResolutionMismatchError):
         grid_to_scalar(pi_domain, np.zeros((3, 3)))
+    with pytest.raises(ResolutionMismatchError) as info:
+        ScalarField(pi_domain, np.zeros((5, 5)))
+    assert str(info.value) == "expected coefficients (6, 6), got (5, 5)"
+    for build, modes, message in (
+            (make_scalar, [(6, 0, 1.0)], "cosine mode (6, 0) out of range for Ns=6"),
+            (make_velocity, [(0, 1, 1.0), (1, 3, 1.0)],
+             "stream mode (0, 1) out of range for Nv=2; stream mode (1, 3) out of range for Nv=2")):
+        with pytest.raises(ValueError) as info:
+            build(pi_domain, modes)
+        assert str(info.value) == message
 
 
 def test_nonfinite_coefficients_rejected(pi_domain):

@@ -12,6 +12,9 @@ def test_params_validation():
         KortewegParams(delta_hat=-0.1)
     with pytest.raises(ValueError, match="gamma"):
         KortewegParams(gamma=-1.0)
+    with pytest.raises(ValueError) as info:
+        KortewegParams(delta_hat=float("inf"))
+    assert str(info.value) == "delta_hat must be finite, got inf"
     assert KortewegParams().delta_hat == 0.0
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from poromix import MobilityOverflowError, MobilitySpec, ScalarField, lipschitz_check
 from poromix.mobility import evaluate
 
-from conftest import make_scalar, random_scalar
+from conftest import make_scalar, make_velocity, random_scalar
 
 
 def test_constant_everywhere(pi_domain):
@@ -33,12 +34,38 @@ def test_invalid_specs_rejected():
         MobilitySpec("rational", (1.0,))
     with pytest.raises(ValueError, match="exactly one"):
         MobilitySpec("exponential", (1.0, 2.0))
+    for kind, coefficients, message in (
+            ("constant", (), "mobility coefficients must be non-empty"),
+            ("polynomial", (1.0, math.nan), "mobility coefficients must be finite"),
+            ("constant", (1.0, 2.0), "constant mobility takes exactly one coefficient")):
+        with pytest.raises(ValueError) as info:
+            MobilitySpec(kind, coefficients)
+        assert str(info.value) == message
 
 
 def test_exponential_overflow_aborts():
     F = MobilitySpec.exponential(400.0)
     with pytest.raises(MobilityOverflowError, match="overflow"):
         evaluate(F, np.array([2.0]))
+
+
+def test_negative_exponent_underflows_without_overflow_error(pi_domain):
+    # With R < 0, exp(R C) can only underflow, harmlessly to 0: R C = -1200
+    # is no overflow, and nothing on the way warns.
+    from poromix import GalerkinSystem, PhysicalParams
+
+    F = MobilitySpec.exponential(-4.0)
+    grid = np.linspace(0.0, 300.0, 61)
+    C = make_scalar(pi_domain, [(1, 1, 150.0)], offset=150.0)  # 0 <= C <= 300
+    system = GalerkinSystem(pi_domain, PhysicalParams(mu_e=0.1, d=0.1, mobility=F))
+    y = system.pack(C, make_velocity(pi_domain, [(1, 1, 0.1)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f = evaluate(F, grid)
+        fp = F.derivative_values(grid, f)
+        ydot, diag = system.evaluate_with_diagnostics(0.0, y)
+    assert f[-1] == 0.0 and np.isfinite(f).all() and np.isfinite(fp).all()
+    assert np.isfinite(ydot).all() and all(np.isfinite(v).all() for v in diag.values())
 
 
 def test_derivative_values_match_closed_forms():

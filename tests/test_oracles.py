@@ -29,6 +29,9 @@ def test_logistic_invalid_arguments():
         logistic_solution(0.5, 0.0, 1.0)
     with pytest.raises(ValueError, match="blow up"):
         logistic_blowup_time(0.9, 1.0)
+    with pytest.raises(ValueError) as info:
+        logistic_blowup_time(2.0, 0.0)
+    assert str(info.value) == "kappa must be positive"
 
 
 def test_logistic_ode_residual_by_numerical_differentiation():

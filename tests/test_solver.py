@@ -42,7 +42,7 @@ def _params(**kw):
     return PhysicalParams(**defaults)
 
 
-def test_params_validation():
+def test_params_validation(pi_domain):
     with pytest.raises(ValueError, match="mu_e"):
         PhysicalParams(mu_e=0.0, d=1.0)
     with pytest.raises(ValueError, match="d must"):
@@ -51,6 +51,12 @@ def test_params_validation():
         PhysicalParams(mu_e=1.0, d=1.0, kappa=-0.5)
     with pytest.raises(ValueError, match="M_GN"):
         PhysicalParams(mu_e=1.0, d=1.0, m_gn=0.0)
+    with pytest.raises(ValueError) as info:
+        SimulationState(math.nan, make_scalar(pi_domain, []), make_velocity(pi_domain, []))
+    assert str(info.value) == "state time must be finite, got nan"
+    with pytest.raises(ValueError) as info:
+        SolverConfig(T_run=1.0, blowup_cap=0)
+    assert str(info.value) == "blowup_cap must be > 0, got 0"
 
 
 def test_rhs_concentration_pure_modal_diffusion(pi_domain):
@@ -521,9 +527,21 @@ def _overshoot_case():
     return state, params, cfg
 
 
-def test_trial_stage_mobility_overflow_rejects_step():
+def test_trial_stage_mobility_overflow_rejects_step(monkeypatch):
+    # The overshooting stage reaches the overflow guard, R C > 700.
+    overflows = []
+
+    def guarded(F, c):
+        try:
+            return mobility_values(F, c)
+        except MobilityOverflowError as exc:
+            overflows.append(exc)
+            raise
+
+    monkeypatch.setattr(solver, "mobility_values", guarded)
     state, params, cfg = _overshoot_case()
     res = run(state, params, cfg)
+    assert overflows
     assert res.outcome == "completed"
     assert res.final_state.t == 0.5
     assert res.steps_rejected >= 1
