@@ -49,8 +49,12 @@ class _BeyondFloat(float):
         return "an integer beyond float range"
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that leaves a scalar its tag's constructor refuses to the field's check.
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that leaves a scalar its tag's constructor refuses to the field's check.
+
+    It parses with libyaml's C parser when PyYAML was built with it, and
+    with PyYAML's pure-Python parser otherwise; both build the same nodes,
+    which the same safe constructors read.
 
     A plain decimal integer fails int() only by its length (over 4300
     digits) and reads as `_BeyondFloat`.  Any other refused int, float, bool

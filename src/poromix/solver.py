@@ -26,7 +26,12 @@ source, and the nodal minimum min C of each evaluation with diagnostics.
 Alongside the physical coefficients, the state carries a small block of
 work integrals (dissipation, forcing power, reaction quadratics).  These
 make the energy identities checkable per accepted step without any extra
-quadrature in time: the residuals are pure time-integration error.
+quadrature in time: the residuals are pure time-integration error.  They
+are quadratures of the solution that no right-hand side reads, so they
+ride in every stage but not in the step's error norm, which covers C and
+alpha only (as CVODES treats quadrature variables); the energy residual
+gates check them.  One RMS over both blocks still lets each alpha entry
+sit a few times above its own scale while the norm passes.
 
 Time stepping is adaptive: one trial loop in `run` lands on stops, rejects
 and shrinks, and grows the step by a proportional-integral controller.
@@ -566,9 +571,17 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
     return y_new, k[n], diag_new, err, pair
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(((err / scale) ** 2).mean()))
+def _error_norm(err, y_old, y_new, config, n_sol):
+    """RMS of err / (atol + rtol max(|y_old|, |y_new|)) over the first n_sol
+    entries, the solution's C and alpha, with the sum still divided by the
+    whole state's length err.size: each C and alpha entry keeps the
+    tolerance of an RMS over the whole state, and the work integrals after
+    them do not count.  They are quadratures that no right-hand side reads;
+    the energy residual gates (`diagnostics.segment_residual_bounds`) check
+    them.
+    """
+    scale = config.atol + config.rtol * np.maximum(np.abs(y_old[:n_sol]), np.abs(y_new[:n_sol]))
+    return float(np.sqrt(((err[:n_sol] / scale) ** 2).sum() / err.size))
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
@@ -600,9 +613,13 @@ def run(
     One loop makes one trial per pass and sets every step size.  It cuts a
     trial that would pass the next stop, or end within 1e-12 of it, to land
     on it.  A trial that fails (NonFiniteStateError, MobilityOverflowError,
-    a singular implicit stage, a non-finite result) halves dt, and one with
-    an error norm above 1 scales it by max(0.2, 0.9 err^(-1/q)), q its
-    pair's order; the retry keeps that dt, short of the stop.  An accepted
+    a singular implicit stage, a non-finite result or error estimate in
+    any entry, the work integrals' included) halves dt, and one with an
+    error norm above 1 scales it by max(0.2, 0.9 err^(-1/q)), q its pair's
+    order; the retry keeps that dt, short of the stop.  The norm covers
+    the C and alpha entries only (see `_error_norm`): the work integrals
+    are checked by the energy residual gates, not by the step size, and
+    alpha's error can still hide behind C's in the one RMS.  An accepted
     step grows dt by the PI rule; dt <= 16 eps max(|t|, 1) raises
     StepSizeUnderflowError.
     """
@@ -672,7 +689,7 @@ def run(
             finite = np.isfinite(y_new).all() and np.isfinite(err).all()
         except (NonFiniteStateError, MobilityOverflowError, np.linalg.LinAlgError):
             finite = False
-        err_norm = _error_norm(err, y, y_new, config.rtol, config.atol) if finite else math.inf
+        err_norm = _error_norm(err, y, y_new, config, system.alpha_slice.stop) if finite else math.inf
         retry = err_norm > 1.0
         if retry:
             rejected += 1

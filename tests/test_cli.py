@@ -471,3 +471,30 @@ def test_solver_core_runs_without_pyyaml():
             + "try:\n    pm.RunConfig\nexcept ImportError:\n    print('no RunConfig')\n")
     run_line, last = _python(code).splitlines()
     assert run_line.split()[0] == "completed" and last == "no RunConfig"
+
+
+def test_pure_python_yaml_parser_reads_configs_as_the_c_parser_does():
+    # Without libyaml, PyYAML has no CSafeLoader and the config loader
+    # parses in pure Python: the README config reads to the same dict, and
+    # a refused tagged scalar and a 5000-digit integer give the same errors.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = [re.search(r"^```yaml\n(.*?)^```", readme, flags=re.M | re.S).group(1),
+             ZERO_CONFIG.replace("Ns: 4", "Ns: !!int abc"),
+             ZERO_CONFIG.replace("Ns: 4", "Ns: " + "9" * 5000)]
+    code = (f"import json, yaml\nyaml.__dict__.pop('CSafeLoader', None)\n"
+            f"from poromix.config import ConfigError, RunConfig, _Loader\n"
+            f"assert _Loader.__bases__ == (yaml.SafeLoader,)\nout = []\n"
+            f"for text in {texts!r}:\n"
+            f"    try:\n        out.append(RunConfig.from_text(text).to_dict())\n"
+            f"    except ConfigError as exc:\n        out.append(exc.errors)\n"
+            f"print(json.dumps(out))\n")
+    pure = json.loads(_python(code))
+    assert pure[1] == ["domain.Ns: expected a number, got 'abc'"]
+    assert pure[2] == ["domain.Ns: must be finite, got an integer beyond float range"]
+    from poromix.config import ConfigError, RunConfig
+    with pytest.raises(ConfigError) as tagged:
+        RunConfig.from_text(texts[1])
+    with pytest.raises(ConfigError) as huge:
+        RunConfig.from_text(texts[2])
+    default = [RunConfig.from_text(texts[0]).to_dict(), tagged.value.errors, huge.value.errors]
+    assert pure == json.loads(json.dumps(default))

@@ -429,6 +429,68 @@ def test_retry_after_a_rejected_landing_stops_short(monkeypatch):
     assert res.steps_rejected == 1
 
 
+def test_error_norm_counts_the_solution_over_the_whole_state_length(pi_domain):
+    # The work integrals are quadratures that the energy residual gates
+    # check, so their error does not count.  The sum over the C and alpha
+    # entries is still divided by n_state, so each of them keeps the
+    # tolerance of the norm over the whole state, bit for bit.
+    system = GalerkinSystem(pi_domain, _params())
+    cfg = SolverConfig(T_run=1.0)
+    n_sol = system.ns2 + system.nv2
+    rng = np.random.default_rng(3)
+    y_old, y_new = rng.standard_normal((2, system.n_state))
+
+    def whole_state_norm(err):  # the norm with the riders counted
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+        return float(np.sqrt(((err / scale) ** 2).mean()))
+
+    err = np.zeros(system.n_state)
+    err[n_sol:] = rng.standard_normal(system.n_state - n_sol)
+    assert solver._error_norm(err, y_old, y_new, cfg, n_sol) == 0.0
+    for i in (0, system.ns2 - 1, system.ns2, n_sol - 1):  # first and last C, then alpha
+        err = np.zeros(system.n_state)
+        err[i] = 3e-8
+        assert solver._error_norm(err, y_old, y_new, cfg, n_sol) == whole_state_norm(err) > 0.0
+
+
+def test_trial_with_a_non_finite_rider_is_rejected(monkeypatch):
+    # The riders leave the norm, not the finiteness check on y_new and err.
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=4, Nv=1))
+    state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(domain, [(1, 1, 0.1)]))
+    trials = []
+    orig = solver._attempt_step
+
+    def attempt(system, t, y, dt, *a):
+        trials.append(dt)
+        y_new, k_new, diag_new, err, pair = orig(system, t, y, dt, *a)
+        if len(trials) == 1:
+            err[-1] = math.inf
+        return y_new, k_new, diag_new, err, pair
+
+    monkeypatch.setattr(solver, "_attempt_step", attempt)
+    res = run(state, _params(), SolverConfig(T_run=1e-3))
+    assert trials[:2] == [1e-4, 5e-5] and res.steps_rejected == 1
+
+
+@pytest.mark.parametrize("Ns, modes, offset, kappa", [(4, [(1, 0, 1.0)], 0.0, 0.0),
+                                                      (2, [], 0.5, 1.0)],
+                         ids=["diffusion", "logistic"])
+def test_runs_the_riders_used_to_limit_keep_their_energy_gates(Ns, modes, offset, kappa):
+    # The verify suites' diffusion run and logistic run from C = 0.5, whose
+    # steps the riders' error set while it counted in the norm: every
+    # segment's energy residuals stay within the unchanged bounds.
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=Ns, Nv=1))
+    state = SimulationState(0.0, make_scalar(domain, modes, offset=offset),
+                            make_velocity(domain, []))
+    cfg = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
+    res = run(state, _params(kappa=kappa), cfg)
+    assert res.outcome == "completed" and res.final_state.t == 1.0
+    for which, col in (("C", "res_C"), ("u", "res_u")):
+        bounds = segment_residual_bounds(res.ledger, cfg, which)
+        assert all(abs(getattr(row, col)) <= b for row, b in zip(res.ledger.rows[1:], bounds))
+
+
 def test_existence_time_bound_cases(pi_domain):
     B = np.zeros((6, 6))
     B[1, 1] = 1.0  # unit L2 norm
