@@ -276,24 +276,34 @@ class MidpointRule:
     cosine polynomial of degree below P, to their exact integrals against
     each basis factor: rz against z_j, rph against phi_j (both from sine
     data) and rphd against phi_j' (from cosine data).
+
+    The x factors are stacked, (2P, n), so that each product of a transform
+    or a pairing is one 2-D BLAS call: zxs = [zx; zx'], phxs = [phx; -phx']
+    and rphxs = [rphx; -rphx'], with the sign of the velocity's y component
+    and of the pairings' second term folded in.  Each side of the rule,
+    ``_midpoint_side``, forms them once; zx, zy, phy and rphy are views of
+    its stacks, and cphxs = cell phxs is the drag pairing's left factor.
+    The scalar transforms take the y factors transposed, zyt and zydt,
+    (Ns, P) and contiguous: a transposed right operand makes those products
+    about a third slower.
     """
 
     P: int
     cell: float  # (Lx / P) (Ly / P), the weight of every node
-    zx: np.ndarray  # (P, Ns) cosine factors
-    zxd: np.ndarray  # (P, Ns) their derivatives d/ds
-    zy: np.ndarray
-    zyd: np.ndarray
-    phx: np.ndarray  # (P, Nv) streamfunction factors
-    phxd: np.ndarray  # (P, Nv) their derivatives d/ds
-    phy: np.ndarray
+    zxs: np.ndarray  # (2P, Ns) cosine factors over their derivatives d/ds
+    zx: np.ndarray  # (P, Ns), zxs[:P]
+    zy: np.ndarray  # (P, Ns)
+    zyt: np.ndarray  # (Ns, P), zy^T
+    zydt: np.ndarray  # (Ns, P), zy'^T
+    phxs: np.ndarray  # (2P, Nv) streamfunction factors over their negated derivatives
+    cphxs: np.ndarray  # cell phxs
+    phy: np.ndarray  # (P, Nv)
     phyd: np.ndarray
     rzx: np.ndarray  # (P, Ns) sine data against z_j
     rzy: np.ndarray
-    rphx: np.ndarray  # (P, Nv) sine data against phi_j
-    rphy: np.ndarray
-    rphxd: np.ndarray  # (P, Nv) cosine data against phi_j'
-    rphyd: np.ndarray
+    rphxs: np.ndarray  # (2P, Nv) sine data against phi_j over cosine data against -phi_j'
+    rphy: np.ndarray  # (P, Nv) sine data against phi_j
+    rphyd: np.ndarray  # (P, Nv) cosine data against phi_j'
 
     def integrate(self, values: np.ndarray) -> float:
         """Integrate nodal values over the rectangle."""
@@ -304,10 +314,11 @@ class MidpointRule:
 class Domain:
     """Bundle of the discretization products for one DomainSpec.
 
-    The three midpoint transforms take a keyword-only ``out=``: a (P, P)
-    array, or a pair of them for the two-component ones, that receives the
-    values and is returned; left as None, they allocate, with the same
-    arithmetic.  Every other method allocates.
+    The midpoint transforms and pairings make each product one 2-D BLAS
+    call over the stacked factors of MidpointRule.  They take a
+    keyword-only ``out=``: the arrays, as each method lists them, that
+    receive their stacked products, whose views they return; left as None,
+    they allocate, with the same arithmetic.  Every other method allocates.
     """
 
     spec: DomainSpec
@@ -372,24 +383,39 @@ class Domain:
 
     # -- midpoint rule ---------------------------------------------------------
 
-    def midpoint_values(self, B: np.ndarray, *, out=None) -> np.ndarray:
-        """Evaluate a coefficient matrix (Ns, Ns) at the midpoint nodes, (P, P)."""
-        m = self.midpoint
-        return np.matmul(m.zx @ B, m.zy.T, out=out)
+    def midpoint_scalar_values(self, B: np.ndarray, lam_b=None, *, out=(None, None, None)):
+        """(C, C_x, C_y, L) at the midpoint nodes, (P, P) each: the values of
+        the coefficients B (Ns, Ns), of their x and y derivatives, and of
+        lam_b, or None without it.
 
-    def midpoint_gradient_values(self, B: np.ndarray, *, out=(None, None)):
-        """(Cx, Cy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
+        Four products: zxs B and zx lam_b fill one (3P, Ns) array, whose
+        product with zy^T is [C; C_x; L], and C_y is its first P rows times
+        zy'^T.  `out` is (that (3P, Ns) array, the (3P, P) values, C_y), each
+        2P rows without lam_b: arrays that receive them, or None to allocate.
+        """
         m = self.midpoint
-        ox, oy = out
-        return np.matmul(m.zxd @ B, m.zy.T, out=ox), np.matmul(m.zx @ B, m.zyd.T, out=oy)
+        P = m.P
+        left, values, cy = out
+        left = np.empty(((2 if lam_b is None else 3) * P, B.shape[1])) if left is None else left
+        np.matmul(m.zxs, B, out=left[: 2 * P])
+        if lam_b is not None:
+            np.matmul(m.zx, lam_b, out=left[2 * P :])
+        values = np.matmul(left, m.zyt, out=values)
+        cy = np.matmul(left[:P], m.zydt, out=cy)
+        return values[:P], values[P : 2 * P], cy, None if lam_b is None else values[2 * P :]
 
     def midpoint_velocity_values(self, A: np.ndarray, *, out=(None, None)):
-        """(ux, uy) at the midpoint nodes; `out` as for the grid transforms, (P, P)."""
+        """(ux, uy) at the midpoint nodes, (P, P) each, for streamfunction coefficients A.
+
+        phxs A, then one product of each half with a y factor.  `out` is
+        (the (2P, Nv) phxs A, the (2P, P) [ux; uy]), or None to allocate.
+        """
         m = self.midpoint
-        ox, oy = out
-        ux = np.matmul(m.phx @ A, m.phyd.T, out=ox)
-        uy = np.matmul(m.phxd @ A, m.phy.T, out=oy)
-        return ux, np.negative(uy, out=uy)
+        P = m.P
+        left, u = out
+        left = np.matmul(m.phxs, A, out=left)
+        u = np.empty((2 * P, P)) if u is None else u
+        return np.matmul(left[:P], m.phyd.T, out=u[:P]), np.matmul(left[P:], m.phy.T, out=u[P:])
 
     def midpoint_project(self, values: np.ndarray) -> np.ndarray:
         """Projection of midpoint values onto the cosine basis, (Ns, Ns), as plain sums.
@@ -411,30 +437,28 @@ class Domain:
         m = self.midpoint
         return m.rzx.T @ values @ m.rzy
 
-    def midpoint_velocity_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def midpoint_velocity_pairing(self, vx: np.ndarray, vy: np.ndarray, *, out=None) -> np.ndarray:
         """Pair midpoint values (vx, vy) against every w[j,k], (Nv, Nv), as plain sums.
 
         Exact when each product with w is a cosine polynomial of degree below
         2P per dimension: vx a cosine in x and a sine in y, vy the reverse,
-        as for F(C) u with a polynomial F.
+        as for F(C) u with a polynomial F.  `out` as for
+        ``midpoint_gradient_pairing``.
         """
         m = self.midpoint
-        pair = m.phx.T @ vx @ m.phyd
-        pair -= m.phxd.T @ vy @ m.phy
-        pair *= m.cell
-        return pair
+        return _stacked_pairing(m.cphxs, m.phyd, m.phy, vx, vy, out)
 
-    def midpoint_gradient_pairing(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def midpoint_gradient_pairing(self, vx: np.ndarray, vy: np.ndarray, *, out=None) -> np.ndarray:
         """Pair midpoint values (vx, vy) against every w[j,k], (Nv, Nv), through R.
 
         Exact for fields with the parity of a gradient, such as lap C grad C:
         vx a sine polynomial of degree at most P in x and a cosine one of
-        degree below P in y, vy the reverse.
+        degree below P in y, vy the reverse.  Three products: vx and vy
+        times their y factors fill one (2P, Nv) array, `out` if given, and
+        the stacked x factor pairs it.
         """
         m = self.midpoint
-        pair = m.rphx.T @ vx @ m.rphyd
-        pair -= m.rphxd.T @ vy @ m.rphy
-        return pair
+        return _stacked_pairing(m.rphxs, m.rphyd, m.rphy, vx, vy, out)
 
     def weighted_gram(self, values: np.ndarray) -> np.ndarray:
         """(values w_q, w_r) for every pair of velocity modes, (Nv^2, Nv^2).
@@ -462,13 +486,24 @@ class Domain:
         j times factor l.
         """
         m = self.midpoint
-        Nv = self.spec.Nv
+        P, Nv = m.P, self.spec.Nv
 
-        def pairs(p):
+        def pairs(p):  # -phi' gives the products of phi', exactly
             return (p[:, :, None] * p[:, None, :]).reshape(p.shape[0], Nv * Nv)
 
-        return (np.ascontiguousarray(pairs(m.phx).T), np.ascontiguousarray(pairs(m.phxd).T),
+        return (np.ascontiguousarray(pairs(m.phxs[:P]).T),
+                np.ascontiguousarray(pairs(m.phxs[P:]).T),
                 m.cell * np.hstack([pairs(m.phy), pairs(m.phyd)]))
+
+
+def _stacked_pairing(left, yx, yy, vx, vy, out):
+    """left^T [vx yx; vy yy]: two right products into one (2P, n) array, `out`
+    if given, then one left product with the stacked x factor `left`."""
+    P = vx.shape[0]
+    out = np.empty((2 * P, yx.shape[1])) if out is None else out
+    np.matmul(vx, yx, out=out[:P])
+    np.matmul(vy, yy, out=out[P:])
+    return left.T @ out
 
 
 def _scalar_factors(s: np.ndarray, L: float, Ns: int):
@@ -588,7 +623,10 @@ def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
     The factors z, z', phi and phi' at the midpoints and the R matrices
     against z, phi (sine data) and phi' (cosine data), each certified up to
     the degree of the products it takes (see ``build_domain``); the plain
-    rule is certified for cosines up to ``midpoint_degree``.
+    rule is certified for cosines up to ``midpoint_degree``.  They come as
+    MidpointRule takes them: [z; z'], [phi; -phi'], phi', R_z,
+    [R_phi; -R_phi'], R_phi', z^T and z'^T, the stacks holding the
+    certified arrays' values exactly.
     """
     s, w = _midpoint_nodes(P, L)
     norm, z, zd, _ = _scalar_factors(s, L, Ns)
@@ -604,7 +642,9 @@ def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
         failures.append(_certificate_failure(s, R, L, degree, modes=kind, factor=factor,
                                              rule=rule))
         analyses.append(R)
-    arrays = (z, zd, phi, phid, *analyses)
+    rz, rphi, rphid = analyses
+    arrays = (np.vstack([z, zd]), np.vstack([phi, -phid]), phid, rz, np.vstack([rphi, -rphid]),
+              rphid, np.ascontiguousarray(z.T), np.ascontiguousarray(zd.T))
     for a in arrays:
         a.flags.writeable = False  # shared by every domain with this side
     return arrays, failures
@@ -635,15 +675,17 @@ def build_domain(spec: DomainSpec) -> Domain:
                                           _certificate_failure(y, wy, Ly, degree)]
 
     P = max(2 * Ns, Ns + Nv + 1)
-    (mzx, mzxd, mphx, mphxd, rzx, rphx, rphxd), fails_x = _midpoint_side(P, Lx, Ns, Nv)
-    (mzy, mzyd, mphy, mphyd, rzy, rphy, rphyd), fails_y = _midpoint_side(P, Ly, Ns, Nv)
+    (zxs, phxs, _, rzx, rphxs, _, _, _), fails_x = _midpoint_side(P, Lx, Ns, Nv)
+    (zys, phys, phyd, rzy, rphys, rphyd, zyt, zydt), fails_y = _midpoint_side(P, Ly, Ns, Nv)
     failures += fails_x + fails_y
     if any(failures):
         raise DomainError(*filter(None, failures))
-    midpoint = MidpointRule(P=P, cell=float(Lx / P * (Ly / P)),
-                            zx=mzx, zxd=mzxd, zy=mzy, zyd=mzyd,
-                            phx=mphx, phxd=mphxd, phy=mphy, phyd=mphyd,
-                            rzx=rzx, rzy=rzy, rphx=rphx, rphy=rphy, rphxd=rphxd, rphyd=rphyd)
+    cell = float(Lx / P * (Ly / P))
+    cphxs = cell * phxs
+    cphxs.flags.writeable = False
+    midpoint = MidpointRule(P=P, cell=cell, zxs=zxs, zx=zxs[:P], zy=zys[:P], zyt=zyt, zydt=zydt,
+                            phxs=phxs, cphxs=cphxs, phy=phys[:P], phyd=phyd, rzx=rzx, rzy=rzy,
+                            rphxs=rphxs, rphy=rphys[:P], rphyd=rphyd)
     phx, phxd, phxdd, phxddd = _stream_factors(x, Lx, Nv)
     phy, phyd, phydd, phyddd = _stream_factors(y, Ly, Nv)
 

@@ -111,20 +111,20 @@ def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
     clamping.
     """
     c = np.asarray(c_grid, dtype=float)
+    if F.kind == "exponential":
+        arg = F.coefficients[0] * c
+        # Only a large positive R*C overflows; a negative one underflows
+        # harmlessly to 0.  A NaN peak fails the test too.
+        peak = np.maximum.reduce(arg, axis=None) if arg.size else 0.0
+        if not peak <= _EXP_ARG_LIMIT:
+            raise MobilityOverflowError(
+                f"exponential mobility overflow: R*C reached {peak:.3e} "
+                f"(limit {_EXP_ARG_LIMIT})"
+            )
+        return np.exp(arg)
     if F.kind == "constant":
         return np.full_like(c, F.coefficients[0])
-    if F.kind == "polynomial":
-        return np.polynomial.polynomial.polyval(c, F.coefficients)
-    arg = F.coefficients[0] * c
-    # Only a large positive R*C overflows; a negative one underflows
-    # harmlessly to 0.
-    peak = float(arg.max()) if arg.size else 0.0
-    if not np.isfinite(peak) or peak > _EXP_ARG_LIMIT:
-        raise MobilityOverflowError(
-            f"exponential mobility overflow: R*C reached {peak:.3e} "
-            f"(limit {_EXP_ARG_LIMIT})"
-        )
-    return np.exp(arg)
+    return np.polynomial.polynomial.polyval(c, F.coefficients)
 
 
 @dataclass(frozen=True)

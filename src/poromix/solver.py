@@ -18,20 +18,23 @@ Each pairing is exact.  Every product of the solution is formed at the
 midpoint nodes (see the domain module): the reaction projection, the drag
 pairing P_w[F(C) u], D_F(C) and the quartic work integrals are cosine
 polynomials and go as plain midpoint sums; advection and the Korteweg
-pairing go through the analysis matrices R.  The forcing comes as its
-pairing (see the forcing module).  The Gauss-Legendre grid carries only a
-table's or callable forcing's nodal values, the manufactured transport
-source, and the nodal minimum min C of each evaluation with diagnostics.
+pairing go through the analysis matrices R.  Each product is one 2-D BLAS
+call over factors stacked at build (see the domain module's MidpointRule).
+The forcing comes as its pairing (see the forcing module).  The
+Gauss-Legendre grid carries only a table's or callable forcing's nodal
+values, the manufactured transport source, and the nodal minimum min C of
+each evaluation with diagnostics.
 
 Alongside the physical coefficients, the state carries a small block of
-work integrals (dissipation, forcing power, reaction quadratics).  These
-make the energy identities checkable per accepted step without any extra
-quadrature in time: the residuals are pure time-integration error.  They
-are quadratures of the solution that no right-hand side reads, so they
-ride in every stage but not in the step's error norm, which covers C and
-alpha only (as CVODES treats quadrature variables); the energy residual
-gates check them.  One RMS over both blocks still lets each alpha entry
-sit a few times above its own scale while the norm passes.
+work integrals (dissipation, forcing power, reaction quadratics), each
+slope one dot product.  These make the energy identities checkable per
+accepted step without any extra quadrature in time: the residuals are pure
+time-integration error.  They are quadratures of the solution that no
+right-hand side reads, so they ride in every stage but not in the step's
+error norm, which covers C and alpha only (as CVODES treats quadrature
+variables); the energy residual gates check them.  One RMS over both
+blocks still lets each alpha entry sit a few times above its own scale
+while the norm passes.
 
 Time stepping is adaptive: one trial loop in `run` lands on stops, rejects
 and shrinks, and grows the step by a proportional-integral controller.
@@ -251,10 +254,8 @@ _ARK436 = _Pair(_ARK_C, _ARK_AE, _ARK_AI, _ARK_GAMMA, _ARK_B, _ARK_E, 4)
 _WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f", "i_fdotu",
                 "i_cc", "i_dcdt")
 _N_EXTRA = len(_WORK_FIELDS)
-# Slots of GalerkinSystem's midpoint-rule workspace: C, grad C, u, C (1-C)
-# and two temporaries.
+# (P, P) slots of GalerkinSystem's midpoint-rule workspace (see its __init__).
 _N_MID_WORK = 8
-_M_C, _M_CX, _M_CY, _M_UX, _M_UY, _M_CC, _M_TMP_X, _M_TMP_Y = range(_N_MID_WORK)
 # The ledger columns that are functions of one state, all from its evaluation.
 _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
                   "mass", "min_C", "h1_F_sq", "l2_f")
@@ -263,16 +264,17 @@ _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u",
 class GalerkinSystem:
     """Right-hand-side assembly for one (domain, params, forcing) triple.
 
-    An evaluation writes C, grad C, u, C (1-C) and its temporaries into the
-    workspace the system owns on the midpoint rule, `_mid_work`; F(C) and
-    F'(C) are new arrays.  Only a table or callable forcing, a transport
-    source and the diagnostics' nodal min C allocate on the Gauss-Legendre
-    grid.  The implicit stage allocates all it forms.  The arrays an
-    evaluation or a stage returns never alias the workspace.  One instance
-    must not evaluate in two threads at once.
+    An evaluation writes C, grad C, -lap C, u, C (1-C), its temporaries and
+    the stacked products of its transforms and pairings into the workspace
+    the system owns on the midpoint rule, `_mid_work`; F(C) and F'(C) are
+    new arrays.  Only a table or callable forcing, a transport source and
+    the diagnostics' nodal min C allocate on the Gauss-Legendre grid.  The
+    implicit stage allocates all it forms.  The arrays an evaluation or a
+    stage returns never alias the workspace.  One instance must not
+    evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
-    as long as the system: -d lam, lam^2, mu_e S and the zero pairing
+    as long as the system: -d lam, mu_e S and the zero pairing
     of an absent Korteweg term, all read-only.  Each is the
     operand the evaluation's expression would have formed, so results are
     bit for bit those of forming it per call.
@@ -295,12 +297,29 @@ class GalerkinSystem:
         self.stiffness = domain.velocity.stiffness
         self.alpha_slice = slice(self.ns2, self.ns2 + self.nv2)
         self._neg_d_lam = -params.d * self.lam
-        self._lam_sq = self.lam**2
         self._mu_stiffness = params.mu_e * self.stiffness
         self._zero_pair = np.zeros(self.nv2)
-        for const in (self._neg_d_lam, self._lam_sq, self._mu_stiffness, self._zero_pair):
+        for const in (self._neg_d_lam, self._mu_stiffness, self._zero_pair):
             const.flags.writeable = False
-        self._mid_work = np.empty((_N_MID_WORK, domain.midpoint.P, domain.midpoint.P))
+
+        # The workspace: (P, P) slots 0-7 hold C, C_x, -lap C (then a
+        # temporary), C_y, u_x, u_y, C (1-C) and a temporary.  The stacked
+        # operands lie over slots that hold nothing at their point of
+        # _eval: the scalar pass's (3P, Ns) left products and each pairing's
+        # (2P, Nv) right products over u, before u is formed or after its
+        # last use, and the (2P, Nv) phxs A over slots 6-7, before either
+        # is written.  P >= 2 Ns and P > Nv, so each fits in two slots.
+        P = domain.midpoint.P
+        self._mid_work = np.empty(_N_MID_WORK * P * P)
+
+        def at(slot, rows, cols=P):
+            return self._mid_work[slot * P * P :][: rows * cols].reshape(rows, cols)
+
+        # Indexed by whether the Korteweg term is on, which adds -lap C.
+        self._scalar_out = [(at(4, n * P, self.Ns), at(0, n * P), at(3, P)) for n in (2, 3)]
+        self._velocity_out = (at(6, 2 * P, self.Nv), at(4, 2 * P))
+        self._pair_out = at(4, 2 * P, self.Nv)
+        self._cc, self._tmp_x, self._tmp_y = at(6, P), at(2, P), at(7, P)
 
     # -- implicit-explicit stepping ---------------------------------------------
 
@@ -326,13 +345,15 @@ class GalerkinSystem:
         Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
         the stage is linear in alpha: one dense solve, no Newton iteration.
         A polynomial F can be negative, so the matrix need not be SPD.
-        Returns alpha, the midpoint (C, F(C)), which the stage's `rhs`
-        reuses, and the matrix, which filters the step's error estimate.
+        Returns alpha, the midpoint values of C (`midpoint_scalar_values`,
+        with -lap C if the Korteweg term is on) and F(C), which the stage's
+        `rhs` reuses, and the matrix, which filters the step's error estimate.
         """
         dom = self.domain
         B = z[: self.ns2].reshape(self.Ns, self.Ns)
-        cm = dom.midpoint_values(B)
-        f_mid = mobility_values(self.params.mobility, cm)
+        lam_b = self.lam * B if self.params.korteweg.delta_hat != 0.0 else None
+        scalars = dom.midpoint_scalar_values(B, lam_b)
+        f_mid = mobility_values(self.params.mobility, scalars[0])
         gram = dom.velocity.gram
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = gram + gh * (self._mu_stiffness + dom.weighted_gram(f_mid))
@@ -341,7 +362,7 @@ class GalerkinSystem:
         alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
         if not np.isfinite(alpha).all():
             raise NonFiniteStateError(t)
-        return alpha, (cm, f_mid), lhs
+        return alpha, (scalars, f_mid), lhs
 
     # -- packing ------------------------------------------------------------
 
@@ -365,7 +386,8 @@ class GalerkinSystem:
         """Time derivative of the packed state y at time t.
 
         `_midpoint_c_f` is for the implicit pair's stages only: the midpoint
-        (C, F(C)) that `solve_momentum_stage` computed from y's concentration.
+        values of C and F(C) that `solve_momentum_stage` computed from y's
+        concentration.
         """
         ydot, _ = self._eval(t, y, want_diag=False, midpoint_c_f=_midpoint_c_f)
         return ydot
@@ -380,26 +402,39 @@ class GalerkinSystem:
         B = y[: self.ns2].reshape(self.Ns, self.Ns)
         a_flat = y[self.alpha_slice]
         A = a_flat.reshape(self.Nv, self.Nv)
-        mw = self._mid_work
-        tmp_x, tmp_y = mw[_M_TMP_X], mw[_M_TMP_Y]
+        tmp_x, tmp_y, pair_out = self._tmp_x, self._tmp_y, self._pair_out
         ydot = np.empty(self.n_state)
         bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
         extras = self.extras(ydot)
+        lam_b = self.lam * B
 
+        # The workspace's slots are reused in the order below (see
+        # __init__).  C, grad C and -lap C; an implicit stage hands over
+        # its own, with F(C).
         if midpoint_c_f is None:
-            cm = dom.midpoint_values(B, out=mw[_M_C])
-            f_mid = mobility_values(p.mobility, cm)
+            scalars = dom.midpoint_scalar_values(B, lam_b if dh != 0.0 else None,
+                                                 out=self._scalar_out[dh != 0.0])
+            f_mid = mobility_values(p.mobility, scalars[0])
         else:
-            cm, f_mid = midpoint_c_f
-        cx, cy = dom.midpoint_gradient_values(B, out=(mw[_M_CX], mw[_M_CY]))
-        ux, uy = dom.midpoint_velocity_values(A, out=(mw[_M_UX], mw[_M_UY]))
+            scalars, f_mid = midpoint_c_f
+        cm, cx, cy, neg_lap = scalars
+        # Korteweg coupling: dh times the pairing of -lap C grad C; the y
+        # product comes first, as -lap C sits in tmp_x.
+        if dh != 0.0:
+            kt_y = np.multiply(neg_lap, cy, out=tmp_y)
+            pair_kt = dom.midpoint_gradient_pairing(np.multiply(neg_lap, cx, out=tmp_x), kt_y,
+                                                    out=pair_out).reshape(-1)
+            pair_kt *= dh
+        else:
+            pair_kt = self._zero_pair
+        ux, uy = dom.midpoint_velocity_values(A, out=self._velocity_out)
 
         # Transport: advection and reaction projections,
         # bdot = -d lam B - P_z[adv] - kappa P_z[C (1-C)] (+ source).
         # u . grad C is a sine polynomial of degree Ns + Nv <= P, and
         # (C (1-C), z) a cosine polynomial of degree 3(Ns-1) < 2P; C (1-C)
         # also feeds the reaction work below.
-        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=mw[_M_CC]), out=mw[_M_CC])
+        cc_mid = np.multiply(cm, np.subtract(1.0, cm, out=self._cc), out=self._cc)
         adv = np.add(np.multiply(ux, cx, out=tmp_x), np.multiply(uy, cy, out=tmp_y), out=tmp_x)
         p_adv = dom.midpoint_sine_project(adv)
         np.multiply(self._neg_d_lam, B, out=bdot)
@@ -412,16 +447,8 @@ class GalerkinSystem:
 
         # Momentum: drag, Korteweg coupling, body force.
         pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
-                                               np.multiply(f_mid, uy, out=tmp_y)).reshape(-1)
-        lam_b = self.lam * B
-        if dh != 0.0:
-            # -dh lap C is dh times the midpoint values of lam B.
-            kt = np.multiply(dh, dom.midpoint_values(lam_b, out=tmp_x), out=tmp_x)
-            kt_y = np.multiply(kt, cy, out=tmp_y)
-            kt_x = np.multiply(kt, cx, out=tmp_x)
-            pair_kt = dom.midpoint_gradient_pairing(kt_x, kt_y).reshape(-1)
-        else:
-            pair_kt = self._zero_pair
+                                               np.multiply(f_mid, uy, out=tmp_y),
+                                               out=pair_out).reshape(-1)
         pair_f, f_sq = self.forcing.pairing(dom, t)
 
         s_alpha = self.stiffness @ a_flat
@@ -431,21 +458,22 @@ class GalerkinSystem:
 
         # Work integrals: exact quadrature complements of the energy
         # identities, so the per-step residuals isolate integrator error.
-        # The quartic (C (1-C))^2 is a cosine polynomial: the midpoint rule
+        # Each is one dot product: |grad C|^2 = lam B . B, |lap C|^2 =
+        # lam B . lam B, and the velocity's work is -alpha . rhs_pair.  The
+        # quartic (C (1-C))^2 is a cosine polynomial: the midpoint rule
         # integrates it exactly.
-        grad_c_sq = float((lam_b * B).sum())
-        lap_c_sq = float((self._lam_sq * B * B).sum())
-        grad_u_sq = float(a_flat @ s_alpha)
-        fu_quad = float(a_flat @ pair_F)
-        f_dot_u = float(a_flat @ pair_f)
-        dcdt_sq = float((bdot * bdot).sum())
-        iw_c = p.d * grad_c_sq + float((B * p_adv).sum())
+        grad_c_sq = np.vdot(lam_b, B)
+        lap_c_sq = np.vdot(lam_b, lam_b)
+        grad_u_sq = np.vdot(a_flat, s_alpha)
+        fu_quad = np.vdot(a_flat, pair_F)
+        f_dot_u = np.vdot(a_flat, pair_f)
+        dcdt_sq = np.vdot(bdot, bdot)
+        iw_c = p.d * grad_c_sq + np.vdot(B, p_adv)
         if p.kappa != 0.0:
-            iw_c += p.kappa * float((B * p_cc).sum())
+            iw_c += p.kappa * np.vdot(B, p_cc)
         # In _WORK_FIELDS order.
-        extras[:] = (iw_c, p.mu_e * grad_u_sq + fu_quad - float(a_flat @ pair_kt) - f_dot_u,
-                     grad_c_sq, lap_c_sq, grad_u_sq, fu_quad, f_sq, f_dot_u,
-                     dom.midpoint.integrate(np.square(cc_mid, out=cc_mid)), dcdt_sq)
+        extras[:] = (iw_c, -np.vdot(a_flat, rhs_pair), grad_c_sq, lap_c_sq, grad_u_sq, fu_quad,
+                     f_sq, f_dot_u, dom.midpoint.cell * np.vdot(cc_mid, cc_mid), dcdt_sq)
         if not np.isfinite(ydot).all():
             raise NonFiniteStateError(t)
 
@@ -470,13 +498,13 @@ class GalerkinSystem:
                 h1_f_sq = dom.midpoint.integrate(h1_f)
                 diag = {
                     "l2_C": float((B * B).sum()),
-                    "h1_semi_C": grad_c_sq,
-                    "h2_semi_C": lap_c_sq,
+                    "h1_semi_C": float(grad_c_sq),
+                    "h2_semi_C": float(lap_c_sq),
                     "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
-                    "h1_semi_u": grad_u_sq,
+                    "h1_semi_u": float(grad_u_sq),
                     # The drag work's slope: int F |u|^2, a norm where F >= 0.
-                    "fq_u": fu_quad if float(f_mid.min()) >= 0.0 else math.nan,
-                    "dCdt_l2": dcdt_sq,
+                    "fq_u": float(fu_quad) if float(f_mid.min()) >= 0.0 else math.nan,
+                    "dCdt_l2": float(dcdt_sq),
                     "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
                     "min_C": float(dom.scalar_values(B).min()),
                     # Dual-norm majorants of the velocity rate: the mobility's
@@ -581,7 +609,8 @@ def _error_norm(err, y_old, y_new, config, n_sol):
     them.
     """
     scale = config.atol + config.rtol * np.maximum(np.abs(y_old[:n_sol]), np.abs(y_new[:n_sol]))
-    return float(np.sqrt(((err[:n_sol] / scale) ** 2).sum() / err.size))
+    ratio = err[:n_sol] / scale
+    return math.sqrt(np.vdot(ratio, ratio) / err.size)
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0

@@ -142,7 +142,7 @@ def test_weighted_gram_is_the_drag_pairing(rect_domain, mobility):
     dom = rect_domain
     B = random_scalar(dom, seed=3, scale=0.5, decay=False).coeffs
     A = np.random.default_rng(4).standard_normal((dom.spec.Nv, dom.spec.Nv))
-    cm = dom.midpoint_values(B)
+    cm = dom.midpoint_scalar_values(B)[0]
     F = np.exp(2.0 * cm) if mobility == "exponential" else 0.1 - 1.5 * cm + 0.4 * cm**2
     assert (F.min() < 0.0) == (mobility == "negative_polynomial")
     ux, uy = dom.midpoint_velocity_values(A)
@@ -243,7 +243,7 @@ def test_midpoint_reaction_projection_matches_fine_gauss_legendre(Lx, Ly, Ns):
     assert 3 * (Ns - 1) < 2 * dom.midpoint.P
     B = random_scalar(dom, seed=Ns).coeffs
     B[0, 0] += 0.5 / dom.scalar.norm_00
-    cm = dom.midpoint_values(B)
+    cm = dom.midpoint_scalar_values(B)[0]
     got = dom.midpoint_project(cm * (1.0 - cm))
     cg = fine.scalar_values(B)
     want = fine.scalar_project(cg * (1.0 - cg))
@@ -265,7 +265,7 @@ def test_gram_and_drag_matrices_are_cosine_polynomials(Lx, Ly, Ns, Nv):
     B = random_scalar(dom, seed=Ns).coeffs
     mobility = MobilitySpec.polynomial(1.0, 0.5, 0.25)
     cases = ((np.ones((dom.midpoint.P,) * 2), np.ones((g.M, g.M))),
-             (mobility_evaluate(mobility, dom.midpoint_values(B)),
+             (mobility_evaluate(mobility, dom.midpoint_scalar_values(B)[0]),
               mobility_evaluate(mobility, dom.scalar_values(B))))
     for f_mid, f_grid in cases:
         fw = (g.weights * f_grid).reshape(-1)
@@ -289,15 +289,14 @@ def test_midpoint_products_match_oversampled_gauss_legendre(Lx, Ly, Ns, Nv):
     rng = np.random.default_rng(Ns + Nv)
     B = rng.standard_normal((Ns, Ns))
     A = rng.standard_normal((Nv, Nv))
-    lap = -dom.scalar.eigenvalues * B
+    lam_b = dom.scalar.eigenvalues * B  # -lap C
 
     def F(c):
         return 0.5 + 0.4 * c + 0.3 * c**2
 
-    cm, lm = dom.midpoint_values(B), dom.midpoint_values(lap)
-    cx, cy = dom.midpoint_gradient_values(B)
+    cm, cx, cy, lm = dom.midpoint_scalar_values(B, lam_b)
     ux, uy = dom.midpoint_velocity_values(A)
-    cg, lg = fine.scalar_values(B), fine.scalar_values(lap)
+    cg, lg = fine.scalar_values(B), fine.scalar_values(lam_b)
     gx, gy = fine.scalar_gradient_values(B)
     vx, vy = fine.velocity_values(A)
     drag = fine.velocity_pairing(F(cg) * vx, F(cg) * vy)
@@ -382,22 +381,33 @@ def _set(arr, idx, value):
 
 
 def test_midpoint_out_gives_the_allocating_results_bit_for_bit(rect_domain):
-    # The three midpoint transforms write into the buffers GalerkinSystem
-    # owns; every other method allocates.
+    # The midpoint transforms and pairings write their products into the
+    # buffers GalerkinSystem owns; every other method allocates.  Given or
+    # not, the buffers hold the same bytes, and the values are views of them.
     dom = rect_domain
     rng = np.random.default_rng(5)
     B = rng.standard_normal((dom.spec.Ns, dom.spec.Ns))
     A = rng.standard_normal((dom.spec.Nv, dom.spec.Nv))
-    P = dom.midpoint.P
+    vx, vy = rng.standard_normal((2, dom.midpoint.P, dom.midpoint.P))
+    P, Ns, Nv = dom.midpoint.P, dom.spec.Ns, dom.spec.Nv
 
-    def buffers(n):
-        return tuple(np.full((P, P), np.nan) for _ in range(n))
+    def nan(*shape):
+        return np.full(shape, np.nan)
 
-    out = buffers(1)[0]
-    assert dom.midpoint_values(B, out=out) is out
-    assert out.tobytes() == dom.midpoint_values(B).tobytes()
-    for method, arg in ((dom.midpoint_gradient_values, B), (dom.midpoint_velocity_values, A)):
-        out = buffers(2)
-        got = method(arg, out=out)
-        assert got[0] is out[0] and got[1] is out[1]
-        assert [g.tobytes() for g in got] == [g.tobytes() for g in method(arg)]
+    for lam_b, rows in ((None, 2 * P), (dom.scalar.eigenvalues * B, 3 * P)):
+        out = (nan(rows, Ns), nan(rows, P), nan(P, P))
+        got = dom.midpoint_scalar_values(B, lam_b, out=out)
+        want = dom.midpoint_scalar_values(B, lam_b)
+        c, cx, cy, values = got
+        assert (values is None) == (lam_b is None) and cy is out[2]
+        assert all(g.base is out[1] for g in (c, cx, values) if g is not None)
+        assert [g.tobytes() for g in got if g is not None] == [
+            w.tobytes() for w in want if w is not None]
+    out = (nan(2 * P, Nv), nan(2 * P, P))
+    got = dom.midpoint_velocity_values(A, out=out)
+    assert all(g.base is out[1] for g in got)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in dom.midpoint_velocity_values(A)]
+    for method in (dom.midpoint_velocity_pairing, dom.midpoint_gradient_pairing):
+        out = nan(2 * P, Nv)
+        assert method(vx, vy, out=out).tobytes() == method(vx, vy).tobytes()
+        assert np.isfinite(out).all()

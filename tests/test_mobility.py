@@ -44,9 +44,12 @@ def test_invalid_specs_rejected():
 
 
 def test_exponential_overflow_aborts():
+    # R C above the limit raises, and so does a NaN or infinite C: a NaN
+    # peak fails the limit test rather than passing it.
     F = MobilitySpec.exponential(400.0)
-    with pytest.raises(MobilityOverflowError, match="overflow"):
-        evaluate(F, np.array([2.0]))
+    for c in ([2.0], [[0.0, math.nan], [0.0, 0.0]], [math.inf]):
+        with pytest.raises(MobilityOverflowError, match="overflow"):
+            evaluate(F, np.array(c))
 
 
 def test_negative_exponent_underflows_without_overflow_error(pi_domain):

@@ -211,9 +211,9 @@ def test_preset_forcing_pairs_in_coefficient_space_as_on_the_grid(rect_domain, n
 @pytest.mark.parametrize("kappa", [0.0, 0.7])
 def test_rhs_is_the_domain_transforms_assembly(pi_domain, monkeypatch, kappa):
     # Both blocks of rhs, bit for bit, from the Domain's allocating midpoint
-    # transforms and pairings:
+    # transforms and pairings, in the order rhs forms them:
     #   bdot = -d lam B - P_sin[u . grad C] - kappa P[C (1-C)],
-    #   G alpha' = -mu_e S alpha - (F(C) u, w) + (-dh lap C grad C, w) + (f, w).
+    #   G alpha' = -mu_e S alpha - (F(C) u, w) + dh (-lap C grad C, w) + (f, w).
     # With kappa = 0 the reaction projection is not formed at all.
     dom, dh = pi_domain, 0.1
     params = _params(kappa=kappa, mobility=MobilitySpec.exponential(0.5),
@@ -225,8 +225,9 @@ def test_rhs_is_the_domain_transforms_assembly(pi_domain, monkeypatch, kappa):
     u = make_velocity(dom, [(1, 1, 0.3), (2, 1, -0.2), (1, 2, 0.1)])
     B, A, lam = C.coeffs, u.coeffs, dom.scalar.eigenvalues
 
-    cm = dom.midpoint_values(B)
-    cx, cy = dom.midpoint_gradient_values(B)
+    cm, cx, cy, neg_lap = dom.midpoint_scalar_values(B, lam * B)
+    F = mobility_values(params.mobility, cm)
+    korteweg = dh * dom.midpoint_gradient_pairing(neg_lap * cx, neg_lap * cy)
     ux, uy = dom.midpoint_velocity_values(A)
     beta = (-params.d * lam) * B - dom.midpoint_sine_project(ux * cx + uy * cy)
     if kappa:
@@ -236,11 +237,9 @@ def test_rhs_is_the_domain_transforms_assembly(pi_domain, monkeypatch, kappa):
             raise AssertionError("midpoint_project called with kappa = 0")
 
         monkeypatch.setattr(type(dom), "midpoint_project", no_projection)
-    F = mobility_values(params.mobility, cm)
-    kt = -dh * dom.midpoint_values(-lam * B)  # -dh lap C
     pair = (-params.mu_e * (dom.velocity.stiffness @ A.reshape(-1))
             - dom.midpoint_velocity_pairing(F * ux, F * uy).reshape(-1)
-            + dom.midpoint_gradient_pairing(kt * cx, kt * cy).reshape(-1)
+            + korteweg.reshape(-1)
             + forcing.pairing(dom, 0.2)[0])
 
     ydot = system.rhs(0.2, system.pack(C, u))
@@ -566,6 +565,72 @@ def test_ledger_columns_are_the_integrands_of_their_work_integrals(pi_domain):
         assert [getattr(row, name) for name, _ in pairs] == [ex[w] for _, w in pairs]
 
 
+@pytest.mark.parametrize("Ns, Nv", [(2, 1), (8, 2), (32, 8)])
+def test_work_integral_slopes_match_the_elementwise_oracle(Ns, Nv):
+    # An independent oracle for the ten work-integral slopes, which rhs forms
+    # as dot products over stacked transforms: the elementwise sums written
+    # out over single-factor transforms, built here from the basis factors
+    # and analysis matrices at the midpoints, with Korteweg on, kappa > 0,
+    # pulsed forcing and a random state.  Each slope is held to its oracle
+    # within 1e-13 of the sum of its terms' magnitudes, a rounding bound some
+    # 200 times the largest difference seen (5.3e-16).
+    from poromix.domain import (_analysis_matrix, _factor_expansions, _midpoint_nodes,
+                                _scalar_factors, _stream_factors)
+
+    dom = build_domain(DomainSpec(Lx=2.0, Ly=1.0, Ns=Ns, Nv=Nv))
+    p = _params(mu_e=0.3, d=0.2, kappa=0.7, mobility=MobilitySpec.exponential(0.5),
+                korteweg=KortewegParams(delta_hat=0.1))
+    forcing = ForcingSpec.preset("pulsed_stream")
+    system = GalerkinSystem(dom, p, forcing)
+    rng = np.random.default_rng(Ns)
+    B = 0.1 * rng.standard_normal((Ns, Ns))
+    B[0, 0] += 0.5 / dom.scalar.norm_00
+    A = 0.2 * rng.standard_normal((Nv, Nv))
+    t = 0.3
+    got = dict(zip(solver._WORK_FIELDS, system.extras(
+        system.rhs(t, system.pack(ScalarField(dom, B), VelocityField(dom, A))))))
+
+    P, cell = dom.midpoint.P, dom.midpoint.cell
+
+    def side(L):  # z, z', phi, phi' and R against z, phi (sine data) and phi' (cosine data)
+        s = _midpoint_nodes(P, L)[0]
+        norm, z, zd, _ = _scalar_factors(s, L, Ns)
+        z_f, phi_f, dphi_f = _factor_expansions(L, norm, Nv)
+        return (z, zd, *_stream_factors(s, L, Nv)[:2], _analysis_matrix("sin", P, L, z_f),
+                _analysis_matrix("sin", P, L, phi_f), _analysis_matrix("cos", P, L, dphi_f))
+
+    zx, zxd, phx, phxd, rzx, rphx, rphxd = side(2.0)
+    zy, zyd, phy, phyd, rzy, rphy, rphyd = side(1.0)
+    lam, a = dom.scalar.eigenvalues, A.reshape(-1)
+    C, Cx, Cy = zx @ B @ zy.T, zxd @ B @ zy.T, zx @ B @ zyd.T
+    ux, uy = phx @ A @ phyd.T, -(phxd @ A @ phy.T)
+    F, cc = np.exp(0.5 * C), C * (1.0 - C)
+    p_adv = rzx.T @ (ux * Cx + uy * Cy) @ rzy
+    p_cc = cell * (zx.T @ cc @ zy)
+    bdot = -p.d * lam * B - p_adv - p.kappa * p_cc
+    pair_F = cell * (phx.T @ (F * ux) @ phyd - phxd.T @ (F * uy) @ phy).reshape(-1)
+    kt = 0.1 * (zx @ (lam * B) @ zy.T)  # -dh lap C
+    pair_kt = (rphx.T @ (kt * Cx) @ rphyd - rphxd.T @ (kt * Cy) @ rphy).reshape(-1)
+    pair_f, f_sq = forcing.pairing(dom, t)
+    s_alpha = dom.velocity.stiffness @ a
+    grad_c = (lam * B * B).sum()
+    terms = {
+        "iw_c": [p.d * grad_c, (B * p_adv).sum(), p.kappa * (B * p_cc).sum()],
+        "iw_u": [p.mu_e * (a @ s_alpha), a @ pair_F, -(a @ pair_kt), -(a @ pair_f)],
+        "i_grad_c": [grad_c],
+        "i_lap_c": [(lam**2 * B * B).sum()],
+        "i_grad_u": [a @ s_alpha],
+        "i_fu": [a @ pair_F],
+        "i_f": [f_sq],
+        "i_fdotu": [a @ pair_f],
+        "i_cc": [cell * (cc**2).sum()],
+        "i_dcdt": [(bdot**2).sum()],
+    }
+    assert f_sq > 0.0 and a @ pair_kt != 0.0
+    for name, parts in terms.items():
+        assert abs(got[name] - sum(parts)) <= 1e-13 * sum(abs(x) for x in parts), name
+
+
 def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
     # A linear mobility goes negative where C < 0, making sqrt(F) undefined.
     params = _params(mobility=MobilitySpec.polynomial(0.0, 1.0))
@@ -776,7 +841,9 @@ def test_imex_step_is_the_filtered_recurrence(monkeypatch):
     b, e = _ark436_floats()
     assert y_new.tobytes() == (y + dt * (b @ k)).tobytes()
     expected = dt * (e @ k)
-    f_6 = mobility_values(p.mobility, dom.midpoint_values(stage_B[-1]))
+    B_6 = stage_B[-1]  # the stage forms C with -lap C, as dh != 0
+    c_6 = dom.midpoint_scalar_values(B_6, dom.scalar.eigenvalues * B_6)[0]
+    f_6 = mobility_values(p.mobility, c_6)
     lhs = dom.velocity.gram + dt / 4 * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_6))
     va = system.alpha_slice
     expected[va] = np.linalg.solve(lhs, dom.velocity.gram @ expected[va])
