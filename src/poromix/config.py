@@ -25,12 +25,12 @@ semantically idempotent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
 import yaml
 
+from ._record import Record
 from .domain import Domain, DomainSpec, SpecError, build_domain
 from .fields import ScalarField, VelocityField, cosine_field, mode_range_errors, stream_field
 from .forcing import FORCING_PRESETS, ForcingSpec
@@ -91,7 +91,7 @@ class ConfigError(ValueError):
 
 # Every section's keys.  A value key maps to (kind, required, attribute): the
 # parsers read it as that kind (float, int, str, or tuple for a non-empty
-# list of numbers), an omitted optional key takes its dataclass default, and
+# list of numbers), an omitted optional key takes its field's default, and
 # `to_dict` echoes the attribute, dotted for a nested one, of the parsed
 # object.  The forcing and initial entries are validated by their own
 # parsers and echoed as given.
@@ -128,8 +128,7 @@ _VELOCITY_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(Record):
     ledger_path: str = "ledger.csv"
     snapshot_cadence: float = 0.0  # time interval between snapshots; 0 disables
     snapshot_dir: str = "snapshots"
@@ -140,8 +139,7 @@ class OutputSpec:
                             f"got {self.snapshot_cadence!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     domain: DomainSpec
     params: PhysicalParams
     forcing_raw: dict
@@ -436,7 +434,8 @@ def _file_entry(field: str, build, *args):
 def _table_domain(spec: DomainSpec, path: Path) -> Domain:
     """The domain of `spec` on the grid of the forcing table at `path`."""
     fx = read_npz(path, ("t", "fx", "fy"))["fx"]
-    return build_domain(replace(spec, M=fx.shape[-1] if fx.ndim == 3 else None))
+    return build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv,
+                                   fx.shape[-1] if fx.ndim == 3 else None))
 
 
 def _load_field(kind, domain: Domain, path: Path, array: str, size: str):

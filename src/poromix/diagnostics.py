@@ -11,10 +11,10 @@ finiteness plus a dissipation inequality for the a priori quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .fields import ScalarField, stream_field
 from .solver import PhysicalParams, SimulationResult, SimulationState, SolverConfig, run
 
@@ -61,8 +61,7 @@ def segment_residual_bounds(ledger, config: SolverConfig, which: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(Record):
     min_over_time: float
     min_time: float
     passed: bool
@@ -109,8 +108,7 @@ def positivity_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Record):
     passed: bool
     rate_bound: float  # 2 d lam_1 for the squared norm
     fitted_rate: float
@@ -176,8 +174,7 @@ def decay_to_mean_check(result: SimulationResult, params: PhysicalParams) -> Dec
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(Record):
     conclusive: bool
     ratios: dict  # checkpoint time -> D_eps / D_(eps/2)
     eps: float
@@ -249,8 +246,7 @@ def perturbation_stability(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AprioriReport:
+class AprioriReport(Record):
     all_finite: bool
     sups: dict
     integrals: dict

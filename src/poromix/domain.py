@@ -51,10 +51,11 @@ degree it takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "DomainError",
@@ -149,8 +150,7 @@ def _is_integer(val) -> bool:
     return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(Record):
     """Rectangle geometry plus spectral and quadrature resolutions, checked
     when constructed (DomainError).
 
@@ -186,8 +186,7 @@ class DomainSpec:
             raise DomainError(*errs)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarBasis:
+class ScalarBasis(Record, eq=False):
     """Neumann cosine eigenbasis: eigenvalues and normalization constants."""
 
     Ns: int
@@ -202,8 +201,7 @@ class ScalarBasis:
         return float(self.norm_x[0] * self.norm_y[0])
 
 
-@dataclass(frozen=True, eq=False)
-class VelocityBasis:
+class VelocityBasis(Record, eq=False):
     """Streamfunction velocity basis with precomputed Gram, its inverse and stiffness.
 
     Flattened mode index q = (j-1) * Nv + (k-1) for psi[j,k], 1 <= j,k <= Nv.
@@ -224,8 +222,7 @@ class VelocityBasis:
         return self.gram_inverse @ rhs_flat
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
+class QuadratureGrid(Record, eq=False):
     """Gauss-Legendre tensor rule with cached basis factors at the nodes.
 
     All cached arrays are one-dimensional factors of the separable bases:
@@ -266,8 +263,7 @@ class QuadratureGrid:
         return float(self.wx @ values @ self.wy)
 
 
-@dataclass(frozen=True, eq=False)
-class MidpointRule:
+class MidpointRule(Record, eq=False):
     """Uniform P x P midpoint rule with cached basis factors at the cell midpoints.
 
     As a plain sum it is exact for cosine polynomials of degree below 2P
@@ -283,9 +279,9 @@ class MidpointRule:
     and of the pairings' second term folded in.  Each side of the rule,
     ``_midpoint_side``, forms them once; zx, zy, phy and rphy are views of
     its stacks, and cphxs = cell phxs is the drag pairing's left factor.
-    The scalar transforms take the y factors transposed, zyt and zydt,
-    (Ns, P) and contiguous: a transposed right operand makes those products
-    about a third slower.
+    The transforms take the y factors transposed and contiguous, zyt and
+    zydt (Ns, P) and phyt and phydt (Nv, P): a transposed right operand
+    makes those products about a third slower.
     """
 
     P: int
@@ -299,6 +295,8 @@ class MidpointRule:
     cphxs: np.ndarray  # cell phxs
     phy: np.ndarray  # (P, Nv)
     phyd: np.ndarray
+    phyt: np.ndarray  # (Nv, P), phy^T
+    phydt: np.ndarray  # (Nv, P), phy'^T
     rzx: np.ndarray  # (P, Ns) sine data against z_j
     rzy: np.ndarray
     rphxs: np.ndarray  # (2P, Nv) sine data against phi_j over cosine data against -phi_j'
@@ -310,8 +308,7 @@ class MidpointRule:
         return self.cell * float(values.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class Domain:
+class Domain(Record, eq=False):
     """Bundle of the discretization products for one DomainSpec.
 
     The midpoint transforms and pairings make each product one 2-D BLAS
@@ -415,7 +412,7 @@ class Domain:
         left, u = out
         left = np.matmul(m.phxs, A, out=left)
         u = np.empty((2 * P, P)) if u is None else u
-        return np.matmul(left[:P], m.phyd.T, out=u[:P]), np.matmul(left[P:], m.phy.T, out=u[P:])
+        return np.matmul(left[:P], m.phydt, out=u[:P]), np.matmul(left[P:], m.phyt, out=u[P:])
 
     def midpoint_project(self, values: np.ndarray) -> np.ndarray:
         """Projection of midpoint values onto the cosine basis, (Ns, Ns), as plain sums.
@@ -625,8 +622,8 @@ def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
     the degree of the products it takes (see ``build_domain``); the plain
     rule is certified for cosines up to ``midpoint_degree``.  They come as
     MidpointRule takes them: [z; z'], [phi; -phi'], phi', R_z,
-    [R_phi; -R_phi'], R_phi', z^T and z'^T, the stacks holding the
-    certified arrays' values exactly.
+    [R_phi; -R_phi'], R_phi', z^T, z'^T, phi^T and phi'^T, the stacks and
+    transposes holding the certified arrays' values exactly.
     """
     s, w = _midpoint_nodes(P, L)
     norm, z, zd, _ = _scalar_factors(s, L, Ns)
@@ -644,7 +641,7 @@ def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
         analyses.append(R)
     rz, rphi, rphid = analyses
     arrays = (np.vstack([z, zd]), np.vstack([phi, -phid]), phid, rz, np.vstack([rphi, -rphid]),
-              rphid, np.ascontiguousarray(z.T), np.ascontiguousarray(zd.T))
+              rphid, *(np.ascontiguousarray(a.T) for a in (z, zd, phi, phid)))
     for a in arrays:
         a.flags.writeable = False  # shared by every domain with this side
     return arrays, failures
@@ -675,8 +672,9 @@ def build_domain(spec: DomainSpec) -> Domain:
                                           _certificate_failure(y, wy, Ly, degree)]
 
     P = max(2 * Ns, Ns + Nv + 1)
-    (zxs, phxs, _, rzx, rphxs, _, _, _), fails_x = _midpoint_side(P, Lx, Ns, Nv)
-    (zys, phys, phyd, rzy, rphys, rphyd, zyt, zydt), fails_y = _midpoint_side(P, Ly, Ns, Nv)
+    (zxs, phxs, _, rzx, rphxs, *_), fails_x = _midpoint_side(P, Lx, Ns, Nv)
+    (zys, phys, phyd, rzy, rphys, rphyd, zyt, zydt, phyt, phydt), fails_y = _midpoint_side(
+        P, Ly, Ns, Nv)
     failures += fails_x + fails_y
     if any(failures):
         raise DomainError(*filter(None, failures))
@@ -684,8 +682,9 @@ def build_domain(spec: DomainSpec) -> Domain:
     cphxs = cell * phxs
     cphxs.flags.writeable = False
     midpoint = MidpointRule(P=P, cell=cell, zxs=zxs, zx=zxs[:P], zy=zys[:P], zyt=zyt, zydt=zydt,
-                            phxs=phxs, cphxs=cphxs, phy=phys[:P], phyd=phyd, rzx=rzx, rzy=rzy,
-                            rphxs=rphxs, rphy=rphys[:P], rphyd=rphyd)
+                            phxs=phxs, cphxs=cphxs, phy=phys[:P], phyd=phyd, phyt=phyt,
+                            phydt=phydt, rzx=rzx, rzy=rzy, rphxs=rphxs, rphy=rphys[:P],
+                            rphyd=rphyd)
     phx, phxd, phxdd, phxddd = _stream_factors(x, Lx, Nv)
     phy, phyd, phydd, phyddd = _stream_factors(y, Ly, Nv)
 

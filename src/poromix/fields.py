@@ -10,10 +10,10 @@ assembled only by `solver.GalerkinSystem`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .domain import Domain
 
 __all__ = [
@@ -48,8 +48,7 @@ def _check_coeffs(field, n: int, kind: str):
     object.__setattr__(field, "coeffs", c)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
+class ScalarField(Record, eq=False):
     """Concentration-like scalar: cosine coefficients (Ns, Ns)."""
 
     domain: Domain
@@ -69,8 +68,7 @@ class ScalarField:
         return self.mass / (self.domain.spec.Lx * self.domain.spec.Ly)
 
 
-@dataclass(frozen=True, eq=False)
-class VelocityField:
+class VelocityField(Record, eq=False):
     """Solenoidal no-slip velocity: streamfunction coefficients (Nv, Nv)."""
 
     domain: Domain

@@ -12,13 +12,12 @@ stay available for pressure recovery.  Evaluation rejects non-finite values.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._record import Record
 from .domain import Domain
-from .runio import read_npz
 
 __all__ = ["ForcingSpec", "FORCING_PRESETS"]
 
@@ -56,8 +55,7 @@ def _interpolate(times, fx_table, fy_table, domain: Domain, t: float):
     return tuple((1 - s) * table[k - 1] + s * table[k] for table in (fx_table, fy_table))
 
 
-@dataclass(frozen=True, eq=False)
-class ForcingSpec:
+class ForcingSpec(Record, eq=False):
     """Time-dependent vector forcing f(x, y, t).
 
     `nodal(domain, t) -> (fx, fy)` gives its values on the Gauss-Legendre
@@ -79,6 +77,7 @@ class ForcingSpec:
     @staticmethod
     def tabulated(path, M: int) -> "ForcingSpec":
         """Load a .npz table with arrays t (K,), fx (K, M, M), fy (K, M, M) for an M-point grid."""
+        from .runio import read_npz  # here, so that `import poromix` loads no json
         times, fx, fy = read_npz(path, ("t", "fx", "fy")).values()
         if times.ndim != 1 or times.size < 1:
             raise ValueError("tabulated forcing needs at least one time sample")

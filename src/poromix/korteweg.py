@@ -23,18 +23,17 @@ exactly.  gamma only ever moves the recovered pressure, never (u, C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .domain import SpecError
 from .fields import ScalarField
 
 __all__ = ["KortewegParams", "korteweg_full_tensor"]
 
 
-@dataclass(frozen=True)
-class KortewegParams:
+class KortewegParams(Record):
     """Stress coefficient delta_hat and pressure-part coefficient gamma."""
 
     delta_hat: float = 0.0

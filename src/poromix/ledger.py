@@ -13,7 +13,7 @@ integration error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 __all__ = ["LedgerRow", "EnergyLedger", "CSV_COLUMNS"]
 
@@ -34,8 +34,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(Record):
     t: float
     l2_C: float
     h1_semi_C: float

@@ -10,11 +10,11 @@ viscosity and permeability are never represented separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .domain import SpecError
 
 __all__ = [
@@ -39,8 +39,7 @@ class MobilityOverflowError(FloatingPointError):
     """
 
 
-@dataclass(frozen=True)
-class MobilitySpec:
+class MobilitySpec(Record):
     """One of the three mobility families.
 
     kind: "constant" | "polynomial" | "exponential"
@@ -49,7 +48,7 @@ class MobilitySpec:
     """
 
     kind: str
-    coefficients: tuple = field(default=(1.0,))
+    coefficients: tuple = (1.0,)
 
     def __post_init__(self):
         kind, coefficients = self.kind, tuple(float(c) for c in self.coefficients)
@@ -127,8 +126,7 @@ def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(c, F.coefficients)
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(Record):
     """Sampled L2->L2 difference-quotient survey for a mobility family."""
 
     max_ratio: float

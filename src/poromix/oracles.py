@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .domain import Domain
 from .fields import ScalarField, VelocityField, cosine_field, stream_field
 from .forcing import ForcingSpec
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LogisticBlowup:
+class LogisticBlowup(Record):
     """Explicit blow-up marker: the solution has left existence by `time`."""
 
     time: float
@@ -83,8 +82,7 @@ def modal_diffusion_factor(mode, d: float, t: float, Lx: float, Ly: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ManufacturedCase:
+class ManufacturedCase(Record, eq=False):
     """Exact fields plus the forcings that make them solve the system.
 
     C* = offset + sum_i c_i(t) cos(a_i pi x / Lx) cos(b_i pi y / Ly) and
@@ -100,8 +98,9 @@ class ManufacturedCase:
     scalar_offset: float
     stream_mode: tuple  # (j, k) of the single streamfunction
     stream_amplitude: tuple  # (amplitude, rate)
-    _tables: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", weakref.WeakKeyDictionary())
 
     def _table(self, domain: Domain):
         """The domain's (scalar mode grids, stream mode grids), formed once.

@@ -64,11 +64,11 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .domain import Domain, SpecError
 from .fields import ScalarField, VelocityField, _check_same_domain
 from .forcing import ForcingSpec
@@ -108,15 +108,14 @@ class NonFiniteStateError(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Record):
     """Model constants: effective viscosity, diffusion, reaction, coupling."""
 
     mu_e: float
     d: float
     kappa: float = 0.0
-    korteweg: KortewegParams = field(default_factory=KortewegParams)
-    mobility: MobilitySpec = field(default_factory=lambda: MobilitySpec.constant(1.0))
+    korteweg: KortewegParams = KortewegParams()
+    mobility: MobilitySpec = MobilitySpec.constant(1.0)
     m_gn: float = 1.0  # interpolation-inequality constant for the horizon report
 
     def __post_init__(self):
@@ -133,8 +132,7 @@ class PhysicalParams:
             raise SpecError(*errs)
 
 
-@dataclass(frozen=True)
-class SimulationState:
+class SimulationState(Record):
     """Instantaneous solution: time plus the two coefficient fields."""
 
     t: float
@@ -151,8 +149,7 @@ class SimulationState:
         return self.C.domain
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Horizon, tolerances, initial step and blow-up cap."""
 
     T_run: float
@@ -175,17 +172,20 @@ class SolverConfig:
             raise SpecError(*errs)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     outcome: str  # "completed" | "blowup"
     final_state: SimulationState
     ledger: EnergyLedger
     blowup_time: float | None = None
-    checkpoints: dict = field(default_factory=dict)
+    checkpoints: dict | None = None  # None: a new empty dict
     steps_accepted: int = 0
     steps_rejected: int = 0
     steps_implicit: int = 0  # accepted steps taken by the implicit-explicit pair
     wall_time: float = 0.0
+
+    def __post_init__(self):
+        if self.checkpoints is None:
+            object.__setattr__(self, "checkpoints", {})
 
     @property
     def domain(self) -> Domain:
@@ -256,9 +256,11 @@ _WORK_FIELDS = ("iw_c", "iw_u", "i_grad_c", "i_lap_c", "i_grad_u", "i_fu", "i_f"
 _N_EXTRA = len(_WORK_FIELDS)
 # (P, P) slots of GalerkinSystem's midpoint-rule workspace (see its __init__).
 _N_MID_WORK = 8
-# The ledger columns that are functions of one state, all from its evaluation.
+# The ledger columns that are functions of one state, all from its evaluation:
+# those LedgerRow lists before res_C, and those it lists after the work integrals.
 _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u", "dCdt_l2",
-                  "mass", "min_C", "h1_F_sq", "l2_f")
+                  "mass", "min_C")
+_STATE_TAIL = ("h1_F_sq", "l2_f")
 
 
 class GalerkinSystem:
@@ -529,14 +531,9 @@ class GalerkinSystem:
         else:
             res_C = (0.5 * diag["l2_C"] + work["iw_c"]) - (0.5 * prev.l2_C + prev.iw_c)
             res_u = (0.5 * diag["l2_u"] + work["iw_u"]) - (0.5 * prev.l2_u + prev.iw_u)
-        return LedgerRow(
-            t=t,
-            res_C=res_C,
-            res_u=res_u,
-            blowup=int(blowup),
-            **{name: diag[name] for name in _STATE_COLUMNS},
-            **work,
-        )
+        # In LedgerRow's field order: a record binds positional arguments fastest.
+        return LedgerRow(t, *[diag[name] for name in _STATE_COLUMNS], res_C, res_u, int(blowup),
+                         *work.values(), *[diag[name] for name in _STATE_TAIL])
 
 
 def _takes_imex(system, dt, diag) -> bool:

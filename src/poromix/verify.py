@@ -11,10 +11,10 @@ acceptance test module asserts them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .diagnostics import (
     decay_to_mean_check,
     perturbation_stability,
@@ -33,8 +33,7 @@ from .solver import PhysicalParams, SimulationState, SolverConfig, rhs_velocity,
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     suite: str
     name: str
     passed: bool

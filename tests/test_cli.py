@@ -409,9 +409,10 @@ def _python(code):
 
 def test_import_loads_no_scipy():
     # The runtime needs numpy and PyYAML only: importing scipy would add
-    # about 0.3 s and a second OpenBLAS to every run's start-up.
+    # about 0.3 s and a second OpenBLAS to every run's start-up.  Nor does
+    # any module load dataclasses, whose decorator compiles methods per class.
     code = ("import sys, poromix, poromix.cli, poromix.verify; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'dataclasses')))")
     assert _python(code).strip() == "[]"
 
 
@@ -426,7 +427,7 @@ DEFERRED = {
     "pressure": "pressure",
 }
 NOT_IN_CORE = ("yaml", "poromix.config", "poromix.diagnostics", "poromix.oracles",
-               "poromix.pressure")
+               "poromix.pressure", "dataclasses", "json")
 
 
 def test_import_loads_only_the_solver_core():

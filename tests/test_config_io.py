@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import re
@@ -462,7 +461,7 @@ def test_ledger_times_must_increase():
     ledger.append(row)
     for t in (1.0, 0.5):
         with pytest.raises(ValueError, match=f"ledger times must increase: {t} after 1.0"):
-            ledger.append(dataclasses.replace(row, t=t))
+            ledger.append(LedgerRow(t, *[0.0] * 11, 0))
     assert ledger.rows == [row]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -209,7 +208,7 @@ def test_apriori_negative_drag_work_skips_the_dissipation_inequality():
     ledger = EnergyLedger()
     row = LedgerRow(0.0, *[0.0] * 11, 0)
     ledger.append(row)
-    ledger.append(dataclasses.replace(row, t=1.0, i_fu=-1.0))
+    ledger.append(LedgerRow(1.0, *[0.0] * 11, 0, i_fu=-1.0))
     report = apriori_flags(ledger, _params())
     assert report.integrals["drag_quadratic"] == -1.0
     assert report.drag_integral_nonneg is False

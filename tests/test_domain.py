@@ -407,6 +407,13 @@ def test_midpoint_out_gives_the_allocating_results_bit_for_bit(rect_domain):
     got = dom.midpoint_velocity_values(A, out=out)
     assert all(g.base is out[1] for g in got)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in dom.midpoint_velocity_values(A)]
+    # The contiguous y factors phy'^T and phy^T give the products of their
+    # transposed views.
+    m = dom.midpoint
+    assert m.phydt.flags.c_contiguous and m.phyt.flags.c_contiguous
+    left = m.phxs @ A
+    assert [g.tobytes() for g in got] == [(left[:P] @ m.phyd.T).tobytes(),
+                                          (left[P:] @ m.phy.T).tobytes()]
     for method in (dom.midpoint_velocity_pairing, dom.midpoint_gradient_pairing):
         out = nan(2 * P, Nv)
         assert method(vx, vy, out=out).tobytes() == method(vx, vy).tobytes()
