@@ -228,7 +228,9 @@ class QuadratureGrid(Record, eq=False):
     All cached arrays are one-dimensional factors of the separable bases:
     scalar cosine factors (M, Ns) and streamfunction factors (M, Nv), each
     with enough derivatives for the momentum, transport and pressure
-    operators.
+    operators.  `scalar_values`, which gives each evaluation's min C, takes
+    zy transposed and contiguous, zyt (Ns, M), as the midpoint transforms
+    take theirs.
     """
 
     M: int
@@ -244,6 +246,7 @@ class QuadratureGrid(Record, eq=False):
     zy: np.ndarray
     zyd: np.ndarray
     zydd: np.ndarray
+    zyt: np.ndarray  # (Ns, M), zy^T
     # Streamfunction factors phi and derivatives up to third order.
     phx: np.ndarray
     phxd: np.ndarray
@@ -329,7 +332,7 @@ class Domain(Record, eq=False):
     def scalar_values(self, B: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) on the grid, (M, M)."""
         g = self.grid
-        return g.zx @ B @ g.zy.T
+        return g.zx @ B @ g.zyt
 
     def scalar_gradient_values(self, B: np.ndarray):
         """Nodal (Cx, Cy)."""
@@ -698,7 +701,7 @@ def build_domain(spec: DomainSpec) -> Domain:
 
     grid = QuadratureGrid(
         M=M, x=x, y=y, wx=wx, wy=wy, weights=np.outer(wx, wy),
-        zx=zx, zxd=zxd, zxdd=zxdd, zy=zy, zyd=zyd, zydd=zydd,
+        zx=zx, zxd=zxd, zxdd=zxdd, zy=zy, zyd=zyd, zydd=zydd, zyt=np.ascontiguousarray(zy.T),
         phx=phx, phxd=phxd, phxdd=phxdd, phxddd=phxddd,
         phy=phy, phyd=phyd, phydd=phydd, phyddd=phyddd,
     )

@@ -37,7 +37,10 @@ blocks still lets each alpha entry sit a few times above its own scale
 while the norm passes.
 
 Time stepping is adaptive: one trial loop in `run` lands on stops, rejects
-and shrinks, and grows the step by a proportional-integral controller.
+and shrinks, and grows the step by a proportional-integral controller.  It
+starts from the step that the tolerances allow, estimated from the initial
+slope and one probe evaluation (`_initial_step`), unless the config fixes
+the first step.
 Each trial step runs one stage loop, `_attempt_step`, over one of two
 tableaux:
 
@@ -150,12 +153,16 @@ class SimulationState(Record):
 
 
 class SolverConfig(Record):
-    """Horizon, tolerances, initial step and blow-up cap."""
+    """Horizon, tolerances, initial step and blow-up cap.
+
+    `dt_init` None, the default, lets `run` estimate the first step from
+    the tolerances (see `_initial_step`); a number overrides it.
+    """
 
     T_run: float
     rtol: float = 1e-8
     atol: float = 1e-11
-    dt_init: float = 1e-4
+    dt_init: float | None = None
     blowup_cap: float = 1e6
 
     def __post_init__(self):
@@ -164,6 +171,8 @@ class SolverConfig(Record):
             errs.append(f"T_run must be finite and > 0, got {self.T_run!r}")
         for name in ("rtol", "atol", "dt_init"):
             v = getattr(self, name)
+            if v is None and name == "dt_init":
+                continue
             if not (np.isfinite(v) and v > 0):
                 errs.append(f"{name} must be finite and > 0, got {v!r}")
         if not self.blowup_cap > 0:
@@ -596,18 +605,75 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
     return y_new, k[n], diag_new, err, pair
 
 
-def _error_norm(err, y_old, y_new, config, n_sol):
-    """RMS of err / (atol + rtol max(|y_old|, |y_new|)) over the first n_sol
-    entries, the solution's C and alpha, with the sum still divided by the
-    whole state's length err.size: each C and alpha entry keeps the
-    tolerance of an RMS over the whole state, and the work integrals after
-    them do not count.  They are quadratures that no right-hand side reads;
-    the energy residual gates (`diagnostics.segment_residual_bounds`) check
-    them.
+def _scaled_rms(v, scale):
+    """RMS of v / scale over v's first scale.size entries, the solution's C
+    and alpha, with the sum still divided by the whole state's length v.size:
+    each C and alpha entry keeps the tolerance of an RMS over the whole
+    state, and the work integrals after them do not count.  They are
+    quadratures that no right-hand side reads; the energy residual gates
+    (`diagnostics.segment_residual_bounds`) check them.
     """
+    ratio = v[: scale.size] / scale
+    return math.sqrt(np.vdot(ratio, ratio) / v.size)
+
+
+def _error_norm(err, y_old, y_new, config, n_sol):
+    """`_scaled_rms` of err, scaled by atol + rtol max(|y_old|, |y_new|) over
+    the first n_sol entries."""
     scale = config.atol + config.rtol * np.maximum(np.abs(y_old[:n_sol]), np.abs(y_new[:n_sol]))
-    ratio = err[:n_sol] / scale
-    return math.sqrt(np.vdot(ratio, ratio) / err.size)
+    return _scaled_rms(err, scale)
+
+
+# A starting-step probe that fails is retried this much shorter, at most
+# _PROBE_TRIES times in all.
+_PROBE_SHRINK, _PROBE_TRIES = 0.1, 8
+
+
+def _initial_step(system, t, y, k1, diag, span, config):
+    """The first trial's step from state y at t, with slope k1 and diagnostics `diag`.
+
+    The starting-step rule of Hairer, Norsett & Wanner (Solving ODEs I,
+    II.4; DOPRI5's HINIT).  d0 and d1 are the `_scaled_rms` norms of y and
+    k1, scaled by atol + rtol |y|.  One probe of size h0 = 0.01 d0 / d1
+    gives d2 = ||rhs(t + h0, y + h0 k1) - k1|| / h0, and the step is
+    min(100 h0, (0.01 / max(d1, d2))^(1/p)), p the propagated order of the
+    pair the first trial takes (`_takes_imex`), capped at `span`, the
+    distance to the first stop.
+
+    h0 is capped at `span` too.  A state below its tolerance, d0 < 1e-5,
+    says nothing of the step: its h0 is 1e-6, as in HINIT, as is that of a
+    slope whose norm overflows.  A zero slope probes the whole span, and a
+    zero max(d1, d2), an exact steady state, takes it.  A probe that fails
+    (NonFiniteStateError, MobilityOverflowError or a non-finite d2) is
+    retried _PROBE_SHRINK times shorter; if all _PROBE_TRIES fail, the step
+    is _PROBE_SHRINK times the last, and the trial loop's rejections go on
+    from there.  So only a failure at the initial state aborts a run.
+    """
+    scale = config.atol + config.rtol * np.abs(y[: system.alpha_slice.stop])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, d1 = _scaled_rms(y, scale), _scaled_rms(k1, scale)
+        if d1 == 0.0:
+            h0 = span
+        else:
+            h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and d1 < math.inf else 1e-6, span)
+        for _ in range(_PROBE_TRIES):
+            try:
+                d2 = _scaled_rms(system.rhs(t + h0, y + h0 * k1) - k1, scale) / h0
+            except (NonFiniteStateError, MobilityOverflowError):
+                d2 = math.nan
+            if math.isfinite(d2):
+                break
+            h0 *= _PROBE_SHRINK
+        else:
+            return h0
+    d12 = max(d1, d2)
+
+    def step(pair):
+        h1 = (0.01 / d12) ** (1.0 / pair.order) if d12 > 0.0 else math.inf
+        return min(100.0 * h0, h1, span) or h0  # h1 is 0 if d1 overflowed
+
+    h = step(_DP54)
+    return step(_ARK436) if _takes_imex(system, h, diag) else h
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
@@ -636,18 +702,21 @@ def run(
     the step, the implicit-explicit ARK4(3)6L pair (see `_takes_imex`);
     `steps_implicit` counts the accepted ones of the latter.
 
-    One loop makes one trial per pass and sets every step size.  It cuts a
-    trial that would pass the next stop, or end within 1e-12 of it, to land
-    on it.  A trial that fails (NonFiniteStateError, MobilityOverflowError,
-    a singular implicit stage, a non-finite result or error estimate in
-    any entry, the work integrals' included) halves dt, and one with an
-    error norm above 1 scales it by max(0.2, 0.9 err^(-1/q)), q its pair's
-    order; the retry keeps that dt, short of the stop.  The norm covers
-    the C and alpha entries only (see `_error_norm`): the work integrals
-    are checked by the energy residual gates, not by the step size, and
-    alpha's error can still hide behind C's in the one RMS.  An accepted
-    step grows dt by the PI rule; dt <= 16 eps max(|t|, 1) raises
-    StepSizeUnderflowError.
+    The first trial's size is `config.dt_init` or, when that is None,
+    estimated from the tolerances by `_initial_step`, at the cost of one
+    `rhs` probe whose failure never aborts the run; either is capped at the
+    first stop.  One loop makes one trial per pass and sets every step
+    size.  It cuts a trial that would pass the next stop, or end within
+    1e-12 of it, to land on it.  A trial that fails (NonFiniteStateError,
+    MobilityOverflowError, a singular implicit stage, a non-finite result
+    or error estimate in any entry, the work integrals' included) halves
+    dt, and one with an error norm above 1 scales it by
+    max(0.2, 0.9 err^(-1/q)), q its pair's order; the retry keeps that dt,
+    short of the stop.  The norm covers the C and alpha entries only (see
+    `_error_norm`): the work integrals are checked by the energy residual
+    gates, not by the step size, and alpha's error can still hide behind
+    C's in the one RMS.  An accepted step grows dt by the PI rule;
+    dt <= 16 eps max(|t|, 1) raises StepSizeUnderflowError.
     """
     t_start = time.perf_counter()
 
@@ -688,7 +757,10 @@ def run(
     ledger.append(row)
     emit(t, y, t in checkpoint_set)
 
-    dt = min(config.dt_init, stops[0] - t)
+    dt = config.dt_init
+    if dt is None:
+        dt = _initial_step(system, t, y, ydot, diag, stops[0] - t, config)
+    dt = min(dt, stops[0] - t)
     err_prev = 1.0
     accepted = 0
     rejected = 0

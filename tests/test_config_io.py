@@ -197,6 +197,28 @@ outputs: {}
     assert cfg.outputs == OutputSpec()
 
 
+def test_dt_init_may_be_omitted_and_is_checked_when_given(tmp_path):
+    # Omitted, the first step is estimated (None); the echo leaves it out,
+    # so a round trip keeps it omitted.
+    text = VALID_CONFIG.replace(" dt_init: 1.0e-4,", "")
+    cfg = RunConfig.from_text(text, base_dir=tmp_path)
+    assert cfg.solver.dt_init is None and SolverConfig(T_run=1.0).dt_init is None
+    assert "dt_init" not in cfg.to_dict()["solver"]
+    assert RunConfig.from_text(yaml.safe_dump(cfg.to_dict()), base_dir=tmp_path) == cfg
+    assert RunConfig.from_text(VALID_CONFIG, base_dir=tmp_path).solver.dt_init == 1e-4
+    for value, message in (("0.0", "solver: dt_init must be finite and > 0, got 0.0"),
+                           ("-1.0e-4", "solver: dt_init must be finite and > 0, got -0.0001"),
+                           (".nan", "solver.dt_init: must be finite, got nan")):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(VALID_CONFIG.replace("dt_init: 1.0e-4", f"dt_init: {value}"),
+                                base_dir=tmp_path)
+        assert info.value.errors == [message]
+    for value in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError) as info:
+            SolverConfig(T_run=1.0, dt_init=value)
+        assert info.value.errors == (f"dt_init must be finite and > 0, got {value!r}",)
+
+
 def test_all_errors_reported_at_once(tmp_path):
     broken = """
 domain: {Lx: -1.0, Ly: 3.0, Ns: 4, Nv: 1}

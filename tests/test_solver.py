@@ -469,7 +469,128 @@ def test_trial_with_a_non_finite_rider_is_rejected(monkeypatch):
 
     monkeypatch.setattr(solver, "_attempt_step", attempt)
     res = run(state, _params(), SolverConfig(T_run=1e-3))
-    assert trials[:2] == [1e-4, 5e-5] and res.steps_rejected == 1
+    assert trials[1] == 0.5 * trials[0] and res.steps_rejected == 1
+
+
+def test_automatic_first_trial_is_accepted_near_its_tolerance(monkeypatch):
+    # The verify suites' mild nonlinear run (energy suite).  From dt_init =
+    # 1e-4 the first error norm is some 1e-9; the estimated first step is
+    # accepted with a norm within three decades of 1.
+    domain = build_domain(DomainSpec(Lx=2.0, Ly=1.0, Ns=10, Nv=3))
+    state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.2), (2, 0, 0.1), (0, 3, 0.05)],
+                                             offset=0.4),
+                            make_velocity(domain, [(1, 1, 0.4), (2, 1, 0.2)]))
+    params = _params(d=0.05, kappa=0.8, korteweg=KortewegParams(delta_hat=0.2, gamma=0.1),
+                     mobility=MobilitySpec.exponential(0.7))
+    norms = []
+    orig = solver._error_norm
+    monkeypatch.setattr(solver, "_error_norm", lambda *a: norms.append(orig(*a)) or norms[-1])
+    first = {}
+    for dt_init in (None, 1e-4):
+        norms.clear()
+        res = run(state, params, SolverConfig(T_run=0.4, dt_init=dt_init),
+                  forcing=ForcingSpec.preset("pulsed_stream"))
+        first[dt_init] = norms[0]
+        assert res.outcome == "completed" and res.steps_rejected == 0
+    assert 1e-3 <= first[None] <= 1.0
+    assert first[1e-4] < 1e-6
+
+
+def _rhs_calls(monkeypatch, *args, **kwargs):
+    """(calls to rhs and evaluate_with_diagnostics, the result) of run(*args, **kwargs)."""
+    calls = []
+    for name in ("rhs", "evaluate_with_diagnostics"):
+        orig = getattr(GalerkinSystem, name)
+
+        def counted(self, *a, _orig=orig, **kw):
+            calls.append(a[0])
+            return _orig(self, *a, **kw)
+
+        monkeypatch.setattr(GalerkinSystem, name, counted)
+    res = run(*args, **kwargs)
+    monkeypatch.undo()
+    return len(calls), res
+
+
+@pytest.mark.parametrize("case", ["mild", "drag"])
+def test_automatic_first_step_costs_one_probe(pi_domain, monkeypatch, case):
+    # Every trial of either pair makes six evaluations (see
+    # test_each_trial_makes_its_pairs_calls), and the initial state one; the
+    # estimate adds one probe, and an explicit dt_init none.
+    if case == "mild":
+        state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
+                                make_velocity(pi_domain, [(1, 1, 0.3)]))
+        params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5))
+    else:
+        state, params = _drag_stiff_case()
+    for dt_init, probes in ((None, 1), (1e-4, 0)):
+        n_calls, res = _rhs_calls(monkeypatch, state, params,
+                                  SolverConfig(T_run=0.2, dt_init=dt_init))
+        assert n_calls == 1 + probes + 6 * (res.steps_accepted + res.steps_rejected)
+
+
+def test_rest_state_takes_the_whole_span_to_its_first_stop(pi_domain):
+    # A zero slope, at a uniform C without reaction and a fluid at rest or
+    # at the zero state, gives a step capped at the first stop.
+    for C0, kappa in ((make_scalar(pi_domain, [], offset=0.5), 0.0),
+                      (make_scalar(pi_domain, []), 1.0)):
+        state = SimulationState(0.0, C0, make_velocity(pi_domain, []))
+        res = run(state, _params(kappa=kappa), SolverConfig(T_run=0.5))
+        assert [row.t for row in res.ledger] == [0.0, 0.5]
+        res = run(state, _params(kappa=kappa), SolverConfig(T_run=0.5), checkpoint_times=(0.2,))
+        assert [row.t for row in res.ledger] == [0.0, 0.2, 0.5]
+
+
+@pytest.mark.parametrize("n_fail", [1, 3, solver._PROBE_TRIES])
+@pytest.mark.parametrize("failure", ["non-finite", "overflow", "huge"])
+def test_a_failing_probe_is_retried_shorter_and_never_aborts(pi_domain, monkeypatch, failure,
+                                                             n_fail):
+    # A probe that raises, or whose slope is finite but so large that d2
+    # overflows, is retried ten times shorter.  When every try fails, the
+    # first trial takes the next shorter size and the run goes on.
+    state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.3)]))
+    probes, first_dt = [], []
+    orig_rhs, orig_attempt = GalerkinSystem.rhs, solver._attempt_step
+
+    def rhs(self, t, y, **kw):
+        if not first_dt:
+            probes.append(t)
+            if len(probes) <= n_fail:
+                if failure == "non-finite":
+                    raise NonFiniteStateError(t)
+                if failure == "overflow":
+                    raise MobilityOverflowError("probe")
+                return np.full_like(y, 1e300)
+        return orig_rhs(self, t, y, **kw)
+
+    def attempt(system, t, y, dt, *a):
+        first_dt.append(dt)
+        return orig_attempt(system, t, y, dt, *a)
+
+    monkeypatch.setattr(GalerkinSystem, "rhs", rhs)
+    monkeypatch.setattr(solver, "_attempt_step", attempt)
+    res = run(state, _params(), SolverConfig(T_run=0.3))
+    assert res.outcome == "completed" and res.final_state.t == 0.3
+    assert len(probes) == min(n_fail + 1, solver._PROBE_TRIES)
+    for h0, shorter in zip(probes, probes[1:]):
+        assert shorter == pytest.approx(0.1 * h0, rel=1e-15)
+    if n_fail == solver._PROBE_TRIES:
+        assert first_dt[0] == pytest.approx(0.1 * probes[-1], rel=1e-15)
+
+
+def test_a_slope_whose_norm_overflows_ends_as_a_fixed_start_does():
+    # F = e^350 drags a moving fluid, so the scaled norm of the initial
+    # slope overflows.  The estimate neither divides by it nor returns 0:
+    # the run underflows at its initial time, as it does from dt_init = 1e-4.
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
+    state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.01)], offset=3.5),
+                            make_velocity(domain, [(1, 1, 0.1)]))
+    params = PhysicalParams(mu_e=1.0, d=1.0, mobility=MobilitySpec.exponential(100.0))
+    for dt_init in (None, 1e-4):
+        with pytest.raises(StepSizeUnderflowError) as info:
+            run(state, params, SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9, dt_init=dt_init))
+        assert info.value.t == 0.0
 
 
 @pytest.mark.parametrize("Ns, modes, offset, kappa", [(4, [(1, 0, 1.0)], 0.0, 0.0),
@@ -761,7 +882,9 @@ def test_each_trial_makes_its_pairs_calls(monkeypatch):
     monkeypatch.setattr(solver, "_attempt_step", attempt)
     monkeypatch.setattr(GalerkinSystem, "ledger_row", ledger_row)
     state, params = _drag_stiff_case()
-    res = run(state, params, SolverConfig(T_run=0.2))
+    # From a small first step the run takes DP5(4) trials before the IMEX
+    # ones; the automatic first step is IMEX at once.
+    res = run(state, params, SolverConfig(T_run=0.2, dt_init=1e-4))
     monkeypatch.undo()
 
     imex = sorted([("rhs", True), ("solve_momentum_stage", False)] * 5
