@@ -35,17 +35,17 @@ Ns + Nv + 1) cells per side projects each one exactly:
   Korteweg pairing, lap C C_x and lap C C_y being of degree 2(Ns-1), a
   sine in the differentiated direction and a cosine in the other.
 
-The Gauss-Legendre rule carries what has no known parity: forcing tables
-and callables, the manufactured source and forcing, pressure recovery and
-the diagnostics' min C; the Gram and stiffness matrices are formed on it
-at build.  Its size M stays
-the smallest rule that integrates every trigonometric mode up to
-``integrand_degree`` to the certificate tolerance on both sides
-(``required_quadrature_points``), so it pairs a manufactured F(C*) u*
-exactly.  One certificate, ``_certificate_failure``, checks each rule once:
-M for every mode up to that degree, the midpoint rule for every cosine up
-to ``midpoint_degree``, and each R for every mode of its data up to the
-degree it takes.
+The midpoint rule also forms the Gram and stiffness matrices, of cosine
+degree 2(Nv+1), and min C, on its nodes and the walls: the solver's numbers
+rest on it alone.  The Gauss-Legendre rule keeps nodal input and output
+(snapshots, ``grid_to_scalar``, forcing tables and callables) and the
+oracles.  Its size M stays the smallest rule that integrates every
+trigonometric mode up to ``integrand_degree`` to the certificate tolerance
+on both sides (``required_quadrature_points``), so it pairs a manufactured
+F(C*) u* exactly.  One certificate, ``_certificate_failure``, checks each
+rule once: M for every mode up to that degree, the midpoint rule for every
+cosine up to ``midpoint_degree``, and each R for every mode of its data up
+to the degree it takes.
 """
 
 from __future__ import annotations
@@ -227,10 +227,7 @@ class QuadratureGrid(Record, eq=False):
 
     All cached arrays are one-dimensional factors of the separable bases:
     scalar cosine factors (M, Ns) and streamfunction factors (M, Nv), each
-    with enough derivatives for the momentum, transport and pressure
-    operators.  `scalar_values`, which gives each evaluation's min C, takes
-    zy transposed and contiguous, zyt (Ns, M), as the midpoint transforms
-    take theirs.
+    with enough derivatives for the nodal inputs, snapshots and oracles.
     """
 
     M: int
@@ -246,7 +243,6 @@ class QuadratureGrid(Record, eq=False):
     zy: np.ndarray
     zyd: np.ndarray
     zydd: np.ndarray
-    zyt: np.ndarray  # (Ns, M), zy^T
     # Streamfunction factors phi and derivatives up to third order.
     phx: np.ndarray
     phxd: np.ndarray
@@ -284,7 +280,8 @@ class MidpointRule(Record, eq=False):
     its stacks, and cphxs = cell phxs is the drag pairing's left factor.
     The transforms take the y factors transposed and contiguous, zyt and
     zydt (Ns, P) and phyt and phydt (Nv, P): a transposed right operand
-    makes those products about a third slower.
+    makes those products about a third slower.  zxw and zywt add both
+    walls to the nodes of z, for ``scalar_min``.
     """
 
     P: int
@@ -305,6 +302,8 @@ class MidpointRule(Record, eq=False):
     rphxs: np.ndarray  # (2P, Nv) sine data against phi_j over cosine data against -phi_j'
     rphy: np.ndarray  # (P, Nv) sine data against phi_j
     rphyd: np.ndarray  # (P, Nv) cosine data against phi_j'
+    zxw: np.ndarray  # (P + 2, Ns), z at the midpoints, then at 0 and Lx
+    zywt: np.ndarray  # (Ns, P + 2), z^T at the midpoints, then at 0 and Ly
 
     def integrate(self, values: np.ndarray) -> float:
         """Integrate nodal values over the rectangle."""
@@ -324,7 +323,7 @@ class Domain(Record, eq=False):
     spec: DomainSpec
     scalar: ScalarBasis
     velocity: VelocityBasis
-    grid: QuadratureGrid
+    grid: QuadratureGrid  # nodal input and output and the oracles; the solver reads none
     midpoint: MidpointRule
 
     # -- scalar transforms -------------------------------------------------
@@ -332,7 +331,7 @@ class Domain(Record, eq=False):
     def scalar_values(self, B: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient matrix (Ns, Ns) on the grid, (M, M)."""
         g = self.grid
-        return g.zx @ B @ g.zyt
+        return g.zx @ B @ g.zy.T
 
     def scalar_gradient_values(self, B: np.ndarray):
         """Nodal (Cx, Cy)."""
@@ -416,6 +415,12 @@ class Domain(Record, eq=False):
         left = np.matmul(m.phxs, A, out=left)
         u = np.empty((2 * P, P)) if u is None else u
         return np.matmul(left[:P], m.phydt, out=u[:P]), np.matmul(left[P:], m.phyt, out=u[P:])
+
+    def scalar_min(self, B: np.ndarray) -> float:
+        """min C over the midpoints and both walls of each side, (P + 2)^2 nodes:
+        exact on a corner or a wall node; no node set bounds a minimum elsewhere."""
+        m = self.midpoint
+        return float((m.zxw @ B @ m.zywt).min())
 
     def midpoint_project(self, values: np.ndarray) -> np.ndarray:
         """Projection of midpoint values onto the cosine basis, (Ns, Ns), as plain sums.
@@ -626,11 +631,14 @@ def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
     rule is certified for cosines up to ``midpoint_degree``.  They come as
     MidpointRule takes them: [z; z'], [phi; -phi'], phi', R_z,
     [R_phi; -R_phi'], R_phi', z^T, z'^T, phi^T and phi'^T, the stacks and
-    transposes holding the certified arrays' values exactly.
+    transposes holding the certified arrays' values exactly; z at the
+    midpoints and walls, (P + 2, Ns), transposed and not; and the 1-D Gram
+    and stiffness blocks (L/P) f^T f of f = phi, phi' and phi'', exact as
+    cosines of degree 2(Nv+1) <= ``midpoint_degree``.
     """
     s, w = _midpoint_nodes(P, L)
     norm, z, zd, _ = _scalar_factors(s, L, Ns)
-    phi, phid, _, _ = _stream_factors(s, L, Nv)
+    phi, phid, phidd, _ = _stream_factors(s, L, Nv)
     failures = [_certificate_failure(s, w, L, midpoint_degree(Ns, Nv), modes="cos",
                                      rule="midpoint")]
     z_factor, phi_factor, dphi_factor = _factor_expansions(L, norm, Nv)
@@ -643,8 +651,10 @@ def _midpoint_side(P: int, L: float, Ns: int, Nv: int):
                                              rule=rule))
         analyses.append(R)
     rz, rphi, rphid = analyses
+    zw = np.vstack([z, norm, norm * (-1.0) ** np.arange(Ns)])  # z_j(0) = n_j, z_j(L) = (-1)^j n_j
     arrays = (np.vstack([z, zd]), np.vstack([phi, -phid]), phid, rz, np.vstack([rphi, -rphid]),
-              rphid, *(np.ascontiguousarray(a.T) for a in (z, zd, phi, phid)))
+              rphid, *(np.ascontiguousarray(a.T) for a in (z, zd, phi, phid, zw)), zw,
+              *((f.T @ f) * (L / P) for f in (phi, phid, phidd)))
     for a in arrays:
         a.flags.writeable = False  # shared by every domain with this side
     return arrays, failures
@@ -675,9 +685,9 @@ def build_domain(spec: DomainSpec) -> Domain:
                                           _certificate_failure(y, wy, Ly, degree)]
 
     P = max(2 * Ns, Ns + Nv + 1)
-    (zxs, phxs, _, rzx, rphxs, *_), fails_x = _midpoint_side(P, Lx, Ns, Nv)
-    (zys, phys, phyd, rzy, rphys, rphyd, zyt, zydt, phyt, phydt), fails_y = _midpoint_side(
-        P, Ly, Ns, Nv)
+    (zxs, phxs, _, rzx, rphxs, *_, zxw, px, qx, rx), fails_x = _midpoint_side(P, Lx, Ns, Nv)
+    (zys, phys, phyd, rzy, rphys, rphyd, zyt, zydt, phyt, phydt, zywt, _, py, qy, ry), fails_y = (
+        _midpoint_side(P, Ly, Ns, Nv))
     failures += fails_x + fails_y
     if any(failures):
         raise DomainError(*filter(None, failures))
@@ -687,43 +697,25 @@ def build_domain(spec: DomainSpec) -> Domain:
     midpoint = MidpointRule(P=P, cell=cell, zxs=zxs, zx=zxs[:P], zy=zys[:P], zyt=zyt, zydt=zydt,
                             phxs=phxs, cphxs=cphxs, phy=phys[:P], phyd=phyd, phyt=phyt,
                             phydt=phydt, rzx=rzx, rzy=rzy, rphxs=rphxs, rphy=rphys[:P],
-                            rphyd=rphyd)
+                            rphyd=rphyd, zxw=zxw, zywt=zywt)
     phx, phxd, phxdd, phxddd = _stream_factors(x, Lx, Nv)
     phy, phyd, phydd, phyddd = _stream_factors(y, Ly, Nv)
 
     jj = (np.arange(Ns) * np.pi / Lx) ** 2
     kk = (np.arange(Ns) * np.pi / Ly) ** 2
-    eigenvalues = jj[:, None] + kk[None, :]
+    scalar = ScalarBasis(Ns=Ns, Lx=Lx, Ly=Ly, eigenvalues=jj[:, None] + kk[None, :],
+                         norm_x=norm_x, norm_y=norm_y)
+    grid = QuadratureGrid(M=M, x=x, y=y, wx=wx, wy=wy, weights=np.outer(wx, wy),
+                          zx=zx, zxd=zxd, zxdd=zxdd, zy=zy, zyd=zyd, zydd=zydd,
+                          phx=phx, phxd=phxd, phxdd=phxdd, phxddd=phxddd,
+                          phy=phy, phyd=phyd, phydd=phydd, phyddd=phyddd)
 
-    scalar = ScalarBasis(
-        Ns=Ns, Lx=Lx, Ly=Ly, eigenvalues=eigenvalues, norm_x=norm_x, norm_y=norm_y
-    )
-
-    grid = QuadratureGrid(
-        M=M, x=x, y=y, wx=wx, wy=wy, weights=np.outer(wx, wy),
-        zx=zx, zxd=zxd, zxdd=zxdd, zy=zy, zyd=zyd, zydd=zydd, zyt=np.ascontiguousarray(zy.T),
-        phx=phx, phxd=phxd, phxdd=phxdd, phxddd=phxddd,
-        phy=phy, phyd=phyd, phydd=phydd, phyddd=phyddd,
-    )
-
-    # 1D mass/stiffness blocks of the streamfunction factors.
-    px = phx.T @ (wx[:, None] * phx)
-    qx = phxd.T @ (wx[:, None] * phxd)
-    rx = phxdd.T @ (wx[:, None] * phxdd)
-    py = phy.T @ (wy[:, None] * phy)
-    qy = phyd.T @ (wy[:, None] * phyd)
-    ry = phydd.T @ (wy[:, None] * phydd)
-
-    # w = (phi phi', -phi' phi): Gram and stiffness factor over dimensions.
+    # w = (phi phi', -phi' phi): Gram and stiffness factor over dimensions
+    # into the midpoint rule's 1-D blocks p, q and r of phi, phi' and phi''.
     # The Cholesky factorisation only certifies that G is SPD; the Gram
     # solves use G^-1, formed and symmetrised here once (see VelocityBasis).
-    n2 = Nv * Nv
-    gram = (np.einsum("jl,km->jklm", px, qy) + np.einsum("jl,km->jklm", qx, py)).reshape(n2, n2)
-    stiffness = (
-        2.0 * np.einsum("jl,km->jklm", qx, qy)
-        + np.einsum("jl,km->jklm", px, ry)
-        + np.einsum("jl,km->jklm", rx, py)
-    ).reshape(n2, n2)
+    gram = np.kron(px, qy) + np.kron(qx, py)
+    stiffness = 2.0 * np.kron(qx, qy) + np.kron(px, ry) + np.kron(rx, py)
     gram = 0.5 * (gram + gram.T)
     stiffness = 0.5 * (stiffness + stiffness.T)
 
@@ -734,8 +726,6 @@ def build_domain(spec: DomainSpec) -> Domain:
     gram_inverse = np.linalg.inv(gram)
     gram_inverse = 0.5 * (gram_inverse + gram_inverse.T)
 
-    velocity = VelocityBasis(
-        Nv=Nv, Lx=Lx, Ly=Ly, gram=gram, stiffness=stiffness, gram_inverse=gram_inverse
-    )
-
+    velocity = VelocityBasis(Nv=Nv, Lx=Lx, Ly=Ly, gram=gram, stiffness=stiffness,
+                             gram_inverse=gram_inverse)
     return Domain(spec=spec, scalar=scalar, velocity=velocity, grid=grid, midpoint=midpoint)

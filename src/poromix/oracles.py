@@ -189,11 +189,13 @@ class ManufacturedCase(Record, eq=False):
         return self.error_norms(domain, T, res.final_state.C, res.final_state.u)
 
     def transport_source(self, params):
-        """Nodal S(t) = dC*/dt + u*.grad C* - d lap C* + kappa C*(1-C*)."""
+        """S(t) = dC*/dt + u*.grad C* - d lap C* + kappa C*(1-C*), formed on the
+        Gauss-Legendre grid and projected onto the cosine basis, (Ns, Ns)."""
         def source(domain: Domain, t: float):
             val, ddx, ddy, lap, dval_dt = self.exact_C_grids(domain, t)
             ux, uy = self.exact_u_grids(domain, t)
-            return dval_dt + ux * ddx + uy * ddy - params.d * lap + params.kappa * val * (1.0 - val)
+            return domain.scalar_project(dval_dt + ux * ddx + uy * ddy - params.d * lap
+                                         + params.kappa * val * (1.0 - val))
 
         return source
 

@@ -62,14 +62,23 @@ def write_snapshot(path, field_name: str, t: float, domain: Domain, values: np.n
 
 
 def read_snapshot(path):
-    """Read a snapshot back; returns (header dict, (M, M) array)."""
+    """Read a snapshot back; returns (header dict, (M, M) array).  A ValueError
+    names the file and its header's or payload's defect."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        M = int(header["M"])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != M * M:
-        raise ValueError(f"snapshot payload has {data.size} values, expected {M * M}")
-    return header, data.reshape(M, M).copy()
+        line, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(line)
+    except ValueError:  # not UTF-8 or not JSON
+        header = None
+    M = header.get("M") if isinstance(header, dict) else None
+    if type(M) is not int or M < 1:
+        defect = ("is not a JSON object" if not isinstance(header, dict) else
+                  "has no M" if "M" not in header else f"M={M!r} is no integer >= 1")
+        raise ValueError(f"{path}: snapshot header {defect}")
+    if len(payload) != 8 * M * M:
+        raise ValueError(f"{path}: snapshot payload has {len(payload) / 8:.15g} values, "
+                         f"expected {M * M}")
+    return header, np.frombuffer(payload, dtype="<f8").reshape(M, M).copy()
 
 
 def _jsonable(value):

@@ -20,10 +20,9 @@ pairing P_w[F(C) u], D_F(C) and the quartic work integrals are cosine
 polynomials and go as plain midpoint sums; advection and the Korteweg
 pairing go through the analysis matrices R.  Each product is one 2-D BLAS
 call over factors stacked at build (see the domain module's MidpointRule).
-The forcing comes as its pairing (see the forcing module).  The
-Gauss-Legendre grid carries only a table's or callable forcing's nodal
-values, the manufactured transport source, and the nodal minimum min C of
-each evaluation with diagnostics.
+The forcing comes as its pairing (see the forcing module) and a transport
+source as its coefficients; with G, S and min C on the midpoint rule too,
+this module calls no Gauss-Legendre method.
 
 Alongside the physical coefficients, the state carries a small block of
 work integrals (dissipation, forcing power, reaction quadratics), each
@@ -278,17 +277,16 @@ class GalerkinSystem:
     An evaluation writes C, grad C, -lap C, u, C (1-C), its temporaries and
     the stacked products of its transforms and pairings into the workspace
     the system owns on the midpoint rule, `_mid_work`; F(C) and F'(C) are
-    new arrays.  Only a table or callable forcing, a transport source and
-    the diagnostics' nodal min C allocate on the Gauss-Legendre grid.  The
-    implicit stage allocates all it forms.  The arrays an evaluation or a
-    stage returns never alias the workspace.  One instance must not
-    evaluate in two threads at once.
+    new arrays.  Only a table or callable forcing allocates on the
+    Gauss-Legendre grid, inside its pairing.  The implicit stage allocates
+    all it forms.  The arrays an evaluation or a stage returns never alias
+    the workspace.  One instance must not evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
-    as long as the system: -d lam, mu_e S and the zero pairing
-    of an absent Korteweg term, all read-only.  Each is the
-    operand the evaluation's expression would have formed, so results are
-    bit for bit those of forming it per call.
+    as long as the system: -d lam, mu_e S and the zero pairing of an absent
+    Korteweg term, all read-only.  Each is the operand the evaluation's
+    expression would have formed, so results are bit for bit those of
+    forming it per call.
     """
 
     def __init__(self, domain: Domain, params: PhysicalParams, forcing: ForcingSpec | None = None,
@@ -296,8 +294,8 @@ class GalerkinSystem:
         self.domain = domain
         self.params = params
         self.forcing = forcing if forcing is not None else ForcingSpec.preset("zero")
-        # Verification-only hook: nodal source added to the transport
-        # equation so manufactured fields solve the full system exactly.
+        # Verification-only hook: source(domain, t) -> (Ns, Ns) coefficients
+        # added to the transport rate, so manufactured fields solve the system.
         self.transport_source = transport_source
         self.Ns = domain.spec.Ns
         self.Nv = domain.spec.Nv
@@ -454,7 +452,7 @@ class GalerkinSystem:
             p_cc = dom.midpoint_project(cc_mid)
             bdot -= p.kappa * p_cc
         if self.transport_source is not None:
-            bdot += dom.scalar_project(self.transport_source(dom, t))
+            bdot += self.transport_source(dom, t)
 
         # Momentum: drag, Korteweg coupling, body force.
         pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
@@ -492,7 +490,7 @@ class GalerkinSystem:
         if want_diag:
             # max F(C) and the sign of F behind fq_u are over the midpoint
             # nodes that assemble the drag and D_F; min C, for the positivity
-            # check, is over the Gauss-Legendre nodes, nearer its true value.
+            # check, adds both walls to them (`Domain.scalar_min`).
             # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
             # F (squares of sines are cosines), quartic for a quadratic F:
             # it goes on the midpoint rule like (C (1-C))^2.
@@ -517,7 +515,7 @@ class GalerkinSystem:
                     "fq_u": float(fu_quad) if float(f_mid.min()) >= 0.0 else math.nan,
                     "dCdt_l2": float(dcdt_sq),
                     "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
-                    "min_C": float(dom.scalar_values(B).min()),
+                    "min_C": dom.scalar_min(B),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
                     "h1_F_sq": h1_f_sq,

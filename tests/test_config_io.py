@@ -465,6 +465,20 @@ def test_snapshot_roundtrip(tmp_path, pi_domain):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("header, defect", [
+    (b'{"field": "C", "t": 0.0}', "has no M"),
+    (b'{"M": [2]}', r"M=\[2\] is no integer >= 1"),
+    (b'{"M": -2}', "M=-2 is no integer >= 1"),
+    (b'[2]', "is not a JSON object"),
+    (b'\xff{"M": 2}', "is not a JSON object"),
+], ids=["no_M", "M_list", "M_negative", "not_an_object", "not_utf8"])
+def test_malformed_snapshot_header_is_one_error_naming_the_file(tmp_path, header, defect):
+    path = tmp_path / "C_000000.snap"
+    path.write_bytes(header + b"\n" + np.zeros(4).tobytes())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: snapshot header {defect}$"):
+        read_snapshot(path)
+
+
 def test_snapshot_shape_checked(tmp_path, pi_domain):
     with pytest.raises(ValueError, match="must be"):
         write_snapshot(tmp_path / "x.snap", "C", 0.0, pi_domain, np.zeros((3, 3)))

@@ -391,7 +391,7 @@ def test_blowup_cap_must_exceed_initial_norm(pi_domain):
 def test_step_underflow_reports_time(pi_domain):
     # A source that turns non-finite past t = 0.1 forces endless rejections.
     def bad_source(domain, t):
-        out = np.zeros((domain.grid.M, domain.grid.M))
+        out = np.zeros((domain.spec.Ns, domain.spec.Ns))
         if t > 0.1:
             out[0, 0] = math.nan
         return out
@@ -1056,19 +1056,54 @@ def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
     assert reused.tobytes() == system.rhs(0.3, z).tobytes()
 
 
+def _ledger_csv(result):
+    buf = io.StringIO()
+    result.ledger.to_csv(buf)
+    return buf.getvalue()
+
+
 def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(pi_domain):
-    # Every product of the solution is on the midpoint rule and a preset
-    # forcing pairs in coefficient space: with the Gauss-Legendre grid taken
-    # away, an rhs and an implicit stage give the same bytes.  Only the
-    # diagnostics' nodal min C needs the grid.
+    # Every product of the solution, min C among them, is on the midpoint
+    # rule and a preset forcing pairs in coefficient space: with the
+    # Gauss-Legendre grid taken away, an rhs, an implicit stage, an
+    # evaluation with diagnostics and a whole run give the same bytes.
     system, (y, _) = _workspace_case(pi_domain)
-    want = system.rhs(0.3, y), *system.solve_momentum_stage(0.3, y, 0.05)[::2]
-    system.domain = Domain(pi_domain.spec, pi_domain.scalar, pi_domain.velocity, None,
-                           pi_domain.midpoint)
-    got = system.rhs(0.3, y), *system.solve_momentum_stage(0.3, y, 0.05)[::2]
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    with pytest.raises(AttributeError):
-        system.evaluate_with_diagnostics(0.3, y)
+    bare = Domain(pi_domain.spec, pi_domain.scalar, pi_domain.velocity, None, pi_domain.midpoint)
+    got = []
+    for domain in (pi_domain, bare):
+        system.domain = domain
+        ydot, diag = system.evaluate_with_diagnostics(0.3, y)
+        arrays = (system.rhs(0.3, y), *system.solve_momentum_stage(0.3, y, 0.05)[::2], ydot,
+                  *map(np.asarray, diag.values()))
+        res = run(system.unpack(0.0, y), system.params, SolverConfig(T_run=0.05),
+                  forcing=system.forcing)
+        got.append(([a.tobytes() for a in arrays], _ledger_csv(res)))
+    assert got[0] == got[1]
+
+
+def test_a_run_does_not_depend_on_the_gauss_legendre_size():
+    # The Gram and stiffness matrices and min C come from the midpoint rule,
+    # so a preset-forced run writes the same ledger at the default M and at
+    # twice it.
+    csv = []
+    for M in (None, 2 * build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=6, Nv=2)).grid.M):
+        domain = build_domain(DomainSpec(Lx=math.pi, Ly=2.0, Ns=6, Nv=2, M=M))
+        system, (y, _) = _workspace_case(domain)
+        res = run(system.unpack(0.0, y), system.params, SolverConfig(T_run=0.05),
+                  forcing=system.forcing)
+        csv.append(_ledger_csv(res))
+    assert csv[0] == csv[1]
+
+
+def test_min_c_is_exact_on_a_corner(pi_domain):
+    # C = 1.5 + cos x cos y takes its minimum 0.5 on the corners (pi, 0) and
+    # (0, pi), which the midpoint nodes plus the walls contain and the
+    # Gauss-Legendre nodes miss.
+    state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 1.0)], offset=1.5),
+                            make_velocity(pi_domain, []))
+    res = run(state, _params(), SolverConfig(T_run=0.01))
+    assert abs(res.ledger[0].min_C - 0.5) <= 1e-14
+    assert pi_domain.scalar_values(state.C.coeffs).min() > 0.5 + 1e-5
 
 
 def test_drag_matrix_is_bounded_by_the_midpoint_max_of_f(pi_domain):
