@@ -9,11 +9,12 @@ Sections and keys, each declared once in `_KEYS`, which the parsers and
     mobility: kind, coefficients
     forcing:  preset OR file
     initial:  C: {preset: ..., ...} or {file: ...}; u: likewise
-    solver:   T_run; optional rtol, atol, dt_init, blowup_cap
+    solver:   T_run; optional rtol, atol, blowup_cap
     outputs:  optional ledger_path, snapshot_cadence, snapshot_dir
 
 The quadrature size M is not a key: a run takes the smallest certified
 Gauss-Legendre grid for its Ns and Nv, or a forcing table's own grid.
+Nor is the first step: every run estimates it from the tolerances.
 
 Validation collects every problem with its field path before failing, so
 a broken file reports all defects at once.  Each section's spec checks its
@@ -106,8 +107,7 @@ _KEYS = {
     "forcing": ("preset", "file"),
     "initial": ("C", "u"),
     "solver": {"T_run": (float, True, "T_run"), "rtol": (float, False, "rtol"),
-               "atol": (float, False, "atol"), "dt_init": (float, False, "dt_init"),
-               "blowup_cap": (float, False, "blowup_cap")},
+               "atol": (float, False, "atol"), "blowup_cap": (float, False, "blowup_cap")},
     "outputs": {"ledger_path": (str, False, "ledger_path"),
                 "snapshot_cadence": (float, False, "snapshot_cadence"),
                 "snapshot_dir": (str, False, "snapshot_dir")},
@@ -240,12 +240,11 @@ class RunConfig(Record):
 
 
 def _echo(obj, sec_name) -> dict:
-    """The section's keys with the values they parsed to; None values left out."""
+    """The section's keys with the values they parsed to."""
     out = {}
     for key, (kind, _, attr) in _KEYS[sec_name].items():
         value = attrgetter(attr)(obj)
-        if value is not None:
-            out[key] = list(value) if kind is tuple else value
+        out[key] = list(value) if kind is tuple else value
     return out
 
 

@@ -200,6 +200,10 @@ class ScalarBasis(Record, eq=False):
     def norm_00(self) -> float:
         return float(self.norm_x[0] * self.norm_y[0])
 
+    def mass(self, B: np.ndarray) -> float:
+        """Integral over the rectangle of the field with coefficients B."""
+        return float(B[0, 0] * self.norm_00 * self.Lx * self.Ly)
+
 
 class VelocityBasis(Record, eq=False):
     """Streamfunction velocity basis with precomputed Gram, its inverse and stiffness.

@@ -60,8 +60,7 @@ class ScalarField(Record, eq=False):
     @property
     def mass(self) -> float:
         """Integral of the field over the rectangle."""
-        s = self.domain.scalar
-        return float(self.coeffs[0, 0] * s.norm_00 * s.Lx * s.Ly)
+        return self.domain.scalar.mass(self.coeffs)
 
     @property
     def mean_value(self) -> float:

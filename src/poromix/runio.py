@@ -2,8 +2,9 @@
 On-disk formats: field snapshots, the run metadata document, .npz inputs.
 
 A snapshot file is one JSON header line (domain, resolution, time, field
-name) followed by the raw row-major IEEE-754 little-endian float64 nodal
-values, length M*M.  The ledger CSV format lives with EnergyLedger.
+name, layout and dtype) followed by the raw row-major IEEE-754
+little-endian float64 nodal values, length M*M; the reader takes no other
+layout or dtype.  The ledger CSV format lives with EnergyLedger.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import numpy as np
 from .domain import Domain
 
 __all__ = ["write_snapshot", "read_snapshot", "write_metadata", "read_npz"]
+
+# The payload's layout and dtype, as every snapshot header states them.
+_SNAPSHOT_FORMAT = {"layout": "row-major x-major", "dtype": "<f8"}
 
 
 def read_npz(path, names) -> dict:
@@ -44,7 +48,7 @@ def read_npz(path, names) -> dict:
 def write_snapshot(path, field_name: str, t: float, domain: Domain, values: np.ndarray):
     """Write one scalar grid field; values must be (M, M)."""
     M = domain.grid.M
-    v = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
+    v = np.ascontiguousarray(np.asarray(values, dtype=_SNAPSHOT_FORMAT["dtype"]))
     if v.shape != (M, M):
         raise ValueError(f"snapshot values must be ({M}, {M}), got {v.shape}")
     header = {
@@ -53,8 +57,7 @@ def write_snapshot(path, field_name: str, t: float, domain: Domain, values: np.n
         "Lx": domain.spec.Lx,
         "Ly": domain.spec.Ly,
         "M": M,
-        "layout": "row-major x-major",
-        "dtype": "<f8",
+        **_SNAPSHOT_FORMAT,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
@@ -75,10 +78,15 @@ def read_snapshot(path):
         defect = ("is not a JSON object" if not isinstance(header, dict) else
                   "has no M" if "M" not in header else f"M={M!r} is no integer >= 1")
         raise ValueError(f"{path}: snapshot header {defect}")
+    for key, expected in _SNAPSHOT_FORMAT.items():
+        if header.get(key) != expected:
+            defect = (f"has no {key}" if key not in header else
+                      f"{key}={header[key]!r} is not {expected!r}")
+            raise ValueError(f"{path}: snapshot header {defect}")
     if len(payload) != 8 * M * M:
         raise ValueError(f"{path}: snapshot payload has {len(payload) / 8:.15g} values, "
                          f"expected {M * M}")
-    return header, np.frombuffer(payload, dtype="<f8").reshape(M, M).copy()
+    return header, np.frombuffer(payload, dtype=_SNAPSHOT_FORMAT["dtype"]).reshape(M, M).copy()
 
 
 def _jsonable(value):

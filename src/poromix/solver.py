@@ -38,8 +38,7 @@ while the norm passes.
 Time stepping is adaptive: one trial loop in `run` lands on stops, rejects
 and shrinks, and grows the step by a proportional-integral controller.  It
 starts from the step that the tolerances allow, estimated from the initial
-slope and one probe evaluation (`_initial_step`), unless the config fixes
-the first step.
+slope and one probe evaluation (`_initial_step`).
 Each trial step runs one stage loop, `_attempt_step`, over one of two
 tableaux:
 
@@ -152,26 +151,20 @@ class SimulationState(Record):
 
 
 class SolverConfig(Record):
-    """Horizon, tolerances, initial step and blow-up cap.
-
-    `dt_init` None, the default, lets `run` estimate the first step from
-    the tolerances (see `_initial_step`); a number overrides it.
-    """
+    """Horizon, tolerances and blow-up cap; `run` estimates the first step
+    from the tolerances (see `_initial_step`)."""
 
     T_run: float
     rtol: float = 1e-8
     atol: float = 1e-11
-    dt_init: float | None = None
     blowup_cap: float = 1e6
 
     def __post_init__(self):
         errs = []
         if not (np.isfinite(self.T_run) and self.T_run > 0):
             errs.append(f"T_run must be finite and > 0, got {self.T_run!r}")
-        for name in ("rtol", "atol", "dt_init"):
+        for name in ("rtol", "atol"):
             v = getattr(self, name)
-            if v is None and name == "dt_init":
-                continue
             if not (np.isfinite(v) and v > 0):
                 errs.append(f"{name} must be finite and > 0, got {v!r}")
         if not self.blowup_cap > 0:
@@ -498,7 +491,6 @@ class GalerkinSystem:
             # F is finite below the mobility's overflow limit, but F^2 may
             # not be: such a diagnostic is inf, which apriori_flags reports,
             # rather than a RuntimeWarning.
-            sb = dom.scalar
             with np.errstate(over="ignore"):
                 # f_mid^2 + (fp cx)^2 + (fp cy)^2, summed in that order.
                 h1_f = np.square(f_mid, out=tmp_x)
@@ -514,7 +506,7 @@ class GalerkinSystem:
                     # The drag work's slope: int F |u|^2, a norm where F >= 0.
                     "fq_u": float(fu_quad) if float(f_mid.min()) >= 0.0 else math.nan,
                     "dCdt_l2": float(dcdt_sq),
-                    "mass": float(B[0, 0] * sb.norm_00 * sb.Lx * sb.Ly),
+                    "mass": dom.scalar.mass(B),
                     "min_C": dom.scalar_min(B),
                     # Dual-norm majorants of the velocity rate: the mobility's
                     # H1 norm and the instantaneous forcing norm.
@@ -700,21 +692,20 @@ def run(
     the step, the implicit-explicit ARK4(3)6L pair (see `_takes_imex`);
     `steps_implicit` counts the accepted ones of the latter.
 
-    The first trial's size is `config.dt_init` or, when that is None,
-    estimated from the tolerances by `_initial_step`, at the cost of one
-    `rhs` probe whose failure never aborts the run; either is capped at the
-    first stop.  One loop makes one trial per pass and sets every step
-    size.  It cuts a trial that would pass the next stop, or end within
-    1e-12 of it, to land on it.  A trial that fails (NonFiniteStateError,
-    MobilityOverflowError, a singular implicit stage, a non-finite result
-    or error estimate in any entry, the work integrals' included) halves
-    dt, and one with an error norm above 1 scales it by
-    max(0.2, 0.9 err^(-1/q)), q its pair's order; the retry keeps that dt,
-    short of the stop.  The norm covers the C and alpha entries only (see
-    `_error_norm`): the work integrals are checked by the energy residual
-    gates, not by the step size, and alpha's error can still hide behind
-    C's in the one RMS.  An accepted step grows dt by the PI rule;
-    dt <= 16 eps max(|t|, 1) raises StepSizeUnderflowError.
+    The first trial's size is estimated from the tolerances by
+    `_initial_step`, at the cost of one `rhs` probe whose failure never
+    aborts the run, and is capped at the first stop.  One loop makes one
+    trial per pass and sets every step size.  It cuts a trial that would
+    pass the next stop, or end within 1e-12 of it, to land on it.  A trial
+    that fails (NonFiniteStateError, MobilityOverflowError, a singular
+    implicit stage, a non-finite result or error estimate in any entry, the
+    work integrals' included) halves dt, and one with an error norm above 1
+    scales it by max(0.2, 0.9 err^(-1/q)), q its pair's order; the retry
+    keeps that dt, short of the stop.  The norm covers the C and alpha
+    entries only (see `_error_norm`): the work integrals are checked by the
+    energy residual gates, not by the step size, and alpha's error can still
+    hide behind C's in the one RMS.  An accepted step grows dt by the PI
+    rule; dt <= 16 eps max(|t|, 1) raises StepSizeUnderflowError.
     """
     t_start = time.perf_counter()
 
@@ -755,10 +746,7 @@ def run(
     ledger.append(row)
     emit(t, y, t in checkpoint_set)
 
-    dt = config.dt_init
-    if dt is None:
-        dt = _initial_step(system, t, y, ydot, diag, stops[0] - t, config)
-    dt = min(dt, stops[0] - t)
+    dt = _initial_step(system, t, y, ydot, diag, stops[0] - t, config)
     err_prev = 1.0
     accepted = 0
     rejected = 0

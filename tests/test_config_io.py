@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from poromix import ConfigError, DomainError, DomainSpec, RunConfig, build_domain
-from poromix.config import OutputSpec
+from poromix.config import _KEYS, OutputSpec
 from poromix.forcing import ForcingSpec
 from poromix.mobility import MobilitySpec
 from poromix.ledger import CSV_COLUMNS, EnergyLedger, LedgerRow
@@ -25,7 +25,7 @@ forcing: {preset: zero}
 initial:
   C: {preset: uniform, value: 0.5}
   u: {preset: zero}
-solver: {T_run: 0.2, rtol: 1.0e-8, atol: 1.0e-11, dt_init: 1.0e-4, blowup_cap: 100.0}
+solver: {T_run: 0.2, rtol: 1.0e-8, atol: 1.0e-11, blowup_cap: 100.0}
 outputs: {ledger_path: ledger.csv, snapshot_cadence: 0.0, snapshot_dir: snaps}
 """
 
@@ -94,12 +94,16 @@ def test_integer_beyond_float_range_named_for_every_numeric_key(tmp_path):
 
 
 def test_dt_max_rejected_as_unknown_key(tmp_path):
-    # The step size has no upper bound option: a config that sets one is
-    # rejected by name, like any other key the solver section does not have.
-    text = VALID_CONFIG.replace("blowup_cap: 100.0}", "blowup_cap: 100.0, dt_max: 0.01}")
-    with pytest.raises(ConfigError) as info:
-        RunConfig.from_text(text, base_dir=tmp_path)
-    assert info.value.errors == ["solver.dt_max: unknown key"]
+    # The step size has no upper bound option and no fixed first step: a
+    # config that sets either is rejected by name, like any other key the
+    # solver section does not have.
+    for key, value in (("dt_max", "0.01"), ("dt_init", "1.0e-4")):
+        text = VALID_CONFIG.replace("blowup_cap: 100.0}", f"blowup_cap: 100.0, {key}: {value}}}")
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_text(text, base_dir=tmp_path)
+        assert info.value.errors == [f"solver.{key}: unknown key"]
+    with pytest.raises(TypeError, match="'dt_init'"):
+        SolverConfig(T_run=1.0, dt_init=1e-4)
 
 
 def test_mobility_coefficients_parsed_one_by_one(tmp_path):
@@ -161,11 +165,17 @@ def test_initial_modes_outside_the_basis_listed_with_config_errors(tmp_path):
 
 
 def test_readme_yaml_example_parses(tmp_path):
+    # The example sets every key of each keyed section, so that the schema
+    # and the documented config cannot drift apart.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
     assert blocks
     for block in blocks:
         RunConfig.from_text(block, base_dir=tmp_path)
+        raw = yaml.safe_load(block)
+        for section, keys in _KEYS.items():
+            if isinstance(keys, dict):
+                assert sorted(raw[section]) == sorted(keys), section
 
 
 def test_readme_default_grid_sizes_match_build_domain():
@@ -195,28 +205,6 @@ outputs: {}
     assert cfg.params == PhysicalParams(mu_e=0.3, d=0.2)
     assert cfg.solver == SolverConfig(T_run=0.2)
     assert cfg.outputs == OutputSpec()
-
-
-def test_dt_init_may_be_omitted_and_is_checked_when_given(tmp_path):
-    # Omitted, the first step is estimated (None); the echo leaves it out,
-    # so a round trip keeps it omitted.
-    text = VALID_CONFIG.replace(" dt_init: 1.0e-4,", "")
-    cfg = RunConfig.from_text(text, base_dir=tmp_path)
-    assert cfg.solver.dt_init is None and SolverConfig(T_run=1.0).dt_init is None
-    assert "dt_init" not in cfg.to_dict()["solver"]
-    assert RunConfig.from_text(yaml.safe_dump(cfg.to_dict()), base_dir=tmp_path) == cfg
-    assert RunConfig.from_text(VALID_CONFIG, base_dir=tmp_path).solver.dt_init == 1e-4
-    for value, message in (("0.0", "solver: dt_init must be finite and > 0, got 0.0"),
-                           ("-1.0e-4", "solver: dt_init must be finite and > 0, got -0.0001"),
-                           (".nan", "solver.dt_init: must be finite, got nan")):
-        with pytest.raises(ConfigError) as info:
-            RunConfig.from_text(VALID_CONFIG.replace("dt_init: 1.0e-4", f"dt_init: {value}"),
-                                base_dir=tmp_path)
-        assert info.value.errors == [message]
-    for value in (0.0, -1e-4, math.nan, math.inf):
-        with pytest.raises(ValueError) as info:
-            SolverConfig(T_run=1.0, dt_init=value)
-        assert info.value.errors == (f"dt_init must be finite and > 0, got {value!r}",)
 
 
 def test_all_errors_reported_at_once(tmp_path):
@@ -471,7 +459,14 @@ def test_snapshot_roundtrip(tmp_path, pi_domain):
     (b'{"M": -2}', "M=-2 is no integer >= 1"),
     (b'[2]', "is not a JSON object"),
     (b'\xff{"M": 2}', "is not a JSON object"),
-], ids=["no_M", "M_list", "M_negative", "not_an_object", "not_utf8"])
+    # A payload in another byte order or layout is refused, not misread.
+    (b'{"M": 2, "layout": "column-major", "dtype": ">f8"}',
+     "layout='column-major' is not 'row-major x-major'"),
+    (b'{"M": 2, "layout": "row-major x-major", "dtype": ">f8"}', "dtype='>f8' is not '<f8'"),
+    (b'{"M": 2, "dtype": "<f8"}', "has no layout"),
+    (b'{"M": 2, "layout": "row-major x-major"}', "has no dtype"),
+], ids=["no_M", "M_list", "M_negative", "not_an_object", "not_utf8", "column_major",
+        "big_endian", "no_layout", "no_dtype"])
 def test_malformed_snapshot_header_is_one_error_naming_the_file(tmp_path, header, defect):
     path = tmp_path / "C_000000.snap"
     path.write_bytes(header + b"\n" + np.zeros(4).tobytes())

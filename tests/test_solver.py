@@ -42,6 +42,13 @@ def _params(**kw):
     return PhysicalParams(**defaults)
 
 
+def _fix_first_step(monkeypatch, dt):
+    """Start each later run with a trial of dt, capped at its first stop,
+    instead of the estimated one (run looks `_initial_step` up at call time)."""
+    monkeypatch.setattr(solver, "_initial_step",
+                        lambda system, t, y, k1, diag, span, config: min(dt, span))
+
+
 def test_params_validation(pi_domain):
     with pytest.raises(ValueError, match="mu_e"):
         PhysicalParams(mu_e=0.0, d=1.0)
@@ -319,11 +326,11 @@ def test_zero_advection_mobility_decoupling(pi_domain):
     assert np.array_equal(finals[0], finals[1])
 
 
-def test_single_step_advances_and_controls_error(pi_domain):
+def test_single_step_advances_and_controls_error(pi_domain, monkeypatch):
     C0 = make_scalar(pi_domain, [(1, 0, 1.0)])
     state = SimulationState(0.0, C0, make_velocity(pi_domain, []))
-    cfg = SolverConfig(T_run=0.01, rtol=1e-10, atol=1e-13, dt_init=0.01)
-    res = run(state, _params(d=0.1), cfg)
+    _fix_first_step(monkeypatch, 0.01)
+    res = run(state, _params(d=0.1), SolverConfig(T_run=0.01, rtol=1e-10, atol=1e-13))
     assert res.steps_accepted == 1
     new = res.final_state
     assert new.t == pytest.approx(0.01)
@@ -473,9 +480,9 @@ def test_trial_with_a_non_finite_rider_is_rejected(monkeypatch):
 
 
 def test_automatic_first_trial_is_accepted_near_its_tolerance(monkeypatch):
-    # The verify suites' mild nonlinear run (energy suite).  From dt_init =
-    # 1e-4 the first error norm is some 1e-9; the estimated first step is
-    # accepted with a norm within three decades of 1.
+    # The verify suites' mild nonlinear run (energy suite).  From a fixed
+    # first step of 1e-4 the first error norm is some 1e-9; the estimated
+    # first step is accepted with a norm within three decades of 1.
     domain = build_domain(DomainSpec(Lx=2.0, Ly=1.0, Ns=10, Nv=3))
     state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.2), (2, 0, 0.1), (0, 3, 0.05)],
                                              offset=0.4),
@@ -486,11 +493,13 @@ def test_automatic_first_trial_is_accepted_near_its_tolerance(monkeypatch):
     orig = solver._error_norm
     monkeypatch.setattr(solver, "_error_norm", lambda *a: norms.append(orig(*a)) or norms[-1])
     first = {}
-    for dt_init in (None, 1e-4):
+    for fixed in (None, 1e-4):  # the estimate, then a fixed first step
+        if fixed:
+            _fix_first_step(monkeypatch, fixed)
         norms.clear()
-        res = run(state, params, SolverConfig(T_run=0.4, dt_init=dt_init),
+        res = run(state, params, SolverConfig(T_run=0.4),
                   forcing=ForcingSpec.preset("pulsed_stream"))
-        first[dt_init] = norms[0]
+        first[fixed] = norms[0]
         assert res.outcome == "completed" and res.steps_rejected == 0
     assert 1e-3 <= first[None] <= 1.0
     assert first[1e-4] < 1e-6
@@ -516,16 +525,17 @@ def _rhs_calls(monkeypatch, *args, **kwargs):
 def test_automatic_first_step_costs_one_probe(pi_domain, monkeypatch, case):
     # Every trial of either pair makes six evaluations (see
     # test_each_trial_makes_its_pairs_calls), and the initial state one; the
-    # estimate adds one probe, and an explicit dt_init none.
+    # estimate adds one probe, and a fixed first step none.
     if case == "mild":
         state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
                                 make_velocity(pi_domain, [(1, 1, 0.3)]))
         params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5))
     else:
         state, params = _drag_stiff_case()
-    for dt_init, probes in ((None, 1), (1e-4, 0)):
-        n_calls, res = _rhs_calls(monkeypatch, state, params,
-                                  SolverConfig(T_run=0.2, dt_init=dt_init))
+    for fixed, probes in ((None, 1), (1e-4, 0)):
+        if fixed:
+            _fix_first_step(monkeypatch, fixed)  # _rhs_calls undoes it
+        n_calls, res = _rhs_calls(monkeypatch, state, params, SolverConfig(T_run=0.2))
         assert n_calls == 1 + probes + 6 * (res.steps_accepted + res.steps_rejected)
 
 
@@ -579,17 +589,20 @@ def test_a_failing_probe_is_retried_shorter_and_never_aborts(pi_domain, monkeypa
         assert first_dt[0] == pytest.approx(0.1 * probes[-1], rel=1e-15)
 
 
-def test_a_slope_whose_norm_overflows_ends_as_a_fixed_start_does():
+def test_a_slope_whose_norm_overflows_ends_as_a_fixed_start_does(monkeypatch):
     # F = e^350 drags a moving fluid, so the scaled norm of the initial
     # slope overflows.  The estimate neither divides by it nor returns 0:
-    # the run underflows at its initial time, as it does from dt_init = 1e-4.
+    # the run underflows at its initial time, as it does from a fixed first
+    # step of 1e-4.
     domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
     state = SimulationState(0.0, make_scalar(domain, [(1, 1, 0.01)], offset=3.5),
                             make_velocity(domain, [(1, 1, 0.1)]))
     params = PhysicalParams(mu_e=1.0, d=1.0, mobility=MobilitySpec.exponential(100.0))
-    for dt_init in (None, 1e-4):
+    for fixed in (None, 1e-4):  # the estimate, then a fixed first step
+        if fixed:
+            _fix_first_step(monkeypatch, fixed)
         with pytest.raises(StepSizeUnderflowError) as info:
-            run(state, params, SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9, dt_init=dt_init))
+            run(state, params, SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9))
         assert info.value.t == 0.0
 
 
@@ -766,14 +779,14 @@ def test_fq_u_marked_undefined_for_sign_indefinite_mobility(pi_domain):
 
 
 def _overshoot_case():
-    # dt_init = 1 overshoots the (3, 3) mode (d lam = 18): a trial stage
+    # A first step of 1 overshoots the (3, 3) mode (d lam = 18): a trial stage
     # reaches |R C| ~ 4.2e3, past the exponential-mobility limit, although
     # every accepted state stays near R C = 300.
     domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
     state = SimulationState(0.0, make_scalar(domain, [(3, 3, 0.4)], offset=3.0),
                             make_velocity(domain, []))
     params = PhysicalParams(mu_e=1.0, d=1.0, kappa=0.0, mobility=MobilitySpec.exponential(100.0))
-    cfg = SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9, dt_init=1.0)
+    cfg = SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9)
     return state, params, cfg
 
 
@@ -790,6 +803,7 @@ def test_trial_stage_mobility_overflow_rejects_step(monkeypatch):
 
     monkeypatch.setattr(solver, "mobility_values", guarded)
     state, params, cfg = _overshoot_case()
+    _fix_first_step(monkeypatch, 1.0)
     res = run(state, params, cfg)
     assert overflows
     assert res.outcome == "completed"
@@ -884,7 +898,8 @@ def test_each_trial_makes_its_pairs_calls(monkeypatch):
     state, params = _drag_stiff_case()
     # From a small first step the run takes DP5(4) trials before the IMEX
     # ones; the automatic first step is IMEX at once.
-    res = run(state, params, SolverConfig(T_run=0.2, dt_init=1e-4))
+    _fix_first_step(monkeypatch, 1e-4)
+    res = run(state, params, SolverConfig(T_run=0.2))
     monkeypatch.undo()
 
     imex = sorted([("rhs", True), ("solve_momentum_stage", False)] * 5
@@ -1184,9 +1199,9 @@ def test_run_builds_only_the_final_state_without_sink_or_checkpoints(pi_domain, 
 # 0.1 + (0.45 - 0.1) rounds to 0.44999999999999996: the loose run's first
 # step starts the next one with rhs(0.45, y) only if its last stage is taken
 # at the stop itself rather than at t + dt.
-@pytest.mark.parametrize("t0, rtol, dt_init, stop", [(0.1, 1e-2, 0.35, 0.45),
-                                                     (0.0, 1e-8, 0.3, 0.35)])
-def test_last_stage_is_the_next_steps_slope(pi_domain, monkeypatch, t0, rtol, dt_init, stop):
+@pytest.mark.parametrize("t0, rtol, dt_first, stop", [(0.1, 1e-2, 0.35, 0.45),
+                                                      (0.0, 1e-8, 0.3, 0.35)])
+def test_last_stage_is_the_next_steps_slope(pi_domain, monkeypatch, t0, rtol, dt_first, stop):
     # First same as last: each accepted state is evaluated once, as the last
     # stage of the trial that reaches it, and that slope starts the next
     # step.  Pulsed forcing makes the slope time-dependent, so the stage
@@ -1213,8 +1228,8 @@ def test_last_stage_is_the_next_steps_slope(pi_domain, monkeypatch, t0, rtol, dt
                             make_velocity(pi_domain, [(1, 1, 0.3)]))
     params = _params(kappa=0.5, mobility=MobilitySpec.exponential(0.5),
                      korteweg=KortewegParams(delta_hat=0.1))
-    res = run(state, params,
-              SolverConfig(T_run=0.6, rtol=rtol, atol=1e-3 * rtol, dt_init=dt_init),
+    _fix_first_step(monkeypatch, dt_first)
+    res = run(state, params, SolverConfig(T_run=0.6, rtol=rtol, atol=1e-3 * rtol),
               forcing=ForcingSpec.preset("pulsed_stream"), checkpoint_times=(stop,))
     monkeypatch.undo()
 
