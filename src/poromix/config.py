@@ -215,11 +215,13 @@ class RunConfig(Record):
         return _file_entry("forcing.file", _table_domain, self.domain,
                            self.base_dir / self.forcing_raw["file"])
 
-    def build_forcing(self, domain: Domain) -> ForcingSpec:
+    def build_forcing(self, domain: Domain) -> ForcingSpec | None:
+        """The configured body force; None, no body force, for the `zero` preset."""
         if "file" in self.forcing_raw:
             return _file_entry("forcing.file", ForcingSpec.tabulated,
                                self.base_dir / self.forcing_raw["file"], domain.grid.M)
-        return ForcingSpec.preset(self.forcing_raw["preset"])
+        name = self.forcing_raw["preset"]
+        return None if name == "zero" else ForcingSpec.preset(name)
 
     def build_initial(self, domain: Domain):
         return (_build_scalar_initial(domain, self.initial["C"], self.base_dir),

@@ -7,6 +7,11 @@ multiple of the lowest basis velocity, pairs from the Gram matrix; a
 tabulated grid sequence, linear in time, and an arbitrary callable pair
 their nodal values on the Gauss-Legendre grid at every call.  Nodal values
 stay available for pressure recovery.  Evaluation rejects non-finite values.
+
+No body force is None, not a spec: the solver and pressure recovery then
+pair and add nothing, and `RunConfig.build_forcing` gives None for the
+`zero` preset.  A callable must be a function of (domain, t) alone: the
+solver evaluates its pairing once per stage time and reuses that value.
 """
 
 from __future__ import annotations

@@ -93,25 +93,44 @@ class MobilitySpec(Record):
         """
         if self.kind == "exponential":
             return self.coefficients[0] * f_values
-        return np.polynomial.polynomial.polyval(c_grid, self._derivative_coefficients)
+        return _polyval(c_grid, self._derivative_coefficients)
 
     @cached_property
     def _derivative_coefficients(self) -> np.ndarray:
         """F' of a constant or polynomial F, formed once per spec, read-only."""
-        coefficients = np.polynomial.polynomial.polyder(self.coefficients)
+        coefficients = _polyder(self.coefficients)
         coefficients.flags.writeable = False
         return coefficients
+
+
+def _polyder(coefficients) -> np.ndarray:
+    """F' coefficients, lowest degree first, or [0] for a constant: the
+    products numpy.polynomial's polyder forms, so the same bits."""
+    c = np.array(coefficients, dtype=float)
+    return c[1:] * np.arange(1, c.size) if c.size > 1 else c * 0.0
+
+
+def _polyval(x: np.ndarray, coefficients) -> np.ndarray:
+    """sum_j c_j x^j by Horner's rule, a new array: numpy.polynomial's
+    polyval operations in its order, so the same bits, a non-finite x's too."""
+    values = x * 0.0
+    values += coefficients[-1]
+    for c in coefficients[-2::-1]:
+        values *= x
+        values += c
+    return values
 
 
 def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
     """Pointwise mobility values on the grid, a new array.
 
-    Exponential overflow raises MobilityOverflowError rather than silently
-    clamping.
+    A polynomial goes by Horner's rule and the exponential is taken in
+    place of its argument; numpy.polynomial is not loaded.  Exponential
+    overflow raises MobilityOverflowError rather than silently clamping.
     """
     c = np.asarray(c_grid, dtype=float)
     if F.kind == "exponential":
-        arg = F.coefficients[0] * c
+        arg = np.multiply(F.coefficients[0], c, out=np.empty(c.shape))
         # Only a large positive R*C overflows; a negative one underflows
         # harmlessly to 0.  A NaN peak fails the test too.
         peak = np.maximum.reduce(arg, axis=None) if arg.size else 0.0
@@ -120,10 +139,12 @@ def evaluate(F: MobilitySpec, c_grid: np.ndarray) -> np.ndarray:
                 f"exponential mobility overflow: R*C reached {peak:.3e} "
                 f"(limit {_EXP_ARG_LIMIT})"
             )
-        return np.exp(arg)
+        return np.exp(arg, out=arg)
     if F.kind == "constant":
-        return np.full_like(c, F.coefficients[0])
-    return np.polynomial.polynomial.polyval(c, F.coefficients)
+        values = np.empty(c.shape)
+        values.fill(F.coefficients[0])
+        return values
+    return _polyval(c, F.coefficients)
 
 
 class LipschitzReport(Record):

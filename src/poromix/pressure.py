@@ -37,11 +37,12 @@ def _momentum_residual_grids(state, forcing, params):
     cg = dom.scalar_values(state.C.coeffs)
     f_mob = mobility_values(params.mobility, cg)
     div_tx, div_ty = divergence_of_full_tensor(state.C, params.korteweg)
-    if forcing is None:
-        forcing = ForcingSpec.preset("zero")
-    fx, fy = forcing.evaluate(dom, state.t)
-    rx = -f_mob * ux + params.mu_e * lap_ux + div_tx + fx
-    ry = -f_mob * uy + params.mu_e * lap_uy + div_ty + fy
+    rx = -f_mob * ux + params.mu_e * lap_ux + div_tx
+    ry = -f_mob * uy + params.mu_e * lap_uy + div_ty
+    if forcing is not None:  # None is no body force, as in the solver
+        fx, fy = forcing.evaluate(dom, state.t)
+        rx += fx
+        ry += fy
     return rx, ry
 
 

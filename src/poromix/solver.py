@@ -264,8 +264,31 @@ _STATE_COLUMNS = ("l2_C", "h1_semi_C", "h2_semi_C", "l2_u", "h1_semi_u", "fq_u",
 _STATE_TAIL = ("h1_F_sq", "l2_f")
 
 
+class _LastTime:
+    """t -> fn(domain, t), which keeps its last value and returns it again,
+    without calling fn, for the same t."""
+
+    __slots__ = ("fn", "domain", "t", "value")
+
+    def __init__(self, fn, domain):
+        self.fn, self.domain, self.t, self.value = fn, domain, None, None
+
+    def __call__(self, t):
+        if t != self.t:
+            self.value = self.fn(self.domain, t)
+            self.t = t
+        return self.value
+
+
 class GalerkinSystem:
     """Right-hand-side assembly for one (domain, params, forcing) triple.
+
+    `forcing` None is no body force: an evaluation then pairs nothing,
+    adds nothing and forms no f . u work.  The forcing's pairing and
+    `transport_source` are functions of (domain, t) alone, so each is
+    evaluated once per stage time: the system keeps the last (t, value) of
+    each, which DP5(4)'s last stage and the step's result, both at t + dt,
+    share.
 
     An evaluation writes C, grad C, -lap C, u, C (1-C), its temporaries and
     the stacked products of its transforms and pairings into the workspace
@@ -286,10 +309,12 @@ class GalerkinSystem:
                  transport_source=None):
         self.domain = domain
         self.params = params
-        self.forcing = forcing if forcing is not None else ForcingSpec.preset("zero")
+        self.forcing = forcing
         # Verification-only hook: source(domain, t) -> (Ns, Ns) coefficients
         # added to the transport rate, so manufactured fields solve the system.
         self.transport_source = transport_source
+        self._forcing_at = None if forcing is None else _LastTime(forcing.pairing, domain)
+        self._source_at = None if transport_source is None else _LastTime(transport_source, domain)
         self.Ns = domain.spec.Ns
         self.Nv = domain.spec.Nv
         self.ns2 = self.Ns * self.Ns
@@ -444,18 +469,22 @@ class GalerkinSystem:
         if p.kappa != 0.0:
             p_cc = dom.midpoint_project(cc_mid)
             bdot -= p.kappa * p_cc
-        if self.transport_source is not None:
-            bdot += self.transport_source(dom, t)
+        if self._source_at is not None:
+            bdot += self._source_at(t)
 
         # Momentum: drag, Korteweg coupling, body force.
         pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
                                                np.multiply(f_mid, uy, out=tmp_y),
                                                out=pair_out).reshape(-1)
-        pair_f, f_sq = self.forcing.pairing(dom, t)
-
         s_alpha = self.stiffness @ a_flat
         implicit_pair = -p.mu_e * s_alpha - pair_F
-        rhs_pair = implicit_pair + pair_kt + pair_f
+        rhs_pair = implicit_pair + pair_kt
+        if self._forcing_at is None:
+            f_sq = f_dot_u = 0.0
+        else:
+            pair_f, f_sq = self._forcing_at(t)
+            rhs_pair += pair_f
+            f_dot_u = np.vdot(a_flat, pair_f)
         ydot[self.alpha_slice] = dom.velocity.solve_gram(rhs_pair)
 
         # Work integrals: exact quadrature complements of the energy
@@ -468,7 +497,6 @@ class GalerkinSystem:
         lap_c_sq = np.vdot(lam_b, lam_b)
         grad_u_sq = np.vdot(a_flat, s_alpha)
         fu_quad = np.vdot(a_flat, pair_F)
-        f_dot_u = np.vdot(a_flat, pair_f)
         dcdt_sq = np.vdot(bdot, bdot)
         iw_c = p.d * grad_c_sq + np.vdot(B, p_adv)
         if p.kappa != 0.0:
@@ -524,15 +552,15 @@ class GalerkinSystem:
     def ledger_row(self, t, y, diag, prev, blowup: bool) -> LedgerRow:
         """The row of state y, with `diag` from its evaluation and `prev` the
         previous row (None at the initial state)."""
-        work = dict(zip(_WORK_FIELDS, self.extras(y).tolist()))
+        work = self.extras(y).tolist()  # in _WORK_FIELDS order, iw_c and iw_u first
         if prev is None:
             res_C = res_u = 0.0
         else:
-            res_C = (0.5 * diag["l2_C"] + work["iw_c"]) - (0.5 * prev.l2_C + prev.iw_c)
-            res_u = (0.5 * diag["l2_u"] + work["iw_u"]) - (0.5 * prev.l2_u + prev.iw_u)
+            res_C = (0.5 * diag["l2_C"] + work[0]) - (0.5 * prev.l2_C + prev.iw_c)
+            res_u = (0.5 * diag["l2_u"] + work[1]) - (0.5 * prev.l2_u + prev.iw_u)
         # In LedgerRow's field order: a record binds positional arguments fastest.
         return LedgerRow(t, *[diag[name] for name in _STATE_COLUMNS], res_C, res_u, int(blowup),
-                         *work.values(), *[diag[name] for name in _STATE_TAIL])
+                         *work, *[diag[name] for name in _STATE_TAIL])
 
 
 def _takes_imex(system, dt, diag) -> bool:
@@ -667,6 +695,8 @@ def _initial_step(system, t, y, k1, diag, span, config):
 
 
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
+# A step no longer than this times max(|t|, 1) underflows.
+_DT_FLOOR = 16 * np.finfo(float).eps
 
 
 def run(
@@ -764,7 +794,7 @@ def run(
         hit_stop = not retry and t + dt >= next_stop - 1e-12 * max(1.0, abs(next_stop))
         if hit_stop:
             dt = next_stop - t
-        if dt <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        if dt <= _DT_FLOOR * max(abs(t), 1.0):
             raise StepSizeUnderflowError(t, dt)
 
         t_new = next_stop if hit_stop else t + dt

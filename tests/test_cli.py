@@ -427,7 +427,7 @@ DEFERRED = {
     "pressure": "pressure",
 }
 NOT_IN_CORE = ("yaml", "poromix.config", "poromix.diagnostics", "poromix.oracles",
-               "poromix.pressure", "dataclasses", "json")
+               "poromix.pressure", "dataclasses", "json", "numpy.polynomial")
 
 
 def test_import_loads_only_the_solver_core():
@@ -438,6 +438,32 @@ def test_import_loads_only_the_solver_core():
             f"print(sorted(set({list(DEFERRED)!r}) - set(poromix.__all__))); "
             "print(sorted({n for n in dir(poromix) if n[0] != '_'} ^ set(poromix.__all__)))")
     assert _python(code).split() == ["[]", "[]", "[]"]
+
+
+def test_a_run_loads_no_numpy_polynomial():
+    # The Gauss-Legendre rule is a Jacobi-matrix eigensolve and a polynomial
+    # mobility goes by Horner's rule, so building a domain, evaluating each
+    # mobility family with diagnostics and an unforced run load no
+    # numpy.polynomial (a few ms and most of a MB per process).
+    code = """
+import math, sys
+import numpy as np
+import poromix as pm
+
+domain = pm.build_domain(pm.DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4))
+B = np.zeros((16, 16))
+B[0, 0], B[1, 1] = 0.5, 0.1
+state = pm.SimulationState(0.0, pm.ScalarField(domain, B),
+                           pm.VelocityField(domain, np.full((4, 4), 0.01)))
+for F in (pm.MobilitySpec.constant(1.0), pm.MobilitySpec.polynomial(0.5, 2.0, 0.3),
+          pm.MobilitySpec.exponential(0.5)):
+    params = pm.PhysicalParams(mu_e=0.1, d=0.1, mobility=F)
+    system = pm.GalerkinSystem(domain, params)
+    system.evaluate_with_diagnostics(0.0, system.pack(state.C, state.u))
+result = pm.run(state, params, pm.SolverConfig(T_run=0.01))
+print(result.outcome, sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+    assert _python(code).split() == ["completed", "[]"]
 
 
 def test_cli_import_loads_no_verification_code():

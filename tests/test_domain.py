@@ -22,8 +22,9 @@ from poromix import (
     rhs_concentration,
     rhs_velocity,
 )
+from poromix import domain as domain_module
 from poromix.domain import (_analysis_matrix, _certificate_failure, _factor_expansions,
-                            _midpoint_nodes)
+                            _midpoint_nodes, _rule)
 from poromix.solver import _WORK_FIELDS
 
 from conftest import random_scalar
@@ -162,9 +163,46 @@ def test_build_rejects_bad_specs():
         build_domain(DomainSpec(Lx=1.0, Ly=1.0, Ns=0, Nv=1))
 
 
-def _certifies(M, degree, L):
+def _leggauss_rule(M, L):
+    """numpy's Gauss-Legendre rule on (0, L): the reference for `_rule`."""
     t, w = np.polynomial.legendre.leggauss(M)
-    return _certificate_failure(0.5 * L * (t + 1.0), 0.5 * L * w, L, degree) is None
+    return 0.5 * L * (t + 1.0), 0.5 * L * w
+
+
+def _certifies(M, degree, L):
+    return _certificate_failure(*_leggauss_rule(M, L), L, degree) is None
+
+
+def test_rule_matches_numpys_leggauss():
+    # The Jacobi-matrix eigensolve against numpy's companion-matrix roots
+    # with a Newton step, on (-1, 1) (L = 2 maps t to t + 1).
+    for M in range(1, 301):
+        x, w = _rule(M, 2.0)
+        x_ref, w_ref = _leggauss_rule(M, 2.0)
+        assert np.abs(x - x_ref).max() <= 1e-15, M
+        assert np.abs(w - w_ref).max() <= 5e-14, M
+        assert np.array_equal(w, w[::-1])
+
+
+# Every (integrand degree, Lx, Ly) whose grid the tests, the verify suites,
+# the benchmark workloads (32/8 and 16/4 on (0, pi)^2) and the README size.
+USED_SIZES = [
+    (4, math.pi, math.pi), (6, 2.0, 1.0), (6, math.pi, math.pi), (10, math.pi, 2.0),
+    (10, math.pi, math.pi), (12, 1.5, 0.5), (12, 2.0, 1.0), (14, 2.0, 1.0),
+    (14, math.pi, math.pi), (16, 2.0, 1.0), (16, math.pi, 2.0), (16, math.pi, math.pi),
+    (20, 1.0, 1.0), (20, 2.0, 1.0), (20, math.pi, 2.0), (20, math.pi, math.pi),
+    (22, math.pi, math.pi), (26, 2.0, 1.0), (28, math.pi, math.pi), (36, math.pi, math.pi),
+    (40, 2.0, 1.0), (40, math.pi, math.pi), (68, math.pi, math.pi), (80, 2.0, 1.0),
+    (80, math.pi, math.pi), (160, math.pi, math.pi),
+]
+
+
+def test_used_grid_sizes_are_those_of_numpys_leggauss(monkeypatch):
+    # The rule moves nodes and weights at rounding level only: every size in
+    # use is the one the same search certifies with numpy's rule.
+    sizes = [required_quadrature_points(*size) for size in USED_SIZES]
+    monkeypatch.setattr(domain_module, "_rule", _leggauss_rule)
+    assert sizes == [required_quadrature_points.__wrapped__(*size) for size in USED_SIZES]
 
 
 def test_required_points_are_smallest_certified():

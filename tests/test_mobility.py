@@ -147,15 +147,32 @@ def test_lipschitz_skips_zero_distance_and_box(pi_domain):
         lipschitz_check(MobilitySpec.constant(1.0), [(big, base)], amplitude_box=2.0)
 
 
+def test_horner_and_derivative_are_numpy_polynomials_bits():
+    # numpy.polynomial stays the reference: F by Horner's rule and the F'
+    # coefficients repeat polyval's and polyder's operations, so each value,
+    # a non-finite node's included, is the same bits.
+    from poromix.mobility import _polyder, _polyval
+
+    P = np.polynomial.polynomial
+    x = np.concatenate([np.random.default_rng(3).normal(size=40),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan]]).reshape(5, 9)
+    with np.errstate(invalid="ignore"):
+        for c in ((1.0,), (0.0,), (0.5, 2.0, 0.3), (1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 0.0, 1e300)):
+            assert _polyder(c).tobytes() == P.polyder(c).tobytes()
+            assert _polyval(x, c).tobytes() == P.polyval(x, c).tobytes()
+            assert _polyval(x, _polyder(c)).tobytes() == P.polyval(x, P.polyder(c)).tobytes()
+
+
 def test_polynomial_derivative_coefficients_formed_once(pi_domain, monkeypatch):
     # F' of a polynomial mobility is formed once per spec, not per
     # evaluation with diagnostics.
     from poromix import GalerkinSystem, PhysicalParams, VelocityField
 
-    P = np.polynomial.polynomial
+    from poromix import mobility
+
     calls = []
-    polyder = P.polyder
-    monkeypatch.setattr(P, "polyder", lambda c, *a, **k: calls.append(c) or polyder(c, *a, **k))
+    polyder = mobility._polyder
+    monkeypatch.setattr(mobility, "_polyder", lambda c: calls.append(c) or polyder(c))
     F = MobilitySpec.polynomial(0.5, 2.0, 0.3)
     system = GalerkinSystem(pi_domain, PhysicalParams(mu_e=0.1, d=0.1, mobility=F))
     C = make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5)

@@ -89,3 +89,25 @@ def test_gamma_shifts_pressure_only(pi_domain):
     expected_shift[0, 0] = 0.0
     got_shift = pressures[1].coeffs - pressures[0].coeffs
     assert np.abs(got_shift - expected_shift).max() <= 1e-9
+
+
+def test_no_body_force_evaluates_none(pi_domain, monkeypatch):
+    # forcing None adds nothing to the momentum residual, as in the solver:
+    # nothing is evaluated, and the pressure and the gradient residual are
+    # the zero preset's bytes.
+    params = _params(korteweg=KortewegParams(delta_hat=0.2, gamma=0.3),
+                     mobility=MobilitySpec.exponential(0.5))
+    state = SimulationState(0.4, make_scalar(pi_domain, [(1, 1, 0.3), (2, 1, 0.1)], offset=0.5),
+                            make_velocity(pi_domain, [(1, 1, 0.4), (2, 1, -0.1)]))
+
+    def recovered(forcing):
+        p = recover_pressure(state, forcing, params)
+        return p.coeffs.tobytes(), momentum_gradient_residual(state, forcing, params, p)
+
+    zero = recovered(ForcingSpec.preset("zero"))
+
+    def no_evaluation(self, domain, t):
+        raise AssertionError("no body force was evaluated")
+
+    monkeypatch.setattr(ForcingSpec, "evaluate", no_evaluation)
+    assert recovered(None) == zero

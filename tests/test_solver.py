@@ -1077,6 +1077,56 @@ def _ledger_csv(result):
     return buf.getvalue()
 
 
+def test_an_unforced_system_pairs_no_body_force(pi_domain, monkeypatch):
+    # forcing None is no body force: nothing is paired, yet rhs, the
+    # evaluation with diagnostics and a whole run give the zero preset's bytes.
+    system, (y, _) = _workspace_case(pi_domain)
+    cfg = SolverConfig(T_run=0.05)
+
+    def values(system):
+        ydot, diag = system.evaluate_with_diagnostics(0.3, y)
+        res = run(system.unpack(0.0, y), system.params, cfg, forcing=system.forcing)
+        return ([a.tobytes() for a in (system.rhs(0.3, y), ydot, *map(np.asarray, diag.values()))],
+                _ledger_csv(res))
+
+    zero = values(GalerkinSystem(pi_domain, system.params, ForcingSpec.preset("zero")))
+
+    def no_pairing(self, domain, t):
+        raise AssertionError("an unforced system paired a body force")
+
+    monkeypatch.setattr(ForcingSpec, "pairing", no_pairing)
+    assert values(GalerkinSystem(pi_domain, system.params)) == zero
+
+
+@pytest.mark.parametrize("imex", [False, True], ids=["dp54", "ark436"])
+def test_a_trial_evaluates_forcing_and_source_once_per_stage_time(monkeypatch, imex):
+    # Both depend on time alone.  A trial makes 6 evaluations at 5 times:
+    # its last stage, c = 1, and its result share t + dt.
+    state, params = _drag_stiff_case()
+    domain = state.domain
+    M, Ns = domain.grid.M, domain.spec.Ns
+    forced, sourced = [], []
+    forcing = ForcingSpec(lambda dom, t: forced.append(t) or (np.full((M, M), 0.1 + t),
+                                                             np.full((M, M), -0.2 * t)))
+    system = GalerkinSystem(domain, params, forcing,
+                            transport_source=lambda dom, t: sourced.append(t) or np.full(
+                                (Ns, Ns), 1e-3 * t))
+    y = system.pack(state.C, state.u)
+    k1, diag = system.evaluate_with_diagnostics(0.0, y)
+    evaluations = []
+    for name in ("rhs", "evaluate_with_diagnostics"):
+        orig = getattr(system, name)
+        monkeypatch.setattr(system, name, lambda *a, _orig=orig, **kw: evaluations.append(a[0])
+                            or _orig(*a, **kw))
+    monkeypatch.setattr(solver, "_takes_imex", lambda system, dt, diag: imex)
+    forced.clear(), sourced.clear()
+    dt = 1e-3
+    *_, pair = solver._attempt_step(system, 0.0, y, dt, k1, dt, diag)
+    assert (pair.ai is not None) == imex
+    assert len(evaluations) == 6 and len(set(evaluations)) == 5
+    assert forced == sourced == list(dict.fromkeys(evaluations))
+
+
 def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(pi_domain):
     # Every product of the solution, min C among them, is on the midpoint
     # rule and a preset forcing pairs in coefficient space: with the
