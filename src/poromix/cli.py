@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .diagnostics import apriori_flags, fit_decay_rate
-from .runio import write_metadata, write_snapshot
+from .runio import METADATA_FILE, write_metadata, write_snapshot
 from .solver import SimulationState, existence_time_bound, run
 
 __all__ = ["main"]
@@ -114,7 +114,7 @@ def _execute(cfg: RunConfig, out_dir: Path):
     result.ledger.write_csv(ledger_path)
     bound = existence_time_bound(C0, cfg.params)
     apriori = apriori_flags(result.ledger, cfg.params)
-    write_metadata(out_dir / "metadata.json", {
+    write_metadata(out_dir / METADATA_FILE, {
         "outcome": result.outcome,
         "blowup_time": result.blowup_time,
         "t_final": result.final_state.t,

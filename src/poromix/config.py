@@ -25,7 +25,9 @@ semantically idempotent.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from operator import attrgetter
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from .fields import ScalarField, VelocityField, cosine_field, mode_range_errors,
 from .forcing import FORCING_PRESETS, ForcingSpec
 from .korteweg import KortewegParams
 from .mobility import MobilitySpec
-from .runio import read_npz
+from .runio import METADATA_FILE, read_npz
 from .solver import PhysicalParams, SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "OutputSpec"]
@@ -129,14 +131,33 @@ _VELOCITY_PRESETS = {
 
 
 class OutputSpec(Record):
+    """What a run writes under its output directory: the ledger at
+    `ledger_path`, snapshots in `snapshot_dir` and the metadata document
+    METADATA_FILE.  Neither path may be empty or the directory itself, and
+    no two of the three may be one path once normalized."""
+
     ledger_path: str = "ledger.csv"
     snapshot_cadence: float = 0.0  # time interval between snapshots; 0 disables
     snapshot_dir: str = "snapshots"
 
     def __post_init__(self):
+        errs = []
         if not (math.isfinite(self.snapshot_cadence) and self.snapshot_cadence >= 0):
-            raise SpecError(f"snapshot_cadence must be finite and >= 0, "
-                            f"got {self.snapshot_cadence!r}")
+            errs.append(f"snapshot_cadence must be finite and >= 0, got {self.snapshot_cadence!r}")
+        paths = {}
+        for name in ("ledger_path", "snapshot_dir"):
+            path = os.path.normpath(getattr(self, name))
+            if path == ".":
+                errs.append(f"{name} must not be empty or the output directory itself, "
+                            f"got {getattr(self, name)!r}")
+            else:
+                paths[name] = path
+        paths["the metadata file"] = METADATA_FILE
+        for (a, path_a), (b, path_b) in itertools.combinations(paths.items(), 2):
+            if path_a == path_b:
+                errs.append(f"{a} and {b} are the same path {path_a!r}")
+        if errs:
+            raise SpecError(*errs)
 
 
 class RunConfig(Record):

@@ -21,6 +21,9 @@ from .domain import Domain
 
 __all__ = ["write_snapshot", "read_snapshot", "write_metadata", "read_npz"]
 
+# The run metadata document's file name in a run's output directory.
+METADATA_FILE = "metadata.json"
+
 # The payload's layout and dtype, as every snapshot header states them.
 _SNAPSHOT_FORMAT = {"layout": "row-major x-major", "dtype": "<f8"}
 
@@ -32,10 +35,11 @@ def read_npz(path, names) -> dict:
     arrays (truncated or corrupt, a bare .npy array, text) or lacks one.
     """
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
-            raise ValueError
-        with data:
+        # np.load leaves a file it opened itself open when it raises.
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+                raise ValueError
             missing = sorted(set(names) - set(data.files))
             arrays = {} if missing else {n: np.asarray(data[n], dtype=float) for n in names}
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error):

@@ -46,8 +46,8 @@ tableaux:
 * the additive pair ARK4(3)6L[2]SA (Kennedy & Carpenter 2003), explicit in
   transport, reaction, Korteweg stress and forcing and singly diagonally
   implicit in the momentum block's linear part -G^-1 (mu_e S + D_F(C)) alpha,
-  with D_F(C) = (F(C) w_q, w_r).  The concentration of every stage is
-  explicit, so each implicit stage is one dense linear solve.
+  with D_F(C) = (F(C) w_q, w_r).  Every stage's concentration is explicit,
+  so an implicit stage is one dense solve, and D_F alpha its drag pairing.
 
 The additive pair is taken when the drag sets the step: when the bound
 rho_u = mu_e ||G^-1 S||_inf + max F(C_n) on the momentum block's spectral
@@ -293,9 +293,9 @@ class GalerkinSystem:
     An evaluation writes C, grad C, -lap C, u, C (1-C), its temporaries and
     the stacked products of its transforms and pairings into the workspace
     the system owns on the midpoint rule, `_mid_work`; F(C) and F'(C) are
-    new arrays.  Only a table or callable forcing allocates on the
-    Gauss-Legendre grid, inside its pairing.  The implicit stage allocates
-    all it forms.  The arrays an evaluation or a stage returns never alias
+    new arrays, and so are an implicit stage's D_F(C) and matrix.  Only a
+    table or callable forcing allocates on the Gauss-Legendre grid, inside
+    its pairing.  The arrays an evaluation or a stage returns never alias
     the workspace.  One instance must not evaluate in two threads at once.
 
     What no evaluation changes is formed once, at construction, and lives
@@ -366,30 +366,16 @@ class GalerkinSystem:
         """d lambda_max: the spectral radius of the diffusion block."""
         return self.params.d * float(self.lam[-1, -1])
 
-    def solve_momentum_stage(self, t, z, gh):
-        """Velocity coefficients of an implicit stage with concentration from z.
+    def implicit_stage(self, t, z, gh):
+        """(slope, (alpha, matrix)) of an implicit stage with input z.
 
-        Solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha.  C is fixed, so
-        the stage is linear in alpha: one dense solve, no Newton iteration.
-        A polynomial F can be negative, so the matrix need not be SPD.
-        Returns alpha, the midpoint values of C (`midpoint_scalar_values`,
-        with -lap C if the Korteweg term is on) and F(C), which the stage's
-        `rhs` reuses, and the matrix, which filters the step's error estimate.
+        alpha solves (G + gh (mu_e S + D_F(C))) alpha = G z_alpha, C from z.
+        C is fixed, so that is one dense solve, no Newton iteration; a
+        polynomial F can be negative, so the matrix need not be SPD.  The
+        slope is rhs at z with alpha in place, its drag paired as D_F alpha.
+        The matrix filters the step's error estimate.
         """
-        dom = self.domain
-        B = z[: self.ns2].reshape(self.Ns, self.Ns)
-        lam_b = self.lam * B if self.params.korteweg.delta_hat != 0.0 else None
-        scalars = dom.midpoint_scalar_values(B, lam_b)
-        f_mid = mobility_values(self.params.mobility, scalars[0])
-        gram = dom.velocity.gram
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = gram + gh * (self._mu_stiffness + dom.weighted_gram(f_mid))
-        if not np.isfinite(lhs).all():
-            raise NonFiniteStateError(t)
-        alpha = np.linalg.solve(lhs, gram @ z[self.alpha_slice])
-        if not np.isfinite(alpha).all():
-            raise NonFiniteStateError(t)
-        return alpha, (scalars, f_mid), lhs
+        return self._eval(t, z, False, gh)
 
     # -- packing ------------------------------------------------------------
 
@@ -409,26 +395,20 @@ class GalerkinSystem:
 
     # -- right-hand side -----------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray, *, _midpoint_c_f=None) -> np.ndarray:
-        """Time derivative of the packed state y at time t.
-
-        `_midpoint_c_f` is for the implicit pair's stages only: the midpoint
-        values of C and F(C) that `solve_momentum_stage` computed from y's
-        concentration.
-        """
-        ydot, _ = self._eval(t, y, want_diag=False, midpoint_c_f=_midpoint_c_f)
-        return ydot
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Time derivative of the packed state y at time t."""
+        return self._eval(t, y, False)[0]
 
     def evaluate_with_diagnostics(self, t, y):
         return self._eval(t, y, want_diag=True)
 
-    def _eval(self, t, y, want_diag, midpoint_c_f=None):
+    def _eval(self, t, y, want_diag, gh=None):
+        """(ydot, the diagnostics or None) at (t, y); with gh, an implicit
+        stage's (ydot, (alpha, its matrix)), alpha solved for in y's place."""
         dom = self.domain
         p = self.params
         dh = p.korteweg.delta_hat
         B = y[: self.ns2].reshape(self.Ns, self.Ns)
-        a_flat = y[self.alpha_slice]
-        A = a_flat.reshape(self.Nv, self.Nv)
         tmp_x, tmp_y, pair_out = self._tmp_x, self._tmp_y, self._pair_out
         ydot = np.empty(self.n_state)
         bdot = ydot[: self.ns2].reshape(self.Ns, self.Ns)
@@ -436,15 +416,24 @@ class GalerkinSystem:
         lam_b = self.lam * B
 
         # The workspace's slots are reused in the order below (see
-        # __init__).  C, grad C and -lap C; an implicit stage hands over
-        # its own, with F(C).
-        if midpoint_c_f is None:
-            scalars = dom.midpoint_scalar_values(B, lam_b if dh != 0.0 else None,
-                                                 out=self._scalar_out[dh != 0.0])
-            f_mid = mobility_values(p.mobility, scalars[0])
+        # __init__).  C, grad C and -lap C, then F(C).
+        cm, cx, cy, neg_lap = dom.midpoint_scalar_values(B, lam_b if dh != 0.0 else None,
+                                                         out=self._scalar_out[dh != 0.0])
+        f_mid = mobility_values(p.mobility, cm)
+        if gh is None:
+            a_flat = y[self.alpha_slice]
         else:
-            scalars, f_mid = midpoint_c_f
-        cm, cx, cy, neg_lap = scalars
+            # An implicit stage: alpha solves (G + gh (mu_e S + D_F)) alpha
+            # = G z_alpha, and the drag is paired below as D_F alpha.
+            d_f = dom.weighted_gram(f_mid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lhs = dom.velocity.gram + gh * (self._mu_stiffness + d_f)
+            if not np.isfinite(lhs).all():
+                raise NonFiniteStateError(t)
+            a_flat = np.linalg.solve(lhs, dom.velocity.gram @ y[self.alpha_slice])
+            if not np.isfinite(a_flat).all():
+                raise NonFiniteStateError(t)
+        A = a_flat.reshape(self.Nv, self.Nv)
         # Korteweg coupling: dh times the pairing of -lap C grad C; the y
         # product comes first, as -lap C sits in tmp_x.
         if dh != 0.0:
@@ -473,9 +462,12 @@ class GalerkinSystem:
             bdot += self._source_at(t)
 
         # Momentum: drag, Korteweg coupling, body force.
-        pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
-                                               np.multiply(f_mid, uy, out=tmp_y),
-                                               out=pair_out).reshape(-1)
+        if gh is None:
+            pair_F = dom.midpoint_velocity_pairing(np.multiply(f_mid, ux, out=tmp_x),
+                                                   np.multiply(f_mid, uy, out=tmp_y),
+                                                   out=pair_out).reshape(-1)
+        else:
+            pair_F = d_f @ a_flat
         s_alpha = self.stiffness @ a_flat
         implicit_pair = -p.mu_e * s_alpha - pair_F
         rhs_pair = implicit_pair + pair_kt
@@ -507,44 +499,44 @@ class GalerkinSystem:
         if not np.isfinite(ydot).all():
             raise NonFiniteStateError(t)
 
-        diag = None
-        if want_diag:
-            # max F(C) and the sign of F behind fq_u are over the midpoint
-            # nodes that assemble the drag and D_F; min C, for the positivity
-            # check, adds both walls to them (`Domain.scalar_min`).
-            # F^2 + F'^2 |grad C|^2 is a cosine polynomial for a polynomial
-            # F (squares of sines are cosines), quartic for a quadratic F:
-            # it goes on the midpoint rule like (C (1-C))^2.
-            fp = p.mobility.derivative_values(cm, f_mid)
-            # F is finite below the mobility's overflow limit, but F^2 may
-            # not be: such a diagnostic is inf, which apriori_flags reports,
-            # rather than a RuntimeWarning.
-            with np.errstate(over="ignore"):
-                # f_mid^2 + (fp cx)^2 + (fp cy)^2, summed in that order.
-                h1_f = np.square(f_mid, out=tmp_x)
-                h1_f += np.square(np.multiply(fp, cx, out=cx), out=cx)
-                h1_f += np.square(np.multiply(fp, cy, out=cy), out=cy)
-                h1_f_sq = dom.midpoint.integrate(h1_f)
-                diag = {
-                    "l2_C": float((B * B).sum()),
-                    "h1_semi_C": float(grad_c_sq),
-                    "h2_semi_C": float(lap_c_sq),
-                    "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
-                    "h1_semi_u": float(grad_u_sq),
-                    # The drag work's slope: int F |u|^2, a norm where F >= 0.
-                    "fq_u": float(fu_quad) if float(f_mid.min()) >= 0.0 else math.nan,
-                    "dCdt_l2": float(dcdt_sq),
-                    "mass": dom.scalar.mass(B),
-                    "min_C": dom.scalar_min(B),
-                    # Dual-norm majorants of the velocity rate: the mobility's
-                    # H1 norm and the instantaneous forcing norm.
-                    "h1_F_sq": h1_f_sq,
-                    "l2_f": f_sq,
-                    # Not ledger columns: the choice of pair and the first
-                    # stage's implicit slope G^-1 implicit_pair.
-                    "max_F": float(f_mid.max()),
-                    "implicit_pair": implicit_pair,
-                }
+        if not want_diag:
+            return ydot, None if gh is None else (a_flat, lhs)
+        # max F(C) and the sign of F behind fq_u are over the midpoint nodes
+        # that assemble the drag and D_F; min C, for the positivity check,
+        # adds both walls to them (`Domain.scalar_min`).  F^2 + F'^2
+        # |grad C|^2 is a cosine polynomial for a polynomial F (squares of
+        # sines are cosines), quartic for a quadratic F: it goes on the
+        # midpoint rule like (C (1-C))^2.
+        fp = p.mobility.derivative_values(cm, f_mid)
+        # F is finite below the mobility's overflow limit, but F^2 may not
+        # be: such a diagnostic is inf, which apriori_flags reports, rather
+        # than a RuntimeWarning.
+        with np.errstate(over="ignore"):
+            # f_mid^2 + (fp cx)^2 + (fp cy)^2, summed in that order.
+            h1_f = np.square(f_mid, out=tmp_x)
+            h1_f += np.square(np.multiply(fp, cx, out=cx), out=cx)
+            h1_f += np.square(np.multiply(fp, cy, out=cy), out=cy)
+            h1_f_sq = dom.midpoint.integrate(h1_f)
+            diag = {
+                "l2_C": float((B * B).sum()),
+                "h1_semi_C": float(grad_c_sq),
+                "h2_semi_C": float(lap_c_sq),
+                "l2_u": float(a_flat @ dom.velocity.gram @ a_flat),
+                "h1_semi_u": float(grad_u_sq),
+                # The drag work's slope: int F |u|^2, a norm where F >= 0.
+                "fq_u": float(fu_quad) if float(f_mid.min()) >= 0.0 else math.nan,
+                "dCdt_l2": float(dcdt_sq),
+                "mass": dom.scalar.mass(B),
+                "min_C": dom.scalar_min(B),
+                # Dual-norm majorants of the velocity rate: the mobility's
+                # H1 norm and the instantaneous forcing norm.
+                "h1_F_sq": h1_f_sq,
+                "l2_f": f_sq,
+                # Not ledger columns: the choice of pair and the first
+                # stage's implicit slope G^-1 implicit_pair.
+                "max_F": float(f_mid.max()),
+                "implicit_pair": implicit_pair,
+            }
         return ydot, diag
 
     # -- ledger ---------------------------------------------------------------
@@ -586,9 +578,9 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
     otherwise.  An implicit pair's stage is implicit only in the momentum
     block's linear part: ki[i] is that part of the full slope k[i], the
     explicit part is their difference, so the stage input is
-    y + dt (AE k + (AI - AE) ki) and the weights apply to k alone.  The work
-    integrals ride in k at each stage's value after its solve.  The first
-    stage's implicit part is G^-1 diag["implicit_pair"].  The estimate is
+    y + dt (AE k + (AI - AE) ki) and the weights apply to k alone.  Each
+    later stage is one `implicit_stage`, with the work integrals in k; the
+    first's implicit part is G^-1 diag["implicit_pair"].  The estimate is
     dt (e @ k), its alpha block filtered by the last implicit stage's matrix.
 
     Returns (y_new, k_new, diag_new, error_estimate, pair): the step's
@@ -611,10 +603,8 @@ def _attempt_step(system, t, y, dt, k1, t_new, diag):
             k[i] = system.rhs(t_i, z)
             continue
         z[va] += dt * ((pair.ai[i] - pair.ae[i]) @ ki[:i])
-        alpha, midpoint_c_f, lhs = system.solve_momentum_stage(t_i, z, gh)
+        k[i], (alpha, lhs) = system.implicit_stage(t_i, z, gh)
         ki[i] = (alpha - z[va]) / gh
-        z[va] = alpha
-        k[i] = system.rhs(t_i, z, _midpoint_c_f=midpoint_c_f)
     y_new = y + dt * (pair.b @ k[:n])
     k[n], diag_new = system.evaluate_with_diagnostics(t_new, y_new)
     err = dt * (pair.e @ k[: pair.e.size])

@@ -386,6 +386,40 @@ def test_sweep_malformed_file_entry_is_one_error_and_no_report(tmp_path, capsys,
     assert not report.exists()
 
 
+@pytest.mark.parametrize("outputs, error", [
+    ('ledger_path: ""',
+     "ledger_path must not be empty or the output directory itself, got ''"),
+    ("ledger_path: ./",
+     "ledger_path must not be empty or the output directory itself, got './'"),
+    ('snapshot_dir: ""',
+     "snapshot_dir must not be empty or the output directory itself, got ''"),
+    ("snapshot_dir: snaps/..",
+     "snapshot_dir must not be empty or the output directory itself, got 'snaps/..'"),
+    ("ledger_path: metadata.json",
+     "ledger_path and the metadata file are the same path 'metadata.json'"),
+    ("ledger_path: ./sub/../metadata.json",
+     "ledger_path and the metadata file are the same path 'metadata.json'"),
+    ("snapshot_dir: metadata.json/",
+     "snapshot_dir and the metadata file are the same path 'metadata.json'"),
+    ("ledger_path: snapshots",
+     "ledger_path and snapshot_dir are the same path 'snapshots'"),
+    ("snapshot_dir: ./ledger.csv",
+     "ledger_path and snapshot_dir are the same path 'ledger.csv'"),
+], ids=["empty-ledger", "dot-ledger", "empty-snapshots", "dot-snapshots", "ledger-is-metadata",
+        "ledger-normalizes-to-metadata", "snapshots-is-metadata", "ledger-is-snapshots",
+        "snapshots-is-ledger"])
+def test_run_output_paths_that_collide_are_one_config_error(tmp_path, capsys, outputs, error):
+    # Each would lose a result: the ledger overwritten by the metadata, or a
+    # write into a directory that fails only after the whole run.
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("outputs: {ledger_path: ledger.csv}",
+                                       f"outputs: {{snapshot_cadence: 0.05, {outputs}}}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: outputs: {error}"]
+    assert not out.exists()
+
+
 def test_sweep_run_count_capped(tmp_path, capsys):
     # One above the cap is refused before any run or value grid is made.
     cfg = tmp_path / "s.yaml"

@@ -273,6 +273,22 @@ def test_every_params_defect_listed_on_its_own_line(tmp_path):
     ]
 
 
+def test_every_outputs_defect_listed_among_the_other_errors(tmp_path):
+    # Paths that collide are checked with the rest of the config, each on
+    # its own line, before anything is built or written.
+    text = VALID_CONFIG.replace("T_run: 0.2", "T_run: -1.0").replace(
+        "{ledger_path: ledger.csv, snapshot_cadence: 0.0, snapshot_dir: snaps}",
+        "{ledger_path: metadata.json, snapshot_cadence: -1.0, snapshot_dir: ''}")
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_text(text, base_dir=tmp_path)
+    assert info.value.errors == [
+        "solver: T_run must be finite and > 0, got -1.0",
+        "outputs: snapshot_cadence must be finite and >= 0, got -1.0",
+        "outputs: snapshot_dir must not be empty or the output directory itself, got ''",
+        "outputs: ledger_path and the metadata file are the same path 'metadata.json'",
+    ]
+
+
 def test_specs_check_their_values_when_constructed():
     with pytest.raises(DomainError, match="exactness threshold"):
         DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=10)

@@ -1,3 +1,4 @@
+import inspect
 import io
 import itertools
 import math
@@ -506,9 +507,10 @@ def test_automatic_first_trial_is_accepted_near_its_tolerance(monkeypatch):
 
 
 def _rhs_calls(monkeypatch, *args, **kwargs):
-    """(calls to rhs and evaluate_with_diagnostics, the result) of run(*args, **kwargs)."""
+    """(calls to rhs, implicit_stage and evaluate_with_diagnostics, the result)
+    of run(*args, **kwargs)."""
     calls = []
-    for name in ("rhs", "evaluate_with_diagnostics"):
+    for name in ("rhs", "implicit_stage", "evaluate_with_diagnostics"):
         orig = getattr(GalerkinSystem, name)
 
         def counted(self, *a, _orig=orig, **kw):
@@ -851,10 +853,10 @@ def test_drag_stiff_run_takes_imex_steps_at_dp54_accuracy(monkeypatch):
 
 
 def test_mild_run_takes_no_imex_trial(pi_domain, monkeypatch):
-    # Only the implicit-explicit pair solves a momentum stage.
+    # Only the implicit-explicit pair takes an implicit stage.
     trials = []
-    orig = GalerkinSystem.solve_momentum_stage
-    monkeypatch.setattr(GalerkinSystem, "solve_momentum_stage",
+    orig = GalerkinSystem.implicit_stage
+    monkeypatch.setattr(GalerkinSystem, "implicit_stage",
                         lambda *a, **kw: trials.append(a) or orig(*a, **kw))
     state = SimulationState(0.0, make_scalar(pi_domain, [(1, 1, 0.2)], offset=0.5),
                             make_velocity(pi_domain, [(1, 1, 0.3)]))
@@ -867,17 +869,18 @@ def test_mild_run_takes_no_imex_trial(pi_domain, monkeypatch):
 
 
 def test_each_trial_makes_its_pairs_calls(monkeypatch):
-    # Per trial: an IMEX one solves 5 momentum stages, each followed by an
-    # rhs that reuses its nodal (C, F(C)); a DP5(4) one makes 5 plain rhs
-    # calls.  Both end in one evaluation with diagnostics at the result.
-    trials = []  # per _attempt_step: the (name, reuses nodal values) calls
+    # Per trial: an IMEX one takes 5 implicit stages, each one evaluation
+    # that solves its momentum stage, and no rhs; a DP5(4) one makes 5
+    # plain rhs calls.  Both end in one evaluation with diagnostics at the
+    # result.
+    trials = []  # per _attempt_step: the names of its calls
     accepted = []  # per accepted step: its accepted trial's calls
-    for name in ("rhs", "evaluate_with_diagnostics", "solve_momentum_stage"):
+    for name in ("rhs", "evaluate_with_diagnostics", "implicit_stage"):
         orig = getattr(GalerkinSystem, name)
 
         def counted(self, *a, _name=name, _orig=orig, **kw):
             if trials:
-                trials[-1].append((_name, kw.get("_midpoint_c_f") is not None))
+                trials[-1].append(_name)
             return _orig(self, *a, **kw)
 
         monkeypatch.setattr(GalerkinSystem, name, counted)
@@ -902,14 +905,13 @@ def test_each_trial_makes_its_pairs_calls(monkeypatch):
     res = run(state, params, SolverConfig(T_run=0.2))
     monkeypatch.undo()
 
-    imex = sorted([("rhs", True), ("solve_momentum_stage", False)] * 5
-                  + [("evaluate_with_diagnostics", False)])
-    dp54 = [("rhs", False)] * 5 + [("evaluate_with_diagnostics", False)]
-    n_imex = sum(sorted(calls) == imex for calls in trials)
+    imex = ["implicit_stage"] * 5 + ["evaluate_with_diagnostics"]
+    dp54 = ["rhs"] * 5 + ["evaluate_with_diagnostics"]
+    n_imex = trials.count(imex)
     assert n_imex + trials.count(dp54) == len(trials) == res.steps_accepted + res.steps_rejected
     assert 0 < n_imex < len(trials)
     assert len(accepted) == res.steps_accepted
-    assert res.steps_implicit == sum(sorted(calls) == imex for calls in accepted)
+    assert res.steps_implicit == accepted.count(imex)
 
 
 def test_dp54_step_is_the_textbook_recurrence(pi_domain):
@@ -948,11 +950,16 @@ def _recorded_imex_trial(monkeypatch, system, t, y, dt):
     concentration coefficients of its implicit stages."""
     k1, diag = system.evaluate_with_diagnostics(t, y)
     ks, stage_B = [k1], []
-    rhs, stage = system.rhs, system.solve_momentum_stage
+    stage = system.implicit_stage
+
+    def recorded(t_i, z, gh):
+        stage_B.append(z[: system.ns2].reshape(system.Ns, system.Ns).copy())
+        out = stage(t_i, z, gh)
+        ks.append(out[0])
+        return out
+
     with monkeypatch.context() as m:
-        m.setattr(system, "rhs", lambda *a, **kw: ks.append(rhs(*a, **kw)) or ks[-1])
-        m.setattr(system, "solve_momentum_stage", lambda t_i, z, gh: stage_B.append(
-            z[: system.ns2].reshape(system.Ns, system.Ns).copy()) or stage(t_i, z, gh))
+        m.setattr(system, "implicit_stage", recorded)
         trial = solver._attempt_step(system, t, y, dt, k1, t + dt, diag)
     assert trial[-1].ai is not None and diag["max_F"] * dt / 4 >= 1
     assert len(ks) == 6 and len(stage_B) == 5
@@ -1060,15 +1067,54 @@ def test_evaluations_do_not_alias_the_workspace(pi_domain):
 
 
 def test_implicit_stage_nodal_values_give_the_plain_rhs(pi_domain):
-    # solve_momentum_stage hands its midpoint (C, F(C)) to the stage's rhs;
-    # fed back, they must give rhs(t, z) bit for bit.
+    # An implicit stage is one evaluation: its midpoint values of C and F(C)
+    # in the workspace, which first holds another state's, give the slope of
+    # rhs at the stage's solved value.  The stage pairs the drag as D_F
+    # alpha; rhs pairs F(C) u through midpoint_velocity_pairing, a second
+    # assembly of the drag that stays as the independent oracle for D_F
+    # alpha.  What does not read the drag, the C block and every work
+    # integral but iw_u and i_fu, is bit for bit rhs's; the rest agrees to
+    # 1e-13 relative (measured: 1.5e-16).
     system, (y1, y2) = _workspace_case(pi_domain)
-    system.rhs(0.1, y2)  # fill the workspace with another state's values
-    z = y1.copy()
-    alpha, midpoint_c_f, _ = system.solve_momentum_stage(0.3, z, 0.05)
-    z[system.alpha_slice] = alpha
-    reused = system.rhs(0.3, z, _midpoint_c_f=midpoint_c_f)
-    assert reused.tobytes() == system.rhs(0.3, z).tobytes()
+    va, n_sol = system.alpha_slice, system.ns2 + system.nv2
+    drag = [n_sol + solver._WORK_FIELDS.index(name) for name in ("iw_u", "i_fu")]
+    for gh in (0.05, 1.0, 10.0):
+        system.rhs(0.1, y2)  # fill the workspace with another state's values
+        z = y1.copy()
+        k, (alpha, _) = system.implicit_stage(0.3, z, gh)
+        assert z.tobytes() == y1.tobytes()  # the stage input is not written
+        z[va] = alpha
+        ref = system.rhs(0.3, z)
+        plain = np.ones(ref.size, bool)
+        plain[va] = plain[drag] = False
+        assert k[plain].tobytes() == ref[plain].tobytes()
+        assert np.abs(k[va] - ref[va]).max() <= 1e-13 * np.abs(ref[va]).max()
+        assert np.all(np.abs(k[drag] - ref[drag]) <= 1e-13 * np.abs(ref[drag]))
+
+
+def test_an_implicit_stage_assembles_the_drag_once(pi_domain, monkeypatch):
+    # One midpoint pass over C, into the system's workspace, and one
+    # D_F(C), which pairs the drag as D_F alpha: the midpoint pairing of
+    # F(C) u never runs.
+    system, (y, _) = _workspace_case(pi_domain)
+    calls = []
+    for name in ("weighted_gram", "midpoint_scalar_values"):
+        orig = getattr(Domain, name)
+        monkeypatch.setattr(Domain, name, lambda self, *a, _name=name, _orig=orig, **kw:
+                            calls.append((_name, kw.get("out"))) or _orig(self, *a, **kw))
+
+    def no_pairing(self, *a, **kw):
+        raise AssertionError("an implicit stage paired F(C) u on the midpoint rule")
+
+    monkeypatch.setattr(Domain, "midpoint_velocity_pairing", no_pairing)
+    system.implicit_stage(0.3, y, 0.05)
+    assert sorted(name for name, _ in calls) == ["midpoint_scalar_values", "weighted_gram"]
+    out = dict(calls)["midpoint_scalar_values"]
+    assert out is not None and all(np.shares_memory(a, system._mid_work) for a in out)
+
+
+def test_rhs_is_a_function_of_t_and_y_alone():
+    assert list(inspect.signature(GalerkinSystem.rhs).parameters) == ["self", "t", "y"]
 
 
 def _ledger_csv(result):
@@ -1114,7 +1160,7 @@ def test_a_trial_evaluates_forcing_and_source_once_per_stage_time(monkeypatch, i
     y = system.pack(state.C, state.u)
     k1, diag = system.evaluate_with_diagnostics(0.0, y)
     evaluations = []
-    for name in ("rhs", "evaluate_with_diagnostics"):
+    for name in ("rhs", "implicit_stage", "evaluate_with_diagnostics"):
         orig = getattr(system, name)
         monkeypatch.setattr(system, name, lambda *a, _orig=orig, **kw: evaluations.append(a[0])
                             or _orig(*a, **kw))
@@ -1138,8 +1184,8 @@ def test_rhs_of_a_preset_forced_system_uses_no_gauss_legendre_array(pi_domain):
     for domain in (pi_domain, bare):
         system.domain = domain
         ydot, diag = system.evaluate_with_diagnostics(0.3, y)
-        arrays = (system.rhs(0.3, y), *system.solve_momentum_stage(0.3, y, 0.05)[::2], ydot,
-                  *map(np.asarray, diag.values()))
+        k, (alpha, lhs) = system.implicit_stage(0.3, y, 0.05)
+        arrays = (system.rhs(0.3, y), k, alpha, lhs, ydot, *map(np.asarray, diag.values()))
         res = run(system.unpack(0.0, y), system.params, SolverConfig(T_run=0.05),
                   forcing=system.forcing)
         got.append(([a.tobytes() for a in arrays], _ledger_csv(res)))
@@ -1171,16 +1217,21 @@ def test_min_c_is_exact_on_a_corner(pi_domain):
     assert pi_domain.scalar_values(state.C.coeffs).min() > 0.5 + 1e-5
 
 
-def test_drag_matrix_is_bounded_by_the_midpoint_max_of_f(pi_domain):
+def test_drag_matrix_is_bounded_by_the_midpoint_max_of_f(pi_domain, monkeypatch):
     # _takes_imex's bound (D_F a, a) <= max_F (G a, a) holds with max_F the
-    # diagnostics' maximum over the midpoint nodes that assemble D_F.
+    # diagnostics' maximum over the midpoint nodes that assemble D_F, and
+    # D_F the matrix an implicit stage assembles.
     system, states = _workspace_case(pi_domain)
     gram = pi_domain.velocity.gram
     rng = np.random.default_rng(12)
+    assembled = []
+    weighted_gram = Domain.weighted_gram
+    monkeypatch.setattr(Domain, "weighted_gram",
+                        lambda self, v: assembled.append(weighted_gram(self, v)) or assembled[-1])
     for y in states:
         _, diag = system.evaluate_with_diagnostics(0.3, y)
-        alpha, (_, f_mid), _ = system.solve_momentum_stage(0.3, y, 0.05)
-        d_f = pi_domain.weighted_gram(f_mid)
+        system.implicit_stage(0.3, y, 0.05)
+        d_f = assembled[-1]
         for a in rng.standard_normal((20, system.nv2)):
             assert a @ d_f @ a <= diag["max_F"] * (a @ gram @ a) * (1 + 1e-13)
 
@@ -1212,20 +1263,22 @@ def test_implicit_stage_matrix_is_the_allocating_sum(pi_domain):
     # expression forms it, and returns that matrix.
     system, (y, _) = _workspace_case(pi_domain)
     gh = 0.05
-    alpha, (cg, f_grid), stage_lhs = system.solve_momentum_stage(0.3, y, gh)
+    _, (alpha, stage_lhs) = system.implicit_stage(0.3, y, gh)
     dom, p = pi_domain, system.params
-    lhs = dom.velocity.gram + gh * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_grid))
+    B = y[: system.ns2].reshape(system.Ns, system.Ns)  # with -lap C, as dh != 0
+    f_mid = mobility_values(p.mobility, dom.midpoint_scalar_values(B, dom.scalar.eigenvalues * B)[0])
+    lhs = dom.velocity.gram + gh * (p.mu_e * dom.velocity.stiffness + dom.weighted_gram(f_mid))
     expected = np.linalg.solve(lhs, dom.velocity.gram @ y[system.alpha_slice])
     assert alpha.tobytes() == expected.tobytes()
     assert stage_lhs.tobytes() == lhs.tobytes()
     # A non-finite stage matrix, or a finite one that gives a non-finite
     # alpha, is reported as such, never returned.
     with pytest.raises(NonFiniteStateError):
-        system.solve_momentum_stage(0.3, y, math.inf)
+        system.implicit_stage(0.3, y, math.inf)
     z = y.copy()
     z[system.alpha_slice.start] = math.nan
     with pytest.raises(NonFiniteStateError):
-        system.solve_momentum_stage(0.3, z, gh)
+        system.implicit_stage(0.3, z, gh)
 
 
 def test_run_builds_only_the_final_state_without_sink_or_checkpoints(pi_domain, monkeypatch):
