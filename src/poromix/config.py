@@ -12,8 +12,8 @@ Sections and keys, each declared once in `_KEYS`, which the parsers and
     solver:   T_run; optional rtol, atol, blowup_cap
     outputs:  optional ledger_path, snapshot_cadence, snapshot_dir
 
-The quadrature size M is not a key: a run takes the smallest certified
-Gauss-Legendre grid for its Ns and Nv, or a forcing table's own grid.
+The quadrature size M is not a key: a run takes the closed-form
+Gauss-Legendre size for its Ns and Nv, or a forcing table's own grid.
 Nor is the first step: every run estimates it from the tolerances.
 
 Validation collects every problem with its field path before failing, so
@@ -133,8 +133,9 @@ _VELOCITY_PRESETS = {
 class OutputSpec(Record):
     """What a run writes under its output directory: the ledger at
     `ledger_path`, snapshots in `snapshot_dir` and the metadata document
-    METADATA_FILE.  Neither path may be empty or the directory itself, and
-    no two of the three may be one path once normalized."""
+    METADATA_FILE.  Neither path may be empty, the directory itself or one
+    above it, and no two of the three may be one path, or one lie under the
+    other, once normalized."""
 
     ledger_path: str = "ledger.csv"
     snapshot_cadence: float = 0.0  # time interval between snapshots; 0 disables
@@ -150,12 +151,17 @@ class OutputSpec(Record):
             if path == ".":
                 errs.append(f"{name} must not be empty or the output directory itself, "
                             f"got {getattr(self, name)!r}")
+            elif os.path.basename(path) == "..":
+                errs.append(f"{name} must not be a directory above the output directory, "
+                            f"got {getattr(self, name)!r}")
             else:
                 paths[name] = path
         paths["the metadata file"] = METADATA_FILE
         for (a, path_a), (b, path_b) in itertools.combinations(paths.items(), 2):
             if path_a == path_b:
                 errs.append(f"{a} and {b} are the same path {path_a!r}")
+            elif path_a.startswith(path_b + os.sep) or path_b.startswith(path_a + os.sep):
+                errs.append(f"{a} and {b} lie one under the other, {path_a!r} and {path_b!r}")
         if errs:
             raise SpecError(*errs)
 
@@ -229,8 +235,8 @@ class RunConfig(Record):
 
     def build_domain(self) -> Domain:
         """The run's domain.  A forcing table's grid, the last dimension of
-        its fx, sets M; a grid the spec's threshold or the certificate
-        rejects is a `forcing.file` error."""
+        its fx, sets M; a grid the certificate rejects is a `forcing.file`
+        error that names M, the degree, the worst error and the default M."""
         if "file" not in self.forcing_raw:
             return build_domain(self.domain)
         return _file_entry("forcing.file", _table_domain, self.domain,

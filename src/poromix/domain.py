@@ -39,13 +39,13 @@ The midpoint rule also forms the Gram and stiffness matrices, of cosine
 degree 2(Nv+1), and min C, on its nodes and the walls: the solver's numbers
 rest on it alone.  The Gauss-Legendre rule keeps nodal input and output
 (snapshots, ``grid_to_scalar``, forcing tables and callables) and the
-oracles.  Its size M stays the smallest rule that integrates every
-trigonometric mode up to ``integrand_degree`` to the certificate tolerance
-on both sides (``required_quadrature_points``), so it pairs a manufactured
-F(C*) u* exactly.  One certificate, ``_certificate_failure``, checks each
-rule once: M for every mode up to that degree, the midpoint rule for every
-cosine up to ``midpoint_degree``, and each R for every mode of its data up
-to the degree it takes.
+oracles.  Its default size M is Gauss quadrature's error bound for every
+trigonometric mode up to ``integrand_degree``, in closed form
+(``required_quadrature_points``), so it pairs a manufactured F(C*) u*
+exactly.  One certificate, ``_certificate_failure``, checks each rule
+built once: each Gauss-Legendre side for every mode up to that degree, the
+midpoint rule for every cosine up to ``midpoint_degree``, and each R for
+every mode of its data up to the degree it takes.
 """
 
 from __future__ import annotations
@@ -141,22 +141,21 @@ def _midpoint_nodes(P: int, L: float):
     return x, w
 
 
-@lru_cache(maxsize=None)
-def required_quadrature_points(degree: int, Lx: float, Ly: float) -> int:
-    """Smallest Gauss-Legendre size whose rule passes the certificate on both sides.
+def required_quadrature_points(degree: int) -> int:
+    """Gauss-Legendre size M for every trigonometric mode up to `degree`, in closed form.
 
-    The search starts at ceil(pi D/4 + 5.3 D^(1/3) + 1/2): that size or one
-    below it for every D <= 300 scanned on (0, 2), so it builds two rules.
+    For f analytic in the Bernstein ellipse E_rho, an M-point rule errs on
+    (-1, 1) by at most (64/15) max|f| rho^(-2(M-1)) / (rho^2 - 1) (Trefethen,
+    SIAM Rev. 50, 2008, Thm 4.5, with n + 1 = M), and a mode of (0, L) up to
+    `degree` is at most exp(degree pi (rho - 1/rho) / 4) there.  The
+    certificate's _CERTIFY_TOL L is 2 _CERTIFY_TOL on (-1, 1), so L cancels.
+    M is the smallest size whose bound meets it at some rho of a geometric
+    grid (a finer grid moves no M up to degree 1000).  No rule is built.
     """
-    def certifies(M):
-        return not any(_certificate_failure(*_rule(M, L), L, degree) for L in {Lx, Ly})
-
-    M = math.ceil(math.pi * degree / 4 + 5.3 * degree ** (1 / 3) + 0.5)
-    while not certifies(M):
-        M += 1
-    while M > 1 and certifies(M - 1):
-        M -= 1
-    return M
+    rho = 1.0 + np.geomspace(1e-3, 1e3, 4097)
+    log_terms = (math.log(64 / 15 / (2 * _CERTIFY_TOL)) + degree * np.pi * (rho - 1 / rho) / 4
+                 - np.log(rho * rho - 1))
+    return 1 + max(0, math.ceil(float((log_terms / (2 * np.log(rho))).min())))
 
 
 def _is_integer(val) -> bool:
@@ -168,8 +167,9 @@ class DomainSpec(Record):
     """Rectangle geometry plus spectral and quadrature resolutions, checked
     when constructed (DomainError).
 
-    M may be left as None to pick the smallest Gauss-Legendre rule that
-    passes the quadrature certificate at ``integrand_degree(Ns, Nv)``.
+    M may be left as None for the closed-form ``required_quadrature_points``
+    size; an explicit M must be an integer >= 1, and ``build_domain``
+    accepts it exactly when its rule passes the certificate.
     """
 
     Lx: float
@@ -183,19 +183,9 @@ class DomainSpec(Record):
         for name, val in (("Lx", self.Lx), ("Ly", self.Ly)):
             if not (np.isfinite(val) and val > 0.0):
                 errs.append(f"{name} must be finite and strictly positive, got {val!r}")
-        for name, val in (("Ns", self.Ns), ("Nv", self.Nv)):
+        for name, val in (("Ns", self.Ns), ("Nv", self.Nv), ("M", 1 if self.M is None else self.M)):
             if not (_is_integer(val) and val >= 1):
                 errs.append(f"{name} must be an integer >= 1, got {val!r}")
-        if self.M is not None:
-            need = None if errs else required_quadrature_points(
-                integrand_degree(self.Ns, self.Nv), self.Lx, self.Ly)
-            if not _is_integer(self.M):
-                errs.append(f"M must be an integer, got {self.M!r}")
-            elif need is not None and self.M < need:
-                errs.append(
-                    f"M={self.M} is below the quadrature exactness threshold "
-                    f"{need} for Ns={self.Ns}, Nv={self.Nv}"
-                )
         if errs:
             raise DomainError(*errs)
 
@@ -682,25 +672,27 @@ def build_domain(spec: DomainSpec) -> Domain:
     """Construct scalar basis, velocity basis, and both certified quadratures.
 
     The Gauss-Legendre rule must integrate exactly up to
-    ``integrand_degree(Ns, Nv)``; an unset ``spec.M`` takes the smallest
-    rule that does.  The midpoint rule has P = max(2 Ns, Ns + Nv + 1) cells
-    per side: the drag needs Ns + Nv < P, advection Ns + Nv <= P, and the
-    reaction work and the Korteweg pairing 2 Ns - 1 <= P.  Each rule is
-    certified once: an explicit ``spec.M`` here, a default M by the sizing
-    search, and each side of the midpoint rule when ``_midpoint_side``
-    first builds it; the last two are cached and read-only.  Deterministic
-    for equal arguments.  Raises DomainError, listing every failure, when a
-    rule fails its exactness certification.
+    ``integrand_degree(Ns, Nv)``; an unset ``spec.M`` takes the closed-form
+    ``required_quadrature_points``.  The midpoint rule has
+    P = max(2 Ns, Ns + Nv + 1) cells per side: the drag needs Ns + Nv < P,
+    advection Ns + Nv <= P, and the reaction work and the Korteweg pairing
+    2 Ns - 1 <= P.  Each rule built is certified once: each distinct
+    Gauss-Legendre side here, for a default or an explicit M, and each
+    midpoint side when ``_midpoint_side`` first builds it, cached and
+    read-only.  Deterministic for equal arguments.  Raises DomainError,
+    listing every failure, when a rule fails its exactness certification.
     """
     Ns, Nv, Lx, Ly = spec.Ns, spec.Nv, spec.Lx, spec.Ly
     degree = integrand_degree(Ns, Nv)
-    M = required_quadrature_points(degree, Lx, Ly) if spec.M is None else int(spec.M)
+    default = required_quadrature_points(degree)
+    M = default if spec.M is None else int(spec.M)
     x, wx = _rule(M, Lx)
     y, wy = _rule(M, Ly)
     norm_x, zx, zxd, zxdd = _scalar_factors(x, Lx, Ns)
     norm_y, zy, zyd, zydd = _scalar_factors(y, Ly, Ns)
-    failures = [] if spec.M is None else [_certificate_failure(x, wx, Lx, degree),
-                                          _certificate_failure(y, wy, Ly, degree)]
+    failures = [_certificate_failure(*_rule(M, L), L, degree, rule=f"Gauss-Legendre M={M} "
+                                     f"(default {default}) on (0, {L:.6g})")
+                for L in dict.fromkeys((Lx, Ly))]
 
     P = max(2 * Ns, Ns + Nv + 1)
     (zxs, phxs, _, rzx, rphxs, *_, zxw, px, qx, rx), fails_x = _midpoint_side(P, Lx, Ns, Nv)

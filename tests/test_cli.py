@@ -231,8 +231,8 @@ def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
     assert not report.exists()
 
 
-# A file entry that does not fit the grid, sets one below the quadrature
-# threshold (a forcing table's grid is the run's grid) or holds a non-finite
+# A file entry that does not fit the grid, sets one that fails the quadrature
+# certificate (a forcing table's grid is the run's grid) or holds a non-finite
 # value: the edit to ZERO_CONFIG and the one error line it gives.  None is
 # found by parsing the config.
 off_the_grid = pytest.mark.parametrize("old, new, error", [
@@ -243,7 +243,8 @@ off_the_grid = pytest.mark.parametrize("old, new, error", [
     ("u: {preset: zero}", "u: {file: u_nan.npz}",
      "initial.u.file: velocity field has non-finite coefficients"),
     ("forcing: {preset: zero}", "forcing: {file: f.npz}",
-     "forcing.file: M=10 is below the quadrature exactness threshold 21 for Ns=4, Nv=1"),
+     "forcing.file: Gauss-Legendre M=10 (default 22) on (0, 3.14159) certification failed: "
+     "worst trig-mode error 7.853e-02 exceeds 3.142e-13 at degree 10"),
     ("forcing: {preset: zero}", "forcing: {file: f_flat.npz}",
      "forcing.file: tabulated forcing arrays must be (K, M, M) and congruent"),
     ("forcing: {preset: zero}", "forcing: {file: f_nan_t.npz}",
@@ -299,7 +300,7 @@ def test_config_domain_M_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_forcing_table_sets_the_grid(tmp_path):
-    # A table on an M=30 grid, above Ns/Nv 4/1's default of 21, runs with no
+    # A table on an M=30 grid, above Ns/Nv 4/1's default of 22, runs with no
     # M in the config, through run and sweep, as the library run on M=30.
     rng = np.random.default_rng(3)
     np.savez(tmp_path / "f.npz", t=np.array([0.0, 0.05, 0.1]),
@@ -405,9 +406,19 @@ def test_sweep_malformed_file_entry_is_one_error_and_no_report(tmp_path, capsys,
      "ledger_path and snapshot_dir are the same path 'snapshots'"),
     ("snapshot_dir: ./ledger.csv",
      "ledger_path and snapshot_dir are the same path 'ledger.csv'"),
+    ("ledger_path: ..",
+     "ledger_path must not be a directory above the output directory, got '..'"),
+    ("snapshot_dir: snaps/../..",
+     "snapshot_dir must not be a directory above the output directory, got 'snaps/../..'"),
+    ("ledger_path: metadata.json/ledger.csv",
+     "ledger_path and the metadata file lie one under the other, "
+     "'metadata.json/ledger.csv' and 'metadata.json'"),
+    ("snapshot_dir: ledger.csv/snaps",
+     "ledger_path and snapshot_dir lie one under the other, 'ledger.csv' and 'ledger.csv/snaps'"),
 ], ids=["empty-ledger", "dot-ledger", "empty-snapshots", "dot-snapshots", "ledger-is-metadata",
         "ledger-normalizes-to-metadata", "snapshots-is-metadata", "ledger-is-snapshots",
-        "snapshots-is-ledger"])
+        "snapshots-is-ledger", "ledger-above-out", "snapshots-above-out",
+        "ledger-under-metadata", "snapshots-under-ledger"])
 def test_run_output_paths_that_collide_are_one_config_error(tmp_path, capsys, outputs, error):
     # Each would lose a result: the ledger overwritten by the metadata, or a
     # write into a directory that fails only after the whole run.

@@ -290,12 +290,16 @@ def test_every_outputs_defect_listed_among_the_other_errors(tmp_path):
 
 
 def test_specs_check_their_values_when_constructed():
-    with pytest.raises(DomainError, match="exactness threshold"):
-        DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=10)
+    # The spec computes no quadrature threshold: an M below the default is
+    # a valid spec, whose rule `build_domain` certifies (and rejects).
+    assert DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=10).M == 10
+    with pytest.raises(DomainError) as info:
+        DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=0)
+    assert info.value.errors == ("M must be an integer >= 1, got 0",)
     # bool is an int subclass, but the parser rejects `Ns: true`; so does the spec.
     for key, error in (("Ns", "Ns must be an integer >= 1, got True"),
                        ("Nv", "Nv must be an integer >= 1, got True"),
-                       ("M", "M must be an integer, got True")):
+                       ("M", "M must be an integer >= 1, got True")):
         with pytest.raises(DomainError) as info:
             DomainSpec(**{"Lx": 1.0, "Ly": 1.0, "Ns": 8, "Nv": 2, key: True})
         assert info.value.errors == (error,)

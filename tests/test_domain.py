@@ -15,7 +15,6 @@ from poromix import (
     VelocityField,
     build_domain,
     grid_to_scalar,
-    integrand_degree,
     midpoint_degree,
     mobility_evaluate,
     required_quadrature_points,
@@ -157,7 +156,8 @@ def test_weighted_gram_is_the_drag_pairing(rect_domain, mobility):
 def test_build_rejects_bad_specs():
     with pytest.raises(DomainError, match="Lx"):
         build_domain(DomainSpec(Lx=-1.0, Ly=1.0, Ns=4, Nv=1))
-    with pytest.raises(DomainError, match="exactness threshold"):
+    with pytest.raises(DomainError, match=r"Gauss-Legendre M=10 \(default 33\) on \(0, 1\) "
+                                          r"certification failed: worst trig-mode error"):
         build_domain(DomainSpec(Lx=1.0, Ly=1.0, Ns=8, Nv=2, M=10))
     with pytest.raises(DomainError, match="Ns"):
         build_domain(DomainSpec(Lx=1.0, Ly=1.0, Ns=0, Nv=1))
@@ -167,10 +167,6 @@ def _leggauss_rule(M, L):
     """numpy's Gauss-Legendre rule on (0, L): the reference for `_rule`."""
     t, w = np.polynomial.legendre.leggauss(M)
     return 0.5 * L * (t + 1.0), 0.5 * L * w
-
-
-def _certifies(M, degree, L):
-    return _certificate_failure(*_leggauss_rule(M, L), L, degree) is None
 
 
 def test_rule_matches_numpys_leggauss():
@@ -184,44 +180,73 @@ def test_rule_matches_numpys_leggauss():
         assert np.array_equal(w, w[::-1])
 
 
-# Every (integrand degree, Lx, Ly) whose grid the tests, the verify suites,
-# the benchmark workloads (32/8 and 16/4 on (0, pi)^2) and the README size.
-USED_SIZES = [
-    (4, math.pi, math.pi), (6, 2.0, 1.0), (6, math.pi, math.pi), (10, math.pi, 2.0),
-    (10, math.pi, math.pi), (12, 1.5, 0.5), (12, 2.0, 1.0), (14, 2.0, 1.0),
-    (14, math.pi, math.pi), (16, 2.0, 1.0), (16, math.pi, 2.0), (16, math.pi, math.pi),
-    (20, 1.0, 1.0), (20, 2.0, 1.0), (20, math.pi, 2.0), (20, math.pi, math.pi),
-    (22, math.pi, math.pi), (26, 2.0, 1.0), (28, math.pi, math.pi), (36, math.pi, math.pi),
-    (40, 2.0, 1.0), (40, math.pi, math.pi), (68, math.pi, math.pi), (80, 2.0, 1.0),
-    (80, math.pi, math.pi), (160, math.pi, math.pi),
-]
+# Every integrand degree whose grid the tests, the verify suites, the
+# benchmark workloads (32/8 and 16/4 on (0, pi)^2) and the README size.
+USED_DEGREES = [4, 6, 10, 12, 14, 16, 20, 22, 26, 28, 36, 40, 68, 80, 160]
 
 
-def test_used_grid_sizes_are_those_of_numpys_leggauss(monkeypatch):
-    # The rule moves nodes and weights at rounding level only: every size in
-    # use is the one the same search certifies with numpy's rule.
-    sizes = [required_quadrature_points(*size) for size in USED_SIZES]
-    monkeypatch.setattr(domain_module, "_rule", _leggauss_rule)
-    assert sizes == [required_quadrature_points.__wrapped__(*size) for size in USED_SIZES]
+def _side_rule(M, L):
+    """`_rule(M, L)` bit for bit, scaled from the rule on (0, 2): one eigensolve for all sides."""
+    x, w = _rule(M, 2.0)
+    return 0.5 * L * x, 0.5 * L * w
 
 
-def test_required_points_are_smallest_certified():
-    sizes = [
-        # (Lx, Ly, Ns, Nv): default dynamics grids ...
-        (math.pi, math.pi, 16, 4),
-        (math.pi, math.pi, 32, 8),
-        (2.0, 1.0, 10, 3),
-        # ... and a velocity-heavy grid (Nv > Ns + 6).
-        (math.pi, math.pi, 2, 9),
-    ]
-    for Lx, Ly, Ns, Nv in sizes:
-        degree = integrand_degree(Ns, Nv)
-        M = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv)).grid.M
-        assert M == required_quadrature_points(degree, Lx, Ly)
-        assert _certifies(M, degree, Lx) and _certifies(M, degree, Ly)
-        assert not (_certifies(M - 1, degree, Lx) and _certifies(M - 1, degree, Ly))
-        with pytest.raises(DomainError, match="exactness threshold"):
-            build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv, M=M - 1))
+def _smallest_certified(degree, L, M):
+    """The oracle: the smallest certified size at or below a certified M,
+    found by building and certifying each rule below it in turn."""
+    while M > 1 and _certificate_failure(*_side_rule(M - 1, L), L, degree) is None:
+        M -= 1
+    return M
+
+
+def test_closed_form_size_passes_the_certificate_near_the_smallest():
+    # The bound holds for every mode up to the degree, so its M passes the
+    # certificate on any side; it costs at most 4 points over the oracle's.
+    assert all(np.array_equal(a, b) for a, b in zip(_side_rule(40, math.pi), _rule(40, math.pi)))
+    for degree in sorted(set(USED_DEGREES) | {1, 2, 3, 50, 120, 240, 320}):
+        M = required_quadrature_points(degree)
+        for L in (math.pi, 2.0, 1.0):
+            assert _certificate_failure(*_side_rule(M, L), L, degree) is None, (degree, L)
+            assert M - _smallest_certified(degree, L, M) <= 4, (degree, L)
+    assert [required_quadrature_points(D) for D in (6, 10, 20, 40, 80, 160, 320)] == [
+        17, 22, 33, 53, 89, 159, 293]
+    # An explicit M is judged by its rule alone: 51, the smallest certified
+    # size at 16/4 and its default before the closed form, still builds.
+    assert build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4, M=51)).grid.M == 51
+    with pytest.raises(DomainError, match=r"M=50 \(default 53\)"):
+        build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4, M=50))
+
+
+def test_sizing_builds_no_rule(monkeypatch):
+    def no_rule(M, L):
+        raise AssertionError("sizing built a rule")
+
+    sizes = [required_quadrature_points(D) for D in USED_DEGREES]
+    monkeypatch.setattr(domain_module, "_rule", no_rule)
+    assert [required_quadrature_points(D) for D in USED_DEGREES] == sizes
+
+
+def test_build_certifies_each_gauss_legendre_side_once(monkeypatch):
+    # The midpoint sides are certified when first built and cached, so a
+    # second build certifies only its Gauss-Legendre sides: one per
+    # distinct side, for a default or an explicit M alike.
+    specs = [DomainSpec(Lx=math.pi, Ly=math.pi, Ns=4, Nv=1),
+             DomainSpec(Lx=2.0, Ly=1.0, Ns=4, Nv=1),
+             DomainSpec(Lx=2.0, Ly=1.0, Ns=4, Nv=1, M=30)]
+    for spec in specs:
+        build_domain(spec)
+    calls = []
+
+    def counted(x, w, L, degree, **kwargs):
+        calls.append((x.size, L, degree))
+        return _certificate_failure(x, w, L, degree, **kwargs)
+
+    monkeypatch.setattr(domain_module, "_certificate_failure", counted)
+    for spec in specs:
+        calls.clear()
+        build_domain(spec)
+        M = required_quadrature_points(10) if spec.M is None else spec.M
+        assert calls == [(M, L, 10) for L in dict.fromkeys((spec.Lx, spec.Ly))]
 
 
 def test_velocity_heavy_grid_matches_oversampled_rule():

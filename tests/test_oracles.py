@@ -98,7 +98,7 @@ def test_swirl_source_projection_matches_oversampled_grid(mms_params):
     spec = DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=2)
     domain = build_domain(spec)
     fine = build_domain(DomainSpec(spec.Lx, spec.Ly, spec.Ns, spec.Nv, M=4 * domain.grid.M))
-    assert domain.grid.M == 47
+    assert domain.grid.M == 49
     source = case.transport_source(mms_params)
     for t in (0.0, 0.37):
         got, want = source(domain, t), source(fine, t)
