@@ -15,6 +15,7 @@ from poromix import (
     VelocityField,
     build_domain,
     grid_to_scalar,
+    integrand_degree,
     midpoint_degree,
     mobility_evaluate,
     required_quadrature_points,
@@ -22,8 +23,8 @@ from poromix import (
     rhs_velocity,
 )
 from poromix import domain as domain_module
-from poromix.domain import (_analysis_matrix, _certificate_failure, _factor_expansions,
-                            _midpoint_nodes, _rule)
+from poromix.domain import (_CERTIFY_TOL, _analysis_matrix, _certificate_failure,
+                            _factor_expansions, _midpoint_nodes, _rule)
 from poromix.solver import _WORK_FIELDS
 
 from conftest import random_scalar
@@ -215,6 +216,63 @@ def test_closed_form_size_passes_the_certificate_near_the_smallest():
     assert build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4, M=51)).grid.M == 51
     with pytest.raises(DomainError, match=r"M=50 \(default 53\)"):
         build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=16, Nv=4, M=50))
+
+
+def _log_trefethen_bound(M, degree, rho):
+    """log of Trefethen's Thm 4.5 bound for an M-point rule on a mode up to `degree`."""
+    return (math.log(64 / 15) + degree * np.pi * (rho - 1 / rho) / 4
+            - 2 * (M - 1) * np.log(rho) - np.log(rho * rho - 1))
+
+
+def test_required_points_are_smallest_certified():
+    # The default grid is the smallest size the bound certifies, checked on
+    # a finer rho grid than the sizing uses, and its rule passes the
+    # certificate on both sides.
+    rho = 1.0 + np.geomspace(1e-6, 1e4, 100001)
+    log_tol = math.log(2 * _CERTIFY_TOL)
+    sizes = [
+        # (Lx, Ly, Ns, Nv): default dynamics grids ...
+        (math.pi, math.pi, 16, 4),
+        (math.pi, math.pi, 32, 8),
+        (2.0, 1.0, 10, 3),
+        # ... and a velocity-heavy grid (Nv > Ns + 6).
+        (math.pi, math.pi, 2, 9),
+    ]
+    for Lx, Ly, Ns, Nv in sizes:
+        degree = integrand_degree(Ns, Nv)
+        M = build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv)).grid.M
+        assert M == required_quadrature_points(degree)
+        assert _log_trefethen_bound(M, degree, rho).min() <= log_tol
+        assert _log_trefethen_bound(M - 1, degree, rho).min() > log_tol
+        for L in (Lx, Ly):
+            assert _certificate_failure(*_rule(M, L), L, degree) is None
+
+
+# Every (integrand degree, Lx, Ly) whose grid the tests, the verify suites,
+# the benchmark workloads (32/8 and 16/4 on (0, pi)^2) and the README size.
+USED_SIZES = [
+    (4, math.pi, math.pi), (6, 2.0, 1.0), (6, math.pi, math.pi), (10, math.pi, 2.0),
+    (10, math.pi, math.pi), (12, 1.5, 0.5), (12, 2.0, 1.0), (14, 2.0, 1.0),
+    (14, math.pi, math.pi), (16, 2.0, 1.0), (16, math.pi, 2.0), (16, math.pi, math.pi),
+    (20, 1.0, 1.0), (20, 2.0, 1.0), (20, math.pi, 2.0), (20, math.pi, math.pi),
+    (22, math.pi, math.pi), (26, 2.0, 1.0), (28, math.pi, math.pi), (36, math.pi, math.pi),
+    (40, 2.0, 1.0), (40, math.pi, math.pi), (68, math.pi, math.pi), (80, 2.0, 1.0),
+    (80, math.pi, math.pi), (160, math.pi, math.pi),
+]
+
+
+def test_used_grid_sizes_are_those_of_numpys_leggauss(monkeypatch):
+    # Every grid in use builds unchanged with numpy's rule in place of
+    # `_rule`: its size is the same and numpy's rule passes the certificate.
+    assert sorted({D for D, _, _ in USED_SIZES}) == USED_DEGREES
+    sizes = [required_quadrature_points(D) for D, _, _ in USED_SIZES]
+    monkeypatch.setattr(domain_module, "_rule", _leggauss_rule)
+    assert [required_quadrature_points(D) for D, _, _ in USED_SIZES] == sizes
+    for (degree, Lx, Ly), M in zip(USED_SIZES, sizes):
+        for L in (Lx, Ly):
+            assert _certificate_failure(*_leggauss_rule(M, L), L, degree) is None, (degree, L)
+    spec = DomainSpec(Lx=2.0, Ly=1.0, Ns=10, Nv=3)
+    assert build_domain(spec).grid.M == required_quadrature_points(integrand_degree(10, 3))
 
 
 def test_sizing_builds_no_rule(monkeypatch):
