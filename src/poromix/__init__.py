@@ -38,7 +38,6 @@ from .solver import (
     SimulationResult,
     SimulationState,
     SolverConfig,
-    StepSizeUnderflowError,
     existence_time_bound,
     rhs_concentration,
     rhs_velocity,

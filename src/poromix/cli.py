@@ -5,8 +5,8 @@ Command-line entry points.
     poromix verify --suite NAME
     poromix sweep  --config cfg.yaml --vary param:lo:hi:n --report out.csv
 
-`run` exits 0 on completion, 2 on detected blow-up, 1 on any error;
-configuration problems are listed exhaustively before exiting.
+`run` exits 0 on completion, 2 on detected blow-up, 1 on a failed run or
+any error; configuration problems are listed exhaustively before exiting.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ def _execute(cfg: RunConfig, out_dir: Path):
     write_metadata(out_dir / METADATA_FILE, {
         "outcome": result.outcome,
         "blowup_time": result.blowup_time,
+        "failure": result.failure,
         "t_final": result.final_state.t,
         "steps_accepted": result.steps_accepted,
         "steps_rejected": result.steps_rejected,
@@ -136,10 +137,10 @@ def _cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     out_dir = Path(args.out) if args.out else Path.cwd()
     result = _execute(cfg, out_dir)
-    print(f"outcome: {result.outcome}"
-          + (f" (t = {result.blowup_time:.6g})" if result.outcome == "blowup" else ""))
+    detail = f"t = {result.blowup_time:.6g}" if result.outcome == "blowup" else result.failure
+    print(f"outcome: {result.outcome}" + (f" ({detail})" if detail else ""))
     print(f"ledger: {out_dir / cfg.outputs.ledger_path}")
-    return 2 if result.outcome == "blowup" else 0
+    return {"completed": 0, "blowup": 2, "failed": 1}[result.outcome]
 
 
 def _cmd_verify(args) -> int:
@@ -205,10 +206,9 @@ def _cmd_sweep(args) -> int:
         fh.write("param,value,outcome,blowup_time,decay_rate\n")
         for value, params in zip(values, run_params):
             result = run(SimulationState(0.0, C0, u0), params, cfg.solver, forcing=forcing)
-            outcome = "BlowUp" if result.outcome == "blowup" else "Completed"
             blow = result.blowup_time if result.blowup_time is not None else math.nan
             rate = fit_decay_rate(result.ledger, cfg.domain.Lx * cfg.domain.Ly)
-            fh.write(f"{param},{value:.17g},{outcome},{blow:.17g},{rate:.17g}\n")
+            fh.write(f"{param},{value:.17g},{result.outcome},{blow:.17g},{rate:.17g}\n")
     print(f"sweep report: {report_path}")
     return 0
 

@@ -133,9 +133,9 @@ _VELOCITY_PRESETS = {
 class OutputSpec(Record):
     """What a run writes under its output directory: the ledger at
     `ledger_path`, snapshots in `snapshot_dir` and the metadata document
-    METADATA_FILE.  Neither path may be empty, the directory itself or one
-    above it, and no two of the three may be one path, or one lie under the
-    other, once normalized."""
+    METADATA_FILE.  Neither path may be empty, the directory itself or
+    outside it (absolute, or leading up with ".."), and no two of the three
+    may be one path, or one lie under the other, once normalized."""
 
     ledger_path: str = "ledger.csv"
     snapshot_cadence: float = 0.0  # time interval between snapshots; 0 disables
@@ -151,8 +151,8 @@ class OutputSpec(Record):
             if path == ".":
                 errs.append(f"{name} must not be empty or the output directory itself, "
                             f"got {getattr(self, name)!r}")
-            elif os.path.basename(path) == "..":
-                errs.append(f"{name} must not be a directory above the output directory, "
+            elif os.path.isabs(path) or path.split(os.sep)[0] == "..":
+                errs.append(f"{name} must lie inside the output directory, "
                             f"got {getattr(self, name)!r}")
             else:
                 paths[name] = path

@@ -205,7 +205,7 @@ def perturbation_stability(
     Runs the base state and two perturbed copies (eps and eps/2 along
     `direction`) to the same checkpoint times and reports the ratio of the
     squared distances; continuous dependence predicts ratios near 4.
-    Blow-up of any run makes the test inconclusive.
+    Any run that does not complete makes the test inconclusive.
     """
     domain = base_C0.domain
     if u0 is None:
@@ -226,7 +226,8 @@ def perturbation_stability(
         )
         if res.outcome != "completed":
             return PerturbationReport(
-                False, {}, eps, f"run with perturbation {amp} blew up at t={res.blowup_time}"
+                False, {}, eps, f"run with perturbation {amp} stopped at t={res.final_state.t!r} "
+                f"with outcome {res.outcome}" + (f": {res.failure}" if res.failure else "")
             )
         results.append(res)
 

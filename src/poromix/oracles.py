@@ -186,6 +186,8 @@ class ManufacturedCase(Record, eq=False):
                   params, SolverConfig(T_run=T, rtol=1e-10, atol=1e-13),
                   forcing=self.momentum_forcing(params),
                   transport_source=self.transport_source(params))
+        if res.outcome == "failed":  # a stationary case's partial run would match
+            raise RuntimeError(res.failure)
         return self.error_norms(domain, T, res.final_state.C, res.final_state.u)
 
     def transport_source(self, params):

@@ -83,22 +83,12 @@ __all__ = [
     "SolverConfig",
     "SimulationResult",
     "GalerkinSystem",
-    "StepSizeUnderflowError",
     "NonFiniteStateError",
     "run",
     "rhs_concentration",
     "rhs_velocity",
     "existence_time_bound",
 ]
-
-
-class StepSizeUnderflowError(RuntimeError):
-    """The controller drove dt below representable resolution."""
-
-    def __init__(self, t: float, dt: float):
-        super().__init__(f"step size underflow at t={t!r} (dt={dt!r})")
-        self.t = t
-        self.dt = dt
 
 
 class NonFiniteStateError(RuntimeError):
@@ -174,10 +164,11 @@ class SolverConfig(Record):
 
 
 class SimulationResult(Record):
-    outcome: str  # "completed" | "blowup"
+    outcome: str  # "completed" | "blowup" | "failed"
     final_state: SimulationState
     ledger: EnergyLedger
     blowup_time: float | None = None
+    failure: str | None = None  # why a "failed" run stopped, with its t and dt
     checkpoints: dict | None = None  # None: a new empty dict
     steps_accepted: int = 0
     steps_rejected: int = 0
@@ -699,7 +690,7 @@ def run(
     checkpoint_times=(),
     transport_source=None,
 ) -> SimulationResult:
-    """Integrate from the initial state to T_run or blow-up.
+    """Integrate from the initial state to T_run, blow-up or failure.
 
     Emits a ledger row and calls `snapshot_sink(state)` per accepted step,
     lands exactly on every requested checkpoint time (kept in
@@ -725,7 +716,8 @@ def run(
     entries only (see `_error_norm`): the work integrals are checked by the
     energy residual gates, not by the step size, and alpha's error can still
     hide behind C's in the one RMS.  An accepted step grows dt by the PI
-    rule; dt <= 16 eps max(|t|, 1) raises StepSizeUnderflowError.
+    rule.  A dt <= 16 eps max(|t|, 1) ends the run as "failed", with its
+    ledger, last accepted state and counts, and a `failure` naming t and dt.
     """
     t_start = time.perf_counter()
 
@@ -772,7 +764,7 @@ def run(
     rejected = 0
     implicit = 0
     outcome = "completed"
-    blowup_time = None
+    blowup_time = failure = None
     stop_idx = 0
     retry = False  # the last trial was rejected
 
@@ -785,7 +777,8 @@ def run(
         if hit_stop:
             dt = next_stop - t
         if dt <= _DT_FLOOR * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(t, dt)
+            outcome, failure = "failed", f"step size underflow at t={t!r} (dt={dt!r})"
+            break
 
         t_new = next_stop if hit_stop else t + dt
         try:
@@ -827,6 +820,7 @@ def run(
         final_state=system.unpack(t, y),
         ledger=ledger,
         blowup_time=blowup_time,
+        failure=failure,
         checkpoints=checkpoints,
         steps_accepted=accepted,
         steps_rejected=rejected,

@@ -49,6 +49,15 @@ class CheckResult(Record):
         )
 
 
+def _run(C0, u0, params, config, **kwargs):
+    """`run` from (C0, u0) at t = 0.  A failed run fails the suite: its
+    partial ledger could still pass a check (a conserved mass, a rest state)."""
+    res = run(SimulationState(0.0, C0, u0), params, config, **kwargs)
+    if res.outcome == "failed":
+        raise RuntimeError(res.failure)
+    return res
+
+
 def _make_domain(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2):
     return build_domain(DomainSpec(Lx=Lx, Ly=Ly, Ns=Ns, Nv=Nv))
 
@@ -64,7 +73,7 @@ def suite_diffusion():
     params = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.0)
     C0 = cosine_field(domain, [(1, 0, 1.0)])
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, stream_field(domain)), params, config)
+    res = _run(C0, stream_field(domain), params, config)
     ratio = math.sqrt(res.ledger.final.l2_C / res.ledger[0].l2_C)
     expected = modal_diffusion_factor((1, 0), params.d, config.T_run, domain.spec.Lx,
                                       domain.spec.Ly)
@@ -81,7 +90,7 @@ def suite_logistic():
     c0 = 0.5
     C0 = cosine_field(domain, offset=c0)
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, stream_field(domain)), params, config)
+    res = _run(C0, stream_field(domain), params, config)
     measured = res.final_state.C.mean_value
     expected = logistic_solution(c0, params.kappa, config.T_run)
     out.append(CheckResult("logistic", "uniform_value_at_t1",
@@ -89,7 +98,7 @@ def suite_logistic():
 
     C0 = cosine_field(domain, offset=2.0)
     config = SolverConfig(T_run=2.0, rtol=1e-10, atol=1e-13, blowup_cap=1e6)
-    res = run(SimulationState(0.0, C0, stream_field(domain)), params, config)
+    res = _run(C0, stream_field(domain), params, config)
     t_star = logistic_blowup_time(2.0, 1.0)
     detected = res.outcome == "blowup" and res.blowup_time is not None
     rel = abs(res.blowup_time - t_star) / t_star if detected else math.inf
@@ -109,8 +118,7 @@ def _generic_nonlinear_run():
     C0 = cosine_field(domain, [(1, 1, 0.2), (2, 0, 0.1), (0, 3, 0.05)], offset=0.4)
     u0 = stream_field(domain, [(1, 1, 0.4), (2, 1, 0.2)])
     config = SolverConfig(T_run=0.4, rtol=1e-8, atol=1e-11)
-    res = run(SimulationState(0.0, C0, u0), params, config,
-              forcing=ForcingSpec.preset("pulsed_stream"))
+    res = _run(C0, u0, params, config, forcing=ForcingSpec.preset("pulsed_stream"))
     return res, config
 
 
@@ -138,8 +146,7 @@ def suite_mass():
     C0 = cosine_field(domain, [(1, 1, 0.2), (2, 1, 0.1)], offset=0.7)
     u0 = stream_field(domain, [(1, 1, 0.5), (2, 2, 0.2)])
     config = SolverConfig(T_run=0.5, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, u0), params, config,
-              forcing=ForcingSpec.preset("steady_stream"))
+    res = _run(C0, u0, params, config, forcing=ForcingSpec.preset("steady_stream"))
     m0 = res.ledger[0].mass
     drift = abs(res.ledger.final.mass - m0)
     tol = 1e-9 * (1.0 + abs(m0))
@@ -156,12 +163,10 @@ def suite_positivity():
         )
         C0 = cosine_field(domain, [(1, 1, 1.0)], offset=1.5)
         config = SolverConfig(T_run=0.3, rtol=1e-8, atol=1e-11)
-        return run(SimulationState(0.0, C0, stream_field(domain)), params, config)
+        return _run(C0, stream_field(domain), params, config)
 
-    base = one(16)
-    refined = one(32)
-    report = positivity_check(base, refined)
-    out = [
+    report = positivity_check(one(16), one(32))
+    return [
         CheckResult("positivity", "min_grid_value",
                     report.min_over_time >= report.threshold,
                     report.min_over_time, 0.0, 1e-6),
@@ -170,7 +175,6 @@ def suite_positivity():
                     max(0.0, -(report.refined_min_over_time or 0.0)),
                     max(0.0, -report.min_over_time), 1e-6),
     ]
-    return out
 
 
 def suite_decay():
@@ -185,14 +189,14 @@ def suite_decay():
     C0 = cosine_field(domain, [(1, 0, 0.3), (1, 1, 0.2), (2, 1, 0.1)], offset=0.6)
     u0 = stream_field(domain, [(1, 1, 0.5)])
     config = SolverConfig(T_run=1.5, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, u0), params, config)
+    res = _run(C0, u0, params, config)
     report = decay_to_mean_check(res, params)
     out.append(CheckResult("decay", "envelope_bound_all_times",
                            report.passed, report.max_violation, 0.0, report.slack))
 
     params2 = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.0)
     C0 = cosine_field(domain, [(1, 0, 1.0)], offset=0.5)
-    res2 = run(SimulationState(0.0, C0, stream_field(domain)), params2, config)
+    res2 = _run(C0, stream_field(domain), params2, config)
     area = domain.spec.Lx * domain.spec.Ly
     dev0 = res2.ledger[0].l2_C - res2.ledger[0].mass ** 2 / area
     devT = res2.ledger.final.l2_C - res2.ledger.final.mass ** 2 / area
@@ -211,7 +215,7 @@ def suite_velocity_decay():
     C0 = cosine_field(domain, offset=0.5)
     u0 = stream_field(domain, [(1, 1, 0.5), (2, 1, 0.3), (3, 2, 0.2)])
     config = SolverConfig(T_run=1.0, rtol=1e-10, atol=1e-13)
-    res = run(SimulationState(0.0, C0, u0), params, config)
+    res = _run(C0, u0, params, config)
     n0 = math.sqrt(res.ledger[0].l2_u)
     worst = max(
         math.sqrt(r.l2_u) / (n0 * math.exp(-0.7 * r.t)) - 1.0 for r in res.ledger.rows
@@ -222,7 +226,7 @@ def suite_velocity_decay():
     params2 = PhysicalParams(mu_e=0.05, d=0.1, kappa=0.0,
                              mobility=MobilitySpec.polynomial(0.5, 1.0))
     C0 = cosine_field(domain, [(1, 1, 0.2)], offset=0.8)
-    res2 = run(SimulationState(0.0, C0, u0), params2, config)
+    res2 = _run(C0, u0, params2, config)
     rows = res2.ledger.rows
     fq_defined = all(np.isfinite(r.fq_u) for r in rows)
     mono = all(
@@ -325,8 +329,7 @@ def suite_lipschitz():
         params = PhysicalParams(mu_e=0.1, d=0.1, kappa=0.5,
                                 korteweg=KortewegParams(delta_hat=0.1, gamma=0.0),
                                 mobility=F)
-        res = run(SimulationState(0.0, C0, u0), params, config,
-                  forcing=ForcingSpec.preset("pulsed_stream"))
+        res = _run(C0, u0, params, config, forcing=ForcingSpec.preset("pulsed_stream"))
         finals.append(res.final_state)
     dc = float(np.max(np.abs(finals[0].C.coeffs - finals[1].C.coeffs)))
     du = float(np.max(np.abs(finals[0].u.coeffs - finals[1].u.coeffs)))

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from poromix import (
     DomainSpec,
     KortewegParams,
+    NonFiniteStateError,
     PhysicalParams,
     ScalarField,
     SimulationState,
     build_domain,
     rhs_velocity,
+    solver,
 )
 from poromix.ledger import CSV_COLUMNS, EnergyLedger, LedgerRow
 # The tests build their fields with the library's mode-list builders.
@@ -65,3 +68,24 @@ def read_ledger_csv(path) -> EnergyLedger:
             vals["blowup"] = int(vals["blowup"])
             ledger.append(LedgerRow(**vals))
     return ledger
+
+
+def fail_trials_past(monkeypatch, t_fail, when=lambda system: True):
+    """Make every trial step that would end past `t_fail` fail, in the runs
+    whose system `when` picks: each such run's step size then underflows as
+    its accepted steps close in on `t_fail`."""
+    attempt = solver._attempt_step
+
+    def attempt_step(system, t, y, dt, k1, t_new, diag):
+        if t_new > t_fail and when(system):
+            raise NonFiniteStateError(t_new)
+        return attempt(system, t, y, dt, k1, t_new, diag)
+
+    monkeypatch.setattr(solver, "_attempt_step", attempt_step)
+
+
+def underflow_of(failure):
+    """The (t, dt) that a run's step-size underflow `failure` names."""
+    found = re.fullmatch(r"step size underflow at t=(\S+) \(dt=(\S+)\)", failure)
+    assert found, failure
+    return float(found[1]), float(found[2])

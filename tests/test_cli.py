@@ -13,7 +13,7 @@ import pytest
 import poromix
 from poromix.cli import _SWEEP_PARAMS, main
 
-from conftest import read_ledger_csv
+from conftest import fail_trials_past, read_ledger_csv, underflow_of
 
 ZERO_CONFIG = """
 domain: {Lx: 3.141592653589793, Ly: 3.141592653589793, Ns: 4, Nv: 1}
@@ -58,6 +58,24 @@ def test_run_blowup_exit_two(tmp_path):
     assert abs(meta["blowup_time"] - math.log(2.0)) <= 0.01 * math.log(2.0)
     ledger = read_ledger_csv(out / "ledger.csv")
     assert ledger.final.blowup == 1
+
+
+def test_run_that_underflows_writes_its_results_and_exits_one(tmp_path, capsys, monkeypatch):
+    # Every trial past t = 0.05 fails, so the step size underflows short of
+    # T_run = 0.1.  The steps accepted until then are the run's result.
+    fail_trials_past(monkeypatch, 0.05)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("C: {preset: zero}", "C: {preset: uniform, value: 0.5}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    meta = json.loads((out / "metadata.json").read_text())
+    t, dt = underflow_of(meta["failure"])
+    assert meta["outcome"] == "failed" and meta["blowup_time"] is None
+    assert 0.0 < t == meta["t_final"] <= 0.05 and dt > 0.0
+    assert meta["steps_accepted"] > 0 and meta["steps_rejected"] > 0
+    ledger = read_ledger_csv(out / "ledger.csv")
+    assert len(ledger) == meta["steps_accepted"] + 1 and ledger.final.t == t
+    assert capsys.readouterr().out.splitlines()[0] == f"outcome: failed ({meta['failure']})"
 
 
 def test_run_config_errors_exit_one(tmp_path, capsys):
@@ -122,6 +140,19 @@ def test_verify_suite_exit_codes(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_passes_no_check_on_failed_runs(monkeypatch, capsys):
+    # Every run fails at its first step.  Its initial state could still meet
+    # a check (mass is conserved, a rest state is stationary), so every suite
+    # that runs the solver fails; korteweg-reduction runs none.
+    from poromix.verify import SUITE_NAMES
+    monkeypatch.setattr(poromix.solver, "_DT_FLOOR", 1.0)
+    for name in SUITE_NAMES:
+        code = main(["verify", "--suite", name])
+        out = capsys.readouterr().out
+        assert (code, "[PASS]" in out) == ((0, True) if name == "korteweg-reduction"
+                                           else (1, False)), name
+
+
 def test_sweep_kappa_zero_completes(tmp_path):
     cfg = tmp_path / "s.yaml"
     cfg.write_text(ZERO_CONFIG.replace("C: {preset: zero}", "C: {preset: uniform, value: 0.5}"))
@@ -131,7 +162,20 @@ def test_sweep_kappa_zero_completes(tmp_path):
     lines = report.read_text().splitlines()
     assert lines[0] == "param,value,outcome,blowup_time,decay_rate"
     assert len(lines) == 2
-    assert "Completed" in lines[1]
+    assert lines[1].split(",")[2] == "completed"
+
+
+def test_sweep_records_a_failed_run_and_goes_on(tmp_path, monkeypatch):
+    # Only the kappa = 0.75 run underflows; it is one row of the report.
+    fail_trials_past(monkeypatch, 0.05, when=lambda system: system.params.kappa == 0.75)
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(ZERO_CONFIG.replace("C: {preset: zero}", "C: {preset: uniform, value: 0.5}"))
+    report = tmp_path / "report.csv"
+    assert main(["sweep", "--config", str(cfg), "--vary", "kappa:0.5:1.0:3",
+                 "--report", str(report)]) == 0
+    rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
+    assert [(float(r[1]), r[2], r[3]) for r in rows] == [
+        (0.5, "completed", "nan"), (0.75, "failed", "nan"), (1.0, "completed", "nan")]
 
 
 def test_sweep_blowup_times_match_logistic(tmp_path):
@@ -145,7 +189,7 @@ def test_sweep_blowup_times_match_logistic(tmp_path):
     for row in rows:
         _, value, outcome, blow, _ = row.split(",")
         kappa = float(value)
-        assert outcome == "BlowUp"
+        assert outcome == "blowup"
         assert abs(float(blow) - math.log(2.0) / kappa) <= 0.01 * math.log(2.0) / kappa
 
 
@@ -162,7 +206,7 @@ def test_sweep_delta_hat_invariant_for_uniform_C(tmp_path):
     rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
     outcomes = {r[2] for r in rows}
     rates = {r[4] for r in rows}
-    assert outcomes == {"Completed"}
+    assert outcomes == {"completed"}
     assert len(rates) == 1
 
 
@@ -217,8 +261,8 @@ def test_sweep_rejected_value_leaves_no_report(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--vary", "R:0.1:0.5:2",
                  "--report", str(report)]) == 0
     rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
-    assert [(r[0], float(r[1]), r[2]) for r in rows] == [("R", 0.1, "Completed"),
-                                                         ("R", 0.5, "Completed")]
+    assert [(r[0], float(r[1]), r[2]) for r in rows] == [("R", 0.1, "completed"),
+                                                         ("R", 0.5, "completed")]
 
 
 def test_sweep_initial_mode_outside_basis_leaves_no_report(tmp_path, capsys):
@@ -323,7 +367,7 @@ def test_forcing_table_sets_the_grid(tmp_path):
     assert (out / "ledger.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
     assert result.ledger.final.l2_u > 0.0
     rate = poromix.diagnostics.fit_decay_rate(result.ledger, math.pi * math.pi)
-    assert report.read_text().splitlines()[1] == f"kappa,1,Completed,nan,{rate:.17g}"
+    assert report.read_text().splitlines()[1] == f"kappa,1,completed,nan,{rate:.17g}"
 
 
 def _write_malformed(path, kind, arrays):
@@ -407,9 +451,15 @@ def test_sweep_malformed_file_entry_is_one_error_and_no_report(tmp_path, capsys,
     ("snapshot_dir: ./ledger.csv",
      "ledger_path and snapshot_dir are the same path 'ledger.csv'"),
     ("ledger_path: ..",
-     "ledger_path must not be a directory above the output directory, got '..'"),
+     "ledger_path must lie inside the output directory, got '..'"),
     ("snapshot_dir: snaps/../..",
-     "snapshot_dir must not be a directory above the output directory, got 'snaps/../..'"),
+     "snapshot_dir must lie inside the output directory, got 'snaps/../..'"),
+    ("ledger_path: ../escaped.csv",
+     "ledger_path must lie inside the output directory, got '../escaped.csv'"),
+    ("snapshot_dir: snaps/../../snaps",
+     "snapshot_dir must lie inside the output directory, got 'snaps/../../snaps'"),
+    ("ledger_path: /ledger.csv",
+     "ledger_path must lie inside the output directory, got '/ledger.csv'"),
     ("ledger_path: metadata.json/ledger.csv",
      "ledger_path and the metadata file lie one under the other, "
      "'metadata.json/ledger.csv' and 'metadata.json'"),
@@ -418,10 +468,12 @@ def test_sweep_malformed_file_entry_is_one_error_and_no_report(tmp_path, capsys,
 ], ids=["empty-ledger", "dot-ledger", "empty-snapshots", "dot-snapshots", "ledger-is-metadata",
         "ledger-normalizes-to-metadata", "snapshots-is-metadata", "ledger-is-snapshots",
         "snapshots-is-ledger", "ledger-above-out", "snapshots-above-out",
+        "ledger-escapes", "snapshots-escape", "ledger-absolute",
         "ledger-under-metadata", "snapshots-under-ledger"])
 def test_run_output_paths_that_collide_are_one_config_error(tmp_path, capsys, outputs, error):
     # Each would lose a result: the ledger overwritten by the metadata, or a
-    # write into a directory that fails only after the whole run.
+    # write into a directory that fails only after the whole run; or would
+    # write outside the output directory.
     cfg = tmp_path / "run.yaml"
     cfg.write_text(ZERO_CONFIG.replace("outputs: {ledger_path: ledger.csv}",
                                        f"outputs: {{snapshot_cadence: 0.05, {outputs}}}"))

@@ -18,7 +18,7 @@ from poromix.diagnostics import segment_residual_bounds
 from poromix.ledger import EnergyLedger, LedgerRow
 from poromix.oracles import logistic_solution
 
-from conftest import make_scalar, make_velocity
+from conftest import fail_trials_past, make_scalar, make_velocity, underflow_of
 
 
 def _params(**kw):
@@ -130,7 +130,27 @@ def test_perturbation_inconclusive_on_blowup(pi_domain):
         checkpoint_times=(1.5,),
     )
     assert not report.conclusive
-    assert "blew up" in report.detail
+    assert report.detail.startswith("run with perturbation 0.0 stopped at t=")
+    assert report.detail.endswith(" with outcome blowup")
+
+
+def test_perturbation_inconclusive_on_a_failed_run(pi_domain, monkeypatch):
+    # The base run's step size underflows short of the checkpoint; the
+    # detail names the outcome, where the run stopped and its failure.
+    fail_trials_past(monkeypatch, 0.1)
+    report = perturbation_stability(
+        make_scalar(pi_domain, [], offset=0.5),
+        make_scalar(pi_domain, [(1, 0, 1.0)]),
+        1e-4,
+        _params(kappa=1.0),
+        SolverConfig(T_run=0.5),
+        checkpoint_times=(0.5,),
+    )
+    assert not report.conclusive and report.ratios == {}
+    prefix, failure = report.detail.split(": ", 1)
+    t, _ = underflow_of(failure)
+    assert prefix == f"run with perturbation 0.0 stopped at t={t!r} with outcome failed"
+    assert 0.0 < t <= 0.1
 
 
 def test_perturbation_checkpoint_past_the_run_is_named(pi_domain):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poromix import PhysicalParams, logistic_blowup_time, manufactured_run
+from poromix import PhysicalParams, logistic_blowup_time, manufactured_run, solver
 from poromix.domain import DomainSpec, build_domain
 from poromix.korteweg import KortewegParams
 from poromix.mobility import MobilitySpec
@@ -77,6 +77,15 @@ def test_rest_preset_is_stationary(mms_params):
     err_c, err_u = case.run_errors(domain, mms_params, 0.5)
     assert err_c <= 1e-8
     assert err_u <= 1e-8
+
+
+def test_a_failed_run_has_no_errors(mms_params, monkeypatch):
+    # The rest preset is stationary, so the initial state of a run that
+    # failed at once would match it exactly.
+    monkeypatch.setattr(solver, "_DT_FLOOR", 1.0)
+    domain = build_domain(DomainSpec(Lx=math.pi, Ly=math.pi, Ns=8, Nv=2))
+    with pytest.raises(RuntimeError, match=r"^step size underflow at t=0\.0 "):
+        manufactured_run("rest").run_errors(domain, mms_params, 0.5)
 
 
 def test_swirl_galerkin_exact_when_resolved(mms_params):

@@ -21,7 +21,6 @@ from poromix import (
     ScalarField,
     SimulationState,
     SolverConfig,
-    StepSizeUnderflowError,
     VelocityField,
     build_domain,
     existence_time_bound,
@@ -34,7 +33,7 @@ from poromix import solver
 from poromix.diagnostics import segment_residual_bounds
 from poromix.mobility import evaluate as mobility_values
 
-from conftest import make_scalar, make_velocity, random_scalar
+from conftest import make_scalar, make_velocity, random_scalar, underflow_of
 
 
 def _params(**kw):
@@ -406,10 +405,13 @@ def test_step_underflow_reports_time(pi_domain):
 
     C0 = make_scalar(pi_domain, [], offset=0.5)
     state = SimulationState(0.0, C0, make_velocity(pi_domain, []))
-    with pytest.raises(StepSizeUnderflowError) as info:
-        run(state, _params(kappa=1.0), SolverConfig(T_run=1.0, rtol=1e-8, atol=1e-12),
-            transport_source=bad_source)
-    assert 0.0 <= info.value.t <= 0.2
+    res = run(state, _params(kappa=1.0), SolverConfig(T_run=1.0, rtol=1e-8, atol=1e-12),
+              transport_source=bad_source)
+    # The run returns what it reached: the last accepted state and its ledger.
+    t, dt = underflow_of(res.failure)
+    assert res.outcome == "failed" and t == res.final_state.t == res.ledger.final.t
+    assert 0.0 <= t <= 0.2 and 0.0 < dt <= solver._DT_FLOOR * max(t, 1.0)
+    assert len(res.ledger) == res.steps_accepted + 1
 
 
 def test_retry_after_a_rejected_landing_stops_short(monkeypatch):
@@ -603,9 +605,10 @@ def test_a_slope_whose_norm_overflows_ends_as_a_fixed_start_does(monkeypatch):
     for fixed in (None, 1e-4):  # the estimate, then a fixed first step
         if fixed:
             _fix_first_step(monkeypatch, fixed)
-        with pytest.raises(StepSizeUnderflowError) as info:
-            run(state, params, SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9))
-        assert info.value.t == 0.0
+        res = run(state, params, SolverConfig(T_run=0.5, rtol=1e-6, atol=1e-9))
+        t, dt = underflow_of(res.failure)
+        assert res.outcome == "failed" and t == res.final_state.t == 0.0
+        assert 0.0 < dt <= solver._DT_FLOOR and res.steps_accepted == 0
 
 
 @pytest.mark.parametrize("Ns, modes, offset, kappa", [(4, [(1, 0, 1.0)], 0.0, 0.0),
